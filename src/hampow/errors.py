@@ -35,3 +35,7 @@ class SearchExhaustedError(HampowError):
 
 class CoverageError(HampowError):
     """Absorber coverage shortfall: some balanced class has no usable gadget."""
+
+
+class VerificationError(HampowError):
+    """A computed result failed its own exact correctness check."""

@@ -25,7 +25,6 @@ BUDGET_EXCEEDED = "budget_exceeded"
 @dataclass(frozen=True)
 class SearchBudget:
     node_limit: int = 2_000_000
-    time_hint: float | None = None  # advisory only; not enforced by the search
 
     def __post_init__(self):
         if self.node_limit < 1:

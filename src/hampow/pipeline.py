@@ -24,6 +24,7 @@ from .errors import (
     InfeasibleError,
     ScaleInfeasibleError,
     SearchExhaustedError,
+    VerificationError,
 )
 from .graphs import Config, MultipartiteGraph, induced_subgraph, reduce_parts
 from .oracle import (
@@ -35,18 +36,8 @@ from .oracle import (
     independence_necessity,
 )
 from .paths import VertexSeq, is_path, is_walk, verify_ham_power_cycle_report
-from .sequencing import SequencingResult, run_sequencing
-from .tiling import cover_with_paths, enumerate_cliques
-
-
-@dataclass(frozen=True)
-class Stage:
-    name: str
-    ok: bool
-    detail: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "detail": self.detail}
+from .sequencing import SequencingResult, Stage, run_sequencing
+from .tiling import cover_with_paths, iter_cliques
 
 
 @dataclass
@@ -180,9 +171,12 @@ def constructive_ham_path_between(
         if seg is not None:
             out.extend(seg.vertices)
     result = VertexSeq(tuple(out), r)
-    assert is_path(graph, result)
-    assert set(result.vertices) == set(range(graph.n)) - anchors
-    assert is_walk(graph, VertexSeq(ka + result.vertices + kb, r))
+    if not is_path(graph, result):
+        raise VerificationError("constructed spanning path is not a power-path")
+    if set(result.vertices) != set(range(graph.n)) - anchors:
+        raise VerificationError("constructed path does not span the host minus the anchors")
+    if not is_walk(graph, VertexSeq(ka + result.vertices + kb, r)):
+        raise VerificationError("constructed path does not join its anchors")
     return result
 
 
@@ -312,21 +306,20 @@ def _balanced_case(
     """k' == r: one balanced group; close a cycle through an anchor clique."""
     r = cfg.r
     if mode in ("constructive", "auto"):
-        anchors = enumerate_cliques(graph, r)
-        if not anchors:
+        ka = next(iter_cliques(graph, r), None)
+        if ka is None:
             report.add("anchor", False, "no transversal clique exists")
             if mode == "constructive":
                 return None
-        for ka in anchors[: min(4, len(anchors))]:
+        else:
             try:
                 path = constructive_ham_path_between(graph, ka, ka, cfg)
                 report.add("group_path", True, "constructive")
-                return VertexSeq(tuple(sorted(ka, key=graph.part_of)) + path.vertices, r)
+                return VertexSeq(ka + path.vertices, r)
             except (ScaleInfeasibleError, InfeasibleError, SearchExhaustedError, CoverageError) as exc:
                 report.add("group_path:constructive", False, str(exc))
                 if mode == "constructive":
                     return None
-                break
     res = ham_power_cycle_exists(original, r, budget)
     if res.answer == YES:
         report.add("group_path", True, f"oracle ({res.nodes} nodes)")
@@ -361,12 +354,15 @@ def _sequenced_case(
         except HampowError as exc:
             last_exc = exc
     if seq is None:
-        report.add("sequencing", False, str(last_exc))
-        return _whole_graph_fallback(original, cfg, budget, report)
-    structural = [c for c in seq.report.conditions if c.name != "A2"]
-    if not all(c.ok for c in structural):
-        bad = next(c for c in structural if not c.ok)
-        report.add("sequencing", False, f"{bad.name}: {bad.detail}")
+        failure = str(last_exc)
+    else:
+        bad = next((c for c in seq.report.conditions if c.name != "A2" and not c.ok), None)
+        failure = None if bad is None else f"{bad.name}: {bad.detail}"
+    if failure is not None:
+        report.add("sequencing", False, failure)
+        # constructive mode never hands the whole graph to the oracle
+        if mode == "constructive":
+            return None
         return _whole_graph_fallback(original, cfg, budget, report)
     report.add(
         "sequencing", True,

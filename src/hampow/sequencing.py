@@ -251,10 +251,6 @@ class TemplateMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.cols[j][i]
 
-    def row_counts(self) -> tuple[int, ...]:
-        """Number of columns with a one in each row."""
-        return tuple(sum(col[i] for col in self.cols) for i in range(self.k))
-
     def mul(self, x: Sequence[int]) -> tuple[int, ...]:
         return tuple(sum(col[i] * xj for col, xj in zip(self.cols, x)) for i in range(self.k))
 
@@ -604,7 +600,10 @@ def _choose_affix(
 
 
 @dataclass(frozen=True)
-class ConditionReport:
+class Stage:
+    """One named pass/fail record: a plan condition here, a pipeline stage in
+    `pipeline`; both serialize the same way."""
+
     name: str
     ok: bool
     detail: str = ""
@@ -615,14 +614,14 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class PlanReport:
-    conditions: tuple[ConditionReport, ...]
+    conditions: tuple[Stage, ...]
     measured_group_slack: Fraction | None
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.conditions)
 
-    def condition(self, name: str) -> ConditionReport:
+    def condition(self, name: str) -> Stage:
         for c in self.conditions:
             if c.name == name:
                 return c
@@ -649,7 +648,7 @@ def verify_plan(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> 
     """
     r = plan.r
     n = graph.n
-    conditions: list[ConditionReport] = []
+    conditions: list[Stage] = []
 
     # Equal nonempty cells per group, everything else empty.
     a1_ok, a1_detail = True, ""
@@ -664,7 +663,7 @@ def verify_plan(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> 
         if any(d != 0 for d in dead):
             a1_ok, a1_detail = False, f"group {j}: off-pattern cell is nonempty"
             break
-    conditions.append(ConditionReport("A1", a1_ok, a1_detail))
+    conditions.append(Stage("A1", a1_ok, a1_detail))
 
     # Group degree condition, measured exactly.
     slack: Fraction | None = None
@@ -682,7 +681,7 @@ def verify_plan(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> 
                         a2_detail = f"worst proportional degree {d} at vertex {v} in group {j}"
     threshold = 1 - Fraction(1, r) + cfg.gamma / 2
     conditions.append(
-        ConditionReport("A2", slack is not None and slack >= threshold, a2_detail)
+        Stage("A2", slack is not None and slack >= threshold, a2_detail)
     )
 
     # Terminal extension of the trim path.
@@ -696,7 +695,7 @@ def verify_plan(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> 
         a3_ok, a3_detail = False, "initial r vertices of p0 do not respect the last group"
     elif not final_respects(p0.vertices, plan.group_cells(0)):
         a3_ok, a3_detail = False, "final r vertices of p0 do not respect the first group"
-    conditions.append(ConditionReport("A3", a3_ok, a3_detail))
+    conditions.append(Stage("A3", a3_ok, a3_detail))
 
     # Connectors: disjoint 2r-vertex power-paths respecting consecutive groups.
     a4_ok, a4_detail = True, ""
@@ -719,7 +718,7 @@ def verify_plan(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> 
             a4_ok, a4_detail = False, f"connector {j} reuses vertex {v}"
         if a4_ok:
             taken.update(conn.vertices)
-    conditions.append(ConditionReport("A4", a4_ok, a4_detail))
+    conditions.append(Stage("A4", a4_ok, a4_detail))
 
     # The trim path and the group cells partition the vertex set.
     part_ok, part_detail = True, ""
@@ -735,7 +734,7 @@ def verify_plan(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> 
         seen.update(cell)
     if part_ok and seen != set(range(n)):
         part_ok, part_detail = False, "trim path and cells do not cover the graph"
-    conditions.append(ConditionReport("partition", part_ok, part_detail))
+    conditions.append(Stage("partition", part_ok, part_detail))
 
     return PlanReport(tuple(conditions), slack)
 

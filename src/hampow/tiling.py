@@ -1,6 +1,6 @@
 """Transversal clique enumeration, perfect fractional tilings by exact rational
-LP with a dual certificate, exact-cover integral tilings, and a direct greedy
-path cover guided by the fractional solution.
+LP with a dual certificate, exact-cover integral tilings, and a greedy path
+cover that chains cliques.
 
 Every feasibility and optimality decision is made in exact arithmetic; there is
 no floating tolerance anywhere.
@@ -10,36 +10,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import GraphValidationError, SearchExhaustedError
+from .errors import GraphValidationError, SearchExhaustedError, VerificationError
 from .graphs import Config, MultipartiteGraph
 from .paths import VertexSeq, is_path, is_properly_terminated
 
 
 def enumerate_cliques(graph: MultipartiteGraph, r: int) -> list[tuple[int, ...]]:
-    """All r-cliques with one vertex in each of r distinct parts, in part order.
+    """All r-cliques with one vertex in each of r distinct parts, in part order."""
+    return list(iter_cliques(graph, r))
+
+
+def iter_cliques(graph: MultipartiteGraph, r: int) -> Iterator[tuple[int, ...]]:
+    """The cliques of `enumerate_cliques`, in the same order, found lazily.
 
     Backtracking over parts in ascending index with common-neighborhood pruning.
     """
-    out: list[tuple[int, ...]] = []
     k = graph.k
 
     def rec(start: int, chosen: list[int], common: frozenset[int] | None):
         depth = len(chosen)
         if depth == r:
-            out.append(tuple(chosen))
+            yield tuple(chosen)
             return
         for p in range(start, k - (r - depth) + 1):
             pool = graph.parts[p] if common is None else [v for v in graph.parts[p] if v in common]
             for v in pool:
                 nxt = graph.adj[v] if common is None else common & graph.adj[v]
                 chosen.append(v)
-                rec(p + 1, chosen, nxt)
+                yield from rec(p + 1, chosen, nxt)
                 chosen.pop()
 
-    rec(0, [], None)
-    return out
+    return rec(0, [], None)
 
 
 def _simplex_max(
@@ -75,7 +78,8 @@ def _simplex_max(
                 ratio = rows[i][-1] / a
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best, leave = ratio, i
-        assert leave is not None, "the tiling LP is bounded"
+        if leave is None:
+            raise VerificationError("the tiling LP is unbounded")
         piv = rows[leave][enter]
         rows[leave] = [v / piv for v in rows[leave]]
         for i in range(m):
@@ -132,12 +136,14 @@ def fractional_tiling(graph: MultipartiteGraph, r: int) -> FractionalTiling:
         n=graph.n, r=r, weights=weights, value=value, dual=tuple(y)
     )
     # Exact duality audit: primal feasible, dual feasible, objectives equal.
-    for v in range(graph.n):
-        assert tiling.load(v) <= 1
-    assert all(p >= 0 for p in y)
-    for K in cliques:
-        assert sum(y[v] for v in K) >= 1
-    assert sum(y) == value == sum(weights.values(), Fraction(0))
+    if any(tiling.load(v) > 1 for v in range(graph.n)):
+        raise VerificationError("tiling audit: a vertex load exceeds one")
+    if any(p < 0 for p in y):
+        raise VerificationError("tiling audit: a dual price is negative")
+    if any(sum(y[v] for v in K) < 1 for K in cliques):
+        raise VerificationError("tiling audit: a clique's dual constraint is violated")
+    if not sum(y) == value == sum(weights.values(), Fraction(0)):
+        raise VerificationError("tiling audit: primal, dual and optimum differ")
     return tiling
 
 
@@ -190,7 +196,6 @@ class PathCover:
 
     paths: tuple[VertexSeq, ...]
     leftover: frozenset[int]
-    allocation: tuple[dict, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -204,11 +209,10 @@ def cover_with_paths(
 ) -> PathCover:
     """Cover all but alpha*n vertices by properly terminated power-paths.
 
-    Greedy clique chaining guided by the fractional tiling: heavier support
-    cliques are preferred as building blocks, paths grow while the next clique
-    splices legally, reshuffled retries on shortfall.  The leftover of a
-    balanced host is automatically balanced because every path meets all parts
-    equally.
+    Greedy clique chaining: the first attempt tries cliques in enumeration
+    order, paths grow while the next clique splices legally, reshuffled retries
+    on shortfall.  The leftover of a balanced host is automatically balanced
+    because every path meets all parts equally.
     """
     if graph.k != r:
         raise GraphValidationError("path cover expects an r-partite graph")
@@ -218,11 +222,7 @@ def cover_with_paths(
     n = graph.n
     target = alpha * n
 
-    tiling = fractional_tiling(graph, r)
-    support = sorted(tiling.weights, key=lambda K: (-tiling.weights[K], K))
-    others = sorted(K for K in enumerate_cliques(graph, r) if K not in tiling.weights)
-    ordered = support + others
-    allocation = _allocation_report(tiling, alpha)
+    ordered = enumerate_cliques(graph, r)
 
     rng = cfg.rng("cover")
     best: int | None = None
@@ -258,9 +258,9 @@ def cover_with_paths(
 
         leftover = frozenset(v for v in range(n) if v not in used)
         if len(leftover) <= target and _balanced(graph, leftover):
-            for p in paths:
-                assert is_path(graph, p) and is_properly_terminated(graph, p)
-            return PathCover(tuple(paths), leftover, allocation)
+            if not all(is_path(graph, p) and is_properly_terminated(graph, p) for p in paths):
+                raise VerificationError("cover built a path that is not properly terminated")
+            return PathCover(tuple(paths), leftover)
         if best is None or len(leftover) < best:
             best = len(leftover)
     raise SearchExhaustedError(
@@ -283,15 +283,3 @@ def _balanced(graph: MultipartiteGraph, vertices: Iterable[int]) -> bool:
     for v in vertices:
         counts[graph.part_of(v)] += 1
     return len(set(counts)) == 1
-
-
-def _allocation_report(tiling: FractionalTiling, alpha: Fraction) -> tuple[dict, ...]:
-    """Report-only bookkeeping: per support clique, floor((1-alpha) * w * m) with
-    m the common part size, mirroring the allocation arithmetic the regularity
-    proof would perform on clusters."""
-    m = tiling.n // tiling.r if tiling.r else 0
-    rows = []
-    for K, w in sorted(tiling.weights.items()):
-        z = int((1 - alpha) * w * m)  # floor: the operands are exact rationals
-        rows.append({"clique": list(K), "weight": str(w), "z": z})
-    return tuple(rows)

@@ -103,11 +103,18 @@ class TestConstructive:
         path = constructive_ham_path_between(g, K, K2, cfg)
         assert len(path) == 36
 
-    def test_r3_full_machinery(self):
+    def test_r3_full_machinery(self, monkeypatch):
+        from hampow import tiling
+
+        def no_lp(*args):
+            raise AssertionError("the constructive path solves no LP")
+
+        monkeypatch.setattr(tiling, "fractional_tiling", no_lp)
         g = complete(3, [50, 50, 50])
         cfg = Config.default(3, seed=1)
         rep = run_pipeline(g, cfg, mode="constructive")
         assert rep.ok
+        assert verify_ham_power_cycle(g, rep.cycle, 3)
         assert any(s.name == "group_path" and s.detail == "constructive" for s in rep.stages)
 
     def test_small_host_is_scale_infeasible(self):
@@ -131,6 +138,27 @@ class TestCli:
         assert rc == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] and len(doc["cycle"]) == 12
+
+    def test_constructive_mode_never_calls_the_oracle(self, tmp_path, capsys):
+        # sequencing fails on this host; auto mode would run the whole-graph oracle
+        gpath = self._gen(tmp_path, ["--k", "5", "--sizes", "20,20,20,20,20", "--delta", "1"])
+        rc = main(["pipeline", "--graph", str(gpath), "--r", "3", "--mode", "constructive"])
+        assert rc == EXIT_STAGE
+        stages = json.loads(capsys.readouterr().out)["stages"]
+        assert any(s["name"] == "sequencing" and not s["ok"] for s in stages)
+        assert not any("oracle" in s["name"] or "oracle" in s["detail"] for s in stages)
+
+    def test_report_json_keys(self, tmp_path, capsys):
+        gpath = self._gen(tmp_path, ["--k", "4", "--sizes", "12,12,12,12", "--delta", "1"])
+        assert main(["pipeline", "--graph", str(gpath), "--r", "3", "--relaxed"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["ok", "budget_exceeded", "stages", "cycle"]
+        assert all(list(s) == ["name", "ok", "detail"] for s in doc["stages"])
+        assert main(["sequence", "--graph", str(gpath), "--r", "3", "--relaxed"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["plan", "report"]
+        assert list(doc["report"]) == ["ok", "conditions", "measured_group_slack"]
+        assert all(list(c) == ["name", "ok", "detail"] for c in doc["report"]["conditions"])
 
     def test_pipeline_extremal_nonzero(self, tmp_path, capsys):
         gpath = self._gen(tmp_path, ["--k", "3", "--sizes", "4,4,4", "--extremal", "--r", "3"])

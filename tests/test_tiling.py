@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import complete
-from hampow.errors import GraphValidationError, SearchExhaustedError
+from hampow import tiling
+from hampow.errors import GraphValidationError, SearchExhaustedError, VerificationError
 from hampow.graphs import Config, MultipartiteGraph, degree_profile, gen_extremal, gen_random
 from hampow.paths import is_path, is_properly_terminated
 from hampow.tiling import (
@@ -93,6 +94,14 @@ class TestFractionalTiling:
         with pytest.raises(GraphValidationError):
             fractional_tiling(g, 3)
 
+    def test_bad_dual_fails_the_audit(self, monkeypatch):
+        g = complete(3, [2, 2, 2])
+        value, x, y = tiling._simplex_max(enumerate_cliques(g, 3), g.n)
+        bad = [Fraction(0)] * (len(y) - 1) + [value]  # right total, infeasible
+        monkeypatch.setattr(tiling, "_simplex_max", lambda cols, m: (value, x, bad))
+        with pytest.raises(VerificationError, match="dual"):
+            fractional_tiling(g, 3)
+
     def test_fractional_optimum_is_exact(self):
         # odd triangle structure: the optimum is a genuine non-integer rational
         g = gen_random(3, [2, 2, 2], Fraction(3, 5), 222)
@@ -170,8 +179,3 @@ class TestCover:
         g = gen_random(2, [4, 4], 0, 0)  # empty graph: no cliques at all
         with pytest.raises(SearchExhaustedError, match="shortfall"):
             cover_with_paths(g, 2, Fraction(1, 8), Config.default(2, seed=0))
-
-    def test_allocation_report_present(self):
-        g = complete(2, [4, 4])
-        cov = cover_with_paths(g, 2, Fraction(1, 2), Config.default(2, seed=0))
-        assert all({"clique", "weight", "z"} <= set(row) for row in cov.allocation)
