@@ -18,7 +18,7 @@ from math import ceil
 from typing import Iterable, Sequence
 
 from .connect import default_connector_length, find_connector
-from .errors import CoverageError, GraphValidationError, InfeasibleError
+from .errors import CoverageError, GraphValidationError, InfeasibleError, VerificationError
 from .graphs import Config, MultipartiteGraph, degree_profile
 from .paths import VertexSeq, is_path, is_properly_terminated
 
@@ -63,22 +63,6 @@ class GadgetTemplate:
     @property
     def slot_count(self) -> int:
         return 3 * self.r * self.r - self.r
-
-    def slots(self) -> list[Label]:
-        """All D-cell labels in position order."""
-        return [lab for lab in self.q2]
-
-    def cell_size(self, i: int, j: int) -> int:
-        """Slots in cell (i, j): two on the diagonal, three elsewhere."""
-        return 2 if i == j else 3
-
-    def cells(self) -> dict[tuple[int, int], tuple[Label, ...]]:
-        """Cell labels keyed by (part, block), both 1-based."""
-        return {
-            (i, j): tuple(_slot_labels(self.r, i, j))
-            for i in range(1, self.r + 1)
-            for j in range(1, self.r + 1)
-        }
 
     def to_json_dict(self) -> dict:
         return {
@@ -262,7 +246,7 @@ def find_absorbers(
     xs = tuple(x_by_part[i] for i in range(r))
 
     template = build_gadget(r)
-    slots = template.slots()
+    slots = template.q2  # every slot label, in position order
     earlier: list[list[Label]] = []
     for idx, lab in enumerate(slots):
         earlier.append([p for p in slots[:idx] if _blowup_adjacent(r, p, lab)])
@@ -298,7 +282,8 @@ def find_absorbers(
                 assignment=tuple(sorted(used.items())),
                 target=xs,
             )
-            assert verify_instance(graph, inst)
+            if not verify_instance(graph, inst):
+                raise VerificationError("embedded gadget fails its template check")
             out.append(inst)
             return limit is not None and len(out) >= limit
         for v in candidates(idx, used):
@@ -426,7 +411,8 @@ def assemble_absorbing_path(
 
     result = AbsorbingPath(r=r, segments=tuple(segments), gadgets=tuple(placed))
     p = result.path
-    assert is_path(graph, p) and is_properly_terminated(graph, p)
+    if not (is_path(graph, p) and is_properly_terminated(graph, p)):
+        raise VerificationError("assembled absorbing path is not a properly terminated path")
 
     if require_full_coverage:
         outside = [
@@ -505,8 +491,10 @@ def absorb(
         else:
             out.extend(vs)
     result = VertexSeq(tuple(out), r)
-    assert is_path(graph, result)
-    assert result.vertices[:r] == base.vertices[:r]
-    assert result.vertices[-r:] == base.vertices[-r:]
-    assert set(result.vertices) == on_path | set(zs)
+    if not is_path(graph, result):
+        raise VerificationError("absorbed path is not a power-path")
+    if result.vertices[:r] != base.vertices[:r] or result.vertices[-r:] != base.vertices[-r:]:
+        raise VerificationError("absorption moved the ends of the absorbing path")
+    if set(result.vertices) != on_path | set(zs):
+        raise VerificationError("absorbed path does not cover its path and the absorbed vertices")
     return result

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import GraphValidationError, SearchExhaustedError
+from .errors import GraphValidationError, SearchExhaustedError, VerificationError
 from .graphs import Config, MultipartiteGraph
 from .paths import VertexSeq, final_respects, initial_respects, is_walk
 
@@ -150,7 +150,8 @@ def find_connector(
         if len(set(walk)) != len(walk) or any(v in bad for v in walk):
             continue
         q = VertexSeq(walk, r)
-        assert is_walk(graph, p1.concat(q).concat(p2))
+        if not is_walk(graph, p1.concat(q).concat(p2)):
+            raise VerificationError("sampled connector does not splice between its ends")
         return q
     raise SearchExhaustedError(
         f"no path connector found in {cfg.retry_limit} samples "

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import ceil
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -45,6 +46,11 @@ class MultipartiteGraph:
             for v in part:
                 idx[v] = i
         return tuple(idx)
+
+    @cached_property
+    def adj_mask(self) -> tuple[int, ...]:
+        """adj_mask[v] has bit u set exactly when u is adjacent to v."""
+        return tuple(sum(1 << u for u in nb) for nb in self.adj)
 
     @cached_property
     def part_sets(self) -> tuple[frozenset[int], ...]:
@@ -104,13 +110,12 @@ class MultipartiteGraph:
         edges: Iterable[Sequence[int]],
         name: str | None = None,
     ) -> "MultipartiteGraph":
+        """Build from int ids and int pairs; `load_graph` checks a document's
+        types before it gets here."""
         norm_parts = tuple(tuple(sorted(p)) for p in parts)
         n = sum(len(p) for p in norm_parts)
         adj: list[set[int]] = [set() for _ in range(n)]
-        for e in edges:
-            if len(e) != 2:
-                raise GraphFormatError(f"edge {e!r} is not a 2-element pair")
-            u, v = int(e[0]), int(e[1])
+        for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphValidationError(f"edge ({u},{v}) references a dangling vertex id")
             adj[u].add(v)
@@ -159,11 +164,29 @@ def load_graph(source: bytes | str | IO, fmt: str = "json") -> MultipartiteGraph
         edges = doc["edges"]
     except KeyError as exc:
         raise GraphFormatError(f"missing required field {exc}") from exc
-    if not isinstance(parts, list) or not all(isinstance(p, list) for p in parts):
+    name = doc.get("name")
+    # `type(...) is int` rejects `true` and `1.0`; JSON yields no other int type
+    if type(k) is not int:
+        raise GraphFormatError("'k' must be an int")
+    if not _int_rows(parts):
         raise GraphFormatError("'parts' must be an array of arrays of ints")
+    if not _int_rows(edges) or not set(map(len, edges)) <= {2}:
+        raise GraphFormatError("'edges' must be an array of [int, int] pairs")
+    if "name" in doc and type(name) is not str:
+        raise GraphFormatError("'name' must be a string")
     if k != len(parts):
         raise GraphValidationError(f"declared k={k} but {len(parts)} parts given")
-    return MultipartiteGraph.from_edges(parts, edges, doc.get("name"))
+    return MultipartiteGraph.from_edges(parts, edges, name)
+
+
+def _int_rows(value) -> bool:
+    """`value` is a list of lists of ints; the type sets keep the scan out of
+    the interpreter loop, which matters for large edge lists."""
+    return (
+        type(value) is list
+        and set(map(type, value)) <= {list}
+        and set(map(type, chain.from_iterable(value))) <= {int}
+    )
 
 
 @dataclass(frozen=True)

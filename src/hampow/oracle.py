@@ -2,20 +2,23 @@
 power-cycles, spanning power-paths between anchor cliques, and the
 independence-number necessity pre-filter.
 
-Backtracking over vertex orderings with bitmask adjacency; pruning order is the
-independence pre-filter, then per-part arc capacity, then window cliques with
-the most-constrained next vertex.  A `no` is exhaustive; budget exhaustion is a
-distinct inconclusive value, never conflated with `no`.
+Both oracles run one depth-first search over vertex orderings, on an explicit
+stack with bitmask adjacency, so no host size meets a recursion limit.  It
+extends a witness between a lead anchor and a closing clique; a cycle is the
+path anchored on its own first r-1 vertices.  Pruning order is the
+independence pre-filter, then per-part arc capacity, then window and closing
+cliques with the most-constrained next vertex.  A `no` is exhaustive; budget
+exhaustion is a distinct inconclusive value, never conflated with `no`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import GraphValidationError
+from .errors import GraphValidationError, VerificationError
 from .graphs import MultipartiteGraph
-from .paths import VertexSeq, is_path, is_walk, verify_ham_power_cycle
+from .paths import VertexSeq, is_path, is_walk, splice_ok, verify_ham_power_cycle
 
 YES = "yes"
 NO = "no"
@@ -59,46 +62,88 @@ def independence_necessity(graph: MultipartiteGraph, r: int) -> IndependenceChec
     return IndependenceCheck(True, None)
 
 
-class _Search:
-    """Shared bitmask backtracking state for the two oracles."""
+def _anchored_search(
+    graph: MultipartiteGraph,
+    r: int,
+    budget: SearchBudget,
+    lead: Sequence[int],
+    closing: Sequence[int] | None,
+    head: Sequence[int],
+) -> OracleResult:
+    """Search for a witness over every vertex outside `lead` and `closing`,
+    starting with `head`, such that lead + witness + closing is a power-walk.
+    With `closing=None` the witness closes on its own first r-1 vertices.
 
-    def __init__(self, graph: MultipartiteGraph, r: int, budget: SearchBudget):
-        self.graph = graph
-        self.r = r
-        self.budget = budget
-        self.nodes = 0
-        self.exhausted = False
-        n = graph.n
-        self.adj_mask = [0] * n
-        for v in range(n):
-            m = 0
-            for u in graph.adj[v]:
-                m |= 1 << u
-            self.adj_mask[v] = m
+    Each node of the search tree is one tick, the root included; the search
+    stops at the first tick past the budget.  A node fails the part-capacity
+    prune before its children are listed, and children are tried fewest
+    unplaced neighbours first, ties by vertex id."""
+    adj = graph.adj_mask
+    part_of = graph.part_index
+    limit = budget.node_limit
+    seq = list(lead) + list(head)
+    base = len(lead)
+    close = seq if closing is None else closing
+    taken = set(lead) | set(closing or ())
+    free = [v for v in range(graph.n) if v not in taken]
+    m = len(free)
+    free_mask = 0
+    remaining = [0] * graph.k
+    for v in free:
+        free_mask |= 1 << v
+        remaining[part_of[v]] += 1
+    used = 0
+    for v in head:
+        used |= 1 << v
+        remaining[part_of[v]] -= 1
 
-    def tick(self) -> bool:
-        self.nodes += 1
-        if self.nodes > self.budget.node_limit:
-            self.exhausted = True
-        return self.exhausted
-
-    def part_prune(self, remaining: Sequence[int], slots: int) -> bool:
-        """Same-part vertices need distance >= r in the remaining arc of `slots`
-        consecutive positions, so each part fits at most ceil(slots/r) more."""
-        cap = -(-slots // self.r)
-        return any(c > cap for c in remaining)
-
-    def candidates(self, window: Sequence[int], used: int, allowed: int) -> list[int]:
-        mask = allowed & ~used
-        for u in window:
-            mask &= self.adj_mask[u]
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        out.sort(key=lambda v: (self.adj_mask[v] & ~used).bit_count())
-        return out
+    nodes = 0
+    stack: list[Iterator[int]] = []  # the untried children of each open node
+    while True:
+        nodes += 1
+        if nodes > limit:
+            return OracleResult(BUDGET_EXCEEDED, None, nodes)
+        depth = len(seq) - base
+        children = None
+        if depth == m:
+            if splice_ok(graph, seq, close, r):
+                return OracleResult(YES, VertexSeq(tuple(seq[base:]), r), nodes)
+        else:
+            # same-part vertices sit >= r apart, so the `slots` positions left
+            # take at most ceil(slots/r) more from any one part
+            slots = m - depth
+            cap = -(-slots // r)
+            if not any(c > cap for c in remaining):
+                mask = free_mask & ~used
+                for u in seq[-(r - 1):]:
+                    mask &= adj[u]
+                # the last r-1 positions also precede the closing clique
+                for b in range(r - slots):
+                    mask &= adj[close[b]]
+                children = []
+                while mask:
+                    low = mask & -mask
+                    children.append(low.bit_length() - 1)
+                    mask ^= low
+                children.sort(key=lambda v: (adj[v] & ~used).bit_count())
+        if children:
+            stack.append(iter(children))
+        elif stack:
+            v = seq.pop()
+            used ^= 1 << v
+            remaining[part_of[v]] += 1
+        else:
+            return OracleResult(NO, None, nodes)
+        while (v := next(stack[-1], None)) is None:
+            stack.pop()
+            if not stack:
+                return OracleResult(NO, None, nodes)
+            u = seq.pop()
+            used ^= 1 << u
+            remaining[part_of[u]] += 1
+        seq.append(v)
+        used |= 1 << v
+        remaining[part_of[v]] -= 1
 
 
 def ham_power_cycle_exists(
@@ -106,64 +151,14 @@ def ham_power_cycle_exists(
 ) -> OracleResult:
     """Exhaustive search for a spanning power-cycle; `yes` carries a witness
     that re-verifies, `no` is exhaustive, budget exhaustion is inconclusive."""
-    budget = budget or SearchBudget()
-    n = graph.n
-    if n == 0:
+    if graph.n == 0:
         return OracleResult(YES, VertexSeq((), r), 0)
-    check = independence_necessity(graph, r)
-    if not check.passed:
+    if not independence_necessity(graph, r).passed:
         return OracleResult(NO, None, 0)
-
-    search = _Search(graph, r, budget)
-    all_mask = (1 << n) - 1
-    remaining = [len(p) for p in graph.parts]
-    order: list[int] = [0]
-    remaining[graph.part_of(0)] -= 1
-
-    def extend(used: int) -> bool:
-        if search.tick():
-            return False
-        depth = len(order)
-        if depth == n:
-            return _wrap_ok(graph, order, r)
-        if search.part_prune(remaining, n - depth):
-            return False
-        window = order[-(r - 1):]
-        allowed = all_mask
-        # positions within r-1 of the seam must also close with the head
-        overhang = depth - (n - r + 1)
-        if overhang >= 0:
-            for i in range(overhang + 1):
-                allowed &= search.adj_mask[order[i]]
-        for v in search.candidates(window, used, allowed):
-            p = graph.part_of(v)
-            order.append(v)
-            remaining[p] -= 1
-            if extend(used | (1 << v)):
-                return True
-            order.pop()
-            remaining[p] += 1
-            if search.exhausted:
-                return False
-        return False
-
-    found = extend(1)
-    if found:
-        witness = VertexSeq(tuple(order), r)
-        assert verify_ham_power_cycle(graph, witness, r)
-        return OracleResult(YES, witness, search.nodes)
-    if search.exhausted:
-        return OracleResult(BUDGET_EXCEEDED, None, search.nodes)
-    return OracleResult(NO, None, search.nodes)
-
-
-def _wrap_ok(graph: MultipartiteGraph, order: Sequence[int], r: int) -> bool:
-    n = len(order)
-    for i in range(r - 1):
-        for j in range(max(i + 1, n - (r - 1) + i), n):
-            if order[j] not in graph.adj[order[i]]:
-                return False
-    return True
+    res = _anchored_search(graph, r, budget or SearchBudget(), (), None, (0,))
+    if res.witness is not None and not verify_ham_power_cycle(graph, res.witness, r):
+        raise VerificationError("oracle cycle witness fails verification")
+    return res
 
 
 def ham_power_path_between(
@@ -178,63 +173,17 @@ def ham_power_path_between(
 
     The anchors must be transversal r-cliques, equal or disjoint.
     """
-    budget = budget or SearchBudget()
     ka, kb = _ordered_clique(graph, r, clique_a), _ordered_clique(graph, r, clique_b)
     if set(ka) != set(kb) and set(ka) & set(kb):
         raise GraphValidationError("anchor cliques must be equal or disjoint")
-
-    removed = set(ka) | set(kb)
-    free = [v for v in range(graph.n) if v not in removed]
-    m = len(free)
-    search = _Search(graph, r, budget)
-    remaining = [0] * graph.k
-    for v in free:
-        remaining[graph.part_of(v)] += 1
-    free_mask = 0
-    for v in free:
-        free_mask |= 1 << v
-
-    order: list[int] = []
-
-    def tail_ok() -> bool:
-        combined = list(ka) + order
-        la = len(combined)
-        for b, v in enumerate(kb, start=1):
-            for a in range(1, r - b + 1):
-                if a <= la and combined[la - a] not in graph.adj[v]:
-                    return False
-        return True
-
-    def extend(used: int) -> bool:
-        if search.tick():
-            return False
-        depth = len(order)
-        if depth == m:
-            return tail_ok()
-        if search.part_prune(remaining, m - depth):
-            return False
-        window = (list(ka) + order)[-(r - 1):]
-        for v in search.candidates(window, used, free_mask):
-            p = graph.part_of(v)
-            order.append(v)
-            remaining[p] -= 1
-            if extend(used | (1 << v)):
-                return True
-            order.pop()
-            remaining[p] += 1
-            if search.exhausted:
-                return False
-        return False
-
-    found = extend(0)
-    if found:
-        witness = VertexSeq(tuple(order), r)
-        assert is_path(graph, witness) and set(witness.vertices) == set(free)
-        assert is_walk(graph, VertexSeq(ka + witness.vertices + kb, r))
-        return OracleResult(YES, witness, search.nodes)
-    if search.exhausted:
-        return OracleResult(BUDGET_EXCEEDED, None, search.nodes)
-    return OracleResult(NO, None, search.nodes)
+    res = _anchored_search(graph, r, budget or SearchBudget(), ka, kb, ())
+    if res.witness is not None:
+        w = res.witness
+        if not is_path(graph, w) or set(w.vertices) != set(range(graph.n)) - set(ka) - set(kb):
+            raise VerificationError("oracle path witness does not span the host minus the anchors")
+        if not is_walk(graph, VertexSeq(ka + w.vertices + kb, r)):
+            raise VerificationError("oracle path witness does not splice between its anchors")
+    return res
 
 
 def _ordered_clique(

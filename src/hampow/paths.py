@@ -197,19 +197,6 @@ def verify_ham_power_cycle_report(
     return True, "ok", None
 
 
-def filter_walks_to_paths(
-    walks: Iterable[VertexSeq], forbidden: Iterable[int] = ()
-) -> Iterator[VertexSeq]:
-    """Retain exactly the walks with no repeated vertex and no vertex in forbidden."""
-    bad = set(forbidden)
-    for w in walks:
-        if len(set(w.vertices)) != len(w):
-            continue
-        if any(v in bad for v in w.vertices):
-            continue
-        yield w
-
-
 def splice_ok(
     graph: MultipartiteGraph, left: Sequence[int], right: Sequence[int], r: int
 ) -> bool:

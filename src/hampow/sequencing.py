@@ -14,7 +14,13 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .errors import GraphValidationError, InfeasibleError, ScaleInfeasibleError, SearchExhaustedError
+from .errors import (
+    GraphValidationError,
+    InfeasibleError,
+    ScaleInfeasibleError,
+    SearchExhaustedError,
+    VerificationError,
+)
 from .graphs import Config, MultipartiteGraph, degree_profile
 from .paths import (
     TypeVector,
@@ -153,14 +159,17 @@ def build_trim_path(
         )
 
     p0 = VertexSeq(tuple(vertices), r)
-    assert is_path(graph, p0)
-    dec = decompose(graph, p0)
-    assert dec.types() == tmpl.type_sequence
+    if not is_path(graph, p0):
+        raise VerificationError("trim path is not a power-path")
+    if decompose(graph, p0).types() != tmpl.type_sequence:
+        raise VerificationError("trim path does not realize the template's type sequence")
     residual = [len(part) - sum(1 for v in vertices if graph.part_of(v) == i)
                 for i, part in enumerate(graph.parts)]
     total = n - len(vertices)
-    assert total % r == 0, "residual size must be divisible by r"
-    assert all(residual[i] == total // r for i in range(tmpl.s)), "leading residual equalities fail"
+    if total % r:
+        raise VerificationError("residual size is not divisible by r")
+    if any(residual[i] != total // r for i in range(tmpl.s)):
+        raise VerificationError("leading residual equalities fail")
     if not relaxed:
         sigma_n = cfg.sigma * n
         for i in range(tmpl.s, tmpl.k):
@@ -348,9 +357,11 @@ def solve_part_sizes(
             if len(chosen) == r:
                 break
             chosen.add(i)
-        assert len(chosen) == r, "an r-set with positive residuals always exists"
+        if len(chosen) != r:
+            raise VerificationError("no r-set of parts has positive residuals")
         j = by_support.get(frozenset(chosen))
-        assert j is not None, "the matrix enumerates every admissible pattern"
+        if j is None:
+            raise VerificationError("the template matrix lacks an admissible pattern")
         x[j] += 1
         for i in chosen:
             res[i] -= 1
@@ -519,7 +530,8 @@ def build_connectors_and_p0(
         if suffix is None:
             continue
         p0 = VertexSeq(tuple(prefix) + p0_prime.vertices + tuple(suffix), r)
-        assert is_path(graph, p0)
+        if not is_path(graph, p0):
+            raise VerificationError("P0 with its affixes is not a power-path")
         return SequencingPlan(
             r=r,
             p0_prime=p0_prime,

@@ -48,3 +48,14 @@ def naive_cycle_exists(graph: MultipartiteGraph, r: int) -> bool:
         if naive_is_cycle(graph, (0,) + rest, r):
             return True
     return False
+
+
+def naive_path_between(graph: MultipartiteGraph, r: int, ka, kb) -> bool:
+    """Permutation enumeration of the vertices off both anchors, each order
+    checked as the walk ka + order + kb; only for tiny n."""
+    anchored = set(ka) | set(kb)
+    free = [v for v in range(graph.n) if v not in anchored]
+    return any(
+        naive_is_walk(graph, list(ka) + list(perm) + list(kb), r)
+        for perm in itertools.permutations(free)
+    )

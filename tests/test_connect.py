@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import complete, naive_is_walk
+import hampow.connect
 from hampow.connect import (
     count_connecting_walks,
     default_connector_length,
     find_connector,
     is_rich,
 )
-from hampow.errors import GraphValidationError, SearchExhaustedError
+from hampow.errors import GraphValidationError, SearchExhaustedError, VerificationError
 from hampow.graphs import Config, MultipartiteGraph, gen_random
 from hampow.paths import VertexSeq, is_path, is_walk
 
@@ -151,6 +152,17 @@ class TestFindConnector:
         a = find_connector(g, u_sets, p1, p2, 6, forbidden, Config.default(3, seed=9))
         b = find_connector(g, u_sets, p1, p2, 6, forbidden, Config.default(3, seed=9))
         assert a == b
+
+    def test_sample_that_does_not_splice_fails_verification(self, monkeypatch):
+        g = complete(3, [5, 5, 5])
+        p1 = VertexSeq((0, 5, 10), 3)
+        p2 = VertexSeq((1, 6, 11), 3)
+        forbidden = (0, 1, 5, 6, 10, 11)
+        u_sets = [[v for v in g.parts[i] if v not in forbidden] for i in range(3)]
+        # a path off the forbidden set whose first two vertices share a part
+        monkeypatch.setattr(hampow.connect, "_sample_walk", lambda *a: (2, 3, 7, 8, 12, 13))
+        with pytest.raises(VerificationError):
+            find_connector(g, u_sets, p1, p2, 6, forbidden, Config.default(3, seed=9))
 
 
 class TestRichPoor:

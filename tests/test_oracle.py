@@ -1,9 +1,12 @@
+import itertools
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import complete, naive_cycle_exists, naive_is_walk
+from conftest import complete, naive_cycle_exists, naive_is_walk, naive_path_between
 from hampow.errors import GraphValidationError
 from hampow.graphs import MultipartiteGraph, gen_extremal, gen_random
 from hampow.oracle import (
@@ -72,6 +75,30 @@ class TestCycleOracle:
         for seed in (0, 1):
             g = gen_random(3, [3, 3, 3], Fraction(7, 10), seed)
             assert (ham_power_cycle_exists(g, 3).answer == YES) == naive_cycle_exists(g, 3)
+
+    # (k, sizes, density, seed, r, node_limit) -> (answer, nodes, witness); the
+    # tick rule and the candidate order fix all three, so they must not drift
+    PINNED = [
+        (2, [7, 7], Fraction(7, 10), 5, 2, None, YES, 130,
+         (0, 13, 4, 8, 5, 10, 2, 9, 1, 11, 3, 12, 6, 7)),
+        (2, [7, 7], Fraction(7, 10), 2, 2, None, NO, 26227, None),
+        (3, [4, 4, 4], Fraction(4, 5), 1, 3, None, YES, 546,
+         (0, 7, 8, 1, 4, 9, 2, 5, 10, 3, 6, 11)),
+        (3, [4, 4, 4], Fraction(4, 5), 2, 3, None, NO, 366, None),
+        (4, [3, 3, 3, 3], Fraction(17, 20), 0, 3, None, YES, 385,
+         (0, 3, 6, 2, 10, 4, 8, 9, 1, 7, 5, 11)),
+        (3, [5, 5, 5], Fraction(17, 20), 2, 3, None, YES, 975,
+         (0, 11, 7, 3, 10, 8, 1, 14, 5, 4, 12, 6, 2, 13, 9)),
+        (4, [3, 3, 3, 3], Fraction(17, 20), 3, 3, 1000, BUDGET_EXCEEDED, 1001, None),
+    ]
+
+    @pytest.mark.parametrize("k, sizes, density, seed, r, limit, answer, nodes, witness", PINNED)
+    def test_pinned_answer_nodes_and_witness(self, k, sizes, density, seed, r, limit,
+                                             answer, nodes, witness):
+        g = gen_random(k, sizes, density, seed)
+        res = ham_power_cycle_exists(g, r, SearchBudget(limit) if limit else None)
+        assert (res.answer, res.nodes) == (answer, nodes)
+        assert (res.witness.vertices if res.witness else None) == witness
 
     def test_budget_exceeded_is_inconclusive(self):
         g = complete(3, [4, 4, 4])
@@ -152,12 +179,55 @@ class TestPathOracle:
             assert verify_ham_power_cycle(g, cycle, 3)
             assert ham_power_cycle_exists(g, 3).answer == YES
 
+    def test_agrees_with_naive_enumeration(self):
+        rng = random.Random(3)
+        seen = Counter()
+        for seed in range(60):
+            r = 2 + seed % 2
+            m = rng.randint(2, 9 // r)
+            sizes = [m] * (r - 1) + [m - seed % 5 // 4]  # every fifth host unbalanced
+            g = gen_random(r, sizes, Fraction(rng.choice([7, 8, 9, 10]), 10), seed)
+            cliques = [
+                c for c in itertools.product(*g.parts)
+                if all(b in g.adj[a] for a, b in itertools.combinations(c, 2))
+            ]
+            if not cliques:
+                continue
+            ka = rng.choice(cliques)
+            disjoint = [c for c in cliques if not set(c) & set(ka)]
+            kb = rng.choice(disjoint) if disjoint and seed % 4 < 2 else ka
+            res = ham_power_path_between(g, r, ka, kb)
+            expected = naive_path_between(g, r, ka, kb)
+            assert res.answer == (YES if expected else NO)
+            if expected:
+                assert naive_is_walk(g, ka + res.witness.vertices + kb, r)
+            seen[res.answer, ka == kb] += 1
+        assert all(seen[answer, equal] for answer in (YES, NO) for equal in (True, False))
+
     def test_splice_walk_postcondition(self):
         g = complete(3, [4, 4, 4])
         K, K2 = (0, 4, 8), (1, 5, 9)
         res = ham_power_path_between(g, 3, K, K2)
         assert res.answer == YES
         assert naive_is_walk(g, K + res.witness.vertices + K2, 3)
+
+
+class TestLargeHost:
+    """K_{600,600} is deeper than the default recursion limit; the search has
+    no recursion, so both oracles answer it."""
+
+    @pytest.fixture(scope="class")
+    def host(self):
+        assert sys.getrecursionlimit() < 1200
+        return complete(2, [600, 600])
+
+    def test_cycle(self, host):
+        res = ham_power_cycle_exists(host, 2)
+        assert res.answer == YES and len(res.witness) == 1200
+
+    def test_path_between(self, host):
+        res = ham_power_path_between(host, 2, (0, 600), (1, 601))
+        assert res.answer == YES and len(res.witness) == 1196
 
 
 def test_budget_validation():

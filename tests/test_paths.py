@@ -12,7 +12,6 @@ from hampow.graphs import gen_random
 from hampow.paths import (
     VertexSeq,
     decompose,
-    filter_walks_to_paths,
     final_respects,
     initial_respects,
     is_path,
@@ -177,25 +176,6 @@ class TestVerifyCycle:
     def test_non_cycle_rejected(self):
         g = gen_random(3, [2, 2, 2], 0, 0)
         assert not verify_ham_power_cycle(g, VertexSeq((0, 2, 4, 1, 3, 5), 3), 3)
-
-
-class TestFilterWalks:
-    def test_identity_on_paths(self):
-        g = complete(2, [2, 2])
-        walks = [VertexSeq((0, 2), 2), VertexSeq((1, 3), 2)]
-        assert list(filter_walks_to_paths(walks)) == walks
-
-    def test_forbidden_dropped(self):
-        walks = [VertexSeq((0, 2), 2), VertexSeq((1, 3), 2)]
-        kept = list(filter_walks_to_paths(walks, forbidden={2}))
-        assert kept == [VertexSeq((1, 3), 2)]
-
-    def test_k22_enumeration(self):
-        # all 16 two-step extensions x,y of a fixed endpoint pair; brute force count
-        g = complete(2, [2, 2])
-        walks = [VertexSeq((x, y), 2) for x in range(4) for y in range(4)]
-        kept = list(filter_walks_to_paths(walks))
-        assert len(kept) == sum(1 for x in range(4) for y in range(4) if x != y)
 
 
 @settings(max_examples=60, deadline=None)

@@ -176,6 +176,33 @@ class TestCli:
         bad.write_text(json.dumps(doc))
         assert main(["search", "--graph", str(bad), "--r", "2"]) == EXIT_VALIDATION
 
+    # K_{2,2}, whose cycle 0,2,1,3 verifies, with one field of the wrong JSON type
+    K22 = {"k": 2, "parts": [[0, 1], [2, 3]], "edges": [[0, 2], [0, 3], [1, 2], [1, 3]]}
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"edges": [[0, 2.7], [0, 3], [1, 2], [1, 3]]},
+            {"edges": [["0", 2], [0, 3], [1, 2], [1, 3]]},
+            {"edges": [[0, 2], [0, 3], [True, 2], [1, 3]]},
+            {"edges": [[0, 2], [0, 3], [1, 2], [1, 3, 0]]},
+            {"edges": 5},
+            {"edges": [5]},
+            {"name": 5},
+            {"k": 2.0},
+            {"k": True, "parts": [[0, 1, 2, 3]], "edges": []},
+            {"parts": [[0.5], [1]], "edges": []},
+            {"parts": [["a"], [1]], "edges": []},
+            {"parts": [[0, 1], [False, 3]]},
+        ],
+    )
+    def test_wrongly_typed_document_is_rejected(self, tmp_path, capsys, change):
+        bad = tmp_path / "typed.json"
+        bad.write_text(json.dumps({**self.K22, **change}))
+        rc = main(["verify", "--graph", str(bad), "--r", "2", "--cycle", "[0,2,1,3]"])
+        assert rc in (EXIT_PARSE, EXIT_VALIDATION)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_budget_exit_code(self, tmp_path):
         gpath = self._gen(tmp_path, ["--k", "3", "--sizes", "4,4,4", "--delta", "1"])
         rc = main(["search", "--graph", str(gpath), "--r", "3", "--budget", "1"])
