@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import absorber, connect, oracle, pipeline, sequencing, tiling
-from .errors import GraphFormatError, GraphValidationError, HampowError
+from .errors import GraphFormatError, GraphValidationError, HampowError, SearchExhaustedError
 from .graphs import (
     Config,
     MultipartiteGraph,
@@ -213,7 +213,7 @@ def cmd_connect(args) -> int:
         try:
             q = connect.find_connector(g, u_sets, p1, p2, ell, terminal, cfg)
             doc["connector"] = q.to_json()
-        except HampowError:
+        except SearchExhaustedError:
             pass
     _emit(args, json.dumps(doc))
     return EXIT_OK

@@ -20,7 +20,6 @@ from .connect import default_connector_length, find_connector
 from .errors import (
     CoverageError,
     GraphValidationError,
-    HampowError,
     InfeasibleError,
     ScaleInfeasibleError,
     SearchExhaustedError,
@@ -342,7 +341,7 @@ def _sequenced_case(
     """k' > r: cut into balanced groups and stitch the per-group paths."""
     r = cfg.r
     seq: SequencingResult | None = None
-    last_exc: HampowError | None = None
+    last_exc: Exception | None = None
     for attempt in range(3):
         try:
             seq = run_sequencing(
@@ -351,7 +350,10 @@ def _sequenced_case(
                 relaxed=relaxed,
             )
             break
-        except HampowError as exc:
+        except (GraphValidationError, InfeasibleError, ScaleInfeasibleError,
+                SearchExhaustedError) as exc:
+            # a VerificationError is a fault of the construction, not of this
+            # seed: it propagates instead of being retried or hidden by the oracle
             last_exc = exc
     if seq is None:
         failure = str(last_exc)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -316,10 +317,14 @@ def solve_part_sizes(
 ) -> tuple[int, ...]:
     """Positive integer column multiplicities x with A*x = b and x >= floor_m.
 
-    Starts from the all-floor_m vector and repeatedly finds the rows whose
-    residual equals residual-total/r, extends them to an r-set with positive
-    residuals (largest residuals first, then lowest index), and increments the
-    matching column.  The residual total drops by exactly r per iteration.
+    Starts from the all-floor_m vector and repeatedly increments one column
+    whose r-set holds every row with residual equal to residual-total/r and
+    otherwise rows with positive residual.  Among those admissible columns it
+    takes the one with the smallest current multiplicity, ties going to the
+    extension with the largest residuals, then the lowest indices; this
+    spreads the residual evenly instead of piling it onto a few columns while
+    others stay at the floor.  The residual total drops by exactly r per
+    iteration.
     """
     k, r, s = matrix.k, matrix.r, matrix.s
     if len(b) != k:
@@ -352,17 +357,15 @@ def solve_part_sizes(
             (i for i in range(k) if 0 < res[i] < share),
             key=lambda i: (-res[i], i),
         )
-        chosen = set(tight)
-        for i in extend:
-            if len(chosen) == r:
-                break
-            chosen.add(i)
-        if len(chosen) != r:
+        if len(tight) > r or len(tight) + len(extend) < r:
             raise VerificationError("no r-set of parts has positive residuals")
-        j = by_support.get(frozenset(chosen))
-        if j is None:
+        options = [frozenset(tight).union(more)
+                   for more in combinations(extend, r - len(tight))]
+        if any(c not in by_support for c in options):
             raise VerificationError("the template matrix lacks an admissible pattern")
-        x[j] += 1
+        # min keeps the first of equal multiplicities, i.e. the largest residuals
+        chosen = min(options, key=lambda c: x[by_support[c]])
+        x[by_support[chosen]] += 1
         for i in chosen:
             res[i] -= 1
         total -= r
@@ -774,7 +777,9 @@ def run_sequencing(
     matrix = build_template_matrix(tmpl.k, tmpl.r, tmpl.s)
     b = [len(p) for p in residual]
     # Every cell donates a vertex to each of the two seams touching its group,
-    # so the multiplicity floor must be at least 2 regardless of beta*n.
+    # so the multiplicity floor must be at least 2 regardless of beta*n.  A
+    # cell at that floor leaves its two connectors no choice, so the solver
+    # spreads the remaining residual evenly and keeps few columns there.
     x = solve_part_sizes(matrix, b, max(2, cfg.floor_m(graph.n)))
     matrix = matrix.with_solution(x, b)
     # A refinement can strand a seam behind one missing edge; resampling the

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import hampow.connect
+import hampow.pipeline
+import hampow.sequencing
 from conftest import complete
 from hampow.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_STAGE, EXIT_VALIDATION, main
 from hampow.graphs import Config, gen_extremal, gen_random
@@ -148,6 +151,20 @@ class TestCli:
         assert any(s["name"] == "sequencing" and not s["ok"] for s in stages)
         assert not any("oracle" in s["name"] or "oracle" in s["detail"] for s in stages)
 
+    def test_sequencing_self_check_failure_is_not_hidden(self, tmp_path, capsys, monkeypatch):
+        gpath = self._gen(tmp_path, ["--k", "4", "--sizes", "12,12,12,12", "--delta", "1"])
+        monkeypatch.setattr(hampow.sequencing, "is_path", lambda *a: False)
+
+        def no_oracle(*a, **kw):
+            raise AssertionError("the whole-graph oracle ran")
+
+        monkeypatch.setattr(hampow.pipeline, "ham_power_cycle_exists", no_oracle)
+        rc = main(["pipeline", "--graph", str(gpath), "--r", "3"])
+        assert rc == EXIT_STAGE
+        out = capsys.readouterr()
+        assert "whole_graph_oracle" not in out.out
+        assert "trim path is not a power-path" in out.err
+
     def test_report_json_keys(self, tmp_path, capsys):
         gpath = self._gen(tmp_path, ["--k", "4", "--sizes", "12,12,12,12", "--delta", "1"])
         assert main(["pipeline", "--graph", str(gpath), "--r", "3", "--relaxed"]) == EXIT_OK
@@ -232,6 +249,19 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["count"] == 16  # 4x4 free choices in a complete host
         assert len(doc["connector"]) == 2
+
+    def test_connect_splice_failure_is_not_hidden(self, tmp_path, capsys, monkeypatch):
+        gpath = self._gen(tmp_path, ["--k", "2", "--sizes", "6,6", "--delta", "1"])
+        # two vertices of one part cannot sit next to each other on the walk
+        monkeypatch.setattr(hampow.connect, "_sample_walk", lambda *a: (2, 3))
+        rc = main(
+            ["connect", "--graph", str(gpath), "--r", "2",
+             "--p1", "[0,6]", "--p2", "[1,7]", "--ell", "2"]
+        )
+        assert rc == EXIT_STAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "does not splice" in out.err
 
     def test_tile_command(self, tmp_path, capsys):
         gpath = self._gen(tmp_path, ["--k", "3", "--sizes", "2,2,2", "--delta", "1"])
