@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache, cached_property
 from fractions import Fraction
 from math import ceil
 from typing import Iterable, Sequence
@@ -72,12 +73,14 @@ class GadgetTemplate:
         }
 
 
+@cache
 def build_gadget(r: int) -> GadgetTemplate:
     """Emit the two routings exactly per the construction.
 
     Active block i: a-row, then the b-row with x_i in place of the missing b_i^i,
     then the c-row.  Passive: T_1 .. T_r with the interleaved a/c hand-off
-    between consecutive blocks.
+    between consecutive blocks.  The template depends on r alone and is built
+    and verified once per r.
     """
     if r < 2:
         raise GraphValidationError("gadgets need r >= 2")
@@ -175,7 +178,7 @@ class AbsorberInstance:
     assignment: tuple[tuple[Label, int], ...]  # slot label -> host vertex
     target: tuple[int, ...]  # x_1..x_r, one vertex per part in part order
 
-    @property
+    @cached_property
     def mapping(self) -> dict[Label, int]:
         return dict(self.assignment)
 
@@ -189,6 +192,17 @@ class AbsorberInstance:
 
     def q2_vertices(self) -> tuple[int, ...]:
         return tuple(self.vertex_of(l) for l in self.template.q2)
+
+
+@cache
+def _earlier_neighbours(template: GadgetTemplate) -> tuple[tuple[int, ...], ...]:
+    """Per position of the passive routing: the earlier positions whose slots
+    the blow-up makes adjacent to its slot."""
+    r, slots = template.r, template.q2
+    return tuple(
+        tuple(p for p in range(idx) if _blowup_adjacent(r, slots[p], lab))
+        for idx, lab in enumerate(slots)
+    )
 
 
 def verify_instance(graph: MultipartiteGraph, inst: AbsorberInstance) -> bool:
@@ -205,9 +219,12 @@ def verify_instance(graph: MultipartiteGraph, inst: AbsorberInstance) -> bool:
     for i, x in enumerate(inst.target):
         if graph.part_of(x) != i:
             return False
-    labels = list(m)
-    for u_lab, v_lab in itertools.combinations(labels, 2):
-        if _blowup_adjacent(r, u_lab, v_lab) and m[v_lab] not in graph.adj[m[u_lab]]:
+    slots = inst.template.q2
+    if m.keys() != set(slots):
+        return False
+    for lab, earlier in zip(slots, _earlier_neighbours(inst.template)):
+        nb = graph.adj[m[lab]]
+        if any(m[slots[p]] not in nb for p in earlier):
             return False
     for i in range(1, r + 1):
         x = inst.target[i - 1]
@@ -231,9 +248,11 @@ def find_absorbers(
 ) -> list[AbsorberInstance]:
     """Backtracking embeddings of the gadget for the given balanced r-set.
 
-    Enumerates in deterministic order when limit is None (exhaustive count),
-    otherwise visits candidates in seeded random order.  Instances avoid the
-    target set and `avoid` but may overlap each other.
+    Each slot's candidates are the free vertices of its part adjacent to the
+    slot's absorbed vertex and to every earlier slot it must touch, in ascending
+    vertex order; when limit is None (exhaustive count) they are visited in that
+    order, otherwise in that order shuffled by the seeded rng.  Instances avoid
+    the target set and `avoid` but may overlap each other.
     """
     r = cfg.r
     if graph.k != r:
@@ -247,53 +266,48 @@ def find_absorbers(
 
     template = build_gadget(r)
     slots = template.q2  # every slot label, in position order
-    earlier: list[list[Label]] = []
-    for idx, lab in enumerate(slots):
-        earlier.append([p for p in slots[:idx] if _blowup_adjacent(r, p, lab)])
+    earlier = _earlier_neighbours(template)
 
     rng = cfg.rng(f"absorber:{xs}")
     blocked = set(xs) | set(avoid)
+    adj = graph.adj
+    # per slot: its part's vertices off the blocked set, narrowed to the
+    # neighbours of the absorbed vertex its row attaches to
+    base = []
+    for lab in slots:
+        free = graph.part_sets[label_part(lab)] - blocked
+        base.append(free & adj[xs[lab[2] - 1]] if lab[1] != lab[2] else free)
     out: list[AbsorberInstance] = []
+    chosen: list[int] = []  # chosen[p]: the host vertex of slot p
 
-    def candidates(idx: int, used: dict[Label, int]) -> list[int]:
-        lab = slots[idx]
-        part = graph.parts[label_part(lab)]
-        need_x = xs[lab[2] - 1] if lab[1] != lab[2] else None
-        pool = []
-        taken = set(used.values())
-        for v in part:
-            if v in blocked or v in taken:
-                continue
-            if need_x is not None and v not in graph.adj[need_x]:
-                continue
-            if any(used[p] not in graph.adj[v] for p in earlier[idx]):
-                continue
-            pool.append(v)
+    def candidates(idx: int) -> list[int]:
+        fit = base[idx].intersection(*(adj[chosen[p]] for p in earlier[idx]))
+        pool = sorted(fit.difference(chosen))
         if limit is not None:
             rng.shuffle(pool)
         return pool
 
-    def backtrack(idx: int, used: dict[Label, int]) -> bool:
+    def backtrack(idx: int) -> bool:
         if limit is not None and len(out) >= limit:
             return True
         if idx == len(slots):
             inst = AbsorberInstance(
                 template=template,
-                assignment=tuple(sorted(used.items())),
+                assignment=tuple(sorted(zip(slots, chosen))),
                 target=xs,
             )
             if not verify_instance(graph, inst):
                 raise VerificationError("embedded gadget fails its template check")
             out.append(inst)
             return limit is not None and len(out) >= limit
-        for v in candidates(idx, used):
-            used[slots[idx]] = v
-            if backtrack(idx + 1, used):
+        for v in candidates(idx):
+            chosen.append(v)
+            if backtrack(idx + 1):
                 return True
-            del used[slots[idx]]
+            chosen.pop()
         return False
 
-    backtrack(0, {})
+    backtrack(0)
     return out
 
 

@@ -207,11 +207,11 @@ def cmd_connect(args) -> int:
     p2 = VertexSeq(args.p2, r)
     terminal = set(p1.vertices) | set(p2.vertices)
     u_sets = [[v for v in g.parts[i] if v not in terminal] for i in range(r)]
-    total, _ = connect.count_connecting_walks(g, u_sets, p1, p2, ell)
+    total, table = connect.count_connecting_walks(g, u_sets, p1, p2, ell)
     doc: dict = {"count": total, "connector": None}
     if total:
         try:
-            q = connect.find_connector(g, u_sets, p1, p2, ell, terminal, cfg)
+            q = connect.sample_connector(g, table, p1, p2, terminal, cfg)
             doc["connector"] = q.to_json()
         except SearchExhaustedError:
             pass

@@ -2,15 +2,20 @@
 plus the rich/poor neighborhood predicate.
 
 The count is exact dynamic programming over the last r-1 chosen vertices; no
-lower-bound constants are involved.  Sampling back-traces the DP table with
+lower-bound constants are involved.  Each state's successors are found once per
+count and reused on every layer.  Sampling back-traces the DP table with
 probability proportional to the counts, so every connecting walk is equally
-likely.
+likely: each step walks back through the predecessors of the current state that
+the table's layers hold, tried in ascending order of the vertex they drop.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import GraphValidationError, SearchExhaustedError, VerificationError
@@ -38,6 +43,12 @@ class WalkDPTable:
     @property
     def total(self) -> int:
         return sum(self.final.values())
+
+    @cached_property
+    def first_vertices(self) -> tuple[list[int], ...]:
+        """first_vertices[t] lists, ascending, the vertices that begin a state of
+        layers[t] (t < ell): the only vertices a step back to layer t can drop."""
+        return tuple(sorted({state[0] for state in layer}) for layer in self.layers[:-1])
 
 
 def _check_terminated(
@@ -86,6 +97,8 @@ def count_connecting_walks(
     _check_terminated(graph, p1, part_order, "P1")
     _check_terminated(graph, p2, part_order, "P2")
 
+    # The iteration order of these sets fixes each layer's order, hence the
+    # seeded samples (tests/pinned_kernels.json): build them the same way.
     pool = sorted(frozenset().union(*u_frozen))
     pool_set = frozenset(pool)
     in_pool = {v: graph.adj[v] & pool_set for v in pool}
@@ -94,14 +107,34 @@ def count_connecting_walks(
     window = r - 1
     seed: State = p1.vertices[-window:]
     layers: list[dict[State, int]] = [{seed: 1}]
+    # The same states recur from layer to layer, so each gets an integer id and
+    # its successors' ids are found once; a layer is counted over ids and only
+    # then keyed by the states themselves, in the same order.
+    states: list[State] = [seed]
+    ids: dict[State, int] = {seed: 0}
+    successors: list[list[int] | None] = [None]
+    counts: dict[int, int] = {0: 1}
     for _ in range(ell):
-        nxt: dict[State, int] = {}
-        for state, cnt in layers[-1].items():
-            cands = frozenset.intersection(*(in_pool[u] for u in state))
-            for w in cands:
-                key = state[1:] + (w,)
-                nxt[key] = nxt.get(key, 0) + cnt
-        layers.append(nxt)
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for i, cnt in counts.items():
+            succ = successors[i]
+            if succ is None:
+                state = states[i]
+                tail = state[1:]
+                succ = successors[i] = []
+                for w in frozenset.intersection(*(in_pool[u] for u in state)):
+                    key = tail + (w,)
+                    j = ids.get(key)
+                    if j is None:
+                        j = ids[key] = len(states)
+                        states.append(key)
+                        successors.append(None)
+                    succ.append(j)
+            for j in succ:
+                nxt[j] = get(j, 0) + cnt
+        layers.append(dict(zip(map(states.__getitem__, nxt), nxt.values())))
+        counts = nxt
 
     head = p2.vertices[:window]
     final: dict[State, int] = {}
@@ -139,7 +172,20 @@ def find_connector(
     Raises SearchExhaustedError (quoting the exact walk count) when the retry
     budget runs out or no connecting walk exists at all.
     """
-    total, table = count_connecting_walks(graph, u_sets, p1, p2, ell)
+    _, table = count_connecting_walks(graph, u_sets, p1, p2, ell)
+    return sample_connector(graph, table, p1, p2, forbidden, cfg)
+
+
+def sample_connector(
+    graph: MultipartiteGraph,
+    table: WalkDPTable,
+    p1: VertexSeq,
+    p2: VertexSeq,
+    forbidden: Iterable[int],
+    cfg: Config,
+) -> VertexSeq:
+    """`find_connector` on the table that counted the walks from p1 to p2."""
+    total = table.total
     if total == 0:
         raise SearchExhaustedError("no connecting walks exist (exact count 0)")
     bad = set(forbidden)
@@ -161,33 +207,34 @@ def find_connector(
 
 def _sample_walk(graph: MultipartiteGraph, table: WalkDPTable, rng) -> State:
     """Back-trace the DP table proportionally to the counts."""
-    state = _weighted_choice(rng, table.final)
+    state = _weighted_choice(rng, list(table.final), table.final.values())
     out = [state]
     for t in range(table.ell - 1, 0, -1):
         layer = table.layers[t]
         cur = out[-1]
-        w = cur[-1]
-        nb = graph.adj[w]
-        cand: dict[State, int] = {}
-        for u in range(graph.n):
-            prev = (u,) + cur[:-1]
-            cnt = layer.get(prev)
-            # w had to be adjacent to all of prev; the shared overlap is already
-            # certified by cur being reachable, only the dropped u needs checking.
-            if cnt and u in nb:
-                cand[prev] = cnt
-        out.append(_weighted_choice(rng, cand))
+        nb = graph.adj[cur[-1]]
+        tail = cur[:-1]
+        preds, counts = [], []
+        for u in table.first_vertices[t]:
+            # cur's last vertex had to be adjacent to all of prev; the shared
+            # overlap is already certified by cur being reachable, only the
+            # dropped u needs checking.
+            if u in nb:
+                prev = (u,) + tail
+                cnt = layer.get(prev)
+                if cnt:
+                    preds.append(prev)
+                    counts.append(cnt)
+        out.append(_weighted_choice(rng, preds, counts))
     return tuple(state[-1] for state in reversed(out))
 
 
-def _weighted_choice(rng, weighted: dict[State, int]) -> State:
-    total = sum(weighted.values())
-    pick = rng.randrange(total)
-    for key, cnt in weighted.items():
-        if pick < cnt:
-            return key
-        pick -= cnt
-    raise AssertionError("weights were empty")
+def _weighted_choice(rng, keys: Sequence[State], counts: Iterable[int]) -> State:
+    """keys[i] with probability counts[i] / sum(counts), from one rng.randrange."""
+    bounds = list(accumulate(counts))
+    if not bounds:
+        raise AssertionError("weights were empty")
+    return keys[bisect_right(bounds, rng.randrange(bounds[-1]))]
 
 
 def is_rich(

@@ -350,11 +350,15 @@ def _sequenced_case(
                 relaxed=relaxed,
             )
             break
-        except (GraphValidationError, InfeasibleError, ScaleInfeasibleError,
-                SearchExhaustedError) as exc:
-            # a VerificationError is a fault of the construction, not of this
-            # seed: it propagates instead of being retried or hidden by the oracle
+        except SearchExhaustedError as exc:
+            # only a spent search budget may go another way under a new seed
             last_exc = exc
+        except (GraphValidationError, InfeasibleError, ScaleInfeasibleError) as exc:
+            # template arithmetic, precondition P1 and the residual bounds do
+            # not depend on the seed; a VerificationError is a fault of the
+            # construction: it propagates instead of being retried or hidden
+            last_exc = exc
+            break
     if seq is None:
         failure = str(last_exc)
     else:

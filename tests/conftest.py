@@ -59,3 +59,30 @@ def naive_path_between(graph: MultipartiteGraph, r: int, ka, kb) -> bool:
         naive_is_walk(graph, list(ka) + list(perm) + list(kb), r)
         for perm in itertools.permutations(free)
     )
+
+
+def full_scan_sample_walk(graph: MultipartiteGraph, table, rng):
+    """Reference back-trace of a connecting-walk DP table: every vertex of the
+    graph is tried as the dropped predecessor vertex, in ascending order."""
+
+    def choose(weighted):
+        pick = rng.randrange(sum(weighted.values()))
+        for key, cnt in weighted.items():
+            if pick < cnt:
+                return key
+            pick -= cnt
+        raise AssertionError("weights were empty")
+
+    out = [choose(table.final)]
+    for t in range(table.ell - 1, 0, -1):
+        layer = table.layers[t]
+        cur = out[-1]
+        nb = graph.adj[cur[-1]]
+        cand = {}
+        for u in range(graph.n):
+            prev = (u,) + cur[:-1]
+            cnt = layer.get(prev)
+            if cnt and u in nb:
+                cand[prev] = cnt
+        out.append(choose(cand))
+    return tuple(state[-1] for state in reversed(out))

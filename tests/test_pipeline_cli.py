@@ -8,7 +8,8 @@ import hampow.pipeline
 import hampow.sequencing
 from conftest import complete
 from hampow.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_STAGE, EXIT_VALIDATION, main
-from hampow.graphs import Config, gen_extremal, gen_random
+from hampow.errors import SearchExhaustedError
+from hampow.graphs import Config, balanced_sizes, gen_extremal, gen_random
 from hampow.paths import verify_ham_power_cycle
 from hampow.pipeline import constructive_ham_path_between, run_pipeline
 from hampow.oracle import SearchBudget
@@ -58,6 +59,42 @@ class TestPipeline:
         rep = run_pipeline(g, Config.default(3, seed=0), relaxed=True)
         assert rep.ok
         assert any(s.name == "whole_graph_oracle" for s in rep.stages)
+
+    @pytest.mark.parametrize("mode, tail", [
+        ("constructive", []),
+        ("auto", [("whole_graph_oracle", True, "126 nodes"), ("verify", True, "ok")]),
+    ])
+    def test_seed_independent_sequencing_failure_is_not_retried(self, monkeypatch, mode, tail):
+        g = gen_random(6, balanced_sizes(120, 6), Fraction(9, 10), 1)
+        calls = []
+        real = hampow.pipeline.run_sequencing
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].seed)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hampow.pipeline, "run_sequencing", counting)
+        rep = run_pipeline(g, Config.default(4, seed=1), mode=mode, relaxed=True)
+        assert calls == [1]
+        p1 = "precondition P1 fails: residual total -24 negative or not divisible by r"
+        assert [(s.name, s.ok, s.detail) for s in rep.stages] == [
+            ("independence", True, ""),
+            ("reduce", True, "k'=6, sizes=[20, 20, 20, 20, 20, 20]"),
+            ("sequencing", False, p1),
+        ] + tail
+
+    def test_exhausted_sequencing_is_retried_with_new_seeds(self, monkeypatch):
+        calls = []
+
+        def exhausted(graph, cfg, relaxed):
+            calls.append(cfg.seed)
+            raise SearchExhaustedError(f"spent under seed {cfg.seed}")
+
+        monkeypatch.setattr(hampow.pipeline, "run_sequencing", exhausted)
+        rep = run_pipeline(complete(4, [12, 12, 12, 12]), Config.default(3, seed=5),
+                           mode="constructive", relaxed=True)
+        assert calls == [5, 6, 7]
+        assert (rep.stages[-1].name, rep.stages[-1].detail) == ("sequencing", "spent under seed 7")
 
     def test_dense_random_reproducible(self):
         g = gen_random(3, [4, 4, 4], Fraction(19, 20), 3)
