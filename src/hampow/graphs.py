@@ -65,15 +65,52 @@ class MultipartiteGraph:
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adj[v]
 
-    def degree_into(self, v: int, target: Iterable[int]) -> int:
-        nb = self.adj[v]
-        return sum(1 for u in target if u in nb)
-
     def edges(self) -> list[tuple[int, int]]:
         """Canonical edge list: each pair sorted ascending, list sorted lexicographically."""
         return sorted((min(u, v), max(u, v)) for u in range(self.n) for v in self.adj[u] if u < v)
 
     def validate(self) -> None:
+        """Reject parts that are unsorted, overlap, leave a vertex uncovered or
+        name an id outside 0..n-1, and adjacency with a self-loop, a one-sided
+        edge or an edge inside a part.
+
+        The checks run set-wise first.  Only a graph that fails them is scanned
+        part by part and then edge by edge, so the error names the first
+        violation in that order.
+        """
+        if not self._passes_set_checks():
+            self._scan_for_violation()
+
+    def _passes_set_checks(self) -> bool:
+        """True only if the pair-by-pair scan would accept the graph.  A
+        TypeError, from an id that is not an int, leaves the scan to raise
+        whatever it raises."""
+        n = self.n
+        ids = frozenset(range(n))
+        try:
+            flat = list(chain.from_iterable(self.parts))
+            if not (
+                all(list(part) == sorted(part) for part in self.parts)
+                and set(map(type, flat)) <= {int}
+                and len(flat) == n
+                and ids == set(flat)
+            ):
+                return False
+            adj = self.adj
+            own = [self.part_sets[i] for i in self.part_index]
+            for u, nb in enumerate(adj):
+                # u lies in its own part, so this also rules out a self-loop
+                if not (ids.issuperset(nb) and own[u].isdisjoint(nb)):
+                    return False
+                for v in nb:
+                    if u not in adj[v]:
+                        return False
+        except TypeError:
+            return False
+        return True
+
+    def _scan_for_violation(self) -> None:
+        """Raise for the first violation, part by part and then edge by edge."""
         n = self.n
         seen: set[int] = set()
         for part in self.parts:
@@ -111,16 +148,20 @@ class MultipartiteGraph:
         name: str | None = None,
     ) -> "MultipartiteGraph":
         """Build from int ids and int pairs; `load_graph` checks a document's
-        types before it gets here."""
+        types before it gets here.
+
+        Ids are range-checked once, over the finished adjacency: an edge end
+        outside 0..n-1 either fails to index the adjacency list or is left in
+        its partner's set.  Only then are the edges scanned in order, to name
+        the first dangling one.
+        """
         norm_parts = tuple(tuple(sorted(p)) for p in parts)
-        n = sum(len(p) for p in norm_parts)
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphValidationError(f"edge ({u},{v}) references a dangling vertex id")
-            adj[u].add(v)
-            adj[v].add(u)
-        return cls(norm_parts, tuple(frozenset(s) for s in adj), name)
+        n = sum(map(len, norm_parts))
+        edges = edges if isinstance(edges, (list, tuple)) else list(edges)
+        adj = _adjacency(n, edges)
+        if adj is None or not frozenset(range(n)).issuperset(chain.from_iterable(adj)):
+            adj = _checked_adjacency(n, edges)
+        return cls(norm_parts, tuple(map(frozenset, adj)), name)
 
     def with_parts(self, order: Sequence[int]) -> "MultipartiteGraph":
         """Same graph with its parts permuted into the given order."""
@@ -139,13 +180,43 @@ class MultipartiteGraph:
         return doc
 
 
+def _adjacency(n: int, edges: Iterable[Sequence[int]]) -> list[set[int]] | None:
+    """The adjacency sets of `edges`, or None when an edge is not a pair of
+    list indices below n.  Negative ids index from the end: callers rule them
+    out."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    try:
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+    except (IndexError, TypeError, ValueError):
+        return None
+    return adj
+
+
+def _checked_adjacency(n: int, edges: Iterable[Sequence[int]]) -> list[set[int]]:
+    """The adjacency sets of `edges`, scanned in order: raises for the first
+    edge with an end outside 0..n-1."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphValidationError(f"edge ({u},{v}) references a dangling vertex id")
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def save_graph(graph: MultipartiteGraph) -> str:
     """Serialize to the canonical JSON format (bit-exact: sorted edges, fixed key order)."""
     return json.dumps(graph.to_json_dict(), separators=(",", ":"))
 
 
 def load_graph(source: bytes | str | IO, fmt: str = "json") -> MultipartiteGraph:
-    """Parse and validate a graph from a byte stream / string in the declared format."""
+    """Parse and validate a graph from a byte stream / string in the declared format.
+
+    Every type, range and structure check of the document is made, and each
+    failure keeps its message; `from_edges` and `validate` do the graph checks.
+    """
     if fmt != "json":
         raise GraphFormatError(f"unknown graph format tag {fmt!r}")
     if hasattr(source, "read"):
@@ -170,13 +241,24 @@ def load_graph(source: bytes | str | IO, fmt: str = "json") -> MultipartiteGraph
         raise GraphFormatError("'k' must be an int")
     if not _int_rows(parts):
         raise GraphFormatError("'parts' must be an array of arrays of ints")
-    if not _int_rows(edges) or not set(map(len, edges)) <= {2}:
+    # JSON text holds a boolean only where it spells `true` or `false`, and a
+    # negative number only after a `-`.  Without those, building the adjacency
+    # checks the edges by itself: any other non-int id, a row that is not a
+    # pair, or an id of n or more stops the build.  Otherwise, or if the build
+    # stops, the edges are scanned in full, in the order of the messages.
+    adj = None
+    if type(edges) is list and not ("-" in source or "true" in source or "false" in source):
+        adj = _adjacency(sum(map(len, parts)), edges)
+    if adj is None and not (_int_rows(edges) and set(map(len, edges)) <= {2}):
         raise GraphFormatError("'edges' must be an array of [int, int] pairs")
     if "name" in doc and type(name) is not str:
         raise GraphFormatError("'name' must be a string")
     if k != len(parts):
         raise GraphValidationError(f"declared k={k} but {len(parts)} parts given")
-    return MultipartiteGraph.from_edges(parts, edges, name)
+    if adj is None:
+        return MultipartiteGraph.from_edges(parts, edges, name)
+    norm_parts = tuple(tuple(sorted(p)) for p in parts)
+    return MultipartiteGraph(norm_parts, tuple(map(frozenset, adj)), name)
 
 
 def _int_rows(value) -> bool:
@@ -217,8 +299,8 @@ def degree_profile(graph: MultipartiteGraph) -> DegreeProfile:
             if i == j:
                 row.append(None)
                 continue
-            target = graph.parts[j]
-            worst = min(graph.degree_into(v, target) for v in graph.parts[i])
+            target = graph.part_sets[j]
+            worst = min(len(graph.adj[v] & target) for v in graph.parts[i])
             d = Fraction(worst, len(target))
             row.append(d)
             overall = d if overall is None else min(overall, d)
@@ -352,7 +434,9 @@ def reduce_parts(
     dissolved greedily into the largest-remaining-capacity parts, subject to
     |V_i| <= n/r throughout.  Only deletions occur, so any spanning power-cycle of
     the output is one of the input.  Returns the graph (parts reordered by
-    descending size) and the vertex-to-new-part mapping.
+    descending size) and the vertex-to-new-part mapping.  When nothing is merged
+    or split and the parts already stand in that order, the input graph itself
+    is returned, with its own `part_index` as the mapping.
     """
     n = graph.n
     for i, part in enumerate(graph.parts):
@@ -397,6 +481,9 @@ def reduce_parts(
         )
 
     groups.sort(key=lambda g: (-len(g), min(g)))
+    new_parts = tuple(tuple(sorted(g)) for g in groups)
+    if new_parts == graph.parts:
+        return ReduceResult(graph, graph.part_index)
     part_map = [-1] * n
     for idx, g in enumerate(groups):
         for v in g:
@@ -404,7 +491,7 @@ def reduce_parts(
     new_adj = tuple(
         frozenset(u for u in graph.adj[v] if part_map[u] != part_map[v]) for v in range(n)
     )
-    reduced = MultipartiteGraph(tuple(tuple(sorted(g)) for g in groups), new_adj, graph.name)
+    reduced = MultipartiteGraph(new_parts, new_adj, graph.name)
     return ReduceResult(reduced, tuple(part_map))
 
 
@@ -425,7 +512,11 @@ def induced_subgraph(
     rev = {old: new for new, old in enumerate(old_ids)}
     if len(rev) != len(old_ids):
         raise GraphValidationError("induced parts overlap")
+    # Filtering keeps each neighbourhood's iteration order, and that fixes the
+    # new set's: once ids outrun a set's hash table, its order depends on the
+    # insertion order, and an intersection would insert in another.
+    keep, relabel = rev.__contains__, rev.__getitem__
     adj = tuple(
-        frozenset(rev[u] for u in graph.adj[old] if u in rev) for old in old_ids
+        frozenset(map(relabel, filter(keep, graph.adj[old]))) for old in old_ids
     )
     return MultipartiteGraph(tuple(new_parts), adj), tuple(old_ids)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -216,28 +216,27 @@ def _grow_run(
     """Pick one unused vertex per part of the run, keeping all window adjacencies.
 
     Candidates are scored by remaining degree into the not-yet-chosen required
-    parts, ties broken randomly; a handful of restarts per run.
+    parts, ties broken randomly; a handful of restarts per run.  The candidates
+    are the part's vertices off `used` inside every window vertex's
+    neighbourhood, in ascending order, as the sorted part lists them.  The
+    parts in `support` are distinct.
     """
+    adj = graph.adj
     for _ in range(tries):
         chunk: list[int] = []
-        ok = True
         for pos, part_idx in enumerate(support):
-            window = (list(prefix) + chunk)[-(r - 1):]
-            pool = [v for v in graph.parts[part_idx]
-                    if v not in used and v not in chunk
-                    and all(u in graph.adj[v] for u in window)]
+            fit = graph.part_sets[part_idx] - used
+            for u in (list(prefix[-(r - 1):]) + chunk)[-(r - 1):]:
+                fit &= adj[u]
+            pool = sorted(fit.difference(chunk))
             if not pool:
-                ok = False
                 break
-            upcoming = support[pos + 1:]
-            remaining = [set(graph.parts[i]) - used for i in upcoming]
-
-            def score(v: int) -> int:
-                return sum(len(graph.adj[v] & rem) for rem in remaining)
-
+            # the parts of `support` are distinct, so one intersection with
+            # their union counts a vertex's degree into each of them
+            rest = frozenset().union(*(graph.part_sets[i] for i in support[pos + 1:])) - used
             rng.shuffle(pool)
-            chunk.append(max(pool, key=score))
-        if ok:
+            chunk.append(max(pool, key=lambda v: len(adj[v] & rest)))
+        else:
             return chunk
     return None
 
@@ -513,7 +512,7 @@ def build_connectors_and_p0(
         for j in range(ell - 1):
             cells = [refined_parts[(i, j)] for i in group_sequences[j]]
             cells_next = [refined_parts[(i, j + 1)] for i in group_sequences[j + 1]]
-            conn = _grow_window_path(graph, cells + cells_next, [], used, r, rng)
+            conn = _grow_window_path(graph, cells + cells_next, used, r, rng)
             if conn is None:
                 ok = False
                 break
@@ -551,27 +550,31 @@ def build_connectors_and_p0(
 def _grow_window_path(
     graph: MultipartiteGraph,
     cell_sequence: Sequence[frozenset[int]],
-    prefix: Sequence[int],
     used: set[int],
     r: int,
     rng: random.Random,
     tries: int = 16,
 ) -> list[int] | None:
     """One vertex per cell, in order, every new vertex adjacent to the previous
-    min(r-1, len) picks."""
+    min(r-1, len) picks.
+
+    Each pick's candidates are found by set intersection: the cell off `used`,
+    narrowed to each window vertex's neighbourhood.  They are listed in the
+    cell's own iteration order, so a seeded `rng` picks the same vertex as a
+    vertex-by-vertex scan of the cell would.
+    """
+    adj = graph.adj
     for _ in range(tries):
         out: list[int] = []
-        ok = True
         for cell in cell_sequence:
-            window = (list(prefix) + out)[-(r - 1):]
-            pool = [v for v in cell
-                    if v not in used and v not in out
-                    and all(u in graph.adj[v] for u in window)]
-            if not pool:
-                ok = False
+            fit = cell - used
+            for u in out[-(r - 1):]:
+                fit &= adj[u]
+            fit = fit.difference(out)
+            if not fit:
                 break
-            out.append(rng.choice(pool))
-        if ok:
+            out.append(rng.choice([v for v in cell if v in fit]))
+        else:
             return out
     return None
 
@@ -586,30 +589,25 @@ def _choose_affix(
     prepend: bool,
     tries: int = 16,
 ) -> list[int] | None:
-    """r vertices, one per cell in order, spliced before (or after) the anchor path."""
+    """r vertices, one per cell in order, spliced before (or after) the anchor
+    path.  Candidates are found and listed as in `_grow_window_path`."""
+    adj = graph.adj
     for _ in range(tries):
         out: list[int] = []
-        ok = True
         for h, cell in enumerate(cells, start=1):
-            pool = []
-            for v in cell:
-                if v in used or v in out:
-                    continue
-                if any(u == v or u not in graph.adj[v] for u in out[-(r - 1):]):
-                    continue
-                if prepend:
-                    # out[h-1] must be adjacent to the first h-2+1 anchor vertices
-                    need = anchor[: h - 1]
-                else:
-                    need = anchor[-(r - h):] if h < r else []
-                if any(u not in graph.adj[v] for u in need):
-                    continue
-                pool.append(v)
-            if not pool:
-                ok = False
+            if prepend:
+                # out[h-1] must be adjacent to the first h-2+1 anchor vertices
+                need = anchor[: h - 1]
+            else:
+                need = anchor[-(r - h):] if h < r else ()
+            fit = cell - used
+            for u in chain(out[-(r - 1):], need):
+                fit &= adj[u]
+            fit = fit.difference(out)
+            if not fit:
                 break
-            out.append(rng.choice(pool))
-        if ok:
+            out.append(rng.choice([v for v in cell if v in fit]))
+        else:
             return out
     return None
 

@@ -4,7 +4,9 @@ the library's own predicates."""
 from __future__ import annotations
 
 import itertools
+import json
 
+from hampow.errors import GraphFormatError, GraphValidationError
 from hampow.graphs import MultipartiteGraph, gen_random
 
 
@@ -86,3 +88,174 @@ def full_scan_sample_walk(graph: MultipartiteGraph, table, rng):
                 cand[prev] = cnt
         out.append(choose(cand))
     return tuple(state[-1] for state in reversed(out))
+
+
+# Reference copies of the graph checks and the sequencing kernels as they were
+# before their set-wise rewrites.  The library must agree with them exactly:
+# same accepted graphs and adjacency iteration order, same error type and
+# message, same picks from the same seeded rng.
+
+
+def build_outcome(build):
+    """What a graph build returns, as (parts, adjacency lists in iteration
+    order, name), or the (type, message) of the error it raises."""
+    try:
+        got = build()
+    except Exception as exc:  # the comparison is over every exception type
+        return type(exc), str(exc)
+    parts, adj, name = (got.parts, got.adj, got.name) if isinstance(got, MultipartiteGraph) else got
+    return parts, [list(a) for a in adj], name
+
+
+def scan_validate(parts, adj) -> None:
+    """Pair-by-pair graph check: raises GraphValidationError for the first
+    violation, part by part and then edge by edge."""
+    n = len(adj)
+    seen: set[int] = set()
+    for part in parts:
+        if list(part) != sorted(part):
+            raise GraphValidationError("parts must be stored as sorted id lists")
+        for v in part:
+            if not 0 <= v < n:
+                raise GraphValidationError(f"vertex id {v} out of range 0..{n - 1}")
+            if v in seen:
+                raise GraphValidationError(f"vertex {v} appears in more than one part")
+            seen.add(v)
+    if len(seen) != n:
+        missing = next(v for v in range(n) if v not in seen)
+        raise GraphValidationError(f"vertex {missing} is not covered by any part")
+    part_of = [-1] * n
+    for i, part in enumerate(parts):
+        for v in part:
+            part_of[v] = i
+    for u in range(n):
+        for v in adj[u]:
+            if v == u:
+                raise GraphValidationError(f"self-loop at vertex {u}")
+            if u not in adj[v]:
+                raise GraphValidationError(f"adjacency not symmetric on ({u},{v})")
+            if part_of[u] == part_of[v]:
+                raise GraphValidationError(
+                    f"edge inside part: ({u},{v}) both in part {part_of[u]}"
+                )
+
+
+def reference_from_edges(parts, edges, name=None):
+    """Every edge range-checked before it is added; returns (parts, adj, name)."""
+    norm_parts = tuple(tuple(sorted(p)) for p in parts)
+    n = sum(len(p) for p in norm_parts)
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphValidationError(f"edge ({u},{v}) references a dangling vertex id")
+        adj[u].add(v)
+        adj[v].add(u)
+    frozen = tuple(frozenset(s) for s in adj)
+    scan_validate(norm_parts, frozen)
+    return norm_parts, frozen, name
+
+
+def reference_load_graph(text: str):
+    """Every type check of the document, in order, then `reference_from_edges`."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"malformed JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise GraphFormatError("graph document must be a JSON object")
+    try:
+        k = doc["k"]
+        parts = doc["parts"]
+        edges = doc["edges"]
+    except KeyError as exc:
+        raise GraphFormatError(f"missing required field {exc}") from exc
+    name = doc.get("name")
+
+    def int_rows(value):
+        return (
+            type(value) is list
+            and set(map(type, value)) <= {list}
+            and set(map(type, itertools.chain.from_iterable(value))) <= {int}
+        )
+
+    if type(k) is not int:
+        raise GraphFormatError("'k' must be an int")
+    if not int_rows(parts):
+        raise GraphFormatError("'parts' must be an array of arrays of ints")
+    if not int_rows(edges) or not set(map(len, edges)) <= {2}:
+        raise GraphFormatError("'edges' must be an array of [int, int] pairs")
+    if "name" in doc and type(name) is not str:
+        raise GraphFormatError("'name' must be a string")
+    if k != len(parts):
+        raise GraphValidationError(f"declared k={k} but {len(parts)} parts given")
+    return reference_from_edges(parts, edges, name)
+
+
+def reference_grow_window_path(graph, cell_sequence, prefix, used, r, rng, tries=16):
+    for _ in range(tries):
+        out: list[int] = []
+        ok = True
+        for cell in cell_sequence:
+            window = (list(prefix) + out)[-(r - 1):]
+            pool = [v for v in cell
+                    if v not in used and v not in out
+                    and all(u in graph.adj[v] for u in window)]
+            if not pool:
+                ok = False
+                break
+            out.append(rng.choice(pool))
+        if ok:
+            return out
+    return None
+
+
+def reference_grow_run(graph, support, prefix, used, r, rng, tries=8):
+    for _ in range(tries):
+        chunk: list[int] = []
+        ok = True
+        for pos, part_idx in enumerate(support):
+            window = (list(prefix) + chunk)[-(r - 1):]
+            pool = [v for v in graph.parts[part_idx]
+                    if v not in used and v not in chunk
+                    and all(u in graph.adj[v] for u in window)]
+            if not pool:
+                ok = False
+                break
+            upcoming = support[pos + 1:]
+            remaining = [set(graph.parts[i]) - used for i in upcoming]
+
+            def score(v: int) -> int:
+                return sum(len(graph.adj[v] & rem) for rem in remaining)
+
+            rng.shuffle(pool)
+            chunk.append(max(pool, key=score))
+        if ok:
+            return chunk
+    return None
+
+
+def reference_choose_affix(graph, cells, anchor, used, r, rng, prepend, tries=16):
+    for _ in range(tries):
+        out: list[int] = []
+        ok = True
+        for h, cell in enumerate(cells, start=1):
+            pool = []
+            for v in cell:
+                if v in used or v in out:
+                    continue
+                if any(u == v or u not in graph.adj[v] for u in out[-(r - 1):]):
+                    continue
+                if prepend:
+                    need = anchor[: h - 1]
+                else:
+                    need = anchor[-(r - h):] if h < r else []
+                if any(u not in graph.adj[v] for u in need):
+                    continue
+                pool.append(v)
+            if not pool:
+                ok = False
+                break
+            out.append(rng.choice(pool))
+        if ok:
+            return out
+    return None

@@ -1,11 +1,18 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete
+from conftest import (
+    build_outcome,
+    complete,
+    reference_from_edges,
+    reference_load_graph,
+    scan_validate,
+)
 from hampow.errors import GraphFormatError, GraphValidationError
 from hampow.graphs import (
     Config,
@@ -199,6 +206,34 @@ class TestReduceParts:
         with pytest.raises(GraphValidationError):
             reduce_parts(g, 2)
 
+    @pytest.mark.parametrize("k, r, sizes", [(3, 3, [9, 9, 9]), (5, 3, [6, 6, 6, 6, 6])])
+    def test_unchanged_parts_return_the_input(self, k, r, sizes):
+        # k = r, and k = 2r-1 where any two parts together exceed n/r
+        g = gen_random(k, sizes, Fraction(9, 10), 7)
+        res = reduce_parts(g, r)
+        assert res.graph is g
+        assert res.part_map == g.part_index
+
+    def test_reordered_parts_get_a_new_graph(self):
+        # no two parts fit together under n/r, but they stand in ascending size
+        g = gen_random(4, [4, 5, 5, 6], Fraction(9, 10), 4)
+        res = reduce_parts(g, 3)
+        assert res.graph is not g
+        assert res.graph.parts == (g.parts[3], g.parts[1], g.parts[2], g.parts[0])
+        assert res.graph.adj == g.adj
+        assert res.part_map == tuple((3, 1, 2, 0)[i] for i in g.part_index)
+
+    def test_merged_parts_get_a_new_validated_graph(self, monkeypatch):
+        g = gen_random(4, [5, 5, 3, 2], Fraction(9, 10), 2)
+        checked = []
+        real = MultipartiteGraph.validate
+        monkeypatch.setattr(MultipartiteGraph, "validate",
+                            lambda self: checked.append(self.parts) or real(self))
+        res = reduce_parts(g, 3)
+        assert res.graph is not g
+        assert checked == [res.graph.parts]
+        assert sorted(len(p) for p in res.graph.parts) == [5, 5, 5]
+
 
 def test_induced_subgraph_relabels():
     g = complete(3, [3, 3, 3])
@@ -206,6 +241,20 @@ def test_induced_subgraph_relabels():
     assert sub.n == 4 and sub.k == 2
     for new, old in enumerate(old_ids):
         assert {old_ids[u] for u in sub.adj[new]} <= g.adj[old]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_induced_subgraph_sets_iterate_as_when_built_vertex_by_vertex(seed):
+    # sparse hosts: small sets in tables smaller than the largest id, where the
+    # insertion order decides the iteration order
+    rng = random.Random(seed)
+    g = gen_random(3, [60, 60, 60], Fraction(1, 10), seed)
+    chosen = [rng.sample(p, rng.randint(20, 60)) for p in g.parts]
+    rng.shuffle(chosen)
+    sub, old_ids = induced_subgraph(g, chosen)
+    rev = {old: new for new, old in enumerate(old_ids)}
+    want = [list(frozenset(rev[u] for u in g.adj[old] if u in rev)) for old in old_ids]
+    assert [list(a) for a in sub.adj] == want
 
 
 class TestConfig:
@@ -234,3 +283,81 @@ class TestConfig:
         cfg = Config.default(3, seed=5)
         assert cfg.rng("x").random() == cfg.rng("x").random()
         assert cfg.rng("x").random() != cfg.rng("y").random()
+
+
+def _corruptions(g, rng):
+    """(label, parts, adj) copies of a valid graph, each with one defect."""
+    parts = [list(p) for p in g.parts]
+    adj = [set(a) for a in g.adj]
+    n = g.n
+    u = rng.randrange(n)
+    i = g.part_of(u)
+    other = [v for v in range(n) if g.part_of(v) != i and v not in g.adj[u]]
+    mate = [w for w in g.parts[i] if w != u]
+
+    def variant(label, new_parts=parts, new_adj=adj):
+        return label, tuple(tuple(p) for p in new_parts), tuple(frozenset(a) for a in new_adj)
+
+    out = [variant("valid")]
+    out.append(variant("self-loop", new_adj=[a | {u} if v == u else a for v, a in enumerate(adj)]))
+    if other:
+        w = rng.choice(other)
+        out.append(variant("one-sided edge",
+                           new_adj=[a | {w} if v == u else a for v, a in enumerate(adj)]))
+    if mate:
+        w = rng.choice(mate)
+        out.append(variant("edge inside a part", new_adj=[
+            a | {w} if v == u else a | {u} if v == w else a for v, a in enumerate(adj)]))
+        out.append(variant("unsorted part", new_parts=[
+            p[::-1] if j == i else p for j, p in enumerate(parts)]))
+    j = (i + 1) % len(parts)
+    out.append(variant("repeated vertex", new_parts=[
+        sorted(p + [u]) if h == j else p for h, p in enumerate(parts)]))
+    out.append(variant("uncovered vertex", new_parts=[
+        [v for v in p if v != u] for p in parts]))
+    out.append(variant("part id out of range", new_parts=[
+        p + [n] if h == len(parts) - 1 else p for h, p in enumerate(parts)]))
+    out.append(variant("negative id in adjacency",
+                       new_adj=[a | {-1} if v == u else a for v, a in enumerate(adj)]))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_validate_matches_pair_scan_reference(seed):
+    rng = random.Random(seed)
+    k = rng.randint(2, 5)
+    sizes = [rng.randint(1, 6) for _ in range(k)]
+    g = gen_random(k, sizes, rng.choice([Fraction(1, 3), Fraction(2, 3), Fraction(1)]), seed)
+    for label, parts, adj in _corruptions(g, rng):
+        ours = build_outcome(lambda: MultipartiteGraph(parts, adj, "h"))
+        ref = build_outcome(lambda: scan_validate(parts, adj) or (parts, adj, "h"))
+        assert ours == ref, label
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_from_edges_and_load_graph_match_references(seed):
+    rng = random.Random(seed)
+    k = rng.randint(2, 4)
+    g = gen_random(k, [rng.randint(1, 5) for _ in range(k)], Fraction(2, 3), seed)
+    n = g.n
+    edges = [list(e) for e in g.edges()]
+    rng.shuffle(edges)
+    bad_ids = [(0, n), (n + 3, 0), (-1, 0), (0, -n), (-n - 1, 0)]
+    cases = [edges, [e[::-1] for e in edges], edges + [[0, 0]]]
+    for a, b in bad_ids:
+        at = rng.randint(0, len(edges))
+        cases.append(edges[:at] + [[a, b]] + edges[at:])
+        cases.append(edges[:at] + [[a, b]] + edges[at:] + [[n, n]])
+    parts = [list(p) for p in g.parts]
+    for case in cases:
+        assert build_outcome(lambda: MultipartiteGraph.from_edges(parts, case, "h")) == \
+            build_outcome(lambda: reference_from_edges(parts, case, "h"))
+    # rows only a document can hold: wrong types and lengths
+    for bad in ([True, 0], [0, False], [1.0, 0], [0, "1"], [0, None], [0, 1, 2], [0], "01"):
+        at = rng.randint(0, len(edges))
+        cases.append(edges[:at] + [bad] + edges[at:])
+    for case in cases:
+        for name in ({}, {"name": "plain"}, {"name": "a-b true"}):
+            text = json.dumps({"k": k, "parts": parts, "edges": case, **name})
+            ours = build_outcome(lambda: load_graph(text))
+            assert ours == build_outcome(lambda: reference_load_graph(text))

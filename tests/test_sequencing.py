@@ -5,11 +5,19 @@ from math import comb
 
 import pytest
 
-from conftest import complete
+from conftest import (
+    complete,
+    reference_choose_affix,
+    reference_grow_run,
+    reference_grow_window_path,
+)
 from hampow.errors import GraphValidationError, InfeasibleError
 from hampow.graphs import Config, gen_random
 from hampow.paths import VertexSeq, decompose, is_path, is_properly_terminated, is_valid_pair
 from hampow.sequencing import (
+    _choose_affix,
+    _grow_run,
+    _grow_window_path,
     build_template_matrix,
     build_trim_path,
     compute_trim_template,
@@ -298,3 +306,48 @@ class TestRunSequencingRandom:
         )
         assert res.report.ok and res.plan.ell == 35
         assert len(res.plan.connectors) == 34
+
+
+def _kernel_case(seed):
+    """A random small host with r <= k <= 2r-1, random cells (disjoint part
+    subsets, as frozensets) and a random used set."""
+    rng = random.Random(seed)
+    r = (2, 3, 4)[seed % 3]
+    k = rng.randint(r, 2 * r - 1)
+    g = gen_random(k, [rng.randint(6, 10) for _ in range(k)], rng.choice([0.7, 0.9, 1]), seed)
+    free = [list(p) for p in g.parts]
+    for p in free:
+        rng.shuffle(p)
+    order = rng.sample(range(k), k)  # any r cells in a row lie in distinct parts
+    cells = []
+    for t in range(2 * r):
+        i = order[t % k]
+        take = rng.randint(2, 4)
+        cells.append(frozenset(free[i][:take]))
+        free[i] = free[i][take:]
+    cells = [c for c in cells if c]
+    used = set(rng.sample(range(g.n), g.n // 10))
+    return rng, r, k, g, cells, used
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_window_kernels_pick_what_the_scans_picked(seed):
+    """Same rng seed, same vertices, same rng state after, as the reference scans."""
+    rng, r, k, g, cells, used = _kernel_case(seed)
+    ours, ref = random.Random(seed), random.Random(seed)
+    assert _grow_window_path(g, cells, used, r, ours) == \
+        reference_grow_window_path(g, cells, [], used, r, ref)
+    assert ours.getstate() == ref.getstate()
+
+    support = rng.sample(range(k), rng.randint(1, k))
+    prefix = rng.sample(range(g.n), rng.randint(0, r))
+    assert _grow_run(g, support, prefix, used | set(prefix), r, ours) == \
+        reference_grow_run(g, support, prefix, used | set(prefix), r, ref)
+    assert ours.getstate() == ref.getstate()
+
+    anchor = tuple(rng.choice(g.parts[i]) for i in rng.sample(range(k), r))
+    for prepend in (True, False):
+        got = _choose_affix(g, cells[:r], anchor, used | set(anchor), r, ours, prepend)
+        want = reference_choose_affix(g, cells[:r], anchor, used | set(anchor), r, ref, prepend)
+        assert got == want
+        assert ours.getstate() == ref.getstate()
