@@ -313,13 +313,11 @@ def find_absorbers(
 
 @dataclass(frozen=True)
 class PlacedGadget:
-    """A kept gadget: its embedding plus which r-sets it can still absorb."""
+    """A kept gadget: its embedding plus which r-sets it can still absorb,
+    namely those whose vertex in part i lies in cover[i] for every i."""
 
     instance: AbsorberInstance
     cover: tuple[frozenset[int], ...]  # per part: vertices whose neighborhood spans the row
-
-    def can_absorb(self, rset: Sequence[int]) -> bool:
-        return all(v in self.cover[i] for i, v in enumerate(rset))
 
 
 @dataclass(frozen=True)
@@ -350,13 +348,13 @@ def assemble_absorbing_path(
     cfg: Config,
     budget: int = 64,
     max_size: int | None = None,
-    require_full_coverage: bool = True,
 ) -> AbsorbingPath:
     """Sample disjoint gadget embeddings and connect them into one absorbing path.
 
     The size cap defaults to max(beta*n, one gadget), mirroring the multiplicity
-    floor: below that nothing fits.  With require_full_coverage, every balanced
-    r-set outside the path must be absorbable by some gadget, else CoverageError.
+    floor: below that nothing fits.  Each kept gadget records, per part, the
+    vertices off the path it could absorb; whether the leftover can actually be
+    absorbed is decided by `absorb` once that leftover exists.
     """
     r, n = cfg.r, graph.n
     if graph.k != r:
@@ -417,49 +415,85 @@ def assemble_absorbing_path(
         for i in range(r):
             row = [inst.mapping[lab] for h in range(1, r + 1) if h != i + 1
                    for lab in _slot_labels(r, h, i + 1)]
-            cover.append(frozenset(
-                v for v in graph.parts[i]
-                if v not in path_vertices and all(u in graph.adj[v] for u in row)
-            ))
+            cover.append(graph.part_sets[i].intersection(*(graph.adj[u] for u in row))
+                         - path_vertices)
         placed.append(PlacedGadget(instance=inst, cover=tuple(cover)))
 
     result = AbsorbingPath(r=r, segments=tuple(segments), gadgets=tuple(placed))
     p = result.path
     if not (is_path(graph, p) and is_properly_terminated(graph, p)):
         raise VerificationError("assembled absorbing path is not a properly terminated path")
-
-    if require_full_coverage:
-        outside = [
-            [v for v in part if v not in path_vertices] for part in graph.parts
-        ]
-        uncovered = _first_uncovered(placed, outside)
-        if uncovered is not None:
-            raise CoverageError(
-                f"coverage shortfall: balanced set {uncovered} has no absorbing gadget"
-            )
     return result
 
 
-def _first_uncovered(
-    gadgets: Sequence[PlacedGadget], outside: Sequence[Sequence[int]]
-) -> tuple[int, ...] | None:
-    for g in gadgets:
-        if all(len(g.cover[i]) >= len(out) for i, out in enumerate(outside)):
-            return None  # one gadget absorbs every class
-    for combo in itertools.product(*outside):
-        if not any(g.can_absorb(combo) for g in gadgets):
-            return combo
+def _assign_gadgets(
+    gadgets: Sequence[PlacedGadget], by_part: Sequence[Sequence[int]]
+) -> dict[int, tuple[int, ...]] | None:
+    """Gadget index -> the r-set it absorbs, covering every vertex of by_part
+    once, or None when no such assignment exists.
+
+    Which r-sets a gadget absorbs is a product condition, so the vertices may
+    be grouped into r-sets freely: a gadget set works exactly when, for every
+    part i, the vertices of by_part[i] have a perfect matching into it along
+    `cover[i]`.  Gadget sets are tried in index order, and each matching is
+    grown by augmenting paths over by_part[i] in the order given.
+    """
+    q = len(by_part[0])
+    for chosen in itertools.combinations(range(len(gadgets)), q):
+        rows = []
+        for i, zi in enumerate(by_part):
+            row = _perfect_matching(zi, [gadgets[g].cover[i] for g in chosen])
+            if row is None:
+                break
+            rows.append(row)
+        else:
+            return {g: tuple(row[j] for row in rows) for j, g in enumerate(chosen)}
     return None
+
+
+def _perfect_matching(
+    vertices: Sequence[int], covers: Sequence[frozenset[int]]
+) -> dict[int, int] | None:
+    """Slot -> vertex matching every vertex, where vertex v may take slot j
+    when v is in covers[j], or None.
+
+    Kuhn's augmenting paths, each vertex taking its first free slot when it
+    has one, so that where every vertex fits every slot the k-th vertex gets
+    the k-th slot.  A path visits each slot at most once, so the recursion is
+    no deeper than len(covers).
+    """
+    owner: dict[int, int] = {}  # slot -> vertex
+
+    def augment(v: int, seen: set[int]) -> bool:
+        fits = [j for j, cov in enumerate(covers) if v in cov]
+        free = next((j for j in fits if j not in owner), None)
+        if free is not None:
+            owner[free] = v
+            return True
+        for j in fits:
+            if j not in seen:
+                seen.add(j)
+                if augment(owner[j], seen):
+                    owner[j] = v
+                    return True
+        return False
+
+    for v in vertices:
+        if not augment(v, set()):
+            return None
+    return owner
 
 
 def absorb(
     graph: MultipartiteGraph, p_abs: AbsorbingPath, z: Iterable[int]
 ) -> VertexSeq:
-    """Splice a balanced set into the absorbing path by switching matched gadgets
-    from their passive to their active routing.
+    """Splice a balanced set into the absorbing path by switching gadgets from
+    their passive to their active routing.
 
-    Greedy matching, scarcest r-set first.  The result is a power-path on
-    V(path) + Z with the same initial and final r vertices.
+    This is the coverage check: the set is split into r-sets and each is given
+    its own gadget by an exact search (`_assign_gadgets`), and CoverageError
+    means no grouping and choice of gadgets absorbs it.  The result is a
+    power-path on V(path) + Z with the same initial and final r vertices.
     """
     r = p_abs.r
     zs = sorted(set(z))
@@ -480,17 +514,12 @@ def absorb(
             f"absorbed set of size {len(zs)} exceeds capacity {p_abs.capacity}"
         )
 
-    rsets = [tuple(col) for col in zip(*by_part)]
-    options = {
-        rset: [i for i, g in enumerate(p_abs.gadgets) if g.can_absorb(rset)]
-        for rset in rsets
-    }
-    taken: dict[int, tuple[int, ...]] = {}
-    for rset in sorted(rsets, key=lambda rs: (len(options[rs]), rs)):
-        pick = next((i for i in options[rset] if i not in taken), None)
-        if pick is None:
-            raise CoverageError(f"matching failure: no unused gadget absorbs {rset}")
-        taken[pick] = rset
+    taken = _assign_gadgets(p_abs.gadgets, by_part)
+    if taken is None:
+        raise CoverageError(
+            f"coverage shortfall: no {len(zs) // r} of the {len(p_abs.gadgets)} gadgets "
+            f"absorb the balanced set {tuple(zs)}"
+        )
 
     out: list[int] = []
     for kind, idx, vs in p_abs.segments:

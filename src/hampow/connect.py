@@ -1,5 +1,4 @@
-"""Exact counting and sampling of connecting walks between terminated walks,
-plus the rich/poor neighborhood predicate.
+"""Exact counting and sampling of connecting walks between terminated walks.
 
 The count is exact dynamic programming over the last r-1 chosen vertices; no
 lower-bound constants are involved.  Each state's successors are found once per
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -236,15 +234,3 @@ def _weighted_choice(rng, keys: Sequence[State], counts: Iterable[int]) -> State
         raise AssertionError("weights were empty")
     return keys[bisect_right(bounds, rng.randrange(bounds[-1]))]
 
-
-def is_rich(
-    graph: MultipartiteGraph,
-    w: VertexSeq | Sequence[int],
-    u_set: Iterable[int],
-    sigma: Fraction,
-) -> bool:
-    """At least sigma*n vertices of the set have the whole sequence in their
-    neighborhood (vacuously satisfied containment for the empty sequence)."""
-    vs = set(w.vertices if isinstance(w, VertexSeq) else w)
-    count = sum(1 for u in u_set if vs <= graph.adj[u])
-    return count >= sigma * graph.n

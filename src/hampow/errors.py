@@ -34,7 +34,8 @@ class SearchExhaustedError(HampowError):
 
 
 class CoverageError(HampowError):
-    """Absorber coverage shortfall: some balanced class has no usable gadget."""
+    """Absorber coverage shortfall: no gadget could be embedded, or the
+    leftover cannot be split among distinct gadgets that absorb it."""
 
 
 class VerificationError(HampowError):

@@ -71,8 +71,8 @@ class MultipartiteGraph:
 
     def validate(self) -> None:
         """Reject parts that are unsorted, overlap, leave a vertex uncovered or
-        name an id outside 0..n-1, and adjacency with a self-loop, a one-sided
-        edge or an edge inside a part.
+        name an id outside 0..n-1, and adjacency with an id outside 0..n-1, a
+        self-loop, a one-sided edge or an edge inside a part.
 
         The checks run set-wise first.  Only a graph that fails them is scanned
         part by part and then edge by edge, so the error names the first
@@ -131,6 +131,8 @@ class MultipartiteGraph:
                 part_of[v] = i
         for u in range(n):
             for v in self.adj[u]:
+                if not 0 <= v < n:
+                    raise GraphValidationError(f"edge ({u},{v}) references a dangling vertex id")
                 if v == u:
                     raise GraphValidationError(f"self-loop at vertex {u}")
                 if u not in self.adj[v]:

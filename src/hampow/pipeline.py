@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import ceil
 from typing import Sequence
 
 from .absorber import absorb, assemble_absorbing_path
@@ -185,26 +186,24 @@ def _sample_reservoir(
     u_size: int,
     cfg: Config,
 ) -> list[list[int]]:
-    """Per-part reservoir subsets satisfying the proportional-degree condition."""
+    """Per-part reservoir subsets satisfying the proportional-degree condition:
+    every vertex outside part i has at least (1 - 1/r + nu) * u_size
+    neighbours in reservoir i."""
     r = cfg.r
-    threshold = 1 - Fraction(1, r) + cfg.nu
+    # an int count reaches the rational bound exactly when it reaches its ceiling
+    need = ceil((1 - Fraction(1, r) + cfg.nu) * u_size)
+    outside = [[v for v in range(graph.n) if graph.part_of(v) != i] for i in range(r)]
+    adj = graph.adj
     rng = cfg.rng("reservoir")
     last = None
     for _ in range(cfg.retry_limit):
         u_sets = [sorted(rng.sample(list(f), u_size)) for f in free]
-        ok = True
         for i, u in enumerate(u_sets):
             uset = set(u)
-            for v in range(graph.n):
-                if graph.part_of(v) == i:
-                    continue
-                if len(graph.adj[v] & uset) < threshold * u_size:
-                    ok = False
-                    last = (v, i)
-                    break
-            if not ok:
+            last = next(((v, i) for v in outside[i] if len(adj[v] & uset) < need), None)
+            if last is not None:
                 break
-        if ok:
+        else:
             return u_sets
     raise SearchExhaustedError(
         f"reservoir degree condition failed for {cfg.retry_limit} samples "

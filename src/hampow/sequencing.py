@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -652,6 +653,34 @@ class PlanReport:
         }
 
 
+def _group_degree_slack(
+    graph: MultipartiteGraph, plan: SequencingPlan
+) -> tuple[Fraction | None, str]:
+    """The least proportional degree |N(v) & cell2| / |cell2| over the ordered
+    pairs of distinct cells of a group and v in the first, and the detail that
+    names the first vertex reaching it, or (None, "") for no such pair.
+
+    Each pair's minimum is found over int counts (the first v reaching it kept)
+    and only then made a Fraction; pairs are compared in order and a later one
+    replaces the minimum only when strictly smaller.
+    """
+    adj = graph.adj
+    slack: Fraction | None = None
+    detail = ""
+    for j in range(plan.ell):
+        cells = plan.group_cells(j)
+        for h, cell in enumerate(cells):
+            for h2, cell2 in enumerate(cells):
+                if h == h2 or not cell2 or not cell:
+                    continue
+                low, worst = min(((len(adj[v] & cell2), v) for v in cell), key=itemgetter(0))
+                d = Fraction(low, len(cell2))
+                if slack is None or d < slack:
+                    slack = d
+                    detail = f"worst proportional degree {d} at vertex {worst} in group {j}"
+    return slack, detail
+
+
 def verify_plan(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> PlanReport:
     """Check every plan invariant independently of how the plan was built.
 
@@ -679,19 +708,7 @@ def verify_plan(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> 
     conditions.append(Stage("A1", a1_ok, a1_detail))
 
     # Group degree condition, measured exactly.
-    slack: Fraction | None = None
-    a2_detail = ""
-    for j in range(plan.ell):
-        cells = plan.group_cells(j)
-        for h, cell in enumerate(cells):
-            for h2, cell2 in enumerate(cells):
-                if h == h2 or not cell2:
-                    continue
-                for v in cell:
-                    d = Fraction(len(graph.adj[v] & cell2), len(cell2))
-                    if slack is None or d < slack:
-                        slack = d
-                        a2_detail = f"worst proportional degree {d} at vertex {v} in group {j}"
+    slack, a2_detail = _group_degree_slack(graph, plan)
     threshold = 1 - Fraction(1, r) + cfg.gamma / 2
     conditions.append(
         Stage("A2", slack is not None and slack >= threshold, a2_detail)

@@ -25,24 +25,27 @@ def enumerate_cliques(graph: MultipartiteGraph, r: int) -> list[tuple[int, ...]]
 def iter_cliques(graph: MultipartiteGraph, r: int) -> Iterator[tuple[int, ...]]:
     """The cliques of `enumerate_cliques`, in the same order, found lazily.
 
-    Backtracking over parts in ascending index with common-neighborhood pruning.
+    Backtracking over parts in ascending index with common-neighborhood pruning;
+    the last vertex of a clique is picked straight from the common neighborhood.
     """
     k = graph.k
+    adj, part_sets = graph.adj, graph.part_sets
 
-    def rec(start: int, chosen: list[int], common: frozenset[int] | None):
+    def rec(start: int, chosen: tuple[int, ...], common: frozenset[int] | None):
         depth = len(chosen)
         if depth == r:
-            yield tuple(chosen)
+            yield chosen
             return
         for p in range(start, k - (r - depth) + 1):
-            pool = graph.parts[p] if common is None else [v for v in graph.parts[p] if v in common]
+            # parts are sorted, so this is the part's order
+            pool = graph.parts[p] if common is None else sorted(common & part_sets[p])
+            if depth == r - 1:
+                yield from [chosen + (v,) for v in pool]
+                continue
             for v in pool:
-                nxt = graph.adj[v] if common is None else common & graph.adj[v]
-                chosen.append(v)
-                yield from rec(p + 1, chosen, nxt)
-                chosen.pop()
+                yield from rec(p + 1, chosen + (v,), adj[v] if common is None else common & adj[v])
 
-    return rec(0, [], None)
+    return rec(0, (), None)
 
 
 def _simplex_max(
@@ -211,7 +214,9 @@ def cover_with_paths(
 
     Greedy clique chaining: the first attempt tries cliques in enumeration
     order, paths grow while the next clique splices legally, reshuffled retries
-    on shortfall.  The leftover of a balanced host is automatically balanced
+    on shortfall.  Within an attempt, a clique that meets a used vertex can
+    never be picked again, so each scan drops those it passes from the
+    attempt's list.  The leftover of a balanced host is automatically balanced
     because every path meets all parts equally.
     """
     if graph.k != r:
@@ -234,12 +239,18 @@ def cover_with_paths(
         paths: list[VertexSeq] = []
 
         def next_clique(tail: Sequence[int]) -> tuple[int, ...] | None:
-            for K in order:
-                if used.intersection(K):
+            """First clique of `order` off `used` that splices after `tail`;
+            the cliques that meet `used` before it leave `order`."""
+            live = 0
+            for idx, K in enumerate(order):
+                if not used.isdisjoint(K):
                     continue
-                if tail and not _splices(graph, tail, K, r):
-                    continue
-                return K
+                order[live] = K
+                live += 1
+                if not tail or _splices(graph, tail, K, r):
+                    order[live:] = order[idx + 1:]
+                    return K
+            del order[live:]
             return None
 
         while n - len(used) > target:

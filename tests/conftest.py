@@ -5,9 +5,12 @@ from __future__ import annotations
 
 import itertools
 import json
+from fractions import Fraction
 
-from hampow.errors import GraphFormatError, GraphValidationError
+from hampow.errors import GraphFormatError, GraphValidationError, SearchExhaustedError
 from hampow.graphs import MultipartiteGraph, gen_random
+from hampow.paths import VertexSeq
+from hampow.tiling import PathCover, _balanced, _splices
 
 
 def complete(k: int, sizes) -> MultipartiteGraph:
@@ -130,6 +133,8 @@ def scan_validate(parts, adj) -> None:
             part_of[v] = i
     for u in range(n):
         for v in adj[u]:
+            if not 0 <= v < n:
+                raise GraphValidationError(f"edge ({u},{v}) references a dangling vertex id")
             if v == u:
                 raise GraphValidationError(f"self-loop at vertex {u}")
             if u not in adj[v]:
@@ -258,4 +263,136 @@ def reference_choose_affix(graph, cells, anchor, used, r, rng, prepend, tries=16
             out.append(rng.choice(pool))
         if ok:
             return out
+    return None
+
+
+# Reference copies of the kernels the constructive path reaches once a host's
+# real leftover decides coverage, as they were before their rewrites: the
+# library must give the same covers, samples, errors and A2 minimum.
+
+
+def reference_group_degree_slack(graph, plan):
+    """Condition A2 of `verify_plan`, one Fraction per (vertex, other cell)."""
+    slack = None
+    a2_detail = ""
+    for j in range(plan.ell):
+        cells = plan.group_cells(j)
+        for h, cell in enumerate(cells):
+            for h2, cell2 in enumerate(cells):
+                if h == h2 or not cell2:
+                    continue
+                for v in cell:
+                    d = Fraction(len(graph.adj[v] & cell2), len(cell2))
+                    if slack is None or d < slack:
+                        slack = d
+                        a2_detail = f"worst proportional degree {d} at vertex {v} in group {j}"
+    return slack, a2_detail
+
+
+def reference_sample_reservoir(graph, free, u_size, cfg):
+    """Reservoir sampling with a Fraction bound compared per vertex and part."""
+    r = cfg.r
+    threshold = 1 - Fraction(1, r) + cfg.nu
+    rng = cfg.rng("reservoir")
+    last = None
+    for _ in range(cfg.retry_limit):
+        u_sets = [sorted(rng.sample(list(f), u_size)) for f in free]
+        ok = True
+        for i, u in enumerate(u_sets):
+            uset = set(u)
+            for v in range(graph.n):
+                if graph.part_of(v) == i:
+                    continue
+                if len(graph.adj[v] & uset) < threshold * u_size:
+                    ok = False
+                    last = (v, i)
+                    break
+            if not ok:
+                break
+        if ok:
+            return u_sets
+    raise SearchExhaustedError(
+        f"reservoir degree condition failed for {cfg.retry_limit} samples "
+        f"(last violation: vertex {last[0]} into part {last[1]})"
+    )
+
+
+def reference_cliques(graph, r):
+    """Transversal r-cliques by one generator frame per chosen vertex, every
+    pool filtered vertex by vertex in part order."""
+    k = graph.k
+
+    def rec(start, chosen, common):
+        depth = len(chosen)
+        if depth == r:
+            yield tuple(chosen)
+            return
+        for p in range(start, k - (r - depth) + 1):
+            pool = graph.parts[p] if common is None else [v for v in graph.parts[p] if v in common]
+            for v in pool:
+                nxt = graph.adj[v] if common is None else common & graph.adj[v]
+                chosen.append(v)
+                yield from rec(p + 1, chosen, nxt)
+                chosen.pop()
+
+    return list(rec(0, [], None))
+
+
+def reference_cover_with_paths(graph, r, alpha, cfg):
+    """Greedy clique chaining that rescans the whole clique list at every step."""
+    n = graph.n
+    target = alpha * n
+    ordered = reference_cliques(graph, r)
+    rng = cfg.rng("cover")
+    best = None
+    for attempt in range(cfg.retry_limit):
+        order = ordered[:]
+        if attempt:
+            rng.shuffle(order)
+        used = set()
+        paths = []
+
+        def next_clique(tail):
+            for K in order:
+                if used.intersection(K):
+                    continue
+                if tail and not _splices(graph, tail, K, r):
+                    continue
+                return K
+            return None
+
+        while n - len(used) > target:
+            current = []
+            while True:
+                K = next_clique(current[-r:])
+                if K is None:
+                    break
+                current.extend(K)
+                used.update(K)
+                if n - len(used) <= target:
+                    break
+            if not current:
+                break
+            paths.append(VertexSeq(tuple(current), r))
+
+        leftover = frozenset(v for v in range(n) if v not in used)
+        if len(leftover) <= target and _balanced(graph, leftover):
+            return PathCover(tuple(paths), leftover)
+        if best is None or len(leftover) < best:
+            best = len(leftover)
+    raise SearchExhaustedError(
+        f"cover shortfall after {cfg.retry_limit} attempts: best leftover {best} > {target}"
+    )
+
+
+def absorbable_by_brute_force(gadgets, by_part):
+    """The first gadget index set, in combinations order, for which some
+    grouping of by_part into r-sets gives every chosen gadget an r-set in its
+    covers, or None.  Every grouping is every permutation of every part."""
+    q = len(by_part[0])
+    for chosen in itertools.combinations(range(len(gadgets)), q):
+        for perms in itertools.product(*(itertools.permutations(zi) for zi in by_part)):
+            if all(perm[t] in gadgets[g].cover[i]
+                   for i, perm in enumerate(perms) for t, g in enumerate(chosen)):
+                return chosen
     return None

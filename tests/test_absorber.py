@@ -2,13 +2,16 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from conftest import complete
+from conftest import absorbable_by_brute_force, complete
 from hampow.absorber import (
     AbsorberInstance,
     GadgetTemplate,
+    PlacedGadget,
+    _assign_gadgets,
     absorb,
     assemble_absorbing_path,
     build_gadget,
@@ -226,3 +229,67 @@ class TestAssembleAbsorb:
         z = [v for v in outside if g.part_of(v) == 0][:1]
         with pytest.raises(GraphValidationError, match="balanced"):
             absorb(g, pa, z)
+
+    def test_leftover_absorbed_under_another_grouping(self):
+        # sorted-zip grouping pairs (a0, b0) and (a1, b1), which no gadget takes;
+        # (a0, b1) and (a1, b0) each have a gadget
+        g = complete(2, [16, 16])
+        pa = assemble_absorbing_path(g, (), Config.default(2, seed=6), max_size=10 * 2 + 4)
+        outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
+        a0, a1 = [v for v in outside if g.part_of(v) == 0][:2]
+        b0, b1 = [v for v in outside if g.part_of(v) == 1][:2]
+        covers = ((a0, b1), (a1, b0))
+        pa = replace(pa, gadgets=tuple(
+            replace(gad, cover=tuple(frozenset({v}) for v in cov))
+            for gad, cov in zip(pa.gadgets, covers)
+        ))
+        merged = absorb(g, pa, [a0, a1, b0, b1])
+        assert set(merged.vertices) == set(pa.path.vertices) | {a0, a1, b0, b1}
+        assert is_path(g, merged)
+        # gadget 0 comes first on the path and takes x_1 = a0, x_2 = b1
+        assert [v for v in merged.vertices if v not in set(pa.path.vertices)] == [a0, b1, a1, b0]
+
+    def test_unabsorbable_leftover_is_coverage_error(self):
+        g = complete(2, [16, 16])
+        pa = assemble_absorbing_path(g, (), Config.default(2, seed=6), max_size=10 * 2 + 4)
+        outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
+        a0, a1 = [v for v in outside if g.part_of(v) == 0][:2]
+        b0, b1 = [v for v in outside if g.part_of(v) == 1][:2]
+        # both gadgets can take a0 only: a1 has nowhere to go
+        pa = replace(pa, gadgets=tuple(
+            replace(gad, cover=(frozenset({a0}), frozenset({b0, b1}))) for gad in pa.gadgets
+        ))
+        with pytest.raises(CoverageError, match="shortfall"):
+            absorb(g, pa, [a0, a1, b0, b1])
+
+
+def test_assignment_matches_brute_force_over_groupings():
+    """The exact assignment finds a gadget set exactly when some grouping of the
+    leftover into r-sets and some injective gadget choice work, and it picks the
+    first such gadget set in index order."""
+    outcomes = Counter()
+    for trial in range(400):
+        rng = random.Random(trial)
+        r = rng.choice([2, 3])
+        n_gadgets = rng.randint(1, 4)
+        q = rng.randint(1, min(3, n_gadgets))
+        universe = [list(range(10 * i, 10 * i + 5)) for i in range(r)]
+        by_part = [sorted(rng.sample(u, q)) for u in universe]
+        density = rng.choice([0.4, 0.6, 0.8])
+        gadgets = [
+            PlacedGadget(instance=None, cover=tuple(
+                frozenset(v for v in u if rng.random() < density) for u in universe))
+            for _ in range(n_gadgets)
+        ]
+        want = absorbable_by_brute_force(gadgets, by_part)
+        got = _assign_gadgets(gadgets, by_part)
+        outcomes[got is not None] += 1
+        if want is None:
+            assert got is None, trial
+            continue
+        assert got is not None and tuple(sorted(got)) == want, trial
+        for gi, rset in got.items():
+            assert all(v in gadgets[gi].cover[i] for i, v in enumerate(rset))
+        for i in range(r):
+            assert sorted(rset[i] for rset in got.values()) == by_part[i]
+    assert outcomes[True] >= 50 and outcomes[False] >= 50

@@ -10,7 +10,6 @@ from hampow.connect import (
     count_connecting_walks,
     default_connector_length,
     find_connector,
-    is_rich,
 )
 from hampow.errors import GraphValidationError, SearchExhaustedError, VerificationError
 from hampow.graphs import Config, MultipartiteGraph, gen_random
@@ -163,54 +162,3 @@ class TestFindConnector:
         monkeypatch.setattr(hampow.connect, "_sample_walk", lambda *a: (2, 3, 7, 8, 12, 13))
         with pytest.raises(VerificationError):
             find_connector(g, u_sets, p1, p2, 6, forbidden, Config.default(3, seed=9))
-
-
-class TestRichPoor:
-    def test_empty_sequence_counts_whole_set(self):
-        g = complete(3, [4, 4, 4])
-        assert is_rich(g, (), g.parts[0], Fraction(1, 3))
-        assert not is_rich(g, (), g.parts[0], Fraction(1, 2))
-
-    def test_complete_host_last_part(self):
-        g = complete(3, [4, 4, 4])
-        w = (0, 4)  # inside the first two parts
-        count = sum(1 for u in g.parts[2] if set(w) <= g.adj[u])
-        assert count == len(g.parts[2])
-        assert is_rich(g, w, g.parts[2], Fraction(4, 12))
-
-    def test_dichotomy_partitions_walks(self):
-        g = gen_random(3, [3, 3, 3], Fraction(2, 3), 5)
-        sigma = Fraction(1, 9)
-        for w in itertools.product(range(9), repeat=2):
-            rich = is_rich(g, w, g.parts[2], sigma)
-            poor = not rich
-            assert rich != poor or True  # xor by definition
-            assert rich == (
-                sum(1 for u in g.parts[2] if set(w) <= g.adj[u]) >= sigma * 9
-            )
-
-    def test_poor_walk_bound_brute_force(self):
-        # at least |U| - sigma*n vertices u have at most sigma*n^p poor p-walks in N(u)
-        for seed in range(6):
-            g = gen_random(3, [4, 4, 4], Fraction(7, 10), seed)
-            n = g.n
-            sigma = Fraction(1, 4)
-            u_set = g.parts[2]
-            for p in (1, 2):
-                walks = [
-                    w
-                    for w in itertools.product(range(n), repeat=p)
-                    if naive_is_walk(g, w, 2)  # (r-2)-walks for r=3 are 1-power walks
-                ]
-                good = 0
-                for u in u_set:
-                    nb = g.adj[u]
-                    contained = [w for w in walks if set(w) <= nb]
-                    poor = [
-                        w
-                        for w in contained
-                        if sum(1 for t in u_set if set(w) <= g.adj[t]) < sigma * sigma * n
-                    ]
-                    if len(poor) <= sigma * n**p:
-                        good += 1
-                assert good >= len(u_set) - sigma * n

@@ -49,6 +49,11 @@ class TestLoadSave:
         with pytest.raises(GraphValidationError, match="dangling"):
             load_graph(json.dumps(doc))
 
+    def test_wrapped_negative_neighbour_rejected(self):
+        # adj[-1] is vertex 1's set, which holds 0: only a range check catches it
+        with pytest.raises(GraphValidationError, match=r"edge \(0,-1\) references a dangling"):
+            MultipartiteGraph(((0,), (1,)), (frozenset({1, -1}), frozenset({0})))
+
     def test_malformed_json(self):
         with pytest.raises(GraphFormatError):
             load_graph("{not json")

@@ -2,7 +2,10 @@
 pipeline, pinned to the values in `pinned_kernels.json`.  They were recorded
 with the plain kernels (successors searched again on every DP layer, the
 sampler scanning every vertex, absorber candidates scanned vertex by vertex);
-a faster kernel must reproduce them exactly."""
+a faster kernel must reproduce them exactly.  The constructive pipeline pin
+r=3 m=44 density 97/100 was re-recorded when absorption began to check
+coverage on the real leftover only: it now ends in a verified cycle, where the
+check over every balanced r-set stopped it with a coverage shortfall."""
 
 import json
 import random

@@ -1,4 +1,6 @@
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,12 +8,12 @@ import pytest
 import hampow.connect
 import hampow.pipeline
 import hampow.sequencing
-from conftest import complete
+from conftest import complete, reference_sample_reservoir
 from hampow.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_STAGE, EXIT_VALIDATION, main
 from hampow.errors import SearchExhaustedError
 from hampow.graphs import Config, balanced_sizes, gen_extremal, gen_random
 from hampow.paths import verify_ham_power_cycle
-from hampow.pipeline import constructive_ham_path_between, run_pipeline
+from hampow.pipeline import _sample_reservoir, constructive_ham_path_between, run_pipeline
 from hampow.oracle import SearchBudget
 
 
@@ -349,3 +351,30 @@ class TestCli:
         rows = out.read_text().strip().split("\n")[1:]
         assert len(rows) == 6
         assert all(",no," in row for row in rows)
+
+
+def _reservoir_outcome(sample, *args):
+    try:
+        return sample(*args)
+    except SearchExhaustedError as exc:
+        return str(exc)
+
+
+def test_reservoir_matches_the_fraction_bound_reference():
+    """One integer ceiling per call decides as the Fraction bound did per vertex:
+    the same samples, or the same exhaustion text, including nu that makes the
+    bound an integer."""
+    seen = Counter()
+    for trial in range(120):
+        rng = random.Random(trial)
+        r = rng.choice([2, 3])
+        m = rng.randint(5, 12)
+        g = gen_random(r, [m] * r, rng.choice([Fraction(7, 10), Fraction(9, 10), 1]), trial)
+        free = [sorted(rng.sample(p, rng.randint(3, m))) for p in g.parts]
+        u_size = rng.randint(1, min(map(len, free)))
+        nu = rng.choice([Fraction(0), Fraction(1, 2 * r), Fraction(1, 12), Fraction(1, 7)])
+        cfg = Config.default(r, seed=trial, nu=nu, retry_limit=rng.choice([1, 5]))
+        got = _reservoir_outcome(_sample_reservoir, g, free, u_size, cfg)
+        assert got == _reservoir_outcome(reference_sample_reservoir, g, free, u_size, cfg), trial
+        seen[isinstance(got, str)] += 1
+    assert seen[True] >= 20 and seen[False] >= 20, seen

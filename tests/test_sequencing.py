@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 from fractions import Fraction
 from math import comb
 
@@ -8,6 +9,7 @@ import pytest
 from conftest import (
     complete,
     reference_choose_affix,
+    reference_group_degree_slack,
     reference_grow_run,
     reference_grow_window_path,
 )
@@ -16,6 +18,7 @@ from hampow.graphs import Config, gen_random
 from hampow.paths import VertexSeq, decompose, is_path, is_properly_terminated, is_valid_pair
 from hampow.sequencing import (
     _choose_affix,
+    _group_degree_slack,
     _grow_run,
     _grow_window_path,
     build_template_matrix,
@@ -351,3 +354,20 @@ def test_window_kernels_pick_what_the_scans_picked(seed):
         want = reference_choose_affix(g, cells[:r], anchor, used | set(anchor), r, ref, prepend)
         assert got == want
         assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_a2_minimum_matches_the_per_vertex_fraction_loop(seed):
+    """Same least proportional degree and the same named vertex, on random
+    cell groups with ties and empty cells and on real sequencing plans."""
+    rng, r, k, g, cells, used = _kernel_case(seed)
+    cells = cells + [frozenset()]
+    groups = [rng.sample(cells, rng.randint(1, len(cells))) for _ in range(3)]
+    plan = SimpleNamespace(ell=len(groups), group_cells=groups.__getitem__)
+    assert _group_degree_slack(g, plan) == reference_group_degree_slack(g, plan)
+    host = gen_random(4, [13, 13, 12, 10], Fraction(9, 10), seed)
+    try:
+        res = run_sequencing(host, Config.default(3, seed=seed), relaxed=True)
+    except InfeasibleError:
+        return
+    assert _group_degree_slack(host, res.plan) == reference_group_degree_slack(host, res.plan)

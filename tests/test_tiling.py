@@ -1,9 +1,11 @@
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import complete
+from conftest import complete, reference_cliques, reference_cover_with_paths
 from hampow import tiling
 from hampow.errors import GraphValidationError, SearchExhaustedError, VerificationError
 from hampow.graphs import Config, MultipartiteGraph, degree_profile, gen_extremal, gen_random
@@ -17,6 +19,16 @@ from hampow.tiling import (
 
 
 class TestEnumerate:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_cliques_in_the_same_order_as_the_reference(self, seed):
+        rng = random.Random(seed)
+        r = rng.choice([2, 3, 4])
+        k = rng.randint(r, r + 2)
+        g = gen_random(k, [rng.randint(1, 6) for _ in range(k)],
+                       rng.choice([Fraction(1, 2), Fraction(4, 5), 1]), seed)
+        assert enumerate_cliques(g, r) == reference_cliques(g, r)
+        assert next(tiling.iter_cliques(g, r), None) == next(iter(reference_cliques(g, r)), None)
+
     def test_complete_222(self):
         g = complete(3, [2, 2, 2])
         cliques = enumerate_cliques(g, 3)
@@ -179,3 +191,31 @@ class TestCover:
         g = gen_random(2, [4, 4], 0, 0)  # empty graph: no cliques at all
         with pytest.raises(SearchExhaustedError, match="shortfall"):
             cover_with_paths(g, 2, Fraction(1, 8), Config.default(2, seed=0))
+
+
+def _cover_outcome(cover, g, r, alpha, cfg):
+    try:
+        return cover(g, r, alpha, cfg)
+    except SearchExhaustedError as exc:
+        return str(exc)
+
+
+def test_cover_matches_the_rescanning_reference():
+    """Same PathCover, or the same shortfall text, as the greedy that rescans
+    every clique at every step, over first attempts, reshuffled retries and
+    exhausted budgets."""
+    seen = Counter()
+    for trial in range(80):
+        rng = random.Random(trial)
+        r = (2, 3)[trial % 2]
+        m = rng.randint(3, 8)
+        g = gen_random(r, [m] * r, rng.choice([Fraction(1, 2), Fraction(3, 5), Fraction(4, 5), 1]),
+                       trial)
+        alpha = Fraction(rng.randint(0, 2), m)
+        cfg = Config.default(r, seed=trial, retry_limit=rng.choice([1, 4, 20]))
+        got = _cover_outcome(cover_with_paths, g, r, alpha, cfg)
+        assert got == _cover_outcome(reference_cover_with_paths, g, r, alpha, cfg), trial
+        first = _cover_outcome(reference_cover_with_paths, g, r, alpha,
+                               Config.default(r, seed=trial, retry_limit=1))
+        seen["exhausted" if isinstance(got, str) else "first" if got == first else "retried"] += 1
+    assert min(seen["first"], seen["retried"], seen["exhausted"]) >= 5, seen
