@@ -205,6 +205,8 @@ def cmd_connect(args) -> int:
     ell = args.ell if args.ell is not None else connect.default_connector_length(r)
     p1 = VertexSeq(args.p1, r)
     p2 = VertexSeq(args.p2, r)
+    if r > g.k:
+        raise GraphValidationError(f"connectors need r={r} parts but the host has k={g.k}")
     terminal = set(p1.vertices) | set(p2.vertices)
     u_sets = [[v for v in g.parts[i] if v not in terminal] for i in range(r)]
     total, table = connect.count_connecting_walks(g, u_sets, p1, p2, ell)

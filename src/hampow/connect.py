@@ -2,10 +2,12 @@
 
 The count is exact dynamic programming over the last r-1 chosen vertices; no
 lower-bound constants are involved.  Each state's successors are found once per
-count and reused on every layer.  Sampling back-traces the DP table with
-probability proportional to the counts, so every connecting walk is equally
-likely: each step walks back through the predecessors of the current state that
-the table's layers hold, tried in ascending order of the vertex they drop.
+count and reused on every layer.  The last layer keeps the states that splice
+before the right-hand walk under `paths.splice_ok`, the one seam check the
+package uses.  Sampling back-traces the DP table with probability proportional
+to the counts, so every connecting walk is equally likely: each step walks back
+through the predecessors of the current state that the table's layers hold,
+tried in ascending order of the vertex they drop.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterable, Sequence
 
 from .errors import GraphValidationError, SearchExhaustedError, VerificationError
 from .graphs import Config, MultipartiteGraph
-from .paths import VertexSeq, final_respects, initial_respects, is_walk
+from .paths import VertexSeq, final_respects, initial_respects, is_walk, splice_ok
 
 # Default connecting length from the construction: r * (2r - 2).
 def default_connector_length(r: int) -> int:
@@ -137,23 +139,10 @@ def count_connecting_walks(
     head = p2.vertices[:window]
     final: dict[State, int] = {}
     for state, cnt in layers[-1].items():
-        if _accepts(graph, state, head):
+        if splice_ok(graph, state, head, r):
             final[state] = cnt
     table = WalkDPTable(ell=ell, layers=tuple(layers), final=final)
     return table.total, table
-
-
-def _accepts(graph: MultipartiteGraph, state: State, head: Sequence[int]) -> bool:
-    """Cross-seam windows between the last r-1 chosen vertices and the right head."""
-    w = len(state)
-    for b, v in enumerate(head, start=1):
-        nb = graph.adj[v]
-        for j in range(1, w + 1):
-            # state[j-1] sits b + (w - j) + ... positions before v; adjacency is
-            # required when that distance is at most r-1 = w.
-            if (w - j) + b <= w and state[j - 1] not in nb:
-                return False
-    return True
 
 
 def find_connector(

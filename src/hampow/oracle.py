@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GraphValidationError, VerificationError
 from .graphs import MultipartiteGraph
-from .paths import VertexSeq, is_path, is_walk, splice_ok, verify_ham_power_cycle
+from .paths import VertexSeq, is_path, is_walk, require_power, splice_ok, verify_ham_power_cycle
 
 YES = "yes"
 NO = "no"
@@ -151,6 +151,7 @@ def ham_power_cycle_exists(
 ) -> OracleResult:
     """Exhaustive search for a spanning power-cycle; `yes` carries a witness
     that re-verifies, `no` is exhaustive, budget exhaustion is inconclusive."""
+    require_power(r)
     if graph.n == 0:
         return OracleResult(YES, VertexSeq((), r), 0)
     if not independence_necessity(graph, r).passed:
@@ -173,6 +174,7 @@ def ham_power_path_between(
 
     The anchors must be transversal r-cliques, equal or disjoint.
     """
+    require_power(r)
     ka, kb = _ordered_clique(graph, r, clique_a), _ordered_clique(graph, r, clique_b)
     if set(ka) != set(kb) and set(ka) & set(kb):
         raise GraphValidationError("anchor cliques must be equal or disjoint")

@@ -18,6 +18,12 @@ from .graphs import MultipartiteGraph
 TypeVector = tuple[int, ...]
 
 
+def require_power(r: int) -> None:
+    """Raise GraphValidationError unless r is a power the windows are defined for."""
+    if r < 2:
+        raise GraphValidationError("power parameter r must be at least 2")
+
+
 @dataclass(frozen=True)
 class VertexSeq:
     """An ordered vertex sequence together with the power parameter it is judged by."""
@@ -26,8 +32,7 @@ class VertexSeq:
     r: int
 
     def __post_init__(self):
-        if self.r < 2:
-            raise GraphValidationError("power parameter r must be at least 2")
+        require_power(self.r)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -185,6 +190,7 @@ def verify_ham_power_cycle_report(
     graph: MultipartiteGraph, seq: VertexSeq | Sequence[int], r: int
 ) -> tuple[bool, str, int | None]:
     """Spanning check plus cyclic clique windows; returns (ok, reason, index)."""
+    require_power(r)
     vs = tuple(seq.vertices if isinstance(seq, VertexSeq) else seq)
     n = graph.n
     if len(vs) != n or set(vs) != set(range(n)):

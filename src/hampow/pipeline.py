@@ -30,6 +30,7 @@ from .graphs import Config, MultipartiteGraph, induced_subgraph, reduce_parts
 from .oracle import (
     BUDGET_EXCEEDED,
     YES,
+    OracleResult,
     SearchBudget,
     ham_power_cycle_exists,
     ham_power_path_between,
@@ -52,6 +53,17 @@ class PipelineReport:
 
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.stages.append(Stage(name, ok, detail))
+
+    def add_oracle(self, name: str, res: OracleResult, found: str) -> VertexSeq | None:
+        """Record an oracle result as stage `name`: `found` and the witness on
+        yes; otherwise a failure, flagging an exhausted budget."""
+        if res.answer == YES:
+            self.add(name, True, found)
+            return res.witness
+        if res.answer == BUDGET_EXCEEDED:
+            self.budget_exceeded = True
+        self.add(name, False, f"oracle answer: {res.answer}")
+        return None
 
     def to_json_dict(self) -> dict:
         return {
@@ -233,13 +245,7 @@ def _per_group_path(
                 return None
             report.add(f"{label}:constructive", False, str(exc))
     res = ham_power_path_between(group, cfg.r, clique_a, clique_b, budget)
-    if res.answer == YES:
-        report.add(label, True, f"oracle ({res.nodes} nodes)")
-        return res.witness
-    if res.answer == BUDGET_EXCEEDED:
-        report.budget_exceeded = True
-    report.add(label, False, f"oracle answer: {res.answer}")
-    return None
+    return report.add_oracle(label, res, f"oracle ({res.nodes} nodes)")
 
 
 def run_pipeline(
@@ -319,13 +325,7 @@ def _balanced_case(
                 if mode == "constructive":
                     return None
     res = ham_power_cycle_exists(original, r, budget)
-    if res.answer == YES:
-        report.add("group_path", True, f"oracle ({res.nodes} nodes)")
-        return res.witness
-    if res.answer == BUDGET_EXCEEDED:
-        report.budget_exceeded = True
-    report.add("group_path", False, f"oracle answer: {res.answer}")
-    return None
+    return report.add_oracle("group_path", res, f"oracle ({res.nodes} nodes)")
 
 
 def _sequenced_case(
@@ -405,10 +405,4 @@ def _whole_graph_fallback(
     report: PipelineReport,
 ) -> VertexSeq | None:
     res = ham_power_cycle_exists(graph, cfg.r, budget)
-    if res.answer == YES:
-        report.add("whole_graph_oracle", True, f"{res.nodes} nodes")
-        return res.witness
-    if res.answer == BUDGET_EXCEEDED:
-        report.budget_exceeded = True
-    report.add("whole_graph_oracle", False, f"oracle answer: {res.answer}")
-    return None
+    return report.add_oracle("whole_graph_oracle", res, f"{res.nodes} nodes")

@@ -524,12 +524,12 @@ def build_connectors_and_p0(
 
         cells_last = [refined_parts[(i, ell - 1)] for i in group_sequences[ell - 1]]
         cells_first = [refined_parts[(i, 0)] for i in group_sequences[0]]
-        prefix = _choose_affix(graph, cells_last, p0_prime.vertices, used, r, rng, prepend=True)
+        prefix = _grow_window_path(graph, cells_last, used, r, rng, after=p0_prime.vertices)
         if prefix is None:
             continue
         used.update(prefix)
-        suffix = _choose_affix(graph, cells_first, tuple(prefix) + p0_prime.vertices,
-                               used, r, rng, prepend=False)
+        suffix = _grow_window_path(graph, cells_first, used, r, rng,
+                                   before=tuple(prefix) + p0_prime.vertices)
         if suffix is None:
             continue
         p0 = VertexSeq(tuple(prefix) + p0_prime.vertices + tuple(suffix), r)
@@ -554,10 +554,14 @@ def _grow_window_path(
     used: set[int],
     r: int,
     rng: random.Random,
+    before: Sequence[int] = (),
+    after: Sequence[int] = (),
     tries: int = 16,
 ) -> list[int] | None:
-    """One vertex per cell, in order, every new vertex adjacent to the previous
-    min(r-1, len) picks.
+    """One vertex per cell, in order, such that `before`, the picks and `after`
+    read as one power-path: each pick is adjacent to the last r-1 vertices of
+    `before` plus the earlier picks, and to the vertices of `after` that lie
+    within distance r-1 of it.
 
     Each pick's candidates are found by set intersection: the cell off `used`,
     narrowed to each window vertex's neighbourhood.  They are listed in the
@@ -565,51 +569,22 @@ def _grow_window_path(
     vertex-by-vertex scan of the cell would.
     """
     adj = graph.adj
+    m = len(cell_sequence)
+    lead = list(before[-(r - 1):])
     for _ in range(tries):
-        out: list[int] = []
-        for cell in cell_sequence:
+        out = lead[:]
+        for p, cell in enumerate(cell_sequence):
             fit = cell - used
-            for u in out[-(r - 1):]:
+            # pick p sits m - p positions before after[0]; the end is clamped
+            # because a negative slice end would select vertices
+            for u in chain(out[-(r - 1):], after[:max(0, r - m + p)]):
                 fit &= adj[u]
             fit = fit.difference(out)
             if not fit:
                 break
             out.append(rng.choice([v for v in cell if v in fit]))
         else:
-            return out
-    return None
-
-
-def _choose_affix(
-    graph: MultipartiteGraph,
-    cells: Sequence[frozenset[int]],
-    anchor: Sequence[int],
-    used: set[int],
-    r: int,
-    rng: random.Random,
-    prepend: bool,
-    tries: int = 16,
-) -> list[int] | None:
-    """r vertices, one per cell in order, spliced before (or after) the anchor
-    path.  Candidates are found and listed as in `_grow_window_path`."""
-    adj = graph.adj
-    for _ in range(tries):
-        out: list[int] = []
-        for h, cell in enumerate(cells, start=1):
-            if prepend:
-                # out[h-1] must be adjacent to the first h-2+1 anchor vertices
-                need = anchor[: h - 1]
-            else:
-                need = anchor[-(r - h):] if h < r else ()
-            fit = cell - used
-            for u in chain(out[-(r - 1):], need):
-                fit &= adj[u]
-            fit = fit.difference(out)
-            if not fit:
-                break
-            out.append(rng.choice([v for v in cell if v in fit]))
-        else:
-            return out
+            return out[len(lead):]
     return None
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphValidationError, SearchExhaustedError, VerificationError
 from .graphs import Config, MultipartiteGraph
-from .paths import VertexSeq, is_path, is_properly_terminated
+from .paths import VertexSeq, is_path, is_properly_terminated, splice_ok
 
 
 def enumerate_cliques(graph: MultipartiteGraph, r: int) -> list[tuple[int, ...]]:
@@ -247,7 +247,7 @@ def cover_with_paths(
                     continue
                 order[live] = K
                 live += 1
-                if not tail or _splices(graph, tail, K, r):
+                if splice_ok(graph, tail, K, r):
                     order[live:] = order[idx + 1:]
                     return K
             del order[live:]
@@ -277,16 +277,6 @@ def cover_with_paths(
     raise SearchExhaustedError(
         f"cover shortfall after {cfg.retry_limit} attempts: best leftover {best} > {target}"
     )
-
-
-def _splices(graph: MultipartiteGraph, tail: Sequence[int], clique: Sequence[int], r: int) -> bool:
-    """Appending a part-ordered clique after a part-ordered tail keeps all windows."""
-    for b, w in enumerate(clique, start=1):
-        nb = graph.adj[w]
-        for a in range(b + 1, r + 1):
-            if a <= len(tail) and tail[a - 1] not in nb:
-                return False
-    return True
 
 
 def _balanced(graph: MultipartiteGraph, vertices: Iterable[int]) -> bool:

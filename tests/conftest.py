@@ -6,11 +6,13 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
+from typing import Sequence
 
+from hampow.connect import State
 from hampow.errors import GraphFormatError, GraphValidationError, SearchExhaustedError
 from hampow.graphs import MultipartiteGraph, gen_random
 from hampow.paths import VertexSeq
-from hampow.tiling import PathCover, _balanced, _splices
+from hampow.tiling import PathCover, _balanced
 
 
 def complete(k: int, sizes) -> MultipartiteGraph:
@@ -28,6 +30,17 @@ def naive_is_walk(graph: MultipartiteGraph, seq, r: int) -> bool:
             if a == b or b not in graph.adj[a]:
                 return False
     return True
+
+
+def naive_seam_ok(graph, left, right, r):
+    """Every pair across the seam of left + right at distance <= r-1 is an edge."""
+    seq = list(left) + list(right)
+    cut = len(left)
+    return all(
+        seq[i] != seq[j] and seq[j] in graph.adj[seq[i]]
+        for i in range(cut)
+        for j in range(cut, min(len(seq), i + r))
+    )
 
 
 def naive_is_cycle(graph: MultipartiteGraph, order, r: int) -> bool:
@@ -336,6 +349,35 @@ def reference_cliques(graph, r):
                 chosen.pop()
 
     return list(rec(0, [], None))
+
+
+# The seam checks of the clique cover and of the connector DP's last layer, as
+# they were before both called `paths.splice_ok`.  `_splices` reads `tail` from
+# the front, so it holds only for the tails the cover gives it: empty or one
+# clique long.  `_accepts` holds for states of exactly r-1 vertices.
+
+
+def _splices(graph: MultipartiteGraph, tail: Sequence[int], clique: Sequence[int], r: int) -> bool:
+    """Appending a part-ordered clique after a part-ordered tail keeps all windows."""
+    for b, w in enumerate(clique, start=1):
+        nb = graph.adj[w]
+        for a in range(b + 1, r + 1):
+            if a <= len(tail) and tail[a - 1] not in nb:
+                return False
+    return True
+
+
+def _accepts(graph: MultipartiteGraph, state: State, head: Sequence[int]) -> bool:
+    """Cross-seam windows between the last r-1 chosen vertices and the right head."""
+    w = len(state)
+    for b, v in enumerate(head, start=1):
+        nb = graph.adj[v]
+        for j in range(1, w + 1):
+            # state[j-1] sits b + (w - j) + ... positions before v; adjacency is
+            # required when that distance is at most r-1 = w.
+            if (w - j) + b <= w and state[j - 1] not in nb:
+                return False
+    return True
 
 
 def reference_cover_with_paths(graph, r, alpha, cfg):

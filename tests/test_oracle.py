@@ -18,7 +18,7 @@ from hampow.oracle import (
     ham_power_path_between,
     independence_necessity,
 )
-from hampow.paths import VertexSeq, verify_ham_power_cycle
+from hampow.paths import VertexSeq, verify_ham_power_cycle, verify_ham_power_cycle_report
 
 
 class TestIndependence:
@@ -233,3 +233,17 @@ class TestLargeHost:
 def test_budget_validation():
     with pytest.raises(GraphValidationError):
         SearchBudget(node_limit=0)
+
+
+@pytest.mark.parametrize("r", [1, 0, -1])
+def test_power_below_two_is_rejected(r):
+    """With r < 2 there is no window to check: the oracles used to answer a
+    false `no` (r = 1) or divide by zero (r = 0), and the verifier accepted any
+    ordering."""
+    g = complete(3, [4, 4, 4])
+    with pytest.raises(GraphValidationError, match="at least 2"):
+        ham_power_cycle_exists(g, r)
+    with pytest.raises(GraphValidationError, match="at least 2"):
+        ham_power_path_between(g, r, (0,), (4,))
+    with pytest.raises(GraphValidationError, match="at least 2"):
+        verify_ham_power_cycle_report(g, tuple(range(12)), r)

@@ -1,12 +1,13 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete, naive_is_walk
+from conftest import _accepts, _splices, complete, naive_is_walk, naive_seam_ok
 from hampow.errors import GraphValidationError, ImproperOrderError
 from hampow.graphs import gen_random
 from hampow.paths import (
@@ -213,3 +214,45 @@ def test_seq_type_counts_parts():
     g = complete(3, [2, 2, 2])
     assert seq_type(g, (0, 2)) == (1, 1, 0)
     assert seq_type(g, ()) == (0, 0, 0)
+
+
+def _seam_case(g, k, r, rng, n_left, n_right):
+    """Two sequences whose concatenation meets the parts in a cyclic order of
+    all k, so any r in a row lie in distinct parts; sometimes right repeats
+    the last vertex of left."""
+    order = rng.sample(range(k), k)
+    seq = [rng.choice(g.parts[order[t % k]]) for t in range(n_left + n_right)]
+    left, right = seq[:n_left], seq[n_left:]
+    if left and right and rng.random() < 0.1:
+        right[0] = left[-1]
+    return left, right
+
+
+def test_splice_ok_matches_the_seam_checks_it_replaced():
+    """splice_ok against the cover's `_splices` on the tails it was given (empty
+    or one clique long), the connector DP's `_accepts` on states of r-1
+    vertices and heads of every length up to r-1, and the pairwise definition
+    on every length, empty and short tails included."""
+    seen = Counter()
+    for seed in range(90):
+        rng = random.Random(seed)
+        r = (2, 3, 4)[seed % 3]
+        k = rng.randint(r, 2 * r - 1)
+        g = gen_random(k, [rng.randint(3, 6) for _ in range(k)],
+                       rng.choice([Fraction(4, 5), Fraction(9, 10)]), seed)
+        for _ in range(20):
+            tail, clique = _seam_case(g, k, r, rng, rng.choice([0, r]), r)
+            got = splice_ok(g, tail, clique, r)
+            assert got == (not tail or _splices(g, tail, clique, r))
+            seen["splices", got] += 1
+
+            state, head = _seam_case(g, k, r, rng, r - 1, rng.randint(0, r - 1))
+            got = splice_ok(g, state, head, r)
+            assert got == _accepts(g, state, head)
+            seen["accepts", got] += 1
+
+            left, right = _seam_case(g, k, r, rng, rng.randint(0, 2 * r), rng.randint(0, 2 * r))
+            got = splice_ok(g, left, right, r)
+            assert got == naive_seam_ok(g, left, right, r)
+            seen["naive", got, len(left) < r] += 1
+    assert len(seen) == 8 and min(seen.values()) >= 100, seen

@@ -259,6 +259,22 @@ class TestCli:
         assert rc in (EXIT_PARSE, EXIT_VALIDATION)
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--graph", "{g}", "--r", "1"],
+            ["search", "--graph", "{g}", "--r", "0"],
+            ["scan", "--r", "1", "--k", "3", "--n", "12", "--delta", "1"],
+            ["connect", "--graph", "{g}", "--r", "5", "--p1", "[0,4,8]", "--p2", "[1,5,9]"],
+        ],
+    )
+    def test_out_of_range_r_is_a_validation_error(self, tmp_path, capsys, argv):
+        """r < 2 has no windows to search; connectors need r parts of the host."""
+        gpath = self._gen(tmp_path, ["--k", "3", "--sizes", "4,4,4", "--delta", "1"])
+        rc = main([str(gpath) if a == "{g}" else a for a in argv])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().out == ""
+
     def test_budget_exit_code(self, tmp_path):
         gpath = self._gen(tmp_path, ["--k", "3", "--sizes", "4,4,4", "--delta", "1"])
         rc = main(["search", "--graph", str(gpath), "--r", "3", "--budget", "1"])

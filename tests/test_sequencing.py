@@ -14,10 +14,9 @@ from conftest import (
     reference_grow_window_path,
 )
 from hampow.errors import GraphValidationError, InfeasibleError
-from hampow.graphs import Config, gen_random
+from hampow.graphs import Config, MultipartiteGraph, gen_random
 from hampow.paths import VertexSeq, decompose, is_path, is_properly_terminated, is_valid_pair
 from hampow.sequencing import (
-    _choose_affix,
     _group_degree_slack,
     _grow_run,
     _grow_window_path,
@@ -350,10 +349,24 @@ def test_window_kernels_pick_what_the_scans_picked(seed):
 
     anchor = tuple(rng.choice(g.parts[i]) for i in rng.sample(range(k), r))
     for prepend in (True, False):
-        got = _choose_affix(g, cells[:r], anchor, used | set(anchor), r, ours, prepend)
+        context = {"after": anchor} if prepend else {"before": anchor}
+        got = _grow_window_path(g, cells[:r], used | set(anchor), r, ours, **context)
         want = reference_choose_affix(g, cells[:r], anchor, used | set(anchor), r, ref, prepend)
         assert got == want
         assert ours.getstate() == ref.getstate()
+
+
+def test_window_path_needs_only_the_after_vertices_within_reach():
+    """With more cells than r, the first picks lie too far before `after` to
+    need any of its vertices."""
+    # K_{3,3} minus the edge {0, 4}: 0 may not sit within r-1 = 1 of 4
+    g = MultipartiteGraph.from_edges(
+        [[0, 1, 2], [3, 4, 5]], [(u, v) for u in (0, 1, 2) for v in (3, 4, 5) if (u, v) != (0, 4)]
+    )
+    cells = [frozenset({0}), frozenset({3}), frozenset({1})]
+    path = _grow_window_path(g, cells, set(), 2, random.Random(0), after=(4, 2))
+    assert path == [0, 3, 1]
+    assert is_path(g, VertexSeq((0, 3, 1, 4, 2), 2))
 
 
 @pytest.mark.parametrize("seed", range(30))
