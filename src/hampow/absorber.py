@@ -346,15 +346,16 @@ def assemble_absorbing_path(
     graph: MultipartiteGraph,
     reservoir_exclusions: Iterable[int],
     cfg: Config,
+    gadgets: int,
     budget: int = 64,
-    max_size: int | None = None,
 ) -> AbsorbingPath:
     """Sample disjoint gadget embeddings and connect them into one absorbing path.
 
-    The size cap defaults to max(beta*n, one gadget), mirroring the multiplicity
-    floor: below that nothing fits.  Each kept gadget records, per part, the
-    vertices off the path it could absorb; whether the leftover can actually be
-    absorbed is decided by `absorb` once that leftover exists.
+    Sampling stops once `gadgets` embeddings are kept or `budget` targets are
+    spent; a path with fewer gadgets absorbs fewer r-sets.  Each kept gadget
+    records, per part, the vertices off the path it could absorb; whether the
+    leftover can actually be absorbed is decided by `absorb` once that leftover
+    exists.
     """
     r, n = cfg.r, graph.n
     if graph.k != r:
@@ -362,19 +363,14 @@ def assemble_absorbing_path(
     if degree_profile(graph).delta_p < 1 - Fraction(1, r) + cfg.gamma:
         raise InfeasibleError("proportional minimum degree below 1 - 1/r + gamma")
 
-    gad_len = 3 * r * r - r
     conn_len = default_connector_length(r)
-    if max_size is None:
-        max_size = ceil(cfg.beta * n)
-    max_size = max(max_size, gad_len)
     excluded = frozenset(reservoir_exclusions)
 
     rng = cfg.rng("assemble")
     used: set[int] = set()
     kept: list[AbsorberInstance] = []
     for _ in range(budget):
-        size_next = (len(kept) + 1) * gad_len + len(kept) * conn_len
-        if size_next > max_size:
+        if len(kept) == gadgets:
             break
         free = [
             [v for v in part if v not in used and v not in excluded]

@@ -67,9 +67,14 @@ def _read_graph(args) -> MultipartiteGraph:
         return load_graph(fh)
 
 
+# Config constants a command may override; each subcommand defines only those
+# its computation reads.
+_CONSTANTS = ("gamma", "sigma", "beta", "nu")
+
+
 def _config(args) -> Config:
     overrides = {}
-    for name in ("gamma", "sigma", "beta", "nu", "alpha"):
+    for name in _CONSTANTS:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -84,16 +89,17 @@ def _seq_arg(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in data)
 
 
-def _add_common(p: argparse.ArgumentParser, graph: bool = True) -> None:
-    if graph:
-        p.add_argument("--graph", required=True, help="graph JSON file")
+def _add_common(
+    p: argparse.ArgumentParser, seed: bool = True, constants: tuple[str, ...] = ()
+) -> None:
+    """--graph, --r and --out, plus --seed and the Config constants for the
+    commands whose computation reads them."""
+    p.add_argument("--graph", required=True, help="graph JSON file")
     p.add_argument("--r", type=int, required=True, help="power parameter")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gamma", type=_fraction, default=None, help="rational p/q")
-    p.add_argument("--sigma", type=_fraction, default=None, help="rational p/q")
-    p.add_argument("--beta", type=_fraction, default=None, help="rational p/q")
-    p.add_argument("--nu", type=_fraction, default=None, help="rational p/q")
-    p.add_argument("--alpha", type=_fraction, default=None, help="rational p/q")
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    for name in constants:
+        p.add_argument(f"--{name}", type=_fraction, default=None, help="rational p/q")
     p.add_argument("--out", default=None, help="write output to this file")
 
 
@@ -112,16 +118,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="check a spanning power-cycle")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--cycle", required=True, help="JSON int array or comma list")
 
     p = sub.add_parser("sequence", help="run the partition-and-sequence pipeline")
-    _add_common(p)
+    _add_common(p, constants=("gamma", "sigma", "beta"))
     p.add_argument("--relaxed", action="store_true")
 
     p = sub.add_parser("absorber", help="print the gadget routings")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--print", action="store_true", dest="do_print")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("connect", help="count and sample connecting walks")
@@ -137,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also cover by terminated paths, leftover at most ALPHA*n")
 
     p = sub.add_parser("search", help="exact spanning power-cycle search")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--budget", type=int, default=2_000_000)
 
     p = sub.add_parser("scan", help="threshold scan over random instances")
@@ -152,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("pipeline", help="end-to-end cycle construction")
-    _add_common(p)
+    _add_common(p, constants=_CONSTANTS)
     p.add_argument("--mode", choices=["constructive", "oracle", "auto"], default="auto")
     p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("--relaxed", action="store_true")
@@ -306,6 +311,8 @@ def cmd_scan(args) -> int:
     Cells are independent, so they fan out over worker processes with --jobs;
     rows are always emitted in cell order, byte-identical for a given seed.
     """
+    if args.k < 1:
+        raise GraphValidationError(f"a host needs at least one part, got k={args.k}")
     tasks = []
     counter = 0
     for n in args.n:

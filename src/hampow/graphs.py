@@ -320,7 +320,6 @@ class Config:
     sigma: Fraction
     beta: Fraction
     nu: Fraction
-    alpha: Fraction
     seed: int = 0
     retry_limit: int = 200
 
@@ -342,7 +341,6 @@ class Config:
             sigma=sigma,
             beta=sigma / 8,
             nu=sigma,
-            alpha=sigma,
             seed=seed,
         )
         base.update(overrides)

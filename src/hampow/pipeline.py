@@ -3,8 +3,9 @@ per-group spanning paths (constructive machinery with exact-oracle fallback),
 splicing, and independent verification.
 
 The constructive per-group builder follows the balanced-case argument: absorbing
-path, reservoir sets, path cover, connectors inside the reservoir, then
-absorption of what remains.  Its constants do not scale down to tiny instances;
+path, reservoir sets, a perfect path cover of the rest, connectors inside the
+reservoir, then absorption of the reservoir vertices the connectors left over,
+one r-set per gadget.  Its constants do not scale down to tiny instances;
 when the exact vertex accounting does not fit it reports scale-infeasibility and
 the caller may fall back to the exhaustive oracle.
 """
@@ -82,8 +83,10 @@ def constructive_ham_path_between(
 ) -> VertexSeq:
     """Spanning power-path of graph minus the anchors, built constructively.
 
-    Raises ScaleInfeasibleError when the exact accounting (anchors + absorbing
-    path + reservoir + at least the absorbable slack) cannot fit in the parts.
+    The absorbing path's gadgets absorb one r-set each, and the reservoir holds
+    exactly that many spare r-sets beyond what its connectors use, so the cover
+    of the rest must be perfect.  Raises ScaleInfeasibleError when the exact
+    accounting (anchors + absorbing path + reservoir) cannot fit in the parts.
     """
     r = cfg.r
     if graph.k != r:
@@ -103,14 +106,13 @@ def constructive_ham_path_between(
     # One gadget suffices for r=2; longer connectors need more reservoir slack
     # at the seams, and the slack must be absorbable (r vertices per gadget).
     g_target = 1 if r == 2 else 2 * r - 3
-    slack = g_target
 
     minimum = (
         anchors_per_part
         + g_target * gadget_per_part
         + (g_target - 1) * per_part_conn
         + 2 * per_part_conn
-        + slack
+        + g_target
     )
     if m_part < minimum:
         raise ScaleInfeasibleError(
@@ -118,24 +120,15 @@ def constructive_ham_path_between(
             f"the absorbing machinery (needs at least {minimum} per part)"
         )
 
-    gad_len = 3 * r * r - r
-    p_abs = assemble_absorbing_path(
-        graph, anchors, cfg,
-        max_size=g_target * gad_len + (g_target - 1) * conn_len,
-    )
-    gadget_count = len(p_abs.gadgets)
+    p_abs = assemble_absorbing_path(graph, anchors, cfg, g_target)
     on_abs = set(p_abs.path.vertices)
-    capacity = p_abs.capacity
-    slack = min(slack, gadget_count)
-    if capacity < r * slack or slack < 1:
-        raise ScaleInfeasibleError("absorbing path too small for the reservoir slack")
+    slack = len(p_abs.gadgets)
 
     free0 = [
         [v for v in part if v not in anchors and v not in on_abs]
         for part in graph.parts
     ]
 
-    cover = None
     u_sets: list[list[int]] = []
     m_paths = 0
     for _ in range(6):
@@ -150,10 +143,10 @@ def constructive_ham_path_between(
             [v for v in f if v not in set(u)] for f, u in zip(free0, u_sets)
         ]
         sub, old_ids = induced_subgraph(graph, rest)
-        alpha = Fraction(capacity - r * slack, sub.n) if sub.n else Fraction(0)
-        cover = cover_with_paths(sub, r, alpha, cfg)
+        # every gadget absorbs a spare reservoir r-set, so none is left to
+        # absorb a cover leftover: the cover must be perfect
+        cover = cover_with_paths(sub, r, Fraction(0), cfg)
         paths = [VertexSeq(tuple(old_ids[v] for v in p.vertices), r) for p in cover.paths]
-        leftover = {old_ids[v] for v in cover.leftover}
         if len(paths) == m_paths:
             break
         m_paths = len(paths)
@@ -174,8 +167,7 @@ def constructive_ham_path_between(
         left = left.concat(conn).concat(seg)
 
     spare = {v for u in u_sets for v in u if v not in used}
-    z = spare | leftover
-    absorbed = absorb(graph, p_abs, sorted(z))
+    absorbed = absorb(graph, p_abs, sorted(spare))
 
     out: list[int] = list(connectors[0].vertices) + list(absorbed.vertices)
     for seg, conn in zip(paths + [None], connectors[1:]):

@@ -439,22 +439,32 @@ def refine_partition(
     return cells, group_patterns(matrix)
 
 
+def _least_degree_into(
+    adj: Sequence[frozenset[int]], vertices: Iterable[int], cell: frozenset[int]
+) -> tuple[int, int]:
+    """The least int count len(adj[v] & cell) over the nonempty `vertices`,
+    and the first v reaching it."""
+    return min(((len(adj[v] & cell), v) for v in vertices), key=itemgetter(0))
+
+
 def _worst_cell_violation(
     graph: MultipartiteGraph,
     row: Mapping[tuple[int, int], frozenset[int]],
     threshold: Fraction,
 ) -> tuple[Fraction, int, tuple[int, int]] | None:
+    """The least proportional degree below `threshold` of a vertex outside a
+    cell's part into that cell, with the first vertex and the cell reaching
+    it, or None; a later cell replaces the minimum only when strictly smaller.
+    """
     worst: tuple[Fraction, int, tuple[int, int]] | None = None
     for (i, j), cell in row.items():
         if not cell:
             continue
-        size = len(cell)
-        for v in range(graph.n):
-            if graph.part_of(v) == i:
-                continue
-            frac = Fraction(len(graph.adj[v] & cell), size)
-            if frac < threshold and (worst is None or frac < worst[0]):
-                worst = (frac, v, (i, j))
+        outside = (v for v in range(graph.n) if graph.part_of(v) != i)
+        low, v = _least_degree_into(graph.adj, outside, cell)
+        frac = Fraction(low, len(cell))
+        if frac < threshold and (worst is None or frac < worst[0]):
+            worst = (frac, v, (i, j))
     return worst
 
 
@@ -648,7 +658,7 @@ def _group_degree_slack(
             for h2, cell2 in enumerate(cells):
                 if h == h2 or not cell2 or not cell:
                     continue
-                low, worst = min(((len(adj[v] & cell2), v) for v in cell), key=itemgetter(0))
+                low, worst = _least_degree_into(adj, cell, cell2)
                 d = Fraction(low, len(cell2))
                 if slack is None or d < slack:
                     slack = d

@@ -302,6 +302,22 @@ def reference_group_degree_slack(graph, plan):
     return slack, a2_detail
 
 
+def reference_worst_cell_violation(graph, row, threshold):
+    """The refinement degree check, one Fraction per (vertex, cell) pair."""
+    worst = None
+    for (i, j), cell in row.items():
+        if not cell:
+            continue
+        size = len(cell)
+        for v in range(graph.n):
+            if graph.part_of(v) == i:
+                continue
+            frac = Fraction(len(graph.adj[v] & cell), size)
+            if frac < threshold and (worst is None or frac < worst[0]):
+                worst = (frac, v, (i, j))
+    return worst
+
+
 def reference_sample_reservoir(graph, free, u_size, cfg):
     """Reservoir sampling with a Fraction bound compared per vertex and part."""
     r = cfg.r

@@ -146,7 +146,7 @@ class TestAssembleAbsorb:
     def test_round_trip_on_complete_host(self):
         g = complete(3, [11, 11, 11])
         cfg = Config.default(3, seed=7)
-        pa = assemble_absorbing_path(g, (), cfg)
+        pa = assemble_absorbing_path(g, (), cfg, 1)
         path = pa.path
         assert is_path(g, path) and is_properly_terminated(g, path)
         assert len(path) == (3 * 9 - 3) * len(pa.gadgets) + 3 * 4 * (len(pa.gadgets) - 1)
@@ -162,13 +162,13 @@ class TestAssembleAbsorb:
     def test_absorb_empty_set_is_identity(self):
         g = complete(3, [9, 9, 9])
         cfg = Config.default(3, seed=2)
-        pa = assemble_absorbing_path(g, (), cfg)
+        pa = assemble_absorbing_path(g, (), cfg, 1)
         assert absorb(g, pa, ()) == pa.path
 
     def test_single_rset_extends_by_r(self):
         g = complete(3, [9, 9, 9])
         cfg = Config.default(3, seed=2)
-        pa = assemble_absorbing_path(g, (), cfg)
+        pa = assemble_absorbing_path(g, (), cfg, 1)
         outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
         z = [next(v for v in outside if g.part_of(v) == i) for i in range(3)]
         merged = absorb(g, pa, z)
@@ -176,8 +176,8 @@ class TestAssembleAbsorb:
 
     def test_determinism(self):
         g = complete(3, [10, 10, 10])
-        a = assemble_absorbing_path(g, (), Config.default(3, seed=5))
-        b = assemble_absorbing_path(g, (), Config.default(3, seed=5))
+        a = assemble_absorbing_path(g, (), Config.default(3, seed=5), 1)
+        b = assemble_absorbing_path(g, (), Config.default(3, seed=5), 1)
         assert a.path == b.path
         z = sorted({0, 10, 20} - set(a.path.vertices)) or None
         if z and len(z) == 3:
@@ -186,13 +186,13 @@ class TestAssembleAbsorb:
     def test_budget_zero_is_coverage_shortfall(self):
         g = complete(3, [9, 9, 9])
         with pytest.raises(CoverageError, match="shortfall"):
-            assemble_absorbing_path(g, (), Config.default(3, seed=0), budget=0)
+            assemble_absorbing_path(g, (), Config.default(3, seed=0), 1, budget=0)
 
     def test_multi_gadget_assembly_and_matching(self):
         # two gadgets joined by a connector, both switched during absorption
         g = complete(2, [16, 16])
         cfg = Config.default(2, seed=6)
-        pa = assemble_absorbing_path(g, (), cfg, max_size=10 * 2 + 4)
+        pa = assemble_absorbing_path(g, (), cfg, 2)
         assert len(pa.gadgets) == 2
         assert pa.capacity == 4
         assert len(pa.path) == 24
@@ -207,13 +207,13 @@ class TestAssembleAbsorb:
         g = complete(3, [11, 11, 11])
         cfg = Config.default(3, seed=3)
         excl = {0, 11, 22}
-        pa = assemble_absorbing_path(g, excl, cfg)
+        pa = assemble_absorbing_path(g, excl, cfg, 1)
         assert not set(pa.path.vertices) & excl
 
     def test_oversized_z_rejected(self):
         g = complete(3, [11, 11, 11])
         cfg = Config.default(3, seed=7)
-        pa = assemble_absorbing_path(g, (), cfg)
+        pa = assemble_absorbing_path(g, (), cfg, 1)
         outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
         by_part = [[v for v in outside if g.part_of(v) == i] for i in range(3)]
         if pa.capacity // 3 + 1 <= min(len(p) for p in by_part):
@@ -224,7 +224,7 @@ class TestAssembleAbsorb:
     def test_unbalanced_z_rejected(self):
         g = complete(3, [9, 9, 9])
         cfg = Config.default(3, seed=2)
-        pa = assemble_absorbing_path(g, (), cfg)
+        pa = assemble_absorbing_path(g, (), cfg, 1)
         outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
         z = [v for v in outside if g.part_of(v) == 0][:1]
         with pytest.raises(GraphValidationError, match="balanced"):
@@ -234,7 +234,7 @@ class TestAssembleAbsorb:
         # sorted-zip grouping pairs (a0, b0) and (a1, b1), which no gadget takes;
         # (a0, b1) and (a1, b0) each have a gadget
         g = complete(2, [16, 16])
-        pa = assemble_absorbing_path(g, (), Config.default(2, seed=6), max_size=10 * 2 + 4)
+        pa = assemble_absorbing_path(g, (), Config.default(2, seed=6), 2)
         outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
         a0, a1 = [v for v in outside if g.part_of(v) == 0][:2]
         b0, b1 = [v for v in outside if g.part_of(v) == 1][:2]
@@ -251,7 +251,7 @@ class TestAssembleAbsorb:
 
     def test_unabsorbable_leftover_is_coverage_error(self):
         g = complete(2, [16, 16])
-        pa = assemble_absorbing_path(g, (), Config.default(2, seed=6), max_size=10 * 2 + 4)
+        pa = assemble_absorbing_path(g, (), Config.default(2, seed=6), 2)
         outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
         a0, a1 = [v for v in outside if g.part_of(v) == 0][:2]
         b0, b1 = [v for v in outside if g.part_of(v) == 1][:2]

@@ -259,7 +259,7 @@ def test_criterion_09_absorption_round_trip():
             per = sizes_cycle[run % len(sizes_cycle)]
             g = gen_random(3, [per] * 3, 1, 0)
             cfg = Config.default(3, seed=run)
-            pa = assemble_absorbing_path(g, (), cfg)
+            pa = assemble_absorbing_path(g, (), cfg, 1)
             path = pa.path
             on_path = set(path.vertices)
             rng = random.Random(run)

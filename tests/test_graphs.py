@@ -276,7 +276,6 @@ class TestConfig:
                 sigma=Fraction(1, 5),
                 beta=Fraction(1, 20),
                 nu=Fraction(1, 10),
-                alpha=Fraction(1, 10),
             )
 
     def test_floor_is_at_least_one(self):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 from collections import Counter
@@ -9,7 +10,8 @@ import hampow.connect
 import hampow.pipeline
 import hampow.sequencing
 from conftest import complete, reference_sample_reservoir
-from hampow.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_STAGE, EXIT_VALIDATION, main
+from hampow import cli
+from hampow.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_STAGE, EXIT_VALIDATION, build_parser, main
 from hampow.errors import SearchExhaustedError
 from hampow.graphs import Config, balanced_sizes, gen_extremal, gen_random
 from hampow.paths import verify_ham_power_cycle
@@ -265,6 +267,7 @@ class TestCli:
             ["search", "--graph", "{g}", "--r", "1"],
             ["search", "--graph", "{g}", "--r", "0"],
             ["scan", "--r", "1", "--k", "3", "--n", "12", "--delta", "1"],
+            ["scan", "--r", "2", "--k", "0", "--n", "6", "--delta", "1"],
             ["connect", "--graph", "{g}", "--r", "5", "--p1", "[0,4,8]", "--p2", "[1,5,9]"],
         ],
     )
@@ -289,7 +292,7 @@ class TestCli:
         assert rc == EXIT_STAGE
 
     def test_absorber_print(self, capsys):
-        assert main(["absorber", "--r", "3", "--print"]) == EXIT_OK
+        assert main(["absorber", "--r", "3"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["q1"]) == 27 and len(doc["q2"]) == 24
         assert doc["q1"][:3] == ["a_1^1", "a_2^1", "a_3^1"]
@@ -394,3 +397,58 @@ def test_reservoir_matches_the_fraction_bound_reference():
         assert got == _reservoir_outcome(reference_sample_reservoir, g, free, u_size, cfg), trial
         seen[isinstance(got, str)] += 1
     assert seen[True] >= 20 and seen[False] >= 20, seen
+
+
+class _ReadLog(argparse.Namespace):
+    """A namespace that records the name of every public attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_option_is_read_by_its_command(tmp_path):
+    """Each option a subcommand defines is read by that subcommand's command on
+    at least one of these invocations: an option no command reads decides nothing."""
+    g, g4, out = (str(tmp_path / name) for name in ("g.json", "g4.json", "out"))
+    common = ["--graph", g, "--r", "3", "--out", out]
+    constants = ["--gamma", "1/6", "--sigma", "1/25", "--beta", "1/200"]
+    invocations = [
+        ["gen", "--k", "3", "--sizes", "4,4,4", "--delta", "1", "--seed", "1", "--name", "h",
+         "--out", g],
+        ["gen", "--k", "4", "--sizes", "12,12,12,12", "--delta", "1", "--out", g4],
+        ["gen", "--k", "3", "--sizes", "4,4,4", "--extremal", "--r", "3", "--out", out],
+        ["verify", *common, "--cycle", "[0,4,8,1,5,9,2,6,10,3,7,11]"],
+        ["sequence", "--graph", g4, "--r", "3", "--out", out, "--relaxed", "--seed", "1",
+         *constants],
+        ["absorber", "--r", "3", "--out", out],
+        ["connect", "--graph", g, "--r", "2", "--out", out, "--p1", "[0,4]", "--p2", "[1,5]",
+         "--ell", "2", "--seed", "1"],
+        ["tile", *common, "--integral", "--cover", "0", "--seed", "1"],
+        ["search", *common, "--budget", "1000"],
+        ["scan", "--r", "2", "--k", "2", "--n", "4", "--delta", "1", "--samples", "1",
+         "--budget", "1000", "--seed", "1", "--jobs", "1", "--out", out],
+        ["pipeline", *common, "--mode", "oracle", "--budget", "1000", "--relaxed", "--seed", "1",
+         *constants, "--nu", "1/25"],
+    ]
+    parser = build_parser()
+    read = set()
+    for argv in invocations:
+        args = parser.parse_args(argv, namespace=_ReadLog())
+        command = args.command
+        args._reads.clear()  # argparse reads the namespace while it fills it
+        assert cli._COMMANDS[command](args) == EXIT_OK, argv
+        read |= {(command, name) for name in args._reads}
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {
+        (command, action.dest)
+        for command, sub in subparsers.choices.items()
+        for action in sub._actions
+        if action.dest != "help"
+    }
+    assert defined - read == set()

@@ -12,6 +12,7 @@ from conftest import (
     reference_group_degree_slack,
     reference_grow_run,
     reference_grow_window_path,
+    reference_worst_cell_violation,
 )
 from hampow.errors import GraphValidationError, InfeasibleError
 from hampow.graphs import Config, MultipartiteGraph, gen_random
@@ -20,6 +21,7 @@ from hampow.sequencing import (
     _group_degree_slack,
     _grow_run,
     _grow_window_path,
+    _worst_cell_violation,
     build_template_matrix,
     build_trim_path,
     compute_trim_template,
@@ -384,3 +386,26 @@ def test_a2_minimum_matches_the_per_vertex_fraction_loop(seed):
     except InfeasibleError:
         return
     assert _group_degree_slack(host, res.plan) == reference_group_degree_slack(host, res.plan)
+
+
+def test_refinement_violation_matches_the_per_pair_fraction_loop():
+    """Same worst (fraction, vertex, cell), or None, as the reference on random
+    rows of random hosts: empty cells, ties, and rows with no violation."""
+    none_seen = violations_seen = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        k = rng.randint(3, 5)
+        g = gen_random(k, [rng.randint(4, 9) for _ in range(k)], rng.choice([0.5, 0.8, 1]), seed)
+        i = rng.randrange(k)
+        pool = rng.sample(g.parts[i], len(g.parts[i]))
+        row = {}
+        for j in range(rng.randint(1, 4)):
+            take = rng.randint(0, 3)
+            row[(i, j)] = frozenset(pool[:take])
+            pool = pool[take:]
+        threshold = rng.choice([Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(1)])
+        want = reference_worst_cell_violation(g, row, threshold)
+        assert _worst_cell_violation(g, row, threshold) == want, seed
+        none_seen += want is None
+        violations_seen += want is not None
+    assert none_seen >= 10 and violations_seen >= 10
