@@ -60,6 +60,9 @@ def _check_terminated(
     r = len(part_order)
     if len(seq) < r:
         raise GraphValidationError(f"{which} has fewer than r={r} vertices")
+    stray = next((v for v in seq.vertices if not 0 <= v < graph.n), None)
+    if stray is not None:
+        raise GraphValidationError(f"{which} holds vertex {stray} outside 0..{graph.n - 1}")
     if not is_walk(graph, seq):
         raise GraphValidationError(f"{which} is not a power-walk")
     parts = [graph.parts[i] for i in part_order]

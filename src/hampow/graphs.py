@@ -19,6 +19,12 @@ from typing import IO, Iterable, NamedTuple, Sequence
 from .errors import GraphFormatError, GraphValidationError, InfeasibleError
 
 
+def require_power(r: int) -> None:
+    """Raise GraphValidationError unless r is a power the windows are defined for."""
+    if r < 2:
+        raise GraphValidationError("power parameter r must be at least 2")
+
+
 @dataclass(frozen=True)
 class MultipartiteGraph:
     """A k-partite graph: ordered independent parts plus a symmetric adjacency."""
@@ -50,7 +56,8 @@ class MultipartiteGraph:
     @cached_property
     def adj_mask(self) -> tuple[int, ...]:
         """adj_mask[v] has bit u set exactly when u is adjacent to v."""
-        return tuple(sum(1 << u for u in nb) for nb in self.adj)
+        pow2 = [1 << u for u in range(self.n)]
+        return tuple(sum(map(pow2.__getitem__, nb)) for nb in self.adj)
 
     @cached_property
     def part_sets(self) -> tuple[frozenset[int], ...]:
@@ -324,8 +331,7 @@ class Config:
     retry_limit: int = 200
 
     def __post_init__(self):
-        if self.r < 2:
-            raise GraphValidationError("power parameter r must be at least 2")
+        require_power(self.r)
         if not (0 < self.beta < self.sigma < self.gamma <= Fraction(1, self.r)):
             raise GraphValidationError("constants must satisfy 0 < beta < sigma < gamma <= 1/r")
         if self.retry_limit < 1:
@@ -334,6 +340,7 @@ class Config:
     @classmethod
     def default(cls, r: int, seed: int = 0, **overrides) -> "Config":
         """Desk-scale defaults; sigma is kept below 1/(2r(r+1)) so the trim index stays <= r."""
+        require_power(r)  # before 1/(2r) divides by zero at r = 0
         sigma = Fraction(1, 2 * r * (r + 1) + 1)
         base = dict(
             r=r,

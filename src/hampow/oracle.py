@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GraphValidationError, VerificationError
-from .graphs import MultipartiteGraph
-from .paths import VertexSeq, is_path, is_walk, require_power, splice_ok, verify_ham_power_cycle
+from .graphs import MultipartiteGraph, require_power
+from .paths import VertexSeq, is_path, is_walk, splice_ok, verify_ham_power_cycle
 
 YES = "yes"
 NO = "no"

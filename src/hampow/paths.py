@@ -12,16 +12,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphValidationError, ImproperOrderError
-from .graphs import MultipartiteGraph
+from .graphs import MultipartiteGraph, require_power
 
 # 0/1 indicator of the parts a subsequence meets.
 TypeVector = tuple[int, ...]
-
-
-def require_power(r: int) -> None:
-    """Raise GraphValidationError unless r is a power the windows are defined for."""
-    if r < 2:
-        raise GraphValidationError("power parameter r must be at least 2")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     GraphValidationError,
@@ -512,18 +512,29 @@ def build_connectors_and_p0(
 ) -> SequencingPlan:
     """Greedy 2r-vertex connector paths between consecutive groups, then wrap the
     trim path with r prepended vertices (from the last group) and r appended
-    vertices (from the first group)."""
+    vertices (from the first group).
+
+    Connector 0 and the appended suffix each take one vertex from every cell of
+    the first group.  When those cells are small they may have no room for
+    both, and then every attempt fails: that is proved exactly before the
+    attempts start (`_connector_0_fits`), and the refinement is given up at
+    once with the same `SearchExhaustedError` the spent attempts would raise.
+    """
     r = cfg.r
     ell = len(group_sequences)
+    groups = [[refined_parts[(i, j)] for i in seq] for j, seq in enumerate(group_sequences)]
+    if ell >= 2 and not _connector_0_fits(graph, p0_prime, groups[0], groups[1], r):
+        raise SearchExhaustedError(
+            f"no suffix of the trim path leaves connector 0 room in the first group's "
+            f"cells (sizes {[len(c) for c in groups[0]]}); no attempt can succeed"
+        )
     rng = cfg.rng("connectors")
     for attempt in range(cfg.retry_limit):
         used: set[int] = set(p0_prime.vertices)
         connectors: list[VertexSeq] = []
         ok = True
         for j in range(ell - 1):
-            cells = [refined_parts[(i, j)] for i in group_sequences[j]]
-            cells_next = [refined_parts[(i, j + 1)] for i in group_sequences[j + 1]]
-            conn = _grow_window_path(graph, cells + cells_next, used, r, rng)
+            conn = _grow_window_path(graph, groups[j] + groups[j + 1], used, r, rng)
             if conn is None:
                 ok = False
                 break
@@ -532,13 +543,11 @@ def build_connectors_and_p0(
         if not ok:
             continue
 
-        cells_last = [refined_parts[(i, ell - 1)] for i in group_sequences[ell - 1]]
-        cells_first = [refined_parts[(i, 0)] for i in group_sequences[0]]
-        prefix = _grow_window_path(graph, cells_last, used, r, rng, after=p0_prime.vertices)
+        prefix = _grow_window_path(graph, groups[-1], used, r, rng, after=p0_prime.vertices)
         if prefix is None:
             continue
         used.update(prefix)
-        suffix = _grow_window_path(graph, cells_first, used, r, rng,
+        suffix = _grow_window_path(graph, groups[0], used, r, rng,
                                    before=tuple(prefix) + p0_prime.vertices)
         if suffix is None:
             continue
@@ -558,6 +567,78 @@ def build_connectors_and_p0(
     )
 
 
+def _connector_0_fits(
+    graph: MultipartiteGraph,
+    p0_prime: VertexSeq,
+    first: list[frozenset[int]],
+    second: list[frozenset[int]],
+    r: int,
+) -> bool:
+    """Whether some suffix through the cells `first` can follow `p0_prime` and
+    leave room for a connector through `first + second` off both.
+
+    An attempt that succeeds builds such a pair under stronger constraints (it
+    uses more vertices, and the suffix also follows the prefix when
+    `p0_prime` is shorter than r-1), so when this is False no attempt
+    succeeds.  The suffixes are listed lazily; the first one that leaves room
+    ends the search.  No rng is drawn.
+    """
+    used = set(p0_prime.vertices)
+    return any(
+        next(_window_paths(graph, first + second, used.union(suffix), r), None) is not None
+        for suffix in _window_paths(graph, first, used, r, before=p0_prime.vertices)
+    )
+
+
+def _window_fit(
+    adj: Sequence[frozenset[int]],
+    cell_sequence: Sequence[frozenset[int]],
+    p: int,
+    out: Sequence[int],
+    used: set[int],
+    r: int,
+    after: Sequence[int] = (),
+) -> frozenset[int]:
+    """The candidates for pick p of a window path, where `out` is the last r-1
+    vertices of `before` followed by the picks so far: cell p off `used` and
+    `out`, adjacent to the last r-1 vertices of `out` and to the vertices of
+    `after` that lie within distance r-1 of the pick."""
+    fit = cell_sequence[p] - used
+    # pick p sits len(cell_sequence) - p positions before after[0]; the end is
+    # clamped because a negative slice end would select vertices
+    for u in chain(out[-(r - 1):], after[:max(0, r - len(cell_sequence) + p)]):
+        fit &= adj[u]
+    return fit.difference(out)
+
+
+def _window_paths(
+    graph: MultipartiteGraph,
+    cell_sequence: Sequence[frozenset[int]],
+    used: set[int],
+    r: int,
+    before: Sequence[int] = (),
+) -> Iterator[list[int]]:
+    """Every pick list `_grow_window_path` can return for a nonempty
+    `cell_sequence` and no `after`, depth first and lazily."""
+    adj = graph.adj
+    m = len(cell_sequence)
+    out = list(before[-(r - 1):])
+    lead = len(out)
+    # stack[p] iterates the candidates for pick p; out holds the picks before it
+    stack = [iter(_window_fit(adj, cell_sequence, 0, out, used, r))]
+    while stack:
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            if stack:
+                out.pop()
+        elif len(stack) == m:
+            yield out[lead:] + [v]
+        else:
+            out.append(v)
+            stack.append(iter(_window_fit(adj, cell_sequence, len(stack), out, used, r)))
+
+
 def _grow_window_path(
     graph: MultipartiteGraph,
     cell_sequence: Sequence[frozenset[int]],
@@ -573,23 +654,17 @@ def _grow_window_path(
     `before` plus the earlier picks, and to the vertices of `after` that lie
     within distance r-1 of it.
 
-    Each pick's candidates are found by set intersection: the cell off `used`,
-    narrowed to each window vertex's neighbourhood.  They are listed in the
-    cell's own iteration order, so a seeded `rng` picks the same vertex as a
-    vertex-by-vertex scan of the cell would.
+    Each pick's candidates are found by set intersection (`_window_fit`): the
+    cell off `used`, narrowed to each window vertex's neighbourhood.  They are
+    listed in the cell's own iteration order, so a seeded `rng` picks the same
+    vertex as a vertex-by-vertex scan of the cell would.
     """
     adj = graph.adj
-    m = len(cell_sequence)
     lead = list(before[-(r - 1):])
     for _ in range(tries):
         out = lead[:]
         for p, cell in enumerate(cell_sequence):
-            fit = cell - used
-            # pick p sits m - p positions before after[0]; the end is clamped
-            # because a negative slice end would select vertices
-            for u in chain(out[-(r - 1):], after[:max(0, r - m + p)]):
-                fit &= adj[u]
-            fit = fit.difference(out)
+            fit = _window_fit(adj, cell_sequence, p, out, used, r, after)
             if not fit:
                 break
             out.append(rng.choice([v for v in cell if v in fit]))

@@ -9,9 +9,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from hampow.connect import State
-from hampow.errors import GraphFormatError, GraphValidationError, SearchExhaustedError
+from hampow.errors import (
+    GraphFormatError,
+    GraphValidationError,
+    SearchExhaustedError,
+    VerificationError,
+)
 from hampow.graphs import MultipartiteGraph, gen_random
-from hampow.paths import VertexSeq
+from hampow.paths import VertexSeq, is_path
+from hampow.sequencing import SequencingPlan, _grow_window_path
 from hampow.tiling import PathCover, _balanced
 
 
@@ -453,4 +459,78 @@ def absorbable_by_brute_force(gadgets, by_part):
             if all(perm[t] in gadgets[g].cover[i]
                    for i, perm in enumerate(perms) for t, g in enumerate(chosen)):
                 return chosen
+    return None
+
+
+# The connector builder as it was before it proved doomed refinements up
+# front: it spends every attempt on them.  The library must give the same plan
+# or the same SearchExhaustedError.
+
+
+def reference_build_connectors_and_p0(graph, p0_prime, refined_parts, group_sequences, cfg):
+    """Greedy 2r-vertex connector paths between consecutive groups, then wrap the
+    trim path with r prepended vertices (from the last group) and r appended
+    vertices (from the first group)."""
+    r = cfg.r
+    ell = len(group_sequences)
+    rng = cfg.rng("connectors")
+    for attempt in range(cfg.retry_limit):
+        used: set[int] = set(p0_prime.vertices)
+        connectors: list[VertexSeq] = []
+        ok = True
+        for j in range(ell - 1):
+            cells = [refined_parts[(i, j)] for i in group_sequences[j]]
+            cells_next = [refined_parts[(i, j + 1)] for i in group_sequences[j + 1]]
+            conn = _grow_window_path(graph, cells + cells_next, used, r, rng)
+            if conn is None:
+                ok = False
+                break
+            connectors.append(VertexSeq(tuple(conn), r))
+            used.update(conn)
+        if not ok:
+            continue
+
+        cells_last = [refined_parts[(i, ell - 1)] for i in group_sequences[ell - 1]]
+        cells_first = [refined_parts[(i, 0)] for i in group_sequences[0]]
+        prefix = _grow_window_path(graph, cells_last, used, r, rng, after=p0_prime.vertices)
+        if prefix is None:
+            continue
+        used.update(prefix)
+        suffix = _grow_window_path(graph, cells_first, used, r, rng,
+                                   before=tuple(prefix) + p0_prime.vertices)
+        if suffix is None:
+            continue
+        p0 = VertexSeq(tuple(prefix) + p0_prime.vertices + tuple(suffix), r)
+        if not is_path(graph, p0):
+            raise VerificationError("P0 with its affixes is not a power-path")
+        return SequencingPlan(
+            r=r,
+            p0_prime=p0_prime,
+            p0=p0,
+            refined_parts=refined_parts,
+            group_sequences=group_sequences,
+            connectors=tuple(connectors),
+        )
+    raise SearchExhaustedError(
+        f"connector/terminal construction exhausted {cfg.retry_limit} attempts"
+    )
+
+
+def suffix_and_connector_by_brute_force(graph, p0_prime, first, second, r):
+    """The first (suffix, connector) in product order such that p0_prime +
+    suffix is a power-walk through the cells `first`, the connector is a
+    power-walk through `first + second`, and no vertex appears twice among
+    the three; or None.  A connector's half in `first` is checked on its own
+    before its half in `second` is tried."""
+    trim = list(p0_prime)
+    for suffix in itertools.product(*first):
+        if set(suffix) & set(trim) or not naive_is_walk(graph, trim + list(suffix), r):
+            continue
+        taken = set(trim) | set(suffix)
+        for head in itertools.product(*first):
+            if set(head) & taken or not naive_is_walk(graph, head, r):
+                continue
+            for tail in itertools.product(*second):
+                if not set(tail) & taken and naive_is_walk(graph, head + tail, r):
+                    return suffix, head + tail
     return None

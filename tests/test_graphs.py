@@ -283,10 +283,23 @@ class TestConfig:
         assert cfg.floor_m(10) == 1
         assert cfg.floor_m(10_000) >= cfg.beta * 10_000
 
+    @pytest.mark.parametrize("r", [-1, 0, 1])
+    def test_default_rejects_r_below_two_before_dividing_by_it(self, r):
+        with pytest.raises(GraphValidationError, match="at least 2"):
+            Config.default(r)
+
     def test_rng_streams_are_deterministic(self):
         cfg = Config.default(3, seed=5)
         assert cfg.rng("x").random() == cfg.rng("x").random()
         assert cfg.rng("x").random() != cfg.rng("y").random()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_adj_mask_matches_the_shift_per_neighbour_sum(seed):
+    rng = random.Random(seed)
+    k = rng.randint(2, 6)
+    g = gen_random(k, [rng.randint(1, 40) for _ in range(k)], rng.choice([0, 0.3, 0.9, 1]), seed)
+    assert g.adj_mask == tuple(sum(1 << u for u in nb) for nb in g.adj)
 
 
 def _corruptions(g, rng):

@@ -269,6 +269,9 @@ class TestCli:
             ["scan", "--r", "1", "--k", "3", "--n", "12", "--delta", "1"],
             ["scan", "--r", "2", "--k", "0", "--n", "6", "--delta", "1"],
             ["connect", "--graph", "{g}", "--r", "5", "--p1", "[0,4,8]", "--p2", "[1,5,9]"],
+            ["pipeline", "--graph", "{g}", "--r", "0"],
+            ["sequence", "--graph", "{g}", "--r", "0"],
+            ["connect", "--graph", "{g}", "--r", "0", "--p1", "[0,4]", "--p2", "[1,5]"],
         ],
     )
     def test_out_of_range_r_is_a_validation_error(self, tmp_path, capsys, argv):
@@ -277,6 +280,18 @@ class TestCli:
         rc = main([str(gpath) if a == "{g}" else a for a in argv])
         assert rc == EXIT_VALIDATION
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("p1, bad", [("[0,4,99]", 99), ("[0,4,-1]", -1)])
+    def test_connect_terminal_outside_the_host_is_a_validation_error(
+        self, tmp_path, capsys, p1, bad
+    ):
+        """A negative id is not read as a vertex counted from the end."""
+        gpath = self._gen(tmp_path, ["--k", "3", "--sizes", "4,4,4", "--delta", "1"])
+        rc = main(["connect", "--graph", str(gpath), "--r", "3", "--p1", p1, "--p2", "[1,5,9]"])
+        assert rc == EXIT_VALIDATION
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"P1 holds vertex {bad} outside 0..11" in out.err
 
     def test_budget_exit_code(self, tmp_path):
         gpath = self._gen(tmp_path, ["--k", "3", "--sizes", "4,4,4", "--delta", "1"])

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from dataclasses import replace
+from itertools import combinations
 from types import SimpleNamespace
 from fractions import Fraction
 from math import comb
@@ -12,16 +14,21 @@ from conftest import (
     reference_group_degree_slack,
     reference_grow_run,
     reference_grow_window_path,
+    reference_build_connectors_and_p0,
     reference_worst_cell_violation,
+    suffix_and_connector_by_brute_force,
 )
-from hampow.errors import GraphValidationError, InfeasibleError
+from hampow import sequencing
+from hampow.errors import GraphValidationError, InfeasibleError, SearchExhaustedError
 from hampow.graphs import Config, MultipartiteGraph, gen_random
 from hampow.paths import VertexSeq, decompose, is_path, is_properly_terminated, is_valid_pair
 from hampow.sequencing import (
+    _connector_0_fits,
     _group_degree_slack,
     _grow_run,
     _grow_window_path,
     _worst_cell_violation,
+    build_connectors_and_p0,
     build_template_matrix,
     build_trim_path,
     compute_trim_template,
@@ -409,3 +416,98 @@ def test_refinement_violation_matches_the_per_pair_fraction_loop():
         none_seen += want is None
         violations_seen += want is not None
     assert none_seen >= 10 and violations_seen >= 10
+
+
+def _refinement_case(seed):
+    """A random small host, a trim path of up to 2r vertices and ell random
+    groups off it.  The trim path ends in the first group's parts, in order,
+    and each next group swaps one part of the last, so every r cells in a row
+    lie in distinct parts.  The first group's cells often hold 2 vertices,
+    the others 2 or 3."""
+    rng = random.Random(seed)
+    r = (2, 3, 4)[seed % 3]
+    k = rng.randint(r + 1, max(r + 1, 2 * r - 1))
+    ell = rng.choice([1, 2, 2, 3, 4])
+    g = gen_random(k, [3 * ell + 2 * r] * k, rng.choice([0.7, 0.85, 1]), seed)
+    cfg = Config.default(r, seed=seed)
+    free = [rng.sample(part, len(part)) for part in g.parts]
+    order = rng.sample(range(k), r)
+    length = rng.randint(0, 2 * r)
+    trim = _grow_window_path(
+        g, [frozenset(free[order[(t - length) % r]]) for t in range(length)], set(), r, rng
+    ) or []
+    free = [[v for v in part if v not in trim] for part in free]
+    cells, patterns = {}, []
+    for j in range(ell):
+        if j:
+            order = order[:]
+            order[rng.randrange(r)] = rng.choice([i for i in range(k) if i not in order])
+        for i in order:
+            take = 2 if j == 0 and rng.random() < 0.6 else rng.randint(2, 3)
+            cells[(i, j)] = frozenset(free[i][:take])
+            free[i] = free[i][take:]
+        patterns.append(tuple(order))
+    return g, VertexSeq(tuple(trim), r), cells, tuple(patterns), cfg
+
+
+def _plan_or_exhausted(build, *args):
+    try:
+        return build(*args)
+    except SearchExhaustedError:
+        return SearchExhaustedError
+
+
+class TestDoomedRefinements:
+    def test_same_plan_or_same_error_as_the_spent_attempts(self):
+        """Against the builder that spends every attempt: the same plan, or
+        SearchExhaustedError from both, on doomed and feasible refinements.
+        50 attempts instead of 200 keep the reference's doomed runs short; the
+        check does not read the limit."""
+        outcomes = Counter()
+        for seed in range(240):
+            g, trim, cells, patterns, cfg = _refinement_case(seed)
+            case = g, trim, cells, patterns, replace(cfg, retry_limit=50)
+            got = _plan_or_exhausted(build_connectors_and_p0, *case)
+            assert got == _plan_or_exhausted(reference_build_connectors_and_p0, *case), seed
+            outcomes[got is SearchExhaustedError] += 1
+        assert outcomes[False] >= 40 and outcomes[True] >= 40, outcomes
+
+    def test_doomed_means_no_suffix_and_connector_exist(self):
+        """The check answers what brute force over every suffix and connector
+        answers, and says doomed often enough to matter."""
+        answers = Counter()
+        for seed in range(240):
+            g, trim, cells, patterns, cfg = _refinement_case(seed)
+            if len(patterns) < 2:
+                continue
+            first, second = ([cells[(i, j)] for i in patterns[j]] for j in (0, 1))
+            got = _connector_0_fits(g, trim, first, second, cfg.r)
+            pair = suffix_and_connector_by_brute_force(g, trim.vertices, first, second, cfg.r)
+            assert got == (pair is not None), seed
+            answers[got] += 1
+        assert answers[False] >= 30 and answers[True] >= 30, answers
+
+    def test_a_doomed_refinement_never_reaches_the_grower(self, monkeypatch):
+        """K_{3,3,1} with three edges gone, r=2: the trim path is t, which sees
+        only a of the first cell {a, a2}, and a2 sees nothing of the second
+        cell {b, b2}.  The suffix and connector 0 would both need a."""
+        a, a2, a3, b, b2, b3, t = range(7)
+        parts = [[a, a2, a3], [b, b2, b3], [t]]
+        missing = {(a2, t), (a2, b), (a2, b2)}
+        edges = [(u, v) for p, q in combinations(parts, 2) for u in p for v in q
+                 if (u, v) not in missing]
+        g = MultipartiteGraph.from_edges(parts, edges)
+        cells = {(0, 0): frozenset({a, a2}), (1, 0): frozenset({b, b2}),
+                 (0, 1): frozenset({a3}), (1, 1): frozenset({b3})}
+        calls = []
+        monkeypatch.setattr(sequencing, "_grow_window_path",
+                            lambda *args, **kw: calls.append(args))
+        with pytest.raises(SearchExhaustedError, match="no attempt can succeed"):
+            build_connectors_and_p0(g, VertexSeq((t,), 2), cells, ((0, 1), (0, 1)),
+                                    Config.default(2))
+        assert calls == []
+        first, second = [cells[(0, 0)], cells[(1, 0)]], [cells[(0, 1)], cells[(1, 1)]]
+        assert suffix_and_connector_by_brute_force(g, (t,), first, second, 2) is None
+        # with the edge a2-b back, a2 b starts connector 0 beside the suffix a b2
+        g = MultipartiteGraph.from_edges(parts, edges + [(a2, b)])
+        assert _connector_0_fits(g, VertexSeq((t,), 2), first, second, 2)
