@@ -61,10 +61,6 @@ class GadgetTemplate:
         if self.q1[:r] != self.q2[:r] or self.q1[-r:] != self.q2[-r:]:
             raise InfeasibleError("the two routings must share their first and last r labels")
 
-    @property
-    def slot_count(self) -> int:
-        return 3 * self.r * self.r - self.r
-
     def to_json_dict(self) -> dict:
         return {
             "r": self.r,

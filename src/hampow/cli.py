@@ -63,8 +63,11 @@ def _emit(args, payload: str) -> None:
 
 
 def _read_graph(args) -> MultipartiteGraph:
-    with open(args.graph, "rb") as fh:
-        return load_graph(fh)
+    try:
+        with open(args.graph, "rb") as fh:
+            return load_graph(fh)
+    except OSError as exc:  # missing, a directory, unreadable; load_graph raises none
+        raise GraphFormatError(str(exc)) from exc
 
 
 # Config constants a command may override; each subcommand defines only those
@@ -82,11 +85,17 @@ def _config(args) -> Config:
 
 
 def _seq_arg(text: str) -> tuple[int, ...]:
+    """A JSON array of ints, or ints separated by commas."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
-        data = _int_list(text)
-    return tuple(int(v) for v in data)
+        try:
+            data = _int_list(text)
+        except ValueError:
+            data = None
+    if type(data) is not list or not set(map(type, data)) <= {int}:
+        raise argparse.ArgumentTypeError(f"not a JSON int array or comma list: {text!r}")
+    return tuple(data)
 
 
 def _add_common(
@@ -103,11 +112,7 @@ def _add_common(
     p.add_argument("--out", default=None, help="write output to this file")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="hampow")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate an instance")
+def _gen_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--sizes", type=_int_list, required=True, help="comma-separated part sizes")
     p.add_argument("--delta", type=_fraction, default=None, help="edge probability p/q")
@@ -117,35 +122,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default=None)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("verify", help="check a spanning power-cycle")
-    _add_common(p, seed=False)
-    p.add_argument("--cycle", required=True, help="JSON int array or comma list")
 
-    p = sub.add_parser("sequence", help="run the partition-and-sequence pipeline")
+def _verify_options(p: argparse.ArgumentParser) -> None:
+    _add_common(p, seed=False)
+    p.add_argument("--cycle", type=_seq_arg, required=True, help="JSON int array or comma list")
+
+
+def _sequence_options(p: argparse.ArgumentParser) -> None:
     _add_common(p, constants=("gamma", "sigma", "beta"))
     p.add_argument("--relaxed", action="store_true")
 
-    p = sub.add_parser("absorber", help="print the gadget routings")
+
+def _absorber_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("connect", help="count and sample connecting walks")
+
+def _connect_options(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--p1", type=_seq_arg, required=True)
     p.add_argument("--p2", type=_seq_arg, required=True)
     p.add_argument("--ell", type=int, default=None)
 
-    p = sub.add_parser("tile", help="fractional (and optionally integral) tiling")
+
+def _tile_options(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--integral", action="store_true")
     p.add_argument("--cover", type=_fraction, default=None, metavar="ALPHA",
                    help="also cover by terminated paths, leftover at most ALPHA*n")
 
-    p = sub.add_parser("search", help="exact spanning power-cycle search")
+
+def _search_options(p: argparse.ArgumentParser) -> None:
     _add_common(p, seed=False)
     p.add_argument("--budget", type=int, default=2_000_000)
 
-    p = sub.add_parser("scan", help="threshold scan over random instances")
+
+def _scan_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=_int_list, required=True, help="comma-separated n values")
@@ -156,13 +168,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("pipeline", help="end-to-end cycle construction")
+
+def _pipeline_options(p: argparse.ArgumentParser) -> None:
     _add_common(p, constants=_CONSTANTS)
     p.add_argument("--mode", choices=["constructive", "oracle", "auto"], default="auto")
     p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("--relaxed", action="store_true")
 
+
+# subcommand -> (its line in the top-level help, what defines its options)
+_SUBCOMMANDS = {
+    "gen": ("generate an instance", _gen_options),
+    "verify": ("check a spanning power-cycle", _verify_options),
+    "sequence": ("run the partition-and-sequence pipeline", _sequence_options),
+    "absorber": ("print the gadget routings", _absorber_options),
+    "connect": ("count and sample connecting walks", _connect_options),
+    "tile": ("fractional (and optionally integral) tiling", _tile_options),
+    "search": ("exact spanning power-cycle search", _search_options),
+    "scan": ("threshold scan over random instances", _scan_options),
+    "pipeline": ("end-to-end cycle construction", _pipeline_options),
+}
+_PROG = "hampow"
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog=_PROG)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for command, (summary, add_options) in _SUBCOMMANDS.items():
+        add_options(sub.add_parser(command, help=summary))
     return ap
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """What `build_parser().parse_args(argv)` returns, building only the
+    parser of the subcommand `argv[0]` names, with the prog, usage, help and
+    errors that subcommand has in the full parser.  Without a subcommand, or
+    with arguments the subcommand leaves over, the full parser parses: its
+    usage, printed with the error, lists every command."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv else None
+    if command not in _SUBCOMMANDS:
+        return build_parser().parse_args(argv)
+    _, add_options = _SUBCOMMANDS[command]
+    p = argparse.ArgumentParser(prog=f"{_PROG} {command}")
+    add_options(p)
+    args, extras = p.parse_known_args(argv[1:], argparse.Namespace(command=command))
+    if extras:
+        return build_parser().parse_args(argv)
+    return args
 
 
 def cmd_gen(args) -> int:
@@ -182,7 +235,7 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _read_graph(args)
-    ok, reason, index = verify_ham_power_cycle_report(g, _seq_arg(args.cycle), args.r)
+    ok, reason, index = verify_ham_power_cycle_report(g, args.cycle, args.r)
     _emit(args, json.dumps({"ok": ok, "reason": reason, "index": index}))
     return EXIT_OK if ok else EXIT_STAGE
 
@@ -372,7 +425,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except GraphFormatError as exc:

@@ -66,12 +66,6 @@ class MultipartiteGraph:
     def part_of(self, v: int) -> int:
         return self.part_index[v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
     def edges(self) -> list[tuple[int, int]]:
         """Canonical edge list: each pair sorted ascending, list sorted lexicographically."""
         return sorted((min(u, v), max(u, v)) for u in range(self.n) for v in self.adj[u] if u < v)
@@ -83,14 +77,35 @@ class MultipartiteGraph:
 
         The checks run set-wise first.  Only a graph that fails them is scanned
         part by part and then edge by edge, so the error names the first
-        violation in that order.
+        violation in that order.  Every construction runs them, symmetry
+        included, except `from_edges` and `load_graph`: an adjacency built from
+        an edge list holds each edge both ways, so they skip the symmetry scan.
         """
-        if not self._passes_set_checks():
+        if not self._passes_set_checks(known_symmetric=False):
             self._scan_for_violation()
 
-    def _passes_set_checks(self) -> bool:
-        """True only if the pair-by-pair scan would accept the graph.  A
-        TypeError, from an id that is not an int, leaves the scan to raise
+    @classmethod
+    def _from_symmetric(
+        cls,
+        parts: tuple[tuple[int, ...], ...],
+        adj: tuple[frozenset[int], ...],
+        name: str | None,
+    ) -> "MultipartiteGraph":
+        """The graph `cls(parts, adj, name)` builds, for an `adj` symmetric by
+        construction: every check of `validate` runs but the per-edge
+        symmetry scan, which could not fail."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "parts", parts)
+        object.__setattr__(graph, "adj", adj)
+        object.__setattr__(graph, "name", name)
+        if not graph._passes_set_checks(known_symmetric=True):
+            graph._scan_for_violation()
+        return graph
+
+    def _passes_set_checks(self, known_symmetric: bool) -> bool:
+        """True only if the pair-by-pair scan would accept the graph; a
+        `known_symmetric` adjacency is not checked edge by edge for its other side.
+        A TypeError, from an id that is not an int, leaves the scan to raise
         whatever it raises."""
         n = self.n
         ids = frozenset(range(n))
@@ -109,9 +124,10 @@ class MultipartiteGraph:
                 # u lies in its own part, so this also rules out a self-loop
                 if not (ids.issuperset(nb) and own[u].isdisjoint(nb)):
                     return False
-                for v in nb:
-                    if u not in adj[v]:
-                        return False
+                if not known_symmetric:
+                    for v in nb:
+                        if u not in adj[v]:
+                            return False
         except TypeError:
             return False
         return True
@@ -162,7 +178,8 @@ class MultipartiteGraph:
         Ids are range-checked once, over the finished adjacency: an edge end
         outside 0..n-1 either fails to index the adjacency list or is left in
         its partner's set.  Only then are the edges scanned in order, to name
-        the first dangling one.
+        the first dangling one.  Each edge is added both ways, so the graph
+        checks skip the symmetry scan; every other check of `validate` runs.
         """
         norm_parts = tuple(tuple(sorted(p)) for p in parts)
         n = sum(map(len, norm_parts))
@@ -170,7 +187,7 @@ class MultipartiteGraph:
         adj = _adjacency(n, edges)
         if adj is None or not frozenset(range(n)).issuperset(chain.from_iterable(adj)):
             adj = _checked_adjacency(n, edges)
-        return cls(norm_parts, tuple(map(frozenset, adj)), name)
+        return cls._from_symmetric(norm_parts, tuple(map(frozenset, adj)), name)
 
     def with_parts(self, order: Sequence[int]) -> "MultipartiteGraph":
         """Same graph with its parts permuted into the given order."""
@@ -225,13 +242,19 @@ def load_graph(source: bytes | str | IO, fmt: str = "json") -> MultipartiteGraph
 
     Every type, range and structure check of the document is made, and each
     failure keeps its message; `from_edges` and `validate` do the graph checks.
+    The adjacency holds each edge both ways, so, as in `from_edges`, those
+    checks skip the symmetry scan.  Bytes that are not UTF-8 are a
+    GraphFormatError.
     """
     if fmt != "json":
         raise GraphFormatError(f"unknown graph format tag {fmt!r}")
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"graph document is not UTF-8: {exc}") from exc
     try:
         doc = json.loads(source)
     except json.JSONDecodeError as exc:
@@ -267,7 +290,7 @@ def load_graph(source: bytes | str | IO, fmt: str = "json") -> MultipartiteGraph
     if adj is None:
         return MultipartiteGraph.from_edges(parts, edges, name)
     norm_parts = tuple(tuple(sorted(p)) for p in parts)
-    return MultipartiteGraph(norm_parts, tuple(map(frozenset, adj)), name)
+    return MultipartiteGraph._from_symmetric(norm_parts, tuple(map(frozenset, adj)), name)
 
 
 def _int_rows(value) -> bool:
@@ -392,6 +415,8 @@ def gen_extremal(k: int, sizes: Sequence[int], r: int) -> MultipartiteGraph:
     The planted set takes floor(|V_i|/r)+1 vertices from each part, so its size
     exceeds floor(n/r) and the graph has no spanning power-of-a-cycle.
     """
+    if k != len(sizes):
+        raise GraphValidationError(f"k={k} but {len(sizes)} sizes given")
     if r < 2:
         raise GraphValidationError("r must be at least 2")
     parts = _parts_from_sizes(sizes)

@@ -138,6 +138,11 @@ class TestGenerators:
         with pytest.raises(GraphValidationError):
             gen_random(2, [2, 2, 2], 1, 0)
 
+    @pytest.mark.parametrize("k, sizes", [(2, [2, 2, 2]), (3, [1]), (3, [])])
+    def test_extremal_size_mismatch(self, k, sizes):
+        with pytest.raises(GraphValidationError, match=f"k={k} but {len(sizes)} sizes given"):
+            gen_extremal(k, sizes, 2)
+
     def test_extremal_666(self):
         g = gen_extremal(3, (6, 6, 6), 3)
         assert degree_profile(g).delta_p == Fraction(1, 2)
@@ -378,3 +383,70 @@ def test_from_edges_and_load_graph_match_references(seed):
             text = json.dumps({"k": k, "parts": parts, "edges": case, **name})
             ours = build_outcome(lambda: load_graph(text))
             assert ours == build_outcome(lambda: reference_load_graph(text))
+
+
+def _sparse_host(seed: int) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """Up to 5000 vertices with a few edges each: every adjacency set is far
+    smaller than the largest id, so its iteration order follows the order the
+    edges were added in."""
+    rng = random.Random(seed)
+    k = rng.randint(2, 5)
+    sizes = [rng.randint(1, 1000) for _ in range(k)]
+    part_of = [i for i, size in enumerate(sizes) for _ in range(size)]
+    n = len(part_of)
+    edges = set()
+    while len(edges) < 2 * n:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if part_of[u] != part_of[v]:
+            edges.add((u, v))
+    parts = [[v for v in range(n) if part_of[v] == i] for i in range(k)]
+    return parts, sorted(edges)
+
+
+def _dense_host(seed: int) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    rng = random.Random(seed)
+    k = rng.randint(2, 5)
+    g = gen_random(k, [rng.randint(1, 30) for _ in range(k)], Fraction(9, 10), seed)
+    return [list(p) for p in g.parts], g.edges()
+
+
+@pytest.mark.parametrize("host", [_sparse_host, _dense_host])
+@pytest.mark.parametrize("seed", range(6))
+def test_edge_built_hosts_match_the_fully_checked_build(host, seed):
+    """`from_edges` and `load_graph` skip the symmetry scan: the adjacency
+    they build, its iteration order included, is the one the edge-by-edge
+    reference build checks in full, and an explicit full check accepts it."""
+    parts, edges = host(seed)
+    rng = random.Random(seed)
+    edges = [list(e) if rng.random() < 0.5 else [e[1], e[0]] for e in edges]
+    rng.shuffle(edges)
+    want = build_outcome(lambda: reference_from_edges(parts, edges, "h"))
+    g = MultipartiteGraph.from_edges(parts, edges, "h")
+    assert build_outcome(lambda: g) == want
+    g.validate()
+    text = json.dumps({"k": len(parts), "parts": parts, "edges": edges, "name": "h"})
+    assert build_outcome(lambda: load_graph(text)) == want
+    assert build_outcome(lambda: load_graph(save_graph(g))) == \
+        build_outcome(lambda: reference_load_graph(save_graph(g)))
+
+
+def test_only_edge_built_hosts_skip_the_full_check(monkeypatch):
+    """Direct construction and every derived graph run `validate`, symmetry
+    scan included; the edge-list builds do not call it."""
+    g = gen_random(3, [4, 3, 3], Fraction(2, 3), 5)
+    checked = []
+    real = MultipartiteGraph.validate
+    monkeypatch.setattr(MultipartiteGraph, "validate",
+                        lambda self: checked.append(self.parts) or real(self))
+    MultipartiteGraph.from_edges(g.parts, g.edges())
+    load_graph(save_graph(g))
+    assert checked == []
+    MultipartiteGraph(g.parts, g.adj)
+    g.with_parts([2, 0, 1])
+    induced_subgraph(g, [g.parts[0], g.parts[1]])
+    assert len(checked) == 3
+
+
+def test_bytes_that_are_not_utf8_are_a_format_error():
+    with pytest.raises(GraphFormatError, match="not UTF-8"):
+        load_graph(b"\xff\xfe\x7b")

@@ -228,6 +228,31 @@ class TestCli:
         bad.write_text("{nope")
         assert main(["pipeline", "--graph", str(bad), "--r", "3"]) == EXIT_PARSE
 
+    def test_directory_as_graph_is_a_parse_error(self, tmp_path, capsys):
+        assert main(["pipeline", "--graph", str(tmp_path), "--r", "2"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: [Errno 21] Is a directory")
+        assert "Traceback" not in err
+
+    def test_graph_that_is_not_utf8_is_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe\x7b")
+        assert main(["pipeline", "--graph", str(bad), "--r", "2"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: graph document is not UTF-8")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "cycle", ["0", "x", "null", "[[0]]", "[1e400]", '{"a": 1}', '"0213"', "[0.9,2,1,3]",
+                  "[0,2,true,3]"])
+    def test_cycle_that_is_not_an_int_list_is_a_usage_error(self, tmp_path, capsys, cycle):
+        gpath = self._gen(tmp_path, ["--k", "2", "--sizes", "2,2", "--delta", "1"])
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--graph", str(gpath), "--r", "2", "--cycle", cycle])
+        assert exc.value.code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"argument --cycle: not a JSON int array or comma list: {cycle!r}" in err
+
     def test_validation_error_exit_code(self, tmp_path):
         doc = {"k": 2, "parts": [[0, 1], [2, 3]], "edges": [[0, 1]]}
         bad = tmp_path / "inv.json"
