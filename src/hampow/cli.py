@@ -54,8 +54,11 @@ def _fraction_list(text: str) -> list[Fraction]:
 
 def _emit(args, payload: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise GraphFormatError(str(exc)) from exc
     else:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
@@ -165,7 +168,6 @@ def _scan_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out", default=None)
 
 
@@ -339,8 +341,9 @@ class ScanRow:
         ]
 
 
-def _scan_cell(task) -> list[str]:
-    n, k, r, sizes, delta, node_limit, seed = task
+def _scan_cell(
+    n: int, k: int, r: int, sizes: list[int], delta: Fraction, node_limit: int, seed: int
+) -> list[str]:
     g = gen_random(k, sizes, delta, seed)
     measured = degree_profile(g).delta_p
     res = oracle.ham_power_cycle_exists(g, r, oracle.SearchBudget(node_limit))
@@ -359,30 +362,18 @@ def _scan_cell(task) -> list[str]:
 
 
 def cmd_scan(args) -> int:
-    """One row per (n, delta, sample): generate, measure, run the oracle.
-
-    Cells are independent, so they fan out over worker processes with --jobs;
-    rows are always emitted in cell order, byte-identical for a given seed.
-    """
+    """One row per (n, delta, sample), in that order: generate, measure, run
+    the oracle.  The i-th row's host is generated with seed `--seed` + i."""
     if args.k < 1:
         raise GraphValidationError(f"a host needs at least one part, got k={args.k}")
-    tasks = []
-    counter = 0
+    rows = []
+    seed = args.seed
     for n in args.n:
         sizes = balanced_sizes(n, args.k)
         for delta in args.delta:
             for _ in range(args.samples):
-                tasks.append(
-                    (n, args.k, args.r, sizes, delta, args.budget, args.seed + counter)
-                )
-                counter += 1
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_scan_cell, tasks))
-    else:
-        rows = [_scan_cell(t) for t in tasks]
+                rows.append(_scan_cell(n, args.k, args.r, sizes, delta, args.budget, seed))
+                seed += 1
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -434,9 +425,6 @@ def main(argv: list[str] | None = None) -> int:
     except GraphValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except HampowError as exc:
         print(f"stage failure: {exc}", file=sys.stderr)
         return EXIT_STAGE

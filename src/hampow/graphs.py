@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import ceil
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Sequence
 
 from .errors import GraphFormatError, GraphValidationError, InfeasibleError
 
@@ -178,15 +178,20 @@ class MultipartiteGraph:
         Ids are range-checked once, over the finished adjacency: an edge end
         outside 0..n-1 either fails to index the adjacency list or is left in
         its partner's set.  Only then are the edges scanned in order, to name
-        the first dangling one.  Each edge is added both ways, so the graph
-        checks skip the symmetry scan; every other check of `validate` runs.
+        the first dangling one; when none is, an end that is not an int
+        stopped the build, and that is a TypeError.  Each edge is added both
+        ways, so the graph checks skip the symmetry scan; every other check of
+        `validate` runs.
         """
         norm_parts = tuple(tuple(sorted(p)) for p in parts)
         n = sum(map(len, norm_parts))
         edges = edges if isinstance(edges, (list, tuple)) else list(edges)
         adj = _adjacency(n, edges)
         if adj is None or not frozenset(range(n)).issuperset(chain.from_iterable(adj)):
-            adj = _checked_adjacency(n, edges)
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise GraphValidationError(f"edge ({u},{v}) references a dangling vertex id")
+            raise TypeError("edge ends must be int vertex ids")
         return cls._from_symmetric(norm_parts, tuple(map(frozenset, adj)), name)
 
     def with_parts(self, order: Sequence[int]) -> "MultipartiteGraph":
@@ -220,25 +225,13 @@ def _adjacency(n: int, edges: Iterable[Sequence[int]]) -> list[set[int]] | None:
     return adj
 
 
-def _checked_adjacency(n: int, edges: Iterable[Sequence[int]]) -> list[set[int]]:
-    """The adjacency sets of `edges`, scanned in order: raises for the first
-    edge with an end outside 0..n-1."""
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphValidationError(f"edge ({u},{v}) references a dangling vertex id")
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
-
-
 def save_graph(graph: MultipartiteGraph) -> str:
     """Serialize to the canonical JSON format (bit-exact: sorted edges, fixed key order)."""
     return json.dumps(graph.to_json_dict(), separators=(",", ":"))
 
 
-def load_graph(source: bytes | str | IO, fmt: str = "json") -> MultipartiteGraph:
-    """Parse and validate a graph from a byte stream / string in the declared format.
+def load_graph(source: bytes | str | IO) -> MultipartiteGraph:
+    """Parse and validate a graph JSON document from a byte stream or a string.
 
     Every type, range and structure check of the document is made, and each
     failure keeps its message; `from_edges` and `validate` do the graph checks.
@@ -246,8 +239,6 @@ def load_graph(source: bytes | str | IO, fmt: str = "json") -> MultipartiteGraph
     checks skip the symmetry scan.  Bytes that are not UTF-8 are a
     GraphFormatError.
     """
-    if fmt != "json":
-        raise GraphFormatError(f"unknown graph format tag {fmt!r}")
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
@@ -451,24 +442,19 @@ def balanced_sizes(n: int, k: int) -> list[int]:
     return [base + 1] * extra + [base] * (k - extra)
 
 
-class ReduceResult(NamedTuple):
-    graph: MultipartiteGraph
-    part_map: tuple[int, ...]
-
-
 def reduce_parts(
     graph: MultipartiteGraph, r: int, tiny: Fraction | None = None
-) -> ReduceResult:
+) -> MultipartiteGraph:
     """Merge and split parts until r <= k' <= 2r-1 with no part below the tiny threshold.
 
     Merging takes the two smallest parts while their combined size is at most n/r
     (deleting the cross edges between them).  A part smaller than tiny*n is then
     dissolved greedily into the largest-remaining-capacity parts, subject to
     |V_i| <= n/r throughout.  Only deletions occur, so any spanning power-cycle of
-    the output is one of the input.  Returns the graph (parts reordered by
-    descending size) and the vertex-to-new-part mapping.  When nothing is merged
-    or split and the parts already stand in that order, the input graph itself
-    is returned, with its own `part_index` as the mapping.
+    the output is one of the input.  Returns the graph, parts reordered by
+    descending size; its `part_index` maps each vertex to its new part.  When
+    nothing is merged or split and the parts already stand in that order, the
+    input graph itself is returned.
     """
     n = graph.n
     for i, part in enumerate(graph.parts):
@@ -515,7 +501,7 @@ def reduce_parts(
     groups.sort(key=lambda g: (-len(g), min(g)))
     new_parts = tuple(tuple(sorted(g)) for g in groups)
     if new_parts == graph.parts:
-        return ReduceResult(graph, graph.part_index)
+        return graph
     part_map = [-1] * n
     for idx, g in enumerate(groups):
         for v in g:
@@ -523,8 +509,7 @@ def reduce_parts(
     new_adj = tuple(
         frozenset(u for u in graph.adj[v] if part_map[u] != part_map[v]) for v in range(n)
     )
-    reduced = MultipartiteGraph(new_parts, new_adj, graph.name)
-    return ReduceResult(reduced, tuple(part_map))
+    return MultipartiteGraph(new_parts, new_adj, graph.name)
 
 
 def induced_subgraph(

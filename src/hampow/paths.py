@@ -34,13 +34,6 @@ class VertexSeq:
     def __iter__(self) -> Iterator[int]:
         return iter(self.vertices)
 
-    def __getitem__(self, i):
-        return self.vertices[i]
-
-    @classmethod
-    def of(cls, vertices: Iterable[int], r: int) -> "VertexSeq":
-        return cls(tuple(vertices), r)
-
     def concat(self, other: "VertexSeq | Sequence[int]") -> "VertexSeq":
         tail = other.vertices if isinstance(other, VertexSeq) else tuple(other)
         return VertexSeq(self.vertices + tail, self.r)
@@ -88,22 +81,16 @@ def final_respects(seq: Sequence[int], parts_seq: Sequence[Iterable[int]]) -> bo
     return all(seq[offset + i] in sets[i] for i in range(len(sets)))
 
 
-def is_properly_terminated(
-    graph: MultipartiteGraph,
-    seq: VertexSeq,
-    parts_seq: Sequence[Iterable[int]] | None = None,
-) -> bool:
-    """Initial and final r vertices both respect the given r-set sequence.
-
-    Defaults to the first r parts of the graph's ordered partition.
-    """
+def is_properly_terminated(graph: MultipartiteGraph, seq: VertexSeq) -> bool:
+    """Initial and final r vertices both traverse the graph's first r parts
+    in order.  Raises GraphValidationError for a sequence shorter than r or a
+    host with fewer than r parts."""
     r = seq.r
     if len(seq) < r:
         raise GraphValidationError(f"sequence of length {len(seq)} is shorter than r={r}")
-    if parts_seq is None:
-        parts_seq = graph.parts[:r]
-    if len(parts_seq) != r:
-        raise GraphValidationError(f"termination check needs exactly r={r} sets")
+    if graph.k < r:
+        raise GraphValidationError(f"termination check needs r={r} parts, the host has {graph.k}")
+    parts_seq = graph.parts[:r]
     return initial_respects(seq.vertices, parts_seq) and final_respects(seq.vertices, parts_seq)
 
 

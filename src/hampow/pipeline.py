@@ -225,17 +225,19 @@ def _per_group_path(
     report: PipelineReport,
     label: str,
 ) -> VertexSeq | None:
-    """Spanning path of a balanced group between anchors, honoring the mode."""
+    """Spanning path of a balanced group between anchors, honoring the mode.
+
+    A failed constructive attempt is recorded as stage `label:constructive`;
+    constructive mode then gives up, auto mode asks the oracle."""
     if mode in ("constructive", "auto"):
         try:
             path = constructive_ham_path_between(group, clique_a, clique_b, cfg)
             report.add(label, True, "constructive")
             return path
         except (ScaleInfeasibleError, InfeasibleError, SearchExhaustedError, CoverageError) as exc:
-            if mode == "constructive":
-                report.add(label, False, f"constructive: {exc}")
-                return None
             report.add(f"{label}:constructive", False, str(exc))
+            if mode == "constructive":
+                return None
     res = ham_power_path_between(group, cfg.r, clique_a, clique_b, budget)
     return report.add_oracle(label, res, f"oracle ({res.nodes} nodes)")
 
@@ -268,7 +270,7 @@ def run_pipeline(
     report.add("independence", True)
 
     try:
-        reduced, part_map = reduce_parts(graph, r, tiny=cfg.gamma / (2 * r))
+        reduced = reduce_parts(graph, r, tiny=cfg.gamma / (2 * r))
     except (GraphValidationError, InfeasibleError) as exc:
         report.add("reduce", False, str(exc))
         return report
@@ -305,17 +307,12 @@ def _balanced_case(
         ka = next(iter_cliques(graph, r), None)
         if ka is None:
             report.add("anchor", False, "no transversal clique exists")
-            if mode == "constructive":
-                return None
         else:
-            try:
-                path = constructive_ham_path_between(graph, ka, ka, cfg)
-                report.add("group_path", True, "constructive")
+            path = _per_group_path(graph, ka, ka, "constructive", cfg, budget, report, "group_path")
+            if path is not None:
                 return VertexSeq(ka + path.vertices, r)
-            except (ScaleInfeasibleError, InfeasibleError, SearchExhaustedError, CoverageError) as exc:
-                report.add("group_path:constructive", False, str(exc))
-                if mode == "constructive":
-                    return None
+        if mode == "constructive":
+            return None
     res = ham_power_cycle_exists(original, r, budget)
     return report.add_oracle("group_path", res, f"oracle ({res.nodes} nodes)")
 

@@ -212,18 +212,17 @@ def _grow_run(
     used: set[int],
     r: int,
     rng: random.Random,
-    tries: int = 8,
 ) -> list[int] | None:
     """Pick one unused vertex per part of the run, keeping all window adjacencies.
 
     Candidates are scored by remaining degree into the not-yet-chosen required
-    parts, ties broken randomly; a handful of restarts per run.  The candidates
+    parts, ties broken randomly; up to 8 attempts per run.  The candidates
     are the part's vertices off `used` inside every window vertex's
     neighbourhood, in ascending order, as the sorted part lists them.  The
     parts in `support` are distinct.
     """
     adj = graph.adj
-    for _ in range(tries):
+    for _ in range(8):
         chunk: list[int] = []
         for pos, part_idx in enumerate(support):
             fit = graph.part_sets[part_idx] - used
@@ -647,7 +646,6 @@ def _grow_window_path(
     rng: random.Random,
     before: Sequence[int] = (),
     after: Sequence[int] = (),
-    tries: int = 16,
 ) -> list[int] | None:
     """One vertex per cell, in order, such that `before`, the picks and `after`
     read as one power-path: each pick is adjacent to the last r-1 vertices of
@@ -657,11 +655,11 @@ def _grow_window_path(
     Each pick's candidates are found by set intersection (`_window_fit`): the
     cell off `used`, narrowed to each window vertex's neighbourhood.  They are
     listed in the cell's own iteration order, so a seeded `rng` picks the same
-    vertex as a vertex-by-vertex scan of the cell would.
+    vertex as a vertex-by-vertex scan of the cell would.  Up to 16 attempts.
     """
     adj = graph.adj
     lead = list(before[-(r - 1):])
-    for _ in range(tries):
+    for _ in range(16):
         out = lead[:]
         for p, cell in enumerate(cell_sequence):
             fit = _window_fit(adj, cell_sequence, p, out, used, r, after)

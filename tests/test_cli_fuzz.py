@@ -89,7 +89,7 @@ def test_fuzzed_documents_load_as_the_reference_loads(text):
 
 # A valid argument list for each subcommand on the K_{4,4} host, as (option,
 # value) pairs; None is a flag.  Every run stays tiny: small hosts, n and
-# budgets, and never more than one worker process.
+# budgets.
 def _valid_options(graph: str) -> dict[str, list[tuple[str, str | None]]]:
     common = [("--graph", graph), ("--r", "2")]
     return {
@@ -104,14 +104,13 @@ def _valid_options(graph: str) -> dict[str, list[tuple[str, str | None]]]:
         "tile": [*common, ("--integral", None), ("--cover", "0"), ("--seed", "1")],
         "search": [*common, ("--budget", "300")],
         "scan": [("--r", "2"), ("--k", "2"), ("--n", "4"), ("--delta", "1,1/2"),
-                 ("--samples", "1"), ("--budget", "300"), ("--seed", "1"), ("--jobs", "1")],
+                 ("--samples", "1"), ("--budget", "300"), ("--seed", "1")],
         "pipeline": [*common, ("--mode", "auto"), ("--budget", "300"), ("--seed", "1"),
                      ("--nu", "1/13"), ("--relaxed", None)],
     }
 
 
 OTHER_VALUES = ["0", "1", "3", "-1", "x", "", "1/0", "2/3", "[0,1]", "0,1"]
-JOBS_VALUES = ["1", "0", "-1", "x"]  # never more than one worker
 STRAY = ["--bogus", "-x", "extra", "--", "--gra", "--r=2", "-h", "--help"]
 NO_COMMAND = [[], ["--help"], ["-h"], ["bogus"], ["Pipeline"], ["--r", "2"], ["-h", "pipeline"],
               ["--bogus", "gen"]]
@@ -131,7 +130,7 @@ def argvs(draw, graph: str) -> list[str]:
         if fate == "drop":
             continue
         if fate == "other" and value is not None:
-            value = draw(st.sampled_from(JOBS_VALUES if option == "--jobs" else OTHER_VALUES))
+            value = draw(st.sampled_from(OTHER_VALUES))
         chunk = [option] if value is None or fate == "bare" else [option, value]
         chunks.append(chunk)
         if fate == "repeat":

@@ -114,7 +114,7 @@ class TestPipeline:
 
         g = gen_random(5, [3, 3, 3, 2, 2], Fraction(7, 10), 79)
         assert ham_power_cycle_exists(g, 3).answer == YES
-        reduced = reduce_parts(g, 3).graph
+        reduced = reduce_parts(g, 3)
         assert ham_power_cycle_exists(reduced, 3).answer != YES
         rep = run_pipeline(g, Config.default(3, seed=79), relaxed=True)
         assert rep.ok
@@ -190,6 +190,18 @@ class TestCli:
         assert rc == EXIT_STAGE
         stages = json.loads(capsys.readouterr().out)["stages"]
         assert any(s["name"] == "sequencing" and not s["ok"] for s in stages)
+        assert not any("oracle" in s["name"] or "oracle" in s["detail"] for s in stages)
+
+    def test_failed_constructive_group_path_is_one_stage(self, tmp_path, capsys):
+        # the groups are too small for the absorbing machinery; auto mode
+        # would hand the group to the oracle
+        gpath = self._gen(tmp_path, ["--k", "4", "--sizes", "12,12,12,12", "--delta", "1"])
+        rc = main(["pipeline", "--graph", str(gpath), "--r", "3", "--mode", "constructive",
+                   "--relaxed"])
+        assert rc == EXIT_STAGE
+        stages = json.loads(capsys.readouterr().out)["stages"]
+        assert [s["name"] for s in stages if not s["ok"]] == ["group_path[0]:constructive"]
+        assert stages[-1]["detail"].startswith("constants infeasible at this scale")
         assert not any("oracle" in s["name"] or "oracle" in s["detail"] for s in stages)
 
     def test_sequencing_self_check_failure_is_not_hidden(self, tmp_path, capsys, monkeypatch):
@@ -322,6 +334,25 @@ class TestCli:
         gpath = self._gen(tmp_path, ["--k", "3", "--sizes", "4,4,4", "--delta", "1"])
         rc = main(["search", "--graph", str(gpath), "--r", "3", "--budget", "1"])
         assert rc == EXIT_BUDGET
+
+    def test_pipeline_budget_exit_code(self, tmp_path, capsys):
+        gpath = self._gen(tmp_path, ["--k", "4", "--sizes", "12,12,12,12", "--delta", "1"])
+        rc = main(["pipeline", "--graph", str(gpath), "--r", "3", "--mode", "oracle",
+                   "--budget", "1"])
+        assert rc == EXIT_BUDGET
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["budget_exceeded"] is True and doc["cycle"] is None
+
+    @pytest.mark.parametrize("where, reason", [
+        ("a directory", "[Errno 21] Is a directory"),
+        ("a missing directory", "[Errno 2] No such file or directory"),
+    ])
+    def test_unwritable_out_is_a_parse_error(self, tmp_path, capsys, where, reason):
+        out = tmp_path if where == "a directory" else tmp_path / "missing" / "out.json"
+        assert main(["absorber", "--r", "2", "--out", str(out)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {reason}: {str(out)!r}\n"
 
     def test_verify_command(self, tmp_path, capsys):
         gpath = self._gen(tmp_path, ["--k", "2", "--sizes", "2,2", "--delta", "1"])
@@ -472,7 +503,7 @@ def test_every_option_is_read_by_its_command(tmp_path):
         ["tile", *common, "--integral", "--cover", "0", "--seed", "1"],
         ["search", *common, "--budget", "1000"],
         ["scan", "--r", "2", "--k", "2", "--n", "4", "--delta", "1", "--samples", "1",
-         "--budget", "1000", "--seed", "1", "--jobs", "1", "--out", out],
+         "--budget", "1000", "--seed", "1", "--out", out],
         ["pipeline", *common, "--mode", "oracle", "--budget", "1000", "--relaxed", "--seed", "1",
          *constants, "--nu", "1/25"],
     ]

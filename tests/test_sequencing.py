@@ -33,6 +33,7 @@ from hampow.sequencing import (
     build_trim_path,
     compute_trim_template,
     group_patterns,
+    refine_partition,
     run_sequencing,
     solve_part_sizes,
     verify_plan,
@@ -393,6 +394,39 @@ def test_a2_minimum_matches_the_per_vertex_fraction_loop(seed):
     except InfeasibleError:
         return
     assert _group_degree_slack(host, res.plan) == reference_group_degree_slack(host, res.plan)
+
+
+def test_strict_refinement_keeps_the_first_sample_on_a_complete_host():
+    # every vertex sees all of every cell, so the degree check never resamples
+    g = complete(4, [8, 8, 4, 4])
+    matrix = build_template_matrix(4, 3, 2)
+    cfg = Config.default(3, seed=3)
+    strict = refine_partition(g, g.parts, matrix, (4, 4), cfg, check_degrees=True)
+    assert strict == refine_partition(g, g.parts, matrix, (4, 4), cfg, check_degrees=False)
+    assert sorted(v for cell in strict[0].values() for v in cell) == list(range(g.n))
+
+
+def test_strict_refinement_names_the_least_violation_once_its_resamples_run_out():
+    """Vertex 20 of part 3 sees only vertices 0 and 1 of part 0: every split
+    of part 0 into two cells of 4 leaves it below 3/4 of some cell."""
+    full = complete(4, [8, 8, 4, 4])
+    g = MultipartiteGraph.from_edges(
+        full.parts, [e for e in full.edges() if not (e[1] == 20 and e[0] in range(2, 8))])
+    matrix = build_template_matrix(4, 3, 2)
+    cfg = Config.default(3, seed=1, retry_limit=5)
+    rng = cfg.rng("refine:0")
+    seen = []
+    for _ in range(5):
+        pool = list(g.parts[0])
+        rng.shuffle(pool)
+        seen.append(min(Fraction(len(g.adj[20] & set(cell)), 4) for cell in (pool[:4], pool[4:])))
+    least = min(seen)
+    assert seen[0] > least and seen[-1] > least  # neither the first nor the last sample
+    with pytest.raises(SearchExhaustedError, match=(
+        rf"refinement degree check exhausted 5 resamples; worst violation: "
+        rf"vertex 20 sees only {least} of cell \(0, [01]\)$"
+    )):
+        refine_partition(g, g.parts, matrix, (4, 4), cfg, check_degrees=True)
 
 
 def test_refinement_violation_matches_the_per_pair_fraction_loop():
