@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import absorber, connect, oracle, pipeline, sequencing, tiling
@@ -309,61 +308,30 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    n: int
-    k: int
-    r: int
-    sizes: tuple[int, ...]
-    target_delta: Fraction
-    measured_delta: Fraction
-    answer: str
-    nodes: int
-    seed: int
-
-    def __post_init__(self):
-        if not 0 <= self.measured_delta <= 1:
-            raise GraphValidationError("measured delta outside [0,1]")
-        if self.answer not in (oracle.YES, oracle.NO, oracle.BUDGET_EXCEEDED):
-            raise GraphValidationError(f"unknown answer {self.answer!r}")
-
-    def to_csv(self) -> list[str]:
-        return [
-            str(self.n),
-            str(self.k),
-            str(self.r),
-            ",".join(str(s) for s in self.sizes),
-            str(self.target_delta),
-            str(self.measured_delta),
-            self.answer,
-            str(self.nodes),
-            str(self.seed),
-        ]
-
-
 def _scan_cell(
     n: int, k: int, r: int, sizes: list[int], delta: Fraction, node_limit: int, seed: int
 ) -> list[str]:
     g = gen_random(k, sizes, delta, seed)
     measured = degree_profile(g).delta_p
     res = oracle.ham_power_cycle_exists(g, r, oracle.SearchBudget(node_limit))
-    row = ScanRow(
-        n=n,
-        k=k,
-        r=r,
-        sizes=tuple(sizes),
-        target_delta=delta,
-        measured_delta=measured,
-        answer=res.answer,
-        nodes=res.nodes,
-        seed=seed,
-    )
-    return row.to_csv()
+    return [
+        str(n),
+        str(k),
+        str(r),
+        ",".join(map(str, sizes)),
+        str(delta),
+        str(measured),
+        res.answer,
+        str(res.nodes),
+        str(seed),
+    ]
 
 
 def cmd_scan(args) -> int:
     """One row per (n, delta, sample), in that order: generate, measure, run
-    the oracle.  The i-th row's host is generated with seed `--seed` + i."""
+    the oracle.  The i-th row's host is generated with seed `--seed` + i.
+    Each row holds the host's `degree_profile` minimum and the oracle's answer
+    as they are returned: both are checked where they are computed."""
     if args.k < 1:
         raise GraphValidationError(f"a host needs at least one part, got k={args.k}")
     rows = []

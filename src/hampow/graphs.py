@@ -75,14 +75,14 @@ class MultipartiteGraph:
         name an id outside 0..n-1, and adjacency with an id outside 0..n-1, a
         self-loop, a one-sided edge or an edge inside a part.
 
-        The checks run set-wise first.  Only a graph that fails them is scanned
-        part by part and then edge by edge, so the error names the first
-        violation in that order.  Every construction runs them, symmetry
-        included, except `from_edges` and `load_graph`: an adjacency built from
-        an edge list holds each edge both ways, so they skip the symmetry scan.
+        Each part and then each neighbourhood is tested set-wise; only the
+        first one that fails is scanned id by id, so the error names the first
+        violation in that order.  Every construction runs these checks,
+        symmetry included, except `from_edges` and `load_graph`: an adjacency
+        built from an edge list holds each edge both ways, so they skip the
+        symmetry test.
         """
-        if not self._passes_set_checks(known_symmetric=False):
-            self._scan_for_violation()
+        self._check(symmetric=False)
 
     @classmethod
     def _from_symmetric(
@@ -92,51 +92,41 @@ class MultipartiteGraph:
         name: str | None,
     ) -> "MultipartiteGraph":
         """The graph `cls(parts, adj, name)` builds, for an `adj` symmetric by
-        construction: every check of `validate` runs but the per-edge
-        symmetry scan, which could not fail."""
+        construction: every check of `validate` runs but the symmetry test,
+        which could not fail."""
         graph = object.__new__(cls)
         object.__setattr__(graph, "parts", parts)
         object.__setattr__(graph, "adj", adj)
         object.__setattr__(graph, "name", name)
-        if not graph._passes_set_checks(known_symmetric=True):
-            graph._scan_for_violation()
+        graph._check(symmetric=True)
         return graph
 
-    def _passes_set_checks(self, known_symmetric: bool) -> bool:
-        """True only if the pair-by-pair scan would accept the graph; a
-        `known_symmetric` adjacency is not checked edge by edge for its other side.
-        A TypeError, from an id that is not an int, leaves the scan to raise
-        whatever it raises."""
-        n = self.n
-        ids = frozenset(range(n))
-        try:
-            flat = list(chain.from_iterable(self.parts))
-            if not (
-                all(list(part) == sorted(part) for part in self.parts)
-                and set(map(type, flat)) <= {int}
-                and len(flat) == n
-                and ids == set(flat)
-            ):
-                return False
-            adj = self.adj
-            own = [self.part_sets[i] for i in self.part_index]
-            for u, nb in enumerate(adj):
-                # u lies in its own part, so this also rules out a self-loop
-                if not (ids.issuperset(nb) and own[u].isdisjoint(nb)):
-                    return False
-                if not known_symmetric:
-                    for v in nb:
-                        if u not in adj[v]:
-                            return False
-        except TypeError:
-            return False
-        return True
+    def _check(self, symmetric: bool) -> None:
+        """Raise GraphValidationError for the first violation, part by part and
+        then vertex by vertex.
 
-    def _scan_for_violation(self) -> None:
-        """Raise for the first violation, part by part and then edge by edge."""
+        Each part, then each neighbourhood, is tested set-wise.  Only one that
+        fails the test, or makes it raise TypeError, is scanned id by id, and
+        the scan names its first bad id.  An id that is not an int, such as
+        `True`, can fail the test yet pass the scan, so the pass goes on after
+        a scan that raises nothing.  A `symmetric` adjacency is not tested for
+        the other side of each edge."""
         n = self.n
         seen: set[int] = set()
         for part in self.parts:
+            try:
+                ok = (
+                    set(map(type, part)) <= {int}
+                    and list(part) == sorted(part)
+                    and (not part or (0 <= part[0] and part[-1] < n))
+                    and len(set(part)) == len(part)
+                    and seen.isdisjoint(part)
+                )
+            except TypeError:
+                ok = False
+            if ok:
+                seen.update(part)
+                continue
             if list(part) != sorted(part):
                 raise GraphValidationError("parts must be stored as sorted id lists")
             for v in part:
@@ -148,17 +138,28 @@ class MultipartiteGraph:
         if len(seen) != n:
             missing = next(v for v in range(n) if v not in seen)
             raise GraphValidationError(f"vertex {missing} is not covered by any part")
-        part_of = [-1] * n
-        for i, part in enumerate(self.parts):
-            for v in part:
-                part_of[v] = i
-        for u in range(n):
-            for v in self.adj[u]:
+        adj, part_of = self.adj, self.part_index
+        ids = frozenset(range(n))
+        own = [self.part_sets[i] for i in part_of]
+        for u, nb in enumerate(adj):
+            try:
+                # u lies in its own part, so this also rules out a self-loop
+                ok = ids.issuperset(nb) and own[u].isdisjoint(nb)
+                if ok and not symmetric:
+                    for v in nb:
+                        if u not in adj[v]:
+                            ok = False
+                            break
+            except TypeError:
+                ok = False
+            if ok:
+                continue
+            for v in nb:
                 if not 0 <= v < n:
                     raise GraphValidationError(f"edge ({u},{v}) references a dangling vertex id")
                 if v == u:
                     raise GraphValidationError(f"self-loop at vertex {u}")
-                if u not in self.adj[v]:
+                if u not in adj[v]:
                     raise GraphValidationError(f"adjacency not symmetric on ({u},{v})")
                 if part_of[u] == part_of[v]:
                     raise GraphValidationError(
@@ -368,8 +369,10 @@ class Config:
         return cls(**base)
 
     def floor_m(self, n: int) -> int:
-        """Integer stand-in for beta*n; floored at 1 so every group stays nonempty."""
-        return max(1, ceil(self.beta * n))
+        """Least cell size of a group: the integer stand-in for beta*n, but at
+        least 2, since every cell donates a vertex to each of the two seams
+        (the connectors into and out of its group) whatever beta*n is."""
+        return max(2, ceil(self.beta * n))
 
     def rng(self, label: str) -> random.Random:
         """Deterministic per-purpose stream derived from the seed."""

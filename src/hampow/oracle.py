@@ -43,7 +43,7 @@ class OracleResult:
     def to_json_dict(self) -> dict:
         return {
             "answer": self.answer,
-            "witness": self.witness.to_json() if self.witness else None,
+            "witness": self.witness.to_json() if self.witness is not None else None,
             "nodes_expanded": self.nodes,
         }
 

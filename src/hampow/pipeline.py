@@ -71,7 +71,7 @@ class PipelineReport:
             "ok": self.ok,
             "budget_exceeded": self.budget_exceeded,
             "stages": [s.to_json_dict() for s in self.stages],
-            "cycle": self.cycle.to_json() if self.cycle else None,
+            "cycle": self.cycle.to_json() if self.cycle is not None else None,
         }
 
 

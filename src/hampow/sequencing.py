@@ -849,11 +849,9 @@ def run_sequencing(
     residual = [[v for v in part if v not in on_path] for part in graph.parts]
     matrix = build_template_matrix(tmpl.k, tmpl.r, tmpl.s)
     b = [len(p) for p in residual]
-    # Every cell donates a vertex to each of the two seams touching its group,
-    # so the multiplicity floor must be at least 2 regardless of beta*n.  A
-    # cell at that floor leaves its two connectors no choice, so the solver
-    # spreads the remaining residual evenly and keeps few columns there.
-    x = solve_part_sizes(matrix, b, max(2, cfg.floor_m(graph.n)))
+    # A cell at the floor of 2 leaves its two connectors no choice, so the
+    # solver spreads the remaining residual evenly and keeps few columns there.
+    x = solve_part_sizes(matrix, b, cfg.floor_m(graph.n))
     matrix = matrix.with_solution(x, b)
     # A refinement can strand a seam behind one missing edge; resampling the
     # cells is the retry lever, so re-refine when the connectors dead-end.

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphValidationError, SearchExhaustedError, VerificationError
-from .graphs import Config, MultipartiteGraph
+from .graphs import Config, MultipartiteGraph, require_power
 from .paths import VertexSeq, is_path, is_properly_terminated, splice_ok
 
 
@@ -130,6 +130,7 @@ class FractionalTiling:
 def fractional_tiling(graph: MultipartiteGraph, r: int) -> FractionalTiling:
     """Exact LP relaxation of the perfect tiling problem; perfect iff the optimum
     equals n/r.  The dual certificate is audited before returning."""
+    require_power(r)
     if graph.k != r:
         raise GraphValidationError("fractional tiling expects an r-partite graph")
     cliques = enumerate_cliques(graph, r)
@@ -157,6 +158,7 @@ def perfect_tiling_bruteforce(
 
     Branches on the uncovered vertex contained in the fewest remaining cliques.
     """
+    require_power(r)
     if graph.n % r != 0:
         raise GraphValidationError(f"n={graph.n} is not divisible by r={r}")
     cliques = enumerate_cliques(graph, r)
@@ -217,8 +219,12 @@ def cover_with_paths(
     on shortfall.  Within an attempt, a clique that meets a used vertex can
     never be picked again, so each scan drops those it passes from the
     attempt's list.  The leftover of a balanced host is automatically balanced
-    because every path meets all parts equally.
+    because every path meets all parts equally.  A negative alpha asks for a
+    leftover below zero, which no cover has.
     """
+    require_power(r)
+    if alpha < 0:
+        raise GraphValidationError(f"cover leftover fraction must be at least 0, got {alpha}")
     if graph.k != r:
         raise GraphValidationError("path cover expects an r-partite graph")
     sizes = {len(p) for p in graph.parts}

@@ -282,9 +282,10 @@ class TestConfig:
                 nu=Fraction(1, 10),
             )
 
-    def test_floor_is_at_least_one(self):
+    def test_floor_is_at_least_two(self):
         cfg = Config.default(3)
-        assert cfg.floor_m(10) == 1
+        assert cfg.floor_m(0) == cfg.floor_m(10) == cfg.floor_m(400) == 2
+        assert cfg.floor_m(401) == 3
         assert cfg.floor_m(10_000) >= cfg.beta * 10_000
 
     @pytest.mark.parametrize("r", [-1, 0, 1])
@@ -334,6 +335,9 @@ def _corruptions(g, rng):
     j = (i + 1) % len(parts)
     out.append(variant("repeated vertex", new_parts=[
         sorted(p + [u]) if h == j else p for h, p in enumerate(parts)]))
+    out.append(variant("repeated id inside a part", new_parts=[
+        sorted(p + [u]) if h == i else p for h, p in enumerate(parts)]))
+    out.append(variant("unhashable id alone in a part", new_parts=parts + [[[u]]]))
     out.append(variant("uncovered vertex", new_parts=[
         [v for v in p if v != u] for p in parts]))
     out.append(variant("part id out of range", new_parts=[

@@ -14,7 +14,7 @@ from hampow import cli
 from hampow.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_STAGE, EXIT_VALIDATION, build_parser, main
 from hampow.errors import SearchExhaustedError
 from hampow.graphs import Config, balanced_sizes, gen_extremal, gen_random
-from hampow.paths import verify_ham_power_cycle
+from hampow.paths import VertexSeq, verify_ham_power_cycle
 from hampow.pipeline import _sample_reservoir, constructive_ham_path_between, run_pipeline
 from hampow.oracle import SearchBudget
 
@@ -401,6 +401,31 @@ class TestCli:
         assert len(doc["integral"]) == 2
         assert doc["cover"]["leftover"] == []
         assert sorted(v for p in doc["cover"]["paths"] for v in p) == list(range(6))
+
+    @pytest.mark.parametrize("host, args, reason", [
+        (["--k", "1", "--sizes", "1"], ["--r", "1"], "power parameter r must be at least 2"),
+        (["--k", "0", "--sizes", ""], ["--r", "0"], "power parameter r must be at least 2"),
+        (["--k", "3", "--sizes", "4,4,4"], ["--r", "3", "--cover", "-1"],
+         "cover leftover fraction must be at least 0, got -1"),
+    ])
+    def test_tile_out_of_range_r_or_alpha_is_a_validation_error(
+        self, tmp_path, capsys, host, args, reason
+    ):
+        gpath = self._gen(tmp_path, host + ["--delta", "1"])
+        assert main(["tile", "--graph", str(gpath), *args]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"validation error: {reason}\n"
+
+    def test_search_on_the_empty_host_prints_an_empty_witness(self, tmp_path, capsys):
+        gpath = self._gen(tmp_path, ["--k", "0", "--sizes", "", "--delta", "1"])
+        assert main(["search", "--graph", str(gpath), "--r", "2"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {
+            "answer": "yes", "witness": [], "nodes_expanded": 0}
+
+    def test_empty_cycle_prints_as_an_empty_list(self):
+        rep = hampow.pipeline.PipelineReport(cycle=VertexSeq((), 2))
+        assert rep.to_json_dict()["cycle"] == []
 
     def test_sequence_command(self, tmp_path, capsys):
         gpath = self._gen(tmp_path, ["--k", "4", "--sizes", "12,12,12,12", "--delta", "1"])

@@ -266,6 +266,20 @@ class TestVerifyPlanFaults:
         rep = verify_plan(g, replace(plan, refined_parts=cells), cfg)
         assert not rep.condition("A1").ok
 
+    def test_one_vertex_cells_break_a1(self):
+        """A one-vertex cell cannot feed both seams of its group, however
+        small beta*n is."""
+        g, cfg, res = _pipeline_fixture(seed=3)
+        plan = res.plan
+        assert cfg.beta * g.n < 1
+        cells = dict(plan.refined_parts)
+        for i in plan.group_sequences[0]:
+            cells[(i, 0)] = frozenset([min(cells[(i, 0)])])
+        rep = verify_plan(g, replace(plan, refined_parts=cells), cfg)
+        live = [1] * len(plan.group_sequences[0])
+        assert not rep.condition("A1").ok
+        assert rep.condition("A1").detail == f"group 0: cell sizes {live} not equal or below 2"
+
     def test_truncated_p0_breaks_a3(self):
         g, cfg, res = _pipeline_fixture(seed=3)
         plan = res.plan

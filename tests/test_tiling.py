@@ -187,10 +187,33 @@ class TestCover:
         with pytest.raises(GraphValidationError):
             cover_with_paths(g, 2, Fraction(1), Config.default(2, seed=0))
 
+    @pytest.mark.parametrize("alpha", [Fraction(-1), Fraction(-1, 100)])
+    def test_negative_alpha_is_rejected_before_any_attempt(self, alpha, monkeypatch):
+        def no_cliques(*a):
+            raise AssertionError("the cover enumerated cliques")
+
+        monkeypatch.setattr(tiling, "enumerate_cliques", no_cliques)
+        with pytest.raises(GraphValidationError, match=f"at least 0, got {alpha}$"):
+            cover_with_paths(complete(3, [4, 4, 4]), 3, alpha, Config.default(3, seed=0))
+
     def test_shortfall_reports_best(self):
         g = gen_random(2, [4, 4], 0, 0)  # empty graph: no cliques at all
         with pytest.raises(SearchExhaustedError, match="shortfall"):
             cover_with_paths(g, 2, Fraction(1, 8), Config.default(2, seed=0))
+
+
+@pytest.mark.parametrize("r", [-1, 0, 1])
+@pytest.mark.parametrize("sizes", [[], [1], [2, 2]])
+def test_r_below_two_is_rejected_by_every_tiling(r, sizes):
+    """Before the part count, the divisibility test or the cover's Config is
+    looked at: an r-partite host with r = 1 passes them all, and r = 0
+    divides by zero."""
+    g = complete(len(sizes), sizes)
+    cfg = Config.default(2)
+    for call in (lambda: fractional_tiling(g, r), lambda: perfect_tiling_bruteforce(g, r),
+                 lambda: cover_with_paths(g, r, Fraction(0), cfg)):
+        with pytest.raises(GraphValidationError, match="r must be at least 2"):
+            call()
 
 
 def _cover_outcome(cover, g, r, alpha, cfg):
