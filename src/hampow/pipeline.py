@@ -140,7 +140,7 @@ def constructive_ham_path_between(
             )
         u_sets = _sample_reservoir(graph, free0, u_size, cfg)
         rest = [
-            [v for v in f if v not in set(u)] for f, u in zip(free0, u_sets)
+            [v for v in f if v not in reserved] for f, reserved in zip(free0, map(set, u_sets))
         ]
         sub, old_ids = induced_subgraph(graph, rest)
         # every gadget absorbs a spare reservoir r-set, so none is left to
@@ -251,7 +251,8 @@ def run_pipeline(
 ) -> PipelineReport:
     """Reduce, sequence, build per-group spanning paths, splice, and verify.
 
-    The report records every stage; the final cycle is only accepted after the
+    A host with no vertices gets the empty cycle in every mode.  The report
+    records every stage; the final cycle is only accepted after the
     independent cyclic-window verifier passes on the original graph.
     """
     if mode not in ("constructive", "oracle", "auto"):
@@ -269,20 +270,24 @@ def run_pipeline(
         return report
     report.add("independence", True)
 
-    try:
-        reduced = reduce_parts(graph, r, tiny=cfg.gamma / (2 * r))
-    except (GraphValidationError, InfeasibleError) as exc:
-        report.add("reduce", False, str(exc))
-        return report
-    report.add("reduce", True, f"k'={reduced.k}, sizes={[len(p) for p in reduced.parts]}")
-
-    # Constructive stages work on the reduced graph (a subgraph, so their
-    # cycles carry over); oracle fallbacks must search the original, because
-    # the reduction deletes edges a cycle might need.
-    if reduced.k == r:
-        cycle = _balanced_case(reduced, graph, mode, cfg, budget, report)
+    if graph.n == 0:
+        # the empty cycle spans the empty host, as the oracle answers; there
+        # is nothing to reduce or cut, and the verifier still checks it
+        cycle: VertexSeq | None = VertexSeq((), r)
     else:
-        cycle = _sequenced_case(reduced, graph, mode, relaxed, cfg, budget, report)
+        try:
+            reduced = reduce_parts(graph, r, tiny=cfg.gamma / (2 * r))
+        except (GraphValidationError, InfeasibleError) as exc:
+            report.add("reduce", False, str(exc))
+            return report
+        report.add("reduce", True, f"k'={reduced.k}, sizes={[len(p) for p in reduced.parts]}")
+        # Constructive stages work on the reduced graph (a subgraph, so their
+        # cycles carry over); oracle fallbacks must search the original,
+        # because the reduction deletes edges a cycle might need.
+        if reduced.k == r:
+            cycle = _balanced_case(reduced, graph, mode, cfg, budget, report)
+        else:
+            cycle = _sequenced_case(reduced, graph, mode, relaxed, cfg, budget, report)
     if cycle is None:
         return report
 
@@ -363,15 +368,13 @@ def _sequenced_case(
         f"ell={seq.plan.ell}, measured group slack {seq.report.measured_group_slack}",
     )
 
-    plan = seq.plan
-    ell = plan.ell
-    pieces: list[VertexSeq] = [plan.p0]
-    for j in range(ell):
-        cells = plan.group_cells(j)
+    # group j runs from bridge j to bridge j+1, the last group back to p0
+    bridges = (seq.plan.p0, *seq.plan.connectors)
+    out: list[int] = []
+    for j, (before, cells) in enumerate(zip(bridges, seq.plan.groups)):
+        after = bridges[(j + 1) % len(bridges)]
         sub, old_ids = induced_subgraph(graph, cells)
         back = {old: new for new, old in enumerate(old_ids)}
-        before = plan.p0 if j == 0 else plan.connectors[j - 1]
-        after = plan.p0 if j == ell - 1 else plan.connectors[j]
         ka = tuple(back[v] for v in before.vertices[-r:])
         kb = tuple(back[v] for v in after.vertices[:r])
         q = _per_group_path(sub, ka, kb, mode, cfg, budget, report, f"group_path[{j}]")
@@ -381,10 +384,9 @@ def _sequenced_case(
             if mode == "auto" and not report.budget_exceeded:
                 return _whole_graph_fallback(original, cfg, budget, report)
             return None
-        pieces.append(VertexSeq(tuple(old_ids[v] for v in q.vertices), r))
-        if j < ell - 1:
-            pieces.append(plan.connectors[j])
-    return VertexSeq(tuple(v for p in pieces for v in p.vertices), r)
+        out.extend(before.vertices)
+        out.extend(old_ids[v] for v in q.vertices)
+    return VertexSeq(tuple(out), r)
 
 
 def _whole_graph_fallback(

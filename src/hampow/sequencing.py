@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, zip_longest
 from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -151,7 +151,7 @@ def build_trim_path(
     last_exc: Exception | None = None
     for attempt in range(cfg.retry_limit):
         try:
-            vertices = _realize_types(graph, tmpl.type_sequence, r, rng, set())
+            vertices = _realize_types(graph, tmpl.type_sequence, r, rng)
             break
         except SearchExhaustedError as exc:
             last_exc = exc
@@ -190,10 +190,9 @@ def _realize_types(
     types: Sequence[TypeVector],
     r: int,
     rng: random.Random,
-    reserved: set[int],
 ) -> list[int]:
     """One greedy pass over the template; raises SearchExhaustedError on a dead end."""
-    used: set[int] = set(reserved)
+    used: set[int] = set()
     out: list[int] = []
     for z in types:
         support = [i for i, zi in enumerate(z) if zi]
@@ -244,14 +243,12 @@ def _grow_run(
 @dataclass(frozen=True)
 class TemplateMatrix:
     """0/1 matrix whose columns enumerate the admissible group part-patterns in a
-    seam-compatible order, plus the solved column multiplicities once known."""
+    seam-compatible order."""
 
     k: int
     r: int
     s: int
     cols: tuple[TypeVector, ...]
-    x: tuple[int, ...] | None = None
-    b: tuple[int, ...] | None = None
 
     @property
     def ell(self) -> int:
@@ -262,9 +259,6 @@ class TemplateMatrix:
 
     def mul(self, x: Sequence[int]) -> tuple[int, ...]:
         return tuple(sum(col[i] * xj for col, xj in zip(self.cols, x)) for i in range(self.k))
-
-    def with_solution(self, x: Sequence[int], b: Sequence[int]) -> "TemplateMatrix":
-        return replace(self, x=tuple(x), b=tuple(b))
 
     def validate(self) -> None:
         k, r, s = self.k, self.r, self.s
@@ -371,12 +365,8 @@ def solve_part_sizes(
     return tuple(x)
 
 
-GroupSequences = tuple[tuple[int, ...], ...]
-RefinedParts = dict[tuple[int, int], frozenset[int]]
-
-
-def group_patterns(matrix: TemplateMatrix) -> GroupSequences:
-    """Per-column ascending part indices carrying the nonempty cells."""
+def group_patterns(matrix: TemplateMatrix) -> tuple[tuple[int, ...], ...]:
+    """Per-column ascending part indices: the parts group j takes cells from."""
     return tuple(tuple(i for i in range(matrix.k) if col[i]) for col in matrix.cols)
 
 
@@ -387,12 +377,16 @@ def refine_partition(
     x: Sequence[int],
     cfg: Config,
     check_degrees: bool = True,
-) -> tuple[RefinedParts, GroupSequences]:
-    """Randomly split each residual part into cells of size a_{i,j} * x_j.
+) -> tuple[tuple[tuple[frozenset[int], ...], ...], tuple[tuple[int, ...], ...]]:
+    """Randomly split each residual part i into one cell of x_j vertices per
+    column j whose pattern holds i, and return the groups and their patterns:
+    group j is column j's cells in the ascending part order of its pattern.
+    No cell is built for a part outside a pattern.
 
     With check_degrees, every vertex of the graph must see at least a
     (1 - 1/r + gamma/2) fraction of every nonempty cell outside its own part;
-    failing parts are resampled up to the retry budget.
+    failing parts are resampled up to the retry budget.  A violation names its
+    cell (part, column).
     """
     k, r = matrix.k, matrix.r
     residual = [sorted(p) for p in residual_parts]
@@ -406,7 +400,7 @@ def refine_partition(
             )
 
     threshold = 1 - Fraction(1, r) + cfg.gamma / 2
-    cells: RefinedParts = {}
+    groups: list[list[frozenset[int]]] = [[] for _ in range(matrix.ell)]
     worst: tuple[Fraction, int, tuple[int, int]] | None = None
     for i in range(k):
         rng = cfg.rng(f"refine:{i}")
@@ -416,15 +410,15 @@ def refine_partition(
             row: dict[tuple[int, int], frozenset[int]] = {}
             at = 0
             for j in range(matrix.ell):
-                size = matrix.entry(i, j) * x[j]
-                row[(i, j)] = frozenset(pool[at : at + size])
-                at += size
-            if not check_degrees:
-                cells.update(row)
-                break
-            bad = _worst_cell_violation(graph, row, threshold)
+                if matrix.entry(i, j):
+                    row[(i, j)] = frozenset(pool[at : at + x[j]])
+                    at += x[j]
+            bad = _worst_cell_violation(graph, row, threshold) if check_degrees else None
             if bad is None:
-                cells.update(row)
+                # parts are split in ascending order, so each group's cells
+                # arrive in its pattern's order
+                for (_, j), cell in row.items():
+                    groups[j].append(cell)
                 break
             if worst is None or bad[0] < worst[0]:
                 worst = bad
@@ -435,7 +429,7 @@ def refine_partition(
                 f"refinement degree check exhausted {cfg.retry_limit} resamples; worst "
                 f"violation: vertex {v} sees only {frac} of cell {cell}"
             )
-    return cells, group_patterns(matrix)
+    return tuple(map(tuple, groups)), group_patterns(matrix)
 
 
 def _least_degree_into(
@@ -469,34 +463,33 @@ def _worst_cell_violation(
 
 @dataclass(frozen=True)
 class SequencingPlan:
-    """Everything the cutting produces: trim path, extended trim path, cells,
-    per-group part patterns, and the connector paths."""
+    """Everything the cutting produces: the trim path, the extended trim path
+    p0, the groups, and the connector paths.
+
+    The groups are the plan's cells: `groups[j]` holds group j's cells and
+    `patterns[j]` the parts they come from, one cell per part in ascending
+    part order.  Connector j joins group j to group j+1, and p0 joins the last
+    group back to the first.
+    """
 
     r: int
     p0_prime: VertexSeq
     p0: VertexSeq
-    refined_parts: RefinedParts
-    group_sequences: GroupSequences
+    groups: tuple[tuple[frozenset[int], ...], ...]
+    patterns: tuple[tuple[int, ...], ...]
     connectors: tuple[VertexSeq, ...]
 
     @property
     def ell(self) -> int:
-        return len(self.group_sequences)
-
-    def group_cells(self, j: int) -> list[frozenset[int]]:
-        """Ordered nonempty cells of group j (0-based)."""
-        return [self.refined_parts[(i, j)] for i in self.group_sequences[j]]
+        return len(self.groups)
 
     def to_json_dict(self) -> dict:
         return {
             "p0_prime": self.p0_prime.to_json(),
             "p0": self.p0.to_json(),
             "groups": [
-                {
-                    "cols": list(self.group_sequences[j]),
-                    "cells": [sorted(c) for c in self.group_cells(j)],
-                }
-                for j in range(self.ell)
+                {"cols": list(pattern), "cells": [sorted(c) for c in cells]}
+                for pattern, cells in zip(self.patterns, self.groups)
             ],
             "connectors": [c.to_json() for c in self.connectors],
         }
@@ -505,13 +498,14 @@ class SequencingPlan:
 def build_connectors_and_p0(
     graph: MultipartiteGraph,
     p0_prime: VertexSeq,
-    refined_parts: RefinedParts,
-    group_sequences: GroupSequences,
+    groups: tuple[tuple[frozenset[int], ...], ...],
+    patterns: tuple[tuple[int, ...], ...],
     cfg: Config,
 ) -> SequencingPlan:
     """Greedy 2r-vertex connector paths between consecutive groups, then wrap the
     trim path with r prepended vertices (from the last group) and r appended
-    vertices (from the first group).
+    vertices (from the first group).  The groups are the cells as
+    `refine_partition` returns them, and the plan keeps them with `patterns`.
 
     Connector 0 and the appended suffix each take one vertex from every cell of
     the first group.  When those cells are small they may have no room for
@@ -520,8 +514,7 @@ def build_connectors_and_p0(
     once with the same `SearchExhaustedError` the spent attempts would raise.
     """
     r = cfg.r
-    ell = len(group_sequences)
-    groups = [[refined_parts[(i, j)] for i in seq] for j, seq in enumerate(group_sequences)]
+    ell = len(groups)
     if ell >= 2 and not _connector_0_fits(graph, p0_prime, groups[0], groups[1], r):
         raise SearchExhaustedError(
             f"no suffix of the trim path leaves connector 0 room in the first group's "
@@ -557,8 +550,8 @@ def build_connectors_and_p0(
             r=r,
             p0_prime=p0_prime,
             p0=p0,
-            refined_parts=refined_parts,
-            group_sequences=group_sequences,
+            groups=groups,
+            patterns=patterns,
             connectors=tuple(connectors),
         )
     raise SearchExhaustedError(
@@ -569,8 +562,8 @@ def build_connectors_and_p0(
 def _connector_0_fits(
     graph: MultipartiteGraph,
     p0_prime: VertexSeq,
-    first: list[frozenset[int]],
-    second: list[frozenset[int]],
+    first: tuple[frozenset[int], ...],
+    second: tuple[frozenset[int], ...],
     r: int,
 ) -> bool:
     """Whether some suffix through the cells `first` can follow `p0_prime` and
@@ -725,8 +718,7 @@ def _group_degree_slack(
     adj = graph.adj
     slack: Fraction | None = None
     detail = ""
-    for j in range(plan.ell):
-        cells = plan.group_cells(j)
+    for j, cells in enumerate(plan.groups):
         for h, cell in enumerate(cells):
             for h2, cell2 in enumerate(cells):
                 if h == h2 or not cell2 or not cell:
@@ -744,24 +736,24 @@ def verify_plan(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> 
 
     The equal-cell, terminal-extension, connector, and partition conditions are
     structural; the group degree condition is reported with the measured slack so
-    callers can compare it against gamma/2 themselves.
+    callers can compare it against gamma/2 themselves.  The equal-cell condition
+    wants one cell per part of each group's pattern, all of one size; a group
+    or a pattern without a partner fails it.
     """
     r = plan.r
     n = graph.n
     conditions: list[Stage] = []
 
-    # Equal nonempty cells per group, everything else empty.
+    # One cell per part of the group's pattern, all of one size.
     a1_ok, a1_detail = True, ""
     floor = cfg.floor_m(n)
-    for j, pattern in enumerate(plan.group_sequences):
-        sizes = {i: len(plan.refined_parts.get((i, j), frozenset())) for i in range(graph.k)}
-        live = [sizes[i] for i in pattern]
-        dead = [sizes[i] for i in range(graph.k) if i not in pattern]
+    for j, (pattern, cells) in enumerate(zip_longest(plan.patterns, plan.groups, fillvalue=())):
+        live = [len(c) for c in cells]
+        if len(live) != len(pattern):
+            a1_ok, a1_detail = False, f"group {j}: {len(live)} cells for pattern {list(pattern)}"
+            break
         if len(set(live)) != 1 or live[0] < floor:
             a1_ok, a1_detail = False, f"group {j}: cell sizes {live} not equal or below {floor}"
-            break
-        if any(d != 0 for d in dead):
-            a1_ok, a1_detail = False, f"group {j}: off-pattern cell is nonempty"
             break
     conditions.append(Stage("A1", a1_ok, a1_detail))
 
@@ -779,9 +771,9 @@ def verify_plan(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> 
         a3_ok, a3_detail = False, "p0 does not extend p0_prime by r vertices on each side"
     elif not is_path(graph, p0):
         a3_ok, a3_detail = False, "p0 is not a power-path in the host graph"
-    elif not initial_respects(p0.vertices, plan.group_cells(plan.ell - 1)):
+    elif not initial_respects(p0.vertices, plan.groups[-1]):
         a3_ok, a3_detail = False, "initial r vertices of p0 do not respect the last group"
-    elif not final_respects(p0.vertices, plan.group_cells(0)):
+    elif not final_respects(p0.vertices, plan.groups[0]):
         a3_ok, a3_detail = False, "final r vertices of p0 do not respect the first group"
     conditions.append(Stage("A3", a3_ok, a3_detail))
 
@@ -797,9 +789,9 @@ def verify_plan(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> 
             a4_ok, a4_detail = False, f"connector {j} has {len(conn)} vertices, wanted {2 * r}"
         elif not is_path(graph, conn):
             a4_ok, a4_detail = False, f"connector {j} is not a power-path"
-        elif not initial_respects(conn.vertices, plan.group_cells(j)):
+        elif not initial_respects(conn.vertices, plan.groups[j]):
             a4_ok, a4_detail = False, f"connector {j} does not start in group {j}"
-        elif not final_respects(conn.vertices, plan.group_cells(j + 1)):
+        elif not final_respects(conn.vertices, plan.groups[j + 1]):
             a4_ok, a4_detail = False, f"connector {j} does not end in group {j + 1}"
         elif any(v in taken for v in conn.vertices):
             v = next(v for v in conn.vertices if v in taken)
@@ -813,12 +805,12 @@ def verify_plan(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> 
     seen: set[int] = set(p0p.vertices)
     if len(seen) != len(p0p.vertices):
         part_ok, part_detail = False, "trim path repeats a vertex"
-    for (i, j), cell in plan.refined_parts.items():
+    for j, cell in ((j, cell) for j, cells in enumerate(plan.groups) for cell in cells):
         if not part_ok:
             break
         if cell & seen:
             v = next(iter(cell & seen))
-            part_ok, part_detail = False, f"vertex {v} appears twice (cell {(i, j)})"
+            part_ok, part_detail = False, f"vertex {v} appears twice (cell {(graph.part_of(v), j)})"
         seen.update(cell)
     if part_ok and seen != set(range(n)):
         part_ok, part_detail = False, "trim path and cells do not cover the graph"
@@ -852,18 +844,17 @@ def run_sequencing(
     # A cell at the floor of 2 leaves its two connectors no choice, so the
     # solver spreads the remaining residual evenly and keeps few columns there.
     x = solve_part_sizes(matrix, b, cfg.floor_m(graph.n))
-    matrix = matrix.with_solution(x, b)
     # A refinement can strand a seam behind one missing edge; resampling the
     # cells is the retry lever, so re-refine when the connectors dead-end.
     plan = None
     last_exc: SearchExhaustedError | None = None
     for attempt in range(8):
         attempt_cfg = cfg if attempt == 0 else replace(cfg, seed=cfg.seed + 7919 * attempt)
-        cells, patterns = refine_partition(
+        groups, patterns = refine_partition(
             graph, residual, matrix, x, attempt_cfg, check_degrees=not relaxed
         )
         try:
-            plan = build_connectors_and_p0(graph, p0_prime, cells, patterns, attempt_cfg)
+            plan = build_connectors_and_p0(graph, p0_prime, groups, patterns, attempt_cfg)
             break
         except SearchExhaustedError as exc:
             last_exc = exc

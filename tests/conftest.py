@@ -294,8 +294,7 @@ def reference_group_degree_slack(graph, plan):
     """Condition A2 of `verify_plan`, one Fraction per (vertex, other cell)."""
     slack = None
     a2_detail = ""
-    for j in range(plan.ell):
-        cells = plan.group_cells(j)
+    for j, cells in enumerate(plan.groups):
         for h, cell in enumerate(cells):
             for h2, cell2 in enumerate(cells):
                 if h == h2 or not cell2:
@@ -467,21 +466,19 @@ def absorbable_by_brute_force(gadgets, by_part):
 # or the same SearchExhaustedError.
 
 
-def reference_build_connectors_and_p0(graph, p0_prime, refined_parts, group_sequences, cfg):
+def reference_build_connectors_and_p0(graph, p0_prime, groups, patterns, cfg):
     """Greedy 2r-vertex connector paths between consecutive groups, then wrap the
     trim path with r prepended vertices (from the last group) and r appended
     vertices (from the first group)."""
     r = cfg.r
-    ell = len(group_sequences)
+    ell = len(groups)
     rng = cfg.rng("connectors")
     for attempt in range(cfg.retry_limit):
         used: set[int] = set(p0_prime.vertices)
         connectors: list[VertexSeq] = []
         ok = True
         for j in range(ell - 1):
-            cells = [refined_parts[(i, j)] for i in group_sequences[j]]
-            cells_next = [refined_parts[(i, j + 1)] for i in group_sequences[j + 1]]
-            conn = _grow_window_path(graph, cells + cells_next, used, r, rng)
+            conn = _grow_window_path(graph, groups[j] + groups[j + 1], used, r, rng)
             if conn is None:
                 ok = False
                 break
@@ -490,13 +487,11 @@ def reference_build_connectors_and_p0(graph, p0_prime, refined_parts, group_sequ
         if not ok:
             continue
 
-        cells_last = [refined_parts[(i, ell - 1)] for i in group_sequences[ell - 1]]
-        cells_first = [refined_parts[(i, 0)] for i in group_sequences[0]]
-        prefix = _grow_window_path(graph, cells_last, used, r, rng, after=p0_prime.vertices)
+        prefix = _grow_window_path(graph, groups[-1], used, r, rng, after=p0_prime.vertices)
         if prefix is None:
             continue
         used.update(prefix)
-        suffix = _grow_window_path(graph, cells_first, used, r, rng,
+        suffix = _grow_window_path(graph, groups[0], used, r, rng,
                                    before=tuple(prefix) + p0_prime.vertices)
         if suffix is None:
             continue
@@ -507,8 +502,8 @@ def reference_build_connectors_and_p0(graph, p0_prime, refined_parts, group_sequ
             r=r,
             p0_prime=p0_prime,
             p0=p0,
-            refined_parts=refined_parts,
-            group_sequences=group_sequences,
+            groups=groups,
+            patterns=patterns,
             connectors=tuple(connectors),
         )
     raise SearchExhaustedError(

@@ -1,11 +1,14 @@
 """Outputs of the connector and absorber kernels and of the constructive
-pipeline, pinned to the values in `pinned_kernels.json`.  They were recorded
+pipeline and of the sequenced path (`sequence` and `pipeline --relaxed` on
+hosts with k > r), pinned to the values in `pinned_kernels.json`.  They were recorded
 with the plain kernels (successors searched again on every DP layer, the
 sampler scanning every vertex, absorber candidates scanned vertex by vertex);
 a faster kernel must reproduce them exactly.  The constructive pipeline pin
 r=3 m=44 density 97/100 was re-recorded when absorption began to check
 coverage on the real leftover only: it now ends in a verified cycle, where the
-check over every balanced r-set stopped it with a coverage shortfall."""
+check over every balanced r-set stopped it with a coverage shortfall.  The
+sequenced pins were recorded while the plan still kept a (part, column) cell
+table, before it became its groups."""
 
 import json
 import random
@@ -16,6 +19,7 @@ import pytest
 
 from conftest import full_scan_sample_walk
 import hampow.connect
+from hampow import sequencing
 from hampow.absorber import find_absorbers
 from hampow.cli import main
 from hampow.connect import _sample_walk, count_connecting_walks, find_connector
@@ -68,6 +72,48 @@ def test_constructive_pipeline_report_pinned(case, tmp_path, capsys):
                "--r", str(case["r"]), "--seed", str(case["seed"])])
     assert rc == case["rc"]
     assert capsys.readouterr().out == case["out"]
+
+
+def _sequenced_id(case):
+    return (f"{'-'.join(case['args'])}-k{case['k']}-r{case['r']}-n{sum(case['sizes'])}"
+            f"-d{case['density'].replace('/', '_')}-g{case['graph_seed']}")
+
+
+def _run_sequenced(case, tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    host = gen_random(case["k"], case["sizes"], Fraction(case["density"]), case["graph_seed"])
+    gpath.write_text(save_graph(host))
+    rc = main(case["args"] + ["--graph", str(gpath), "--r", str(case["r"])])
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+@pytest.mark.parametrize("case", PINS["sequenced"], ids=_sequenced_id)
+def test_sequenced_outputs_pinned(case, tmp_path, capsys):
+    assert _run_sequenced(case, tmp_path, capsys) == (case["rc"], case["out"], case["err"])
+
+
+def test_sequenced_pins_hold_a_long_plan_a_failure_and_a_doomed_refinement(
+    tmp_path, capsys, monkeypatch
+):
+    """The pins include a plan of at least 10 groups, runs that exit 4, and a
+    run whose refinement is proved doomed before it is re-refined."""
+    plans = [json.loads(c["out"])["plan"] for c in PINS["sequenced"]
+             if c["args"][0] == "sequence" and c["out"]]
+    assert max(len(plan["groups"]) for plan in plans) >= 10
+    assert any(c["rc"] == 4 for c in PINS["sequenced"])
+    doomed = []
+    real = sequencing._connector_0_fits
+
+    def spy(*args):
+        fits = real(*args)
+        doomed.append(not fits)
+        return fits
+
+    monkeypatch.setattr(sequencing, "_connector_0_fits", spy)
+    for case in PINS["sequenced"]:
+        assert _run_sequenced(case, tmp_path, capsys)[0] == case["rc"]
+    assert any(doomed)
 
 
 def test_connect_command_counts_once_and_output_pinned(tmp_path, capsys, monkeypatch):

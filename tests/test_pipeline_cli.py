@@ -423,6 +423,44 @@ class TestCli:
         assert json.loads(capsys.readouterr().out) == {
             "answer": "yes", "witness": [], "nodes_expanded": 0}
 
+    @pytest.mark.parametrize("mode", ["auto", "oracle", "constructive"])
+    @pytest.mark.parametrize("k, sizes", [("0", ""), ("3", "0,0,0")])
+    def test_pipeline_on_the_empty_host_agrees_with_search(self, tmp_path, capsys, k, sizes, mode):
+        gpath = self._gen(tmp_path, ["--k", k, "--sizes", sizes, "--delta", "1"])
+        assert main(["search", "--graph", str(gpath), "--r", "2"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["witness"] == []
+        assert main(["pipeline", "--graph", str(gpath), "--r", "2", "--mode", mode]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["cycle"] == [] and doc["ok"]
+        assert [(s["name"], s["ok"]) for s in doc["stages"]] == [
+            ("independence", True), ("verify", True)]
+
+    @pytest.mark.parametrize("argv, rc, line", [
+        (["tile", "--r", "3", "--cover", "-1/2"], EXIT_PARSE,
+         "hampow tile: error: argument --cover: expected one argument"),
+        (["tile", "--r", "3", "--cover=-1/2"], EXIT_VALIDATION,
+         "validation error: cover leftover fraction must be at least 0, got -1/2"),
+        (["pipeline", "--r", "3", "--gamma", "-1/6"], EXIT_PARSE,
+         "hampow pipeline: error: argument --gamma: expected one argument"),
+        (["pipeline", "--r", "3", "--gamma=-1/6"], EXIT_VALIDATION,
+         "validation error: constants must satisfy 0 < beta < sigma < gamma <= 1/r"),
+    ])
+    def test_a_negative_rational_option_needs_the_equals_form(
+        self, tmp_path, capsys, argv, rc, line
+    ):
+        """argparse reads a separate `-1/2` as an option, so only `--opt=-p/q`
+        reaches the range check."""
+        gpath = self._gen(tmp_path, ["--k", "3", "--sizes", "4,4,4", "--delta", "1"])
+        try:
+            got = main([*argv, "--graph", str(gpath)])
+        except SystemExit as exc:
+            got = exc.code
+        captured = capsys.readouterr()
+        assert got == rc
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == line
+        assert "Traceback" not in captured.err
+
     def test_empty_cycle_prints_as_an_empty_list(self):
         rep = hampow.pipeline.PipelineReport(cycle=VertexSeq((), 2))
         assert rep.to_json_dict()["cycle"] == []

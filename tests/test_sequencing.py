@@ -212,10 +212,15 @@ class TestTrimPath:
 class TestRefineAndPlan:
     def test_cells_sum_to_rows(self):
         g, cfg, res = _pipeline_fixture()
-        m = res.matrix
+        m, plan = res.matrix, res.plan
+        on_path = set(plan.p0_prime.vertices)
+        b = [sum(v not in on_path for v in part) for part in g.parts]
+        x = solve_part_sizes(m, b, cfg.floor_m(g.n))
+        assert plan.patterns == group_patterns(m)
         for i in range(4):
-            cells = [len(res.plan.refined_parts[(i, j)]) for j in range(m.ell)]
-            assert cells == [m.entry(i, j) * m.x[j] for j in range(m.ell)]
+            cells = [len(group[pattern.index(i)]) if i in pattern else 0
+                     for pattern, group in zip(plan.patterns, plan.groups)]
+            assert cells == [m.entry(i, j) * x[j] for j in range(m.ell)]
 
     def test_single_column_refinement_is_identity(self):
         g = complete(4, [16, 16, 15, 4])
@@ -256,14 +261,8 @@ class TestVerifyPlanFaults:
     def test_emptied_cell_breaks_a1(self):
         g, cfg, res = _pipeline_fixture(seed=3)
         plan = res.plan
-        (i, j) = next(
-            (i, j)
-            for (i, j), cell in plan.refined_parts.items()
-            if cell and j == 0 and i in plan.group_sequences[0]
-        )
-        cells = dict(plan.refined_parts)
-        cells[(i, j)] = frozenset()
-        rep = verify_plan(g, replace(plan, refined_parts=cells), cfg)
+        first = (frozenset(),) + plan.groups[0][1:]
+        rep = verify_plan(g, replace(plan, groups=(first,) + plan.groups[1:]), cfg)
         assert not rep.condition("A1").ok
 
     def test_one_vertex_cells_break_a1(self):
@@ -272,13 +271,40 @@ class TestVerifyPlanFaults:
         g, cfg, res = _pipeline_fixture(seed=3)
         plan = res.plan
         assert cfg.beta * g.n < 1
-        cells = dict(plan.refined_parts)
-        for i in plan.group_sequences[0]:
-            cells[(i, 0)] = frozenset([min(cells[(i, 0)])])
-        rep = verify_plan(g, replace(plan, refined_parts=cells), cfg)
-        live = [1] * len(plan.group_sequences[0])
+        first = tuple(frozenset([min(cell)]) for cell in plan.groups[0])
+        rep = verify_plan(g, replace(plan, groups=(first,) + plan.groups[1:]), cfg)
+        live = [1] * len(plan.patterns[0])
         assert not rep.condition("A1").ok
         assert rep.condition("A1").detail == f"group 0: cell sizes {live} not equal or below 2"
+
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_cell_count_off_its_pattern_breaks_a1(self, change):
+        """A group with one cell too few or too many for its pattern fails A1
+        and raises nothing, and so do groups and patterns without partners."""
+        g, cfg, res = _pipeline_fixture(seed=3)
+        plan = res.plan
+        cells = plan.groups[1]
+        cells = cells[:-1] if change == "drop" else cells + (frozenset(),)
+        rep = verify_plan(g, replace(plan, groups=(plan.groups[0], cells) + plan.groups[2:]), cfg)
+        assert not rep.condition("A1").ok
+        assert rep.condition("A1").detail == \
+            f"group 1: {len(cells)} cells for pattern {list(plan.patterns[1])}"
+        rep = verify_plan(g, replace(plan, patterns=plan.patterns[:-1]), cfg)
+        assert rep.condition("A1").detail == \
+            f"group {plan.ell - 1}: {len(plan.groups[-1])} cells for pattern []"
+        rep = verify_plan(g, replace(plan, groups=plan.groups[:-1]), cfg)
+        assert rep.condition("A1").detail == \
+            f"group {plan.ell - 1}: 0 cells for pattern {list(plan.patterns[-1])}"
+
+    def test_vertex_in_two_groups_breaks_the_partition(self):
+        g, cfg, res = _pipeline_fixture(seed=3)
+        plan = res.plan
+        i = next(i for i in plan.patterns[0] if i in plan.patterns[1])
+        v = min(plan.groups[0][plan.patterns[0].index(i)])
+        h = plan.patterns[1].index(i)
+        cells = plan.groups[1][:h] + (plan.groups[1][h] | {v},) + plan.groups[1][h + 1:]
+        rep = verify_plan(g, replace(plan, groups=(plan.groups[0], cells) + plan.groups[2:]), cfg)
+        assert rep.condition("partition").detail == f"vertex {v} appears twice (cell {(i, 1)})"
 
     def test_truncated_p0_breaks_a3(self):
         g, cfg, res = _pipeline_fixture(seed=3)
@@ -400,7 +426,7 @@ def test_a2_minimum_matches_the_per_vertex_fraction_loop(seed):
     rng, r, k, g, cells, used = _kernel_case(seed)
     cells = cells + [frozenset()]
     groups = [rng.sample(cells, rng.randint(1, len(cells))) for _ in range(3)]
-    plan = SimpleNamespace(ell=len(groups), group_cells=groups.__getitem__)
+    plan = SimpleNamespace(groups=groups)
     assert _group_degree_slack(g, plan) == reference_group_degree_slack(g, plan)
     host = gen_random(4, [13, 13, 12, 10], Fraction(9, 10), seed)
     try:
@@ -417,7 +443,7 @@ def test_strict_refinement_keeps_the_first_sample_on_a_complete_host():
     cfg = Config.default(3, seed=3)
     strict = refine_partition(g, g.parts, matrix, (4, 4), cfg, check_degrees=True)
     assert strict == refine_partition(g, g.parts, matrix, (4, 4), cfg, check_degrees=False)
-    assert sorted(v for cell in strict[0].values() for v in cell) == list(range(g.n))
+    assert sorted(v for cells in strict[0] for cell in cells for v in cell) == list(range(g.n))
 
 
 def test_strict_refinement_names_the_least_violation_once_its_resamples_run_out():
@@ -485,17 +511,19 @@ def _refinement_case(seed):
         g, [frozenset(free[order[(t - length) % r]]) for t in range(length)], set(), r, rng
     ) or []
     free = [[v for v in part if v not in trim] for part in free]
-    cells, patterns = {}, []
+    groups, patterns = [], []
     for j in range(ell):
         if j:
             order = order[:]
             order[rng.randrange(r)] = rng.choice([i for i in range(k) if i not in order])
+        cells = []
         for i in order:
             take = 2 if j == 0 and rng.random() < 0.6 else rng.randint(2, 3)
-            cells[(i, j)] = frozenset(free[i][:take])
+            cells.append(frozenset(free[i][:take]))
             free[i] = free[i][take:]
+        groups.append(tuple(cells))
         patterns.append(tuple(order))
-    return g, VertexSeq(tuple(trim), r), cells, tuple(patterns), cfg
+    return g, VertexSeq(tuple(trim), r), tuple(groups), tuple(patterns), cfg
 
 
 def _plan_or_exhausted(build, *args):
@@ -513,8 +541,8 @@ class TestDoomedRefinements:
         check does not read the limit."""
         outcomes = Counter()
         for seed in range(240):
-            g, trim, cells, patterns, cfg = _refinement_case(seed)
-            case = g, trim, cells, patterns, replace(cfg, retry_limit=50)
+            g, trim, groups, patterns, cfg = _refinement_case(seed)
+            case = g, trim, groups, patterns, replace(cfg, retry_limit=50)
             got = _plan_or_exhausted(build_connectors_and_p0, *case)
             assert got == _plan_or_exhausted(reference_build_connectors_and_p0, *case), seed
             outcomes[got is SearchExhaustedError] += 1
@@ -525,10 +553,10 @@ class TestDoomedRefinements:
         answers, and says doomed often enough to matter."""
         answers = Counter()
         for seed in range(240):
-            g, trim, cells, patterns, cfg = _refinement_case(seed)
+            g, trim, groups, patterns, cfg = _refinement_case(seed)
             if len(patterns) < 2:
                 continue
-            first, second = ([cells[(i, j)] for i in patterns[j]] for j in (0, 1))
+            first, second = groups[:2]
             got = _connector_0_fits(g, trim, first, second, cfg.r)
             pair = suffix_and_connector_by_brute_force(g, trim.vertices, first, second, cfg.r)
             assert got == (pair is not None), seed
@@ -545,16 +573,14 @@ class TestDoomedRefinements:
         edges = [(u, v) for p, q in combinations(parts, 2) for u in p for v in q
                  if (u, v) not in missing]
         g = MultipartiteGraph.from_edges(parts, edges)
-        cells = {(0, 0): frozenset({a, a2}), (1, 0): frozenset({b, b2}),
-                 (0, 1): frozenset({a3}), (1, 1): frozenset({b3})}
+        first, second = (frozenset({a, a2}), frozenset({b, b2})), (frozenset({a3}), frozenset({b3}))
         calls = []
         monkeypatch.setattr(sequencing, "_grow_window_path",
                             lambda *args, **kw: calls.append(args))
         with pytest.raises(SearchExhaustedError, match="no attempt can succeed"):
-            build_connectors_and_p0(g, VertexSeq((t,), 2), cells, ((0, 1), (0, 1)),
+            build_connectors_and_p0(g, VertexSeq((t,), 2), (first, second), ((0, 1), (0, 1)),
                                     Config.default(2))
         assert calls == []
-        first, second = [cells[(0, 0)], cells[(1, 0)]], [cells[(0, 1)], cells[(1, 1)]]
         assert suffix_and_connector_by_brute_force(g, (t,), first, second, 2) is None
         # with the edge a2-b back, a2 b starts connector 0 beside the suffix a b2
         g = MultipartiteGraph.from_edges(parts, edges + [(a2, b)])
