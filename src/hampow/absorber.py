@@ -1,6 +1,7 @@
 """Absorber gadgets: the two-routing blow-up path that can swallow a balanced
-r-set, search for embedded copies, assembly into one absorbing path, and the
-absorption itself.
+r-set, the search for one embedded copy per target r-set, assembly of a path of
+gadgets and connectors, and the absorption itself, which gives every gadget one
+r-set of the leftover.
 
 A gadget is a blow-up of a properly ordered path on r*r cells; cell (i,j) lives
 in part i and has three slots a/b/c except the diagonal cells, which have two
@@ -11,16 +12,15 @@ and last r slots, so swapping one for the other is invisible at the seams.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from fractions import Fraction
 from math import ceil
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .connect import default_connector_length, find_connector
 from .errors import CoverageError, GraphValidationError, InfeasibleError, VerificationError
-from .graphs import Config, MultipartiteGraph, degree_profile
+from .graphs import Config, MultipartiteGraph, degree_profile, require_power
 from .paths import VertexSeq, is_path, is_properly_terminated
 
 # A label is ("a"|"b"|"c", part i, block j) for slots, or ("x", i) for the
@@ -78,8 +78,7 @@ def build_gadget(r: int) -> GadgetTemplate:
     between consecutive blocks.  The template depends on r alone and is built
     and verified once per r.
     """
-    if r < 2:
-        raise GraphValidationError("gadgets need r >= 2")
+    require_power(r)
     q1: list[Label] = []
     for i in range(1, r + 1):
         q1 += [("a", h, i) for h in range(1, r + 1)]
@@ -171,23 +170,19 @@ class AbsorberInstance:
     """An embedding of the gadget slots into a host graph for a target r-set."""
 
     template: GadgetTemplate
-    assignment: tuple[tuple[Label, int], ...]  # slot label -> host vertex
+    slots: tuple[int, ...]  # the host vertex at each position of template.q2
     target: tuple[int, ...]  # x_1..x_r, one vertex per part in part order
 
-    @cached_property
-    def mapping(self) -> dict[Label, int]:
-        return dict(self.assignment)
-
-    def vertex_of(self, label: Label) -> int:
-        if label[0] == "x":
-            return self.target[label[1] - 1]
-        return self.mapping[label]
-
     def q1_vertices(self) -> tuple[int, ...]:
-        return tuple(self.vertex_of(l) for l in self.template.q1)
+        at = dict(zip(self.template.q2, self.slots))
+        at.update((("x", i), x) for i, x in enumerate(self.target, 1))
+        return tuple(at[l] for l in self.template.q1)
 
-    def q2_vertices(self) -> tuple[int, ...]:
-        return tuple(self.vertex_of(l) for l in self.template.q2)
+
+def _attached(lab: Label) -> bool:
+    """Whether slot (letter, i, j) lies in row j off its diagonal cell, so
+    that the absorbed vertex x_j must be adjacent to it."""
+    return lab[1] != lab[2]
 
 
 @cache
@@ -204,51 +199,41 @@ def _earlier_neighbours(template: GadgetTemplate) -> tuple[tuple[int, ...], ...]
 def verify_instance(graph: MultipartiteGraph, inst: AbsorberInstance) -> bool:
     """Re-check an embedding adjacency-by-adjacency against the host graph."""
     r = inst.template.r
-    m = inst.mapping
-    if len(set(m.values())) != len(m):
+    labels, slots = inst.template.q2, inst.slots
+    if len(slots) != len(labels) or len(set(slots)) != len(slots):
         return False
-    if set(m.values()) & set(inst.target):
+    if set(slots) & set(inst.target):
         return False
-    for label, v in m.items():
-        if graph.part_of(v) != label_part(label):
-            return False
-    for i, x in enumerate(inst.target):
-        if graph.part_of(x) != i:
-            return False
-    slots = inst.template.q2
-    if m.keys() != set(slots):
+    if any(graph.part_of(v) != label_part(lab) for lab, v in zip(labels, slots)):
         return False
-    for lab, earlier in zip(slots, _earlier_neighbours(inst.template)):
-        nb = graph.adj[m[lab]]
-        if any(m[slots[p]] not in nb for p in earlier):
+    if any(graph.part_of(x) != i for i, x in enumerate(inst.target)):
+        return False
+    for v, earlier in zip(slots, _earlier_neighbours(inst.template)):
+        nb = graph.adj[v]
+        if any(slots[p] not in nb for p in earlier):
             return False
-    for i in range(1, r + 1):
-        x = inst.target[i - 1]
-        for h in range(1, r + 1):
-            if h == i:
-                continue
-            for lab in _slot_labels(r, h, i):
-                if m[lab] not in graph.adj[x]:
-                    return False
+    if any(_attached(lab) and v not in graph.adj[inst.target[lab[2] - 1]]
+           for lab, v in zip(labels, slots)):
+        return False
     return is_path(graph, VertexSeq(inst.q1_vertices(), r)) and is_path(
-        graph, VertexSeq(inst.q2_vertices(), r)
+        graph, VertexSeq(slots, r)
     )
 
 
 def find_absorbers(
     graph: MultipartiteGraph,
     target: Sequence[int],
-    limit: int | None,
     cfg: Config,
     avoid: Iterable[int] = (),
 ) -> list[AbsorberInstance]:
-    """Backtracking embeddings of the gadget for the given balanced r-set.
+    """The first embedding of the gadget for the given balanced r-set, as a
+    list of at most one.
 
-    Each slot's candidates are the free vertices of its part adjacent to the
-    slot's absorbed vertex and to every earlier slot it must touch, in ascending
-    vertex order; when limit is None (exhaustive count) they are visited in that
-    order, otherwise in that order shuffled by the seeded rng.  Instances avoid
-    the target set and `avoid` but may overlap each other.
+    A depth-first search over the slots in passive-routing order, on an
+    explicit stack.  Each slot's candidates are the free vertices of its part
+    adjacent to the slot's absorbed vertex and to every earlier slot it must
+    touch, in ascending vertex order shuffled by the seeded rng.  The embedding
+    avoids the target set and `avoid`.
     """
     r = cfg.r
     if graph.k != r:
@@ -261,7 +246,7 @@ def find_absorbers(
     xs = tuple(x_by_part[i] for i in range(r))
 
     template = build_gadget(r)
-    slots = template.q2  # every slot label, in position order
+    labels = template.q2  # every slot label, in position order
     earlier = _earlier_neighbours(template)
 
     rng = cfg.rng(f"absorber:{xs}")
@@ -270,41 +255,34 @@ def find_absorbers(
     # per slot: its part's vertices off the blocked set, narrowed to the
     # neighbours of the absorbed vertex its row attaches to
     base = []
-    for lab in slots:
+    for lab in labels:
         free = graph.part_sets[label_part(lab)] - blocked
-        base.append(free & adj[xs[lab[2] - 1]] if lab[1] != lab[2] else free)
-    out: list[AbsorberInstance] = []
+        base.append(free & adj[xs[lab[2] - 1]] if _attached(lab) else free)
     chosen: list[int] = []  # chosen[p]: the host vertex of slot p
 
-    def candidates(idx: int) -> list[int]:
+    def candidates(idx: int) -> Iterator[int]:
         fit = base[idx].intersection(*(adj[chosen[p]] for p in earlier[idx]))
         pool = sorted(fit.difference(chosen))
-        if limit is not None:
-            rng.shuffle(pool)
-        return pool
+        rng.shuffle(pool)
+        return iter(pool)
 
-    def backtrack(idx: int) -> bool:
-        if limit is not None and len(out) >= limit:
-            return True
-        if idx == len(slots):
-            inst = AbsorberInstance(
-                template=template,
-                assignment=tuple(sorted(zip(slots, chosen))),
-                target=xs,
-            )
+    # stack[p] iterates the candidates for slot p; chosen holds the slots before it
+    stack = [candidates(0)]
+    while stack:
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            if stack:
+                chosen.pop()
+        elif len(stack) < len(labels):
+            chosen.append(v)
+            stack.append(candidates(len(stack)))
+        else:
+            inst = AbsorberInstance(template=template, slots=(*chosen, v), target=xs)
             if not verify_instance(graph, inst):
                 raise VerificationError("embedded gadget fails its template check")
-            out.append(inst)
-            return limit is not None and len(out) >= limit
-        for v in candidates(idx):
-            chosen.append(v)
-            if backtrack(idx + 1):
-                return True
-            chosen.pop()
-        return False
-
-    backtrack(0)
-    return out
+            return [inst]
+    return []
 
 
 @dataclass(frozen=True)
@@ -316,25 +294,34 @@ class PlacedGadget:
     cover: tuple[frozenset[int], ...]  # per part: vertices whose neighborhood spans the row
 
 
+def _chain(
+    r: int, routings: Sequence[Sequence[int]], connectors: Sequence[Sequence[int]]
+) -> VertexSeq:
+    """The routings in order, connector j between routing j and routing j+1."""
+    out = list(routings[0])
+    for conn, routing in zip(connectors, routings[1:]):
+        out += conn
+        out += routing
+    return VertexSeq(tuple(out), r)
+
+
 @dataclass(frozen=True)
 class AbsorbingPath:
-    """Pairwise disjoint gadgets joined by connector paths into one properly
-    terminated power-path, with the bookkeeping needed to absorb later."""
+    """Pairwise disjoint gadgets in their passive routing, joined into one
+    properly terminated power-path: connector j runs from gadget j to gadget
+    j+1."""
 
     r: int
-    segments: tuple[tuple[str, int, tuple[int, ...]], ...]  # (kind, gadget idx or -1, vertices)
     gadgets: tuple[PlacedGadget, ...]
+    connectors: tuple[tuple[int, ...], ...]
 
     @property
     def path(self) -> VertexSeq:
-        out: list[int] = []
-        for _, _, vs in self.segments:
-            out.extend(vs)
-        return VertexSeq(tuple(out), self.r)
+        return _chain(self.r, [g.instance.slots for g in self.gadgets], self.connectors)
 
     @property
     def capacity(self) -> int:
-        """Vertices absorbable: r per gadget."""
+        """Vertices absorbed: r per gadget."""
         return self.r * len(self.gadgets)
 
 
@@ -343,15 +330,13 @@ def assemble_absorbing_path(
     reservoir_exclusions: Iterable[int],
     cfg: Config,
     gadgets: int,
-    budget: int = 64,
 ) -> AbsorbingPath:
     """Sample disjoint gadget embeddings and connect them into one absorbing path.
 
-    Sampling stops once `gadgets` embeddings are kept or `budget` targets are
-    spent; a path with fewer gadgets absorbs fewer r-sets.  Each kept gadget
-    records, per part, the vertices off the path it could absorb; whether the
-    leftover can actually be absorbed is decided by `absorb` once that leftover
-    exists.
+    Sampling stops once `gadgets` embeddings are kept or 64 targets are spent;
+    a path with fewer gadgets absorbs fewer r-sets.  Each kept gadget records,
+    per part, the vertices off the path it could absorb; whether the leftover
+    can actually be absorbed is decided by `absorb` once that leftover exists.
     """
     r, n = cfg.r, graph.n
     if graph.k != r:
@@ -365,7 +350,7 @@ def assemble_absorbing_path(
     rng = cfg.rng("assemble")
     used: set[int] = set()
     kept: list[AbsorberInstance] = []
-    for _ in range(budget):
+    for _ in range(64):
         if len(kept) == gadgets:
             break
         free = [
@@ -375,43 +360,39 @@ def assemble_absorbing_path(
         if any(not f for f in free):
             break
         target = tuple(rng.choice(f) for f in free)
-        found = find_absorbers(graph, target, 1, cfg, avoid=used | excluded)
+        found = find_absorbers(graph, target, cfg, avoid=used | excluded)
         if found:
             kept.append(found[0])
-            used.update(found[0].q2_vertices())
+            used.update(found[0].slots)
     if not kept:
         raise CoverageError("coverage shortfall: no gadget could be embedded within budget")
 
     # Connector reservoirs are sampled subsets; small pools keep the exact DP
     # cheap while staying far above the per-connector consumption.
     pool_cap = max(ceil(cfg.nu * n), 2 * conn_len // r + 2)
-    segments: list[tuple[str, int, tuple[int, ...]]] = []
-    for idx, inst in enumerate(kept):
-        if idx > 0:
-            prev = VertexSeq(kept[idx - 1].q2_vertices(), r)
-            nxt = VertexSeq(inst.q2_vertices(), r)
-            u_sets = []
-            for part in graph.parts:
-                free = [v for v in part if v not in used and v not in excluded]
-                rng.shuffle(free)
-                u_sets.append(sorted(free[:pool_cap]))
-            conn = find_connector(graph, u_sets, prev, nxt, conn_len, used | excluded, cfg)
-            used.update(conn.vertices)
-            segments.append(("connector", -1, conn.vertices))
-        segments.append(("gadget", idx, inst.q2_vertices()))
+    connectors: list[tuple[int, ...]] = []
+    for prev, nxt in zip(kept, kept[1:]):
+        u_sets = []
+        for part in graph.parts:
+            free = [v for v in part if v not in used and v not in excluded]
+            rng.shuffle(free)
+            u_sets.append(sorted(free[:pool_cap]))
+        conn = find_connector(graph, u_sets, VertexSeq(prev.slots, r), VertexSeq(nxt.slots, r),
+                              conn_len, used | excluded, cfg)
+        used.update(conn.vertices)
+        connectors.append(conn.vertices)
 
+    # `used` now holds exactly the path's vertices
     placed = []
-    path_vertices = {v for _, _, vs in segments for v in vs}
     for inst in kept:
         cover = []
         for i in range(r):
-            row = [inst.mapping[lab] for h in range(1, r + 1) if h != i + 1
-                   for lab in _slot_labels(r, h, i + 1)]
-            cover.append(graph.part_sets[i].intersection(*(graph.adj[u] for u in row))
-                         - path_vertices)
+            row = [v for lab, v in zip(inst.template.q2, inst.slots)
+                   if lab[2] == i + 1 and _attached(lab)]
+            cover.append(graph.part_sets[i].intersection(*(graph.adj[u] for u in row)) - used)
         placed.append(PlacedGadget(instance=inst, cover=tuple(cover)))
 
-    result = AbsorbingPath(r=r, segments=tuple(segments), gadgets=tuple(placed))
+    result = AbsorbingPath(r=r, gadgets=tuple(placed), connectors=tuple(connectors))
     p = result.path
     if not (is_path(graph, p) and is_properly_terminated(graph, p)):
         raise VerificationError("assembled absorbing path is not a properly terminated path")
@@ -420,27 +401,24 @@ def assemble_absorbing_path(
 
 def _assign_gadgets(
     gadgets: Sequence[PlacedGadget], by_part: Sequence[Sequence[int]]
-) -> dict[int, tuple[int, ...]] | None:
-    """Gadget index -> the r-set it absorbs, covering every vertex of by_part
-    once, or None when no such assignment exists.
+) -> list[tuple[int, ...]] | None:
+    """The r-set each gadget absorbs, in gadget order, covering every vertex of
+    by_part once, or None when there are no such r-sets.  Each by_part[i]
+    holds one vertex per gadget.
 
     Which r-sets a gadget absorbs is a product condition, so the vertices may
-    be grouped into r-sets freely: a gadget set works exactly when, for every
-    part i, the vertices of by_part[i] have a perfect matching into it along
-    `cover[i]`.  Gadget sets are tried in index order, and each matching is
-    grown by augmenting paths over by_part[i] in the order given.
+    be grouped into r-sets freely: such r-sets exist exactly when, for every
+    part i, the vertices of by_part[i] have a perfect matching onto the
+    gadgets along `cover[i]`.  Each matching is grown by augmenting paths over
+    by_part[i] in the order given.
     """
-    q = len(by_part[0])
-    for chosen in itertools.combinations(range(len(gadgets)), q):
-        rows = []
-        for i, zi in enumerate(by_part):
-            row = _perfect_matching(zi, [gadgets[g].cover[i] for g in chosen])
-            if row is None:
-                break
-            rows.append(row)
-        else:
-            return {g: tuple(row[j] for row in rows) for j, g in enumerate(chosen)}
-    return None
+    rows = []
+    for i, zi in enumerate(by_part):
+        row = _perfect_matching(zi, [g.cover[i] for g in gadgets])
+        if row is None:
+            return None
+        rows.append(row)
+    return [tuple(row[j] for row in rows) for j in range(len(gadgets))]
 
 
 def _perfect_matching(
@@ -479,19 +457,17 @@ def _perfect_matching(
 def absorb(
     graph: MultipartiteGraph, p_abs: AbsorbingPath, z: Iterable[int]
 ) -> VertexSeq:
-    """Splice a balanced set into the absorbing path by switching gadgets from
-    their passive to their active routing.
+    """Splice a balanced set holding one r-set per gadget into the absorbing
+    path by switching every gadget from its passive to its active routing.
 
-    This is the coverage check: the set is split into r-sets and each is given
-    its own gadget by an exact search (`_assign_gadgets`), and CoverageError
-    means no grouping and choice of gadgets absorbs it.  The result is a
+    This is the coverage check: `_assign_gadgets` gives each gadget its r-set
+    through one perfect matching per part, and CoverageError means no grouping
+    of the set into r-sets gives every gadget one it absorbs.  The result is a
     power-path on V(path) + Z with the same initial and final r vertices.
     """
     r = p_abs.r
     zs = sorted(set(z))
     base = p_abs.path
-    if not zs:
-        return base
     on_path = set(base.vertices)
     if on_path & set(zs):
         raise GraphValidationError("absorbed set must be disjoint from the absorbing path")
@@ -501,9 +477,9 @@ def absorb(
     sizes = {len(vs) for vs in by_part}
     if len(sizes) != 1:
         raise GraphValidationError("absorbed set must be balanced across the parts")
-    if len(zs) > p_abs.capacity:
+    if len(zs) != p_abs.capacity:
         raise GraphValidationError(
-            f"absorbed set of size {len(zs)} exceeds capacity {p_abs.capacity}"
+            f"absorbed set of size {len(zs)} differs from capacity {p_abs.capacity}"
         )
 
     taken = _assign_gadgets(p_abs.gadgets, by_part)
@@ -513,19 +489,12 @@ def absorb(
             f"absorb the balanced set {tuple(zs)}"
         )
 
-    out: list[int] = []
-    for kind, idx, vs in p_abs.segments:
-        if kind == "gadget" and idx in taken:
-            inst = p_abs.gadgets[idx].instance
-            routed = AbsorberInstance(
-                template=inst.template,
-                assignment=inst.assignment,
-                target=taken[idx],
-            )
-            out.extend(routed.q1_vertices())
-        else:
-            out.extend(vs)
-    result = VertexSeq(tuple(out), r)
+    routings = [
+        AbsorberInstance(template=g.instance.template, slots=g.instance.slots, target=rset)
+        .q1_vertices()
+        for g, rset in zip(p_abs.gadgets, taken)
+    ]
+    result = _chain(r, routings, p_abs.connectors)
     if not is_path(graph, result):
         raise VerificationError("absorbed path is not a power-path")
     if result.vertices[:r] != base.vertices[:r] or result.vertices[-r:] != base.vertices[-r:]:

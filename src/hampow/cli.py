@@ -177,25 +177,13 @@ def _pipeline_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--relaxed", action="store_true")
 
 
-# subcommand -> (its line in the top-level help, what defines its options)
-_SUBCOMMANDS = {
-    "gen": ("generate an instance", _gen_options),
-    "verify": ("check a spanning power-cycle", _verify_options),
-    "sequence": ("run the partition-and-sequence pipeline", _sequence_options),
-    "absorber": ("print the gadget routings", _absorber_options),
-    "connect": ("count and sample connecting walks", _connect_options),
-    "tile": ("fractional (and optionally integral) tiling", _tile_options),
-    "search": ("exact spanning power-cycle search", _search_options),
-    "scan": ("threshold scan over random instances", _scan_options),
-    "pipeline": ("end-to-end cycle construction", _pipeline_options),
-}
 _PROG = "hampow"
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog=_PROG)
     sub = ap.add_subparsers(dest="command", required=True)
-    for command, (summary, add_options) in _SUBCOMMANDS.items():
+    for command, (summary, add_options, _) in _COMMANDS.items():
         add_options(sub.add_parser(command, help=summary))
     return ap
 
@@ -208,9 +196,9 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     usage, printed with the error, lists every command."""
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv else None
-    if command not in _SUBCOMMANDS:
+    if command not in _COMMANDS:
         return build_parser().parse_args(argv)
-    _, add_options = _SUBCOMMANDS[command]
+    _, add_options, _ = _COMMANDS[command]
     p = argparse.ArgumentParser(prog=f"{_PROG} {command}")
     add_options(p)
     args, extras = p.parse_known_args(argv[1:], argparse.Namespace(command=command))
@@ -370,23 +358,25 @@ def cmd_pipeline(args) -> int:
     return EXIT_STAGE
 
 
+# subcommand -> (its line in the top-level help, what defines its options, its handler)
 _COMMANDS = {
-    "gen": cmd_gen,
-    "verify": cmd_verify,
-    "sequence": cmd_sequence,
-    "absorber": cmd_absorber,
-    "connect": cmd_connect,
-    "tile": cmd_tile,
-    "search": cmd_search,
-    "scan": cmd_scan,
-    "pipeline": cmd_pipeline,
+    "gen": ("generate an instance", _gen_options, cmd_gen),
+    "verify": ("check a spanning power-cycle", _verify_options, cmd_verify),
+    "sequence": ("run the partition-and-sequence pipeline", _sequence_options, cmd_sequence),
+    "absorber": ("print the gadget routings", _absorber_options, cmd_absorber),
+    "connect": ("count and sample connecting walks", _connect_options, cmd_connect),
+    "tile": ("fractional (and optionally integral) tiling", _tile_options, cmd_tile),
+    "search": ("exact spanning power-cycle search", _search_options, cmd_search),
+    "scan": ("threshold scan over random instances", _scan_options, cmd_scan),
+    "pipeline": ("end-to-end cycle construction", _pipeline_options, cmd_pipeline),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        _, _, run = _COMMANDS[args.command]
+        return run(args)
     except GraphFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

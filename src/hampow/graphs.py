@@ -411,8 +411,7 @@ def gen_extremal(k: int, sizes: Sequence[int], r: int) -> MultipartiteGraph:
     """
     if k != len(sizes):
         raise GraphValidationError(f"k={k} but {len(sizes)} sizes given")
-    if r < 2:
-        raise GraphValidationError("r must be at least 2")
+    require_power(r)
     parts = _parts_from_sizes(sizes)
     planted: set[int] = set()
     for part in parts:

@@ -221,18 +221,17 @@ def _grow_run(
     parts in `support` are distinct.
     """
     adj = graph.adj
+    cells = [graph.part_sets[i] for i in support]
+    lead = list(prefix[-(r - 1):])  # in `used`, so `_window_fit` dropping it drops nothing
     for _ in range(8):
         chunk: list[int] = []
-        for pos, part_idx in enumerate(support):
-            fit = graph.part_sets[part_idx] - used
-            for u in (list(prefix[-(r - 1):]) + chunk)[-(r - 1):]:
-                fit &= adj[u]
-            pool = sorted(fit.difference(chunk))
+        for pos in range(len(cells)):
+            pool = sorted(_window_fit(adj, cells, pos, lead + chunk, used, r))
             if not pool:
                 break
             # the parts of `support` are distinct, so one intersection with
             # their union counts a vertex's degree into each of them
-            rest = frozenset().union(*(graph.part_sets[i] for i in support[pos + 1:])) - used
+            rest = frozenset().union(*cells[pos + 1:]) - used
             rng.shuffle(pool)
             chunk.append(max(pool, key=lambda v: len(adj[v] & rest)))
         else:
@@ -274,10 +273,8 @@ class TemplateMatrix:
         if self.cols[0] != first or self.cols[-1] != last:
             raise InfeasibleError("forced first/last columns missing")
         for j in range(self.ell - 1):
-            a, b = self.cols[j], self.cols[j + 1]
-            for i in range(k):
-                if a[i] == 1 and b[i] == 1 and sum(a[: i + 1]) > sum(b[: i + 1]):
-                    raise InfeasibleError(f"prefix-sum seam condition fails at columns {j},{j + 1}")
+            if not is_valid_pair(self.cols[j], self.cols[j + 1], r):
+                raise InfeasibleError(f"prefix-sum seam condition fails at columns {j},{j + 1}")
 
 
 def build_template_matrix(k: int, r: int, s: int) -> TemplateMatrix:

@@ -449,16 +449,14 @@ def reference_cover_with_paths(graph, r, alpha, cfg):
 
 
 def absorbable_by_brute_force(gadgets, by_part):
-    """The first gadget index set, in combinations order, for which some
-    grouping of by_part into r-sets gives every chosen gadget an r-set in its
-    covers, or None.  Every grouping is every permutation of every part."""
-    q = len(by_part[0])
-    for chosen in itertools.combinations(range(len(gadgets)), q):
-        for perms in itertools.product(*(itertools.permutations(zi) for zi in by_part)):
-            if all(perm[t] in gadgets[g].cover[i]
-                   for i, perm in enumerate(perms) for t, g in enumerate(chosen)):
-                return chosen
-    return None
+    """Whether some grouping of by_part into r-sets gives every gadget an r-set
+    in its covers; each by_part[i] holds one vertex per gadget.  Every
+    grouping is every permutation of every part."""
+    return any(
+        all(perm[g] in gadgets[g].cover[i] for i, perm in enumerate(perms)
+            for g in range(len(gadgets)))
+        for perms in itertools.product(*(itertools.permutations(zi) for zi in by_part))
+    )
 
 
 # The connector builder as it was before it proved doomed refinements up

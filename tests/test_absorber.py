@@ -1,17 +1,17 @@
 import itertools
-import math
 import random
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from conftest import absorbable_by_brute_force, complete
 from hampow.absorber import (
-    AbsorberInstance,
     GadgetTemplate,
     PlacedGadget,
     _assign_gadgets,
+    _blowup_adjacent,
     absorb,
     assemble_absorbing_path,
     build_gadget,
@@ -23,7 +23,7 @@ from hampow.absorber import (
     verify_instance,
 )
 from hampow.errors import CoverageError, GraphValidationError
-from hampow.graphs import Config, MultipartiteGraph
+from hampow.graphs import Config, MultipartiteGraph, gen_random
 from hampow.paths import VertexSeq, is_path, is_properly_terminated
 
 EXAMPLE_Q1 = (
@@ -83,17 +83,16 @@ class TestGadget:
 
 class TestFindAbsorbers:
     def test_complete_host_finds_instances(self):
-        cfg = Config.default(3, seed=0)
         g = complete(3, [9, 9, 9])
-        for x in [(0, 9, 18), (5, 13, 22)]:
-            found = find_absorbers(g, x, 3, cfg)
-            assert len(found) == 3
-            for inst in found:
-                assert verify_instance(g, inst)
-                assert not set(inst.mapping.values()) & set(x)
-                # both routings are properly terminated paths in the host
-                assert is_properly_terminated(g, VertexSeq(inst.q1_vertices(), 3))
-                assert is_properly_terminated(g, VertexSeq(inst.q2_vertices(), 3))
+        for seed, x in [(0, (0, 9, 18)), (0, (5, 13, 22)), (4, (0, 9, 18))]:
+            found = find_absorbers(g, x, Config.default(3, seed=seed))
+            assert len(found) == 1
+            inst = found[0]
+            assert verify_instance(g, inst)
+            assert inst.target == x and not set(inst.slots) & set(x)
+            # both routings are properly terminated paths in the host
+            assert is_properly_terminated(g, VertexSeq(inst.q1_vertices(), 3))
+            assert is_properly_terminated(g, VertexSeq(inst.slots, 3))
 
     def test_isolated_target_has_no_instances(self):
         # x in part 0 with no neighbors in part 1: row conditions unsatisfiable
@@ -101,45 +100,57 @@ class TestFindAbsorbers:
         edges = [e for e in g0.edges() if not (e[0] == 0 and 9 <= e[1] < 18)]
         g = MultipartiteGraph.from_edges([list(p) for p in g0.parts], edges)
         cfg = Config.default(3, seed=0)
-        assert find_absorbers(g, (0, 9, 18), 1, cfg) == []
+        assert find_absorbers(g, (0, 9, 18), cfg) == []
 
-    def test_exhaustive_count_matches_permutation_enumeration(self):
+    def test_avoided_vertices_are_left_out(self):
+        # an r=2 gadget fills 5 vertices of each part besides its target's
         cfg = Config.default(2, seed=0)
         g = complete(2, [6, 6])
-        x = (0, 6)
-        found = find_absorbers(g, x, None, cfg)
-        # independent count: assign 5 slot labels per part injectively into the
-        # 5 non-target vertices; on a complete host every assignment is legal
-        assert len(found) == math.perm(5, 5) * math.perm(5, 5)
-        assert len({inst.assignment for inst in found}) == len(found)
+        (inst,) = find_absorbers(g, (0, 6), cfg)
+        assert set(inst.slots) == set(g.parts[0][1:]) | set(g.parts[1][1:])
+        assert find_absorbers(g, (0, 6), cfg, avoid=[3]) == []
+        g = complete(2, [7, 7])
+        (inst,) = find_absorbers(g, (0, 7), cfg, avoid=[3, 9])
+        assert verify_instance(g, inst) and not {3, 9} & set(inst.slots)
 
-    def test_exhaustive_count_sparse_host(self):
-        cfg = Config.default(2, seed=0)
-        g0 = complete(2, [6, 6])
-        removed = {(1, 7), (2, 8)}
-        edges = [e for e in g0.edges() if tuple(e) not in removed]
-        g = MultipartiteGraph.from_edges([list(p) for p in g0.parts], edges)
-        found = find_absorbers(g, (0, 6), None, cfg)
+    def test_finds_an_embedding_exactly_when_brute_force_does(self):
+        """On sparse r=2 hosts with parts of 6, the 5 free vertices of each part
+        fill its 5 slots: brute force tries every bijection against every
+        adjacency the blow-up asks for, the absorbed vertices' included."""
         template = build_gadget(2)
-        slots = template.q2
-        part_slots = [[l for l in slots if label_part(l) == i] for i in range(2)]
-        count = 0
-        for left in itertools.permutations([1, 2, 3, 4, 5]):
-            for right in itertools.permutations([7, 8, 9, 10, 11]):
-                mapping = dict(zip(part_slots[0], left)) | dict(zip(part_slots[1], right))
-                inst = AbsorberInstance(
-                    template=template,
-                    assignment=tuple(sorted(mapping.items())),
-                    target=(0, 6),
+        labels = template.q2 + (("x", 1), ("x", 2))
+        needed = [(a, b) for a, b in itertools.combinations(labels, 2)
+                  if _blowup_adjacent(2, a, b)]
+        part_slots = [[l for l in template.q2 if label_part(l) == i] for i in range(2)]
+        outcomes = Counter()
+        for density in (Fraction(9, 10), Fraction(19, 20)):
+            for seed in range(12):
+                g = gen_random(2, [6, 6], density, seed)
+                exists = any(
+                    all(m[b] in g.adj[m[a]] for a, b in needed)
+                    for left in itertools.permutations([1, 2, 3, 4, 5])
+                    for right in itertools.permutations([7, 8, 9, 10, 11])
+                    for m in [dict(zip(part_slots[0], left)) | dict(zip(part_slots[1], right))
+                              | {("x", 1): 0, ("x", 2): 6}]
                 )
-                if verify_instance(g, inst):
-                    count += 1
-        assert len(found) == count > 0
+                found = find_absorbers(g, (0, 6), Config.default(2, seed=seed))
+                assert bool(found) == exists, (density, seed)
+                assert all(verify_instance(g, inst) for inst in found)
+                outcomes[exists] += 1
+        assert outcomes[True] >= 5 and outcomes[False] >= 5
+
+    def test_r19_gadget_needs_no_recursion_depth(self):
+        # 1064 slots, more than the default recursion limit of 1000 frames
+        g = complete(19, [57] * 19)
+        x = tuple(part[0] for part in g.parts)
+        found = find_absorbers(g, x, Config.default(19))
+        assert len(found) == 1 and verify_instance(g, found[0])
+        assert len(found[0].slots) == 3 * 19 * 19 - 19
 
     def test_k_mismatch_rejected(self):
         g = complete(3, [6, 6, 6])
         with pytest.raises(GraphValidationError):
-            find_absorbers(g, (0, 6), 1, Config.default(2, seed=0))
+            find_absorbers(g, (0, 6), Config.default(2, seed=0))
 
 
 class TestAssembleAbsorb:
@@ -159,11 +170,14 @@ class TestAssembleAbsorb:
         assert merged.vertices[-3:] == path.vertices[-3:]
         assert is_path(g, merged)
 
-    def test_absorb_empty_set_is_identity(self):
-        g = complete(3, [9, 9, 9])
-        cfg = Config.default(3, seed=2)
-        pa = assemble_absorbing_path(g, (), cfg, 1)
-        assert absorb(g, pa, ()) == pa.path
+    def test_absorbed_set_must_fill_every_gadget(self):
+        g = complete(2, [16, 16])
+        pa = assemble_absorbing_path(g, (), Config.default(2, seed=6), 2)
+        outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
+        one_rset = [next(v for v in outside if g.part_of(v) == i) for i in range(2)]
+        for z in ((), one_rset):
+            with pytest.raises(GraphValidationError, match="capacity"):
+                absorb(g, pa, z)
 
     def test_single_rset_extends_by_r(self):
         g = complete(3, [9, 9, 9])
@@ -183,10 +197,11 @@ class TestAssembleAbsorb:
         if z and len(z) == 3:
             assert absorb(g, a, z) == absorb(g, b, z)
 
-    def test_budget_zero_is_coverage_shortfall(self):
-        g = complete(3, [9, 9, 9])
-        with pytest.raises(CoverageError, match="shortfall"):
-            assemble_absorbing_path(g, (), Config.default(3, seed=0), 1, budget=0)
+    def test_no_gadget_fits_is_coverage_shortfall(self):
+        # an r=2 gadget takes 5 vertices of each part besides its target's
+        g = complete(2, [5, 5])
+        with pytest.raises(CoverageError, match="no gadget could be embedded"):
+            assemble_absorbing_path(g, (), Config.default(2, seed=0), 1)
 
     def test_multi_gadget_assembly_and_matching(self):
         # two gadgets joined by a connector, both switched during absorption
@@ -264,32 +279,29 @@ class TestAssembleAbsorb:
 
 
 def test_assignment_matches_brute_force_over_groupings():
-    """The exact assignment finds a gadget set exactly when some grouping of the
-    leftover into r-sets and some injective gadget choice work, and it picks the
-    first such gadget set in index order."""
+    """The matchings give every gadget an r-set exactly when some grouping of
+    the leftover into r-sets does."""
     outcomes = Counter()
     for trial in range(400):
         rng = random.Random(trial)
         r = rng.choice([2, 3])
-        n_gadgets = rng.randint(1, 4)
-        q = rng.randint(1, min(3, n_gadgets))
+        q = rng.randint(1, 3)
         universe = [list(range(10 * i, 10 * i + 5)) for i in range(r)]
         by_part = [sorted(rng.sample(u, q)) for u in universe]
         density = rng.choice([0.4, 0.6, 0.8])
         gadgets = [
             PlacedGadget(instance=None, cover=tuple(
                 frozenset(v for v in u if rng.random() < density) for u in universe))
-            for _ in range(n_gadgets)
+            for _ in range(q)
         ]
-        want = absorbable_by_brute_force(gadgets, by_part)
         got = _assign_gadgets(gadgets, by_part)
         outcomes[got is not None] += 1
-        if want is None:
-            assert got is None, trial
+        assert (got is not None) == absorbable_by_brute_force(gadgets, by_part), trial
+        if got is None:
             continue
-        assert got is not None and tuple(sorted(got)) == want, trial
-        for gi, rset in got.items():
-            assert all(v in gadgets[gi].cover[i] for i, v in enumerate(rset))
+        assert len(got) == q
+        for gadget, rset in zip(gadgets, got):
+            assert all(v in gadget.cover[i] for i, v in enumerate(rset))
         for i in range(r):
-            assert sorted(rset[i] for rset in got.values()) == by_part[i]
+            assert sorted(rset[i] for rset in got) == by_part[i]
     assert outcomes[True] >= 50 and outcomes[False] >= 50

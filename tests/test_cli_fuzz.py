@@ -123,7 +123,7 @@ def argvs(draw, graph: str) -> list[str]:
     repeated, in any order, with stray tokens put in."""
     if draw(st.integers(0, 9)) == 0:
         return draw(st.sampled_from(NO_COMMAND))
-    command = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
     chunks = []
     for option, value in _valid_options(graph)[command]:
         fate = draw(st.sampled_from(["keep"] * 12 + ["drop", "other", "bare", "repeat"]))

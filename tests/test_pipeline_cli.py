@@ -417,6 +417,16 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"validation error: {reason}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["absorber", "--r", "1"],
+        ["gen", "--k", "2", "--sizes", "2,2", "--extremal", "--r", "1"],
+    ])
+    def test_gadget_and_extremal_host_reject_r_below_two(self, capsys, argv):
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validation error: power parameter r must be at least 2\n"
+
     def test_search_on_the_empty_host_prints_an_empty_witness(self, tmp_path, capsys):
         gpath = self._gen(tmp_path, ["--k", "0", "--sizes", "", "--delta", "1"])
         assert main(["search", "--graph", str(gpath), "--r", "2"]) == EXIT_OK
@@ -576,7 +586,8 @@ def test_every_option_is_read_by_its_command(tmp_path):
         args = parser.parse_args(argv, namespace=_ReadLog())
         command = args.command
         args._reads.clear()  # argparse reads the namespace while it fills it
-        assert cli._COMMANDS[command](args) == EXIT_OK, argv
+        _, _, run = cli._COMMANDS[command]
+        assert run(args) == EXIT_OK, argv
         read |= {(command, name) for name in args._reads}
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     defined = {

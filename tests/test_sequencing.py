@@ -108,6 +108,13 @@ class TestTemplateMatrix:
         m = build_template_matrix(5, 3, 3)
         assert m.ell == 1 and m.cols == ((1, 1, 1, 0, 0),)
 
+    def test_swapped_columns_break_the_seam_condition(self):
+        m = build_template_matrix(5, 3, 1)
+        cols = list(m.cols)
+        cols[3], cols[4] = cols[4], cols[3]
+        with pytest.raises(InfeasibleError, match="columns 4,5"):
+            replace(m, cols=tuple(cols)).validate()
+
     def test_full_exhaustion(self):
         # validate() checks distinctness, forced ends, and the seam condition
         for r in range(2, 6):
