@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from math import ceil
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .connect import default_connector_length, find_connector
 from .errors import CoverageError, GraphValidationError, InfeasibleError, VerificationError
 from .graphs import Config, MultipartiteGraph, degree_profile, require_power
+from .oracle import DepthFirst, SearchBudget
 from .paths import VertexSeq, is_path, is_properly_terminated
 
 # A label is ("a"|"b"|"c", part i, block j) for slots, or ("x", i) for the
@@ -229,11 +230,11 @@ def find_absorbers(
     """The first embedding of the gadget for the given balanced r-set, as a
     list of at most one.
 
-    A depth-first search over the slots in passive-routing order, on an
-    explicit stack.  Each slot's candidates are the free vertices of its part
-    adjacent to the slot's absorbed vertex and to every earlier slot it must
-    touch, in ascending vertex order shuffled by the seeded rng.  The embedding
-    avoids the target set and `avoid`.
+    A depth-first search over the slots in passive-routing order, within the
+    default search budget.  Each slot's candidates are the free vertices of
+    its part adjacent to the slot's absorbed vertex and to every earlier slot
+    it must touch, in ascending vertex order shuffled by the seeded rng.  The
+    embedding avoids the target set and `avoid`.
     """
     r = cfg.r
     if graph.k != r:
@@ -247,41 +248,36 @@ def find_absorbers(
 
     template = build_gadget(r)
     labels = template.q2  # every slot label, in position order
+    blocked = set(xs) | set(avoid)
+    free_in = [part - blocked for part in graph.part_sets]
+    # a part holds r cells of three slots, the diagonal one of two
+    if any(len(free) < 3 * r - 1 for free in free_in):
+        return []
     earlier = _earlier_neighbours(template)
 
     rng = cfg.rng(f"absorber:{xs}")
-    blocked = set(xs) | set(avoid)
     adj = graph.adj
-    # per slot: its part's vertices off the blocked set, narrowed to the
-    # neighbours of the absorbed vertex its row attaches to
+    # per slot: its part's free vertices, narrowed to the neighbours of the
+    # absorbed vertex its row attaches to
     base = []
     for lab in labels:
-        free = graph.part_sets[label_part(lab)] - blocked
+        free = free_in[label_part(lab)]
         base.append(free & adj[xs[lab[2] - 1]] if _attached(lab) else free)
-    chosen: list[int] = []  # chosen[p]: the host vertex of slot p
 
-    def candidates(idx: int) -> Iterator[int]:
+    def candidates(chosen: list[int]) -> list[int] | None:  # chosen[p]: slot p's vertex
+        idx = len(chosen)
+        if idx == len(labels):
+            return None
         fit = base[idx].intersection(*(adj[chosen[p]] for p in earlier[idx]))
         pool = sorted(fit.difference(chosen))
         rng.shuffle(pool)
-        return iter(pool)
+        return pool
 
-    # stack[p] iterates the candidates for slot p; chosen holds the slots before it
-    stack = [candidates(0)]
-    while stack:
-        v = next(stack[-1], None)
-        if v is None:
-            stack.pop()
-            if stack:
-                chosen.pop()
-        elif len(stack) < len(labels):
-            chosen.append(v)
-            stack.append(candidates(len(stack)))
-        else:
-            inst = AbsorberInstance(template=template, slots=(*chosen, v), target=xs)
-            if not verify_instance(graph, inst):
-                raise VerificationError("embedded gadget fails its template check")
-            return [inst]
+    for slots in DepthFirst(candidates, SearchBudget().node_limit):
+        inst = AbsorberInstance(template=template, slots=slots, target=xs)
+        if not verify_instance(graph, inst):
+            raise VerificationError("embedded gadget fails its template check")
+        return [inst]
     return []
 
 

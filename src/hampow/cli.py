@@ -16,7 +16,13 @@ import sys
 from fractions import Fraction
 
 from . import absorber, connect, oracle, pipeline, sequencing, tiling
-from .errors import GraphFormatError, GraphValidationError, HampowError, SearchExhaustedError
+from .errors import (
+    BudgetExhaustedError,
+    GraphFormatError,
+    GraphValidationError,
+    HampowError,
+    SearchExhaustedError,
+)
 from .graphs import (
     Config,
     MultipartiteGraph,
@@ -383,6 +389,9 @@ def main(argv: list[str] | None = None) -> int:
     except GraphValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except BudgetExhaustedError as exc:
+        print(f"search budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except HampowError as exc:
         print(f"stage failure: {exc}", file=sys.stderr)
         return EXIT_STAGE

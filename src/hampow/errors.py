@@ -33,6 +33,10 @@ class SearchExhaustedError(HampowError):
     """A randomized greedy/backtracking routine ran out of its retry budget."""
 
 
+class BudgetExhaustedError(SearchExhaustedError):
+    """An exact search ran out of its node budget: it proved neither yes nor no."""
+
+
 class CoverageError(HampowError):
     """Absorber coverage shortfall: no gadget could be embedded, or the
     leftover cannot be split among distinct gadgets that absorb it."""

@@ -1,22 +1,22 @@
 """Exhaustive decision procedures used as ground truth: existence of spanning
 power-cycles, spanning power-paths between anchor cliques, and the
-independence-number necessity pre-filter.
+independence-number necessity pre-filter; and `DepthFirst`, the budgeted
+depth-first engine every exact search in the package runs on.
 
-Both oracles run one depth-first search over vertex orderings, on an explicit
-stack with bitmask adjacency, so no host size meets a recursion limit.  It
-extends a witness between a lead anchor and a closing clique; a cycle is the
-path anchored on its own first r-1 vertices.  Pruning order is the
-independence pre-filter, then per-part arc capacity, then window and closing
-cliques with the most-constrained next vertex.  A `no` is exhaustive; budget
-exhaustion is a distinct inconclusive value, never conflated with `no`.
+Both oracles extend a witness over vertex orderings, with bitmask adjacency,
+between a lead anchor and a closing clique; a cycle is the path anchored on
+its own first r-1 vertices.  Pruning order is the independence pre-filter,
+then per-part arc capacity, then window and closing cliques with the
+most-constrained next vertex.  A `no` is exhaustive; budget exhaustion is a
+distinct inconclusive value, never conflated with `no`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import GraphValidationError, VerificationError
+from .errors import BudgetExhaustedError, GraphValidationError, VerificationError
 from .graphs import MultipartiteGraph, require_power
 from .paths import VertexSeq, is_path, is_walk, splice_ok, verify_ham_power_cycle
 
@@ -32,6 +32,39 @@ class SearchBudget:
     def __post_init__(self):
         if self.node_limit < 1:
             raise GraphValidationError("node_limit must be at least 1")
+
+
+class DepthFirst:
+    """The one depth-first search engine, on an explicit stack.
+
+    `children(prefix)` returns the ordered choices for the next position, or
+    None when `prefix` is complete; the prefix is one list, cut and extended
+    in place.  Iterating yields each complete prefix, as a tuple, in search
+    order and lazily.  `nodes` counts the nodes entered, the root included;
+    the node past `limit` raises `BudgetExhaustedError`, never a no.
+    """
+
+    def __init__(self, children: Callable[[list], Iterable | None], limit: int, prefix=()):
+        self.children, self.limit, self.prefix = children, limit, list(prefix)
+        self.nodes = 0
+
+    def __iter__(self) -> Iterator[tuple]:
+        children, limit, prefix = self.children, self.limit, self.prefix
+        levels: list[Iterator] = []  # the untried choices at each open depth
+        while True:
+            self.nodes += 1
+            if self.nodes > limit:
+                raise BudgetExhaustedError(f"search budget of {limit} nodes exhausted")
+            options = children(prefix)
+            if options is None:
+                yield tuple(prefix)
+            levels.append(iter(options or ()))
+            while (choice := next(levels[-1], None)) is None:
+                levels.pop()
+                if not levels:
+                    return
+                prefix.pop()
+            prefix.append(choice)
 
 
 @dataclass(frozen=True)
@@ -74,76 +107,55 @@ def _anchored_search(
     starting with `head`, such that lead + witness + closing is a power-walk.
     With `closing=None` the witness closes on its own first r-1 vertices.
 
-    Each node of the search tree is one tick, the root included; the search
-    stops at the first tick past the budget.  A node fails the part-capacity
-    prune before its children are listed, and children are tried fewest
-    unplaced neighbours first, ties by vertex id."""
+    A node fails the part-capacity prune before its children are listed, and
+    children are tried fewest unplaced neighbours first, ties by vertex id."""
     adj = graph.adj_mask
-    part_of = graph.part_index
-    limit = budget.node_limit
-    seq = list(lead) + list(head)
     base = len(lead)
-    close = seq if closing is None else closing
     taken = set(lead) | set(closing or ())
-    free = [v for v in range(graph.n) if v not in taken]
-    m = len(free)
-    free_mask = 0
-    remaining = [0] * graph.k
-    for v in free:
-        free_mask |= 1 << v
-        remaining[part_of[v]] += 1
-    used = 0
-    for v in head:
-        used |= 1 << v
-        remaining[part_of[v]] -= 1
+    free_in_part = [sum(1 << v for v in part if v not in taken) for part in graph.parts]
+    free_mask = sum(free_in_part)
+    m = free_mask.bit_count()
+    start = len(head)
+    used_at = [0] * (m + 1)  # used_at[d]: the witness's first d vertices
+    used_at[start] = sum(1 << v for v in head)
 
-    nodes = 0
-    stack: list[Iterator[int]] = []  # the untried children of each open node
-    while True:
-        nodes += 1
-        if nodes > limit:
-            return OracleResult(BUDGET_EXCEEDED, None, nodes)
+    def children(seq: list[int]) -> list[int] | None:
         depth = len(seq) - base
-        children = None
+        if depth > start:
+            used_at[depth] = used_at[depth - 1] | 1 << seq[-1]
+        used = used_at[depth]
+        close = seq if closing is None else closing
         if depth == m:
-            if splice_ok(graph, seq, close, r):
-                return OracleResult(YES, VertexSeq(tuple(seq[base:]), r), nodes)
-        else:
-            # same-part vertices sit >= r apart, so the `slots` positions left
-            # take at most ceil(slots/r) more from any one part
-            slots = m - depth
+            return None if splice_ok(graph, seq, close, r) else []
+        # same-part vertices sit >= r apart, so the `slots` positions left
+        # take at most ceil(slots/r) more from any one part; below the root,
+        # where the parent passed, that can newly fail only where r | slots
+        slots = m - depth
+        if depth == start or slots % r == 0:
             cap = -(-slots // r)
-            if not any(c > cap for c in remaining):
-                mask = free_mask & ~used
-                for u in seq[-(r - 1):]:
-                    mask &= adj[u]
-                # the last r-1 positions also precede the closing clique
-                for b in range(r - slots):
-                    mask &= adj[close[b]]
-                children = []
-                while mask:
-                    low = mask & -mask
-                    children.append(low.bit_length() - 1)
-                    mask ^= low
-                children.sort(key=lambda v: (adj[v] & ~used).bit_count())
-        if children:
-            stack.append(iter(children))
-        elif stack:
-            v = seq.pop()
-            used ^= 1 << v
-            remaining[part_of[v]] += 1
-        else:
-            return OracleResult(NO, None, nodes)
-        while (v := next(stack[-1], None)) is None:
-            stack.pop()
-            if not stack:
-                return OracleResult(NO, None, nodes)
-            u = seq.pop()
-            used ^= 1 << u
-            remaining[part_of[u]] += 1
-        seq.append(v)
-        used |= 1 << v
-        remaining[part_of[v]] -= 1
+            if any((free & ~used).bit_count() > cap for free in free_in_part):
+                return []
+        mask = free_mask & ~used
+        for u in seq[-(r - 1):]:
+            mask &= adj[u]
+        # the last r-1 positions also precede the closing clique
+        for b in range(r - slots):
+            mask &= adj[close[b]]
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        out.sort(key=lambda v: (adj[v] & ~used).bit_count())
+        return out
+
+    search = DepthFirst(children, budget.node_limit, (*lead, *head))
+    try:
+        for found in search:
+            return OracleResult(YES, VertexSeq(found[base:], r), search.nodes)
+    except BudgetExhaustedError:
+        return OracleResult(BUDGET_EXCEEDED, None, search.nodes)
+    return OracleResult(NO, None, search.nodes)
 
 
 def ham_power_cycle_exists(

@@ -24,6 +24,7 @@ from .errors import (
     VerificationError,
 )
 from .graphs import Config, MultipartiteGraph, degree_profile
+from .oracle import DepthFirst, SearchBudget
 from .paths import (
     TypeVector,
     VertexSeq,
@@ -570,7 +571,8 @@ def _connector_0_fits(
     uses more vertices, and the suffix also follows the prefix when
     `p0_prime` is shorter than r-1), so when this is False no attempt
     succeeds.  The suffixes are listed lazily; the first one that leaves room
-    ends the search.  No rng is drawn.
+    ends the search.  No rng is drawn.  A spent budget proves nothing, so its
+    `BudgetExhaustedError` propagates.
     """
     used = set(p0_prime.vertices)
     return any(
@@ -606,26 +608,17 @@ def _window_paths(
     used: set[int],
     r: int,
     before: Sequence[int] = (),
-) -> Iterator[list[int]]:
+) -> Iterator[tuple[int, ...]]:
     """Every pick list `_grow_window_path` can return for a nonempty
-    `cell_sequence` and no `after`, depth first and lazily."""
+    `cell_sequence` and no `after`, lazily, within the default search budget."""
     adj = graph.adj
-    m = len(cell_sequence)
-    out = list(before[-(r - 1):])
-    lead = len(out)
-    # stack[p] iterates the candidates for pick p; out holds the picks before it
-    stack = [iter(_window_fit(adj, cell_sequence, 0, out, used, r))]
-    while stack:
-        v = next(stack[-1], None)
-        if v is None:
-            stack.pop()
-            if stack:
-                out.pop()
-        elif len(stack) == m:
-            yield out[lead:] + [v]
-        else:
-            out.append(v)
-            stack.append(iter(_window_fit(adj, cell_sequence, len(stack), out, used, r)))
+    lead = before[-(r - 1):]
+
+    def children(out: list[int]) -> frozenset[int] | None:
+        p = len(out) - len(lead)
+        return None if p == len(cell_sequence) else _window_fit(adj, cell_sequence, p, out, used, r)
+
+    return (out[len(lead):] for out in DepthFirst(children, SearchBudget().node_limit, lead))
 
 
 def _grow_window_path(

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphValidationError, SearchExhaustedError, VerificationError
 from .graphs import Config, MultipartiteGraph, require_power
+from .oracle import DepthFirst, SearchBudget
 from .paths import VertexSeq, is_path, is_properly_terminated, splice_ok
 
 
@@ -154,45 +155,36 @@ def fractional_tiling(graph: MultipartiteGraph, r: int) -> FractionalTiling:
 def perfect_tiling_bruteforce(
     graph: MultipartiteGraph, r: int
 ) -> list[tuple[int, ...]] | None:
-    """Exact-cover search for a perfect tiling by transversal cliques.
+    """Exact-cover search for a perfect tiling by transversal cliques, within
+    the default search budget.
 
     Branches on the uncovered vertex contained in the fewest remaining cliques.
     """
     require_power(r)
     if graph.n % r != 0:
         raise GraphValidationError(f"n={graph.n} is not divisible by r={r}")
-    cliques = enumerate_cliques(graph, r)
     by_vertex: list[list[tuple[int, ...]]] = [[] for _ in range(graph.n)]
-    for K in cliques:
+    for K in enumerate_cliques(graph, r):
         for v in K:
             by_vertex[v].append(K)
 
-    chosen: list[tuple[int, ...]] = []
-    covered: set[int] = set()
-
-    def rec() -> bool:
+    def options(chosen: list[tuple[int, ...]]) -> list[tuple[int, ...]] | None:
+        covered = set().union(*chosen)
         if len(covered) == graph.n:
-            return True
-        pivot, options = None, None
+            return None
+        best: list[tuple[int, ...]] = []
         for v in range(graph.n):
             if v in covered:
                 continue
-            opts = [K for K in by_vertex[v] if not covered.intersection(K)]
-            if options is None or len(opts) < len(options):
-                pivot, options = v, opts
-                if not opts:
-                    return False
-        assert options is not None
-        for K in options:
-            chosen.append(K)
-            covered.update(K)
-            if rec():
-                return True
-            chosen.pop()
-            covered.difference_update(K)
-        return False
+            opts = [K for K in by_vertex[v] if covered.isdisjoint(K)]
+            if not opts:
+                return []
+            if not best or len(opts) < len(best):
+                best = opts
+        return best
 
-    return chosen if rec() else None
+    tiling = next(iter(DepthFirst(options, SearchBudget().node_limit)), None)
+    return None if tiling is None else list(tiling)
 
 
 @dataclass(frozen=True)

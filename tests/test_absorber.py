@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import absorbable_by_brute_force, complete
+from hampow import absorber
 from hampow.absorber import (
     GadgetTemplate,
     PlacedGadget,
@@ -22,8 +24,9 @@ from hampow.absorber import (
     verify_gadget,
     verify_instance,
 )
-from hampow.errors import CoverageError, GraphValidationError
+from hampow.errors import BudgetExhaustedError, CoverageError, GraphValidationError
 from hampow.graphs import Config, MultipartiteGraph, gen_random
+from hampow.oracle import SearchBudget
 from hampow.paths import VertexSeq, is_path, is_properly_terminated
 
 EXAMPLE_Q1 = (
@@ -112,6 +115,18 @@ class TestFindAbsorbers:
         g = complete(2, [7, 7])
         (inst,) = find_absorbers(g, (0, 7), cfg, avoid=[3, 9])
         assert verify_instance(g, inst) and not {3, 9} & set(inst.slots)
+
+    def test_too_few_free_vertices_answers_without_a_search(self):
+        # an r=3 gadget has 8 slots in each part, and each part of 8 keeps 7
+        # vertices off the target
+        start = time.perf_counter()
+        assert find_absorbers(complete(3, [8, 8, 8]), (0, 8, 16), Config.default(3)) == []
+        assert time.perf_counter() - start < 1
+
+    def test_spent_budget_is_not_a_no(self, monkeypatch):
+        monkeypatch.setattr(absorber, "SearchBudget", lambda: SearchBudget(2))
+        with pytest.raises(BudgetExhaustedError, match="budget of 2 nodes exhausted"):
+            find_absorbers(complete(3, [9, 9, 9]), (0, 9, 18), Config.default(3))
 
     def test_finds_an_embedding_exactly_when_brute_force_does(self):
         """On sparse r=2 hosts with parts of 6, the 5 free vertices of each part

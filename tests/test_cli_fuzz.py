@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import build_outcome, reference_load_graph
 from hampow import cli
 from hampow.cli import build_parser, main
+from hampow.errors import BudgetExhaustedError
 from hampow.graphs import gen_random, load_graph, save_graph
 
 DOCUMENTED = {0, 2, 3, 4, 5}
@@ -176,3 +177,13 @@ def test_fuzzed_argv_parses_as_the_full_parser_parses(k44, data):
     end, _, err = got
     assert end in {("exit", 0), ("exit", 2)} or (end[0] == "return" and end[1] in DOCUMENTED)
     assert "Traceback" not in err
+
+
+def test_budget_exhaustion_reaching_main_exits_5(k44):
+    """An exact search that runs out of budget proved nothing: exit 5, as
+    `search` answers, not the stage failure's 4."""
+    spent = BudgetExhaustedError("search budget of 2000000 nodes exhausted")
+    with mock.patch.object(cli.tiling, "perfect_tiling_bruteforce", side_effect=spent):
+        end, _, err = _run(["tile", "--integral", "--graph", k44, "--r", "2"])
+    assert end == ("return", 5)
+    assert err == f"search budget exhausted: {spent}\n"

@@ -7,18 +7,69 @@ from fractions import Fraction
 import pytest
 
 from conftest import complete, naive_cycle_exists, naive_is_walk, naive_path_between
-from hampow.errors import GraphValidationError
+from hampow.errors import BudgetExhaustedError, GraphValidationError
 from hampow.graphs import MultipartiteGraph, gen_extremal, gen_random
 from hampow.oracle import (
     BUDGET_EXCEEDED,
     NO,
     YES,
+    DepthFirst,
     SearchBudget,
     ham_power_cycle_exists,
     ham_power_path_between,
     independence_necessity,
 )
 from hampow.paths import VertexSeq, verify_ham_power_cycle, verify_ham_power_cycle_report
+
+
+def spread(n):
+    """Children for the orderings of range(n) whose neighbours differ by more than 1."""
+    def children(prefix):
+        if len(prefix) == n:
+            return None
+        return [v for v in range(n) if v not in prefix and (not prefix or abs(v - prefix[-1]) > 1)]
+    return children
+
+
+def spread_prefixes(n):
+    """The nodes of the whole search tree of `spread(n)`, counted from the definition."""
+    return sum(all(abs(a - b) > 1 for a, b in zip(p, p[1:]))
+               for length in range(n + 1) for p in itertools.permutations(range(n), length))
+
+
+class TestDepthFirst:
+    def test_yes_with_its_witness(self):
+        search = DepthFirst(spread(4), 100)
+        assert next(iter(search)) == (1, 3, 0, 2)
+        # (), 0, 02, 03, 031, 1, 13, 130, 1302
+        assert search.nodes == 9
+        search = DepthFirst(spread(4), 100, prefix=(1,))
+        assert next(iter(search)) == (1, 3, 0, 2) and search.nodes == 4
+
+    def test_exhaustive_no_counts_every_node(self):
+        search = DepthFirst(spread(3), 100)
+        assert list(search) == []
+        assert search.nodes == spread_prefixes(3) == 6
+
+    def test_running_out_raises_at_limit_plus_one_and_is_never_a_no(self):
+        for limit in range(1, spread_prefixes(3)):
+            search = DepthFirst(spread(3), limit)
+            with pytest.raises(BudgetExhaustedError, match=f"budget of {limit} nodes exhausted"):
+                list(search)
+            assert search.nodes == limit + 1
+        assert list(DepthFirst(spread(3), spread_prefixes(3))) == []
+
+    def test_enumeration_is_lazy_and_in_order(self):
+        n = 5
+        search = DepthFirst(lambda p: None if len(p) == n else [v for v in range(n) if v not in p],
+                            1000)
+        found = iter(search)
+        assert next(found) == (0, 1, 2, 3, 4) and search.nodes == n + 1
+        assert [(0, 1, 2, 3, 4), *found] == list(itertools.permutations(range(n)))
+        search = DepthFirst(spread(n), 1000)
+        assert list(search) == [p for p in itertools.permutations(range(n))
+                                if all(abs(a - b) > 1 for a, b in zip(p, p[1:]))]
+        assert search.nodes == spread_prefixes(n)
 
 
 class TestIndependence:

@@ -19,8 +19,14 @@ from conftest import (
     suffix_and_connector_by_brute_force,
 )
 from hampow import sequencing
-from hampow.errors import GraphValidationError, InfeasibleError, SearchExhaustedError
+from hampow.errors import (
+    BudgetExhaustedError,
+    GraphValidationError,
+    InfeasibleError,
+    SearchExhaustedError,
+)
 from hampow.graphs import Config, MultipartiteGraph, gen_random
+from hampow.oracle import SearchBudget
 from hampow.paths import VertexSeq, decompose, is_path, is_properly_terminated, is_valid_pair
 from hampow.sequencing import (
     _connector_0_fits,
@@ -592,3 +598,7 @@ class TestDoomedRefinements:
         # with the edge a2-b back, a2 b starts connector 0 beside the suffix a b2
         g = MultipartiteGraph.from_edges(parts, edges + [(a2, b)])
         assert _connector_0_fits(g, VertexSeq((t,), 2), first, second, 2)
+        # a spent search budget proves nothing, so it is not read as doomed
+        monkeypatch.setattr(sequencing, "SearchBudget", lambda: SearchBudget(1))
+        with pytest.raises(BudgetExhaustedError, match="budget of 1 nodes exhausted"):
+            _connector_0_fits(g, VertexSeq((t,), 2), first, second, 2)

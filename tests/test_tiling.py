@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -7,8 +8,14 @@ import pytest
 
 from conftest import complete, reference_cliques, reference_cover_with_paths
 from hampow import tiling
-from hampow.errors import GraphValidationError, SearchExhaustedError, VerificationError
+from hampow.errors import (
+    BudgetExhaustedError,
+    GraphValidationError,
+    SearchExhaustedError,
+    VerificationError,
+)
 from hampow.graphs import Config, MultipartiteGraph, degree_profile, gen_extremal, gen_random
+from hampow.oracle import SearchBudget
 from hampow.paths import is_path, is_properly_terminated
 from hampow.tiling import (
     cover_with_paths,
@@ -140,6 +147,19 @@ class TestBruteForceTiling:
         g = complete(2, [3, 4])
         with pytest.raises(GraphValidationError):
             perfect_tiling_bruteforce(g, 2)
+
+    def test_deep_host_needs_no_recursion_depth(self):
+        # 1100 + 1100 vertices whose only edges are a perfect matching: the
+        # search chooses 1100 cliques, more than the default recursion limit
+        assert sys.getrecursionlimit() < 1100
+        matching = [(v, 1100 + v) for v in range(1100)]
+        g = MultipartiteGraph.from_edges([list(range(1100)), list(range(1100, 2200))], matching)
+        assert sorted(perfect_tiling_bruteforce(g, 2)) == matching
+
+    def test_spent_budget_is_not_a_no(self, monkeypatch):
+        monkeypatch.setattr(tiling, "SearchBudget", lambda: SearchBudget(2))
+        with pytest.raises(BudgetExhaustedError, match="budget of 2 nodes exhausted"):
+            perfect_tiling_bruteforce(complete(3, [2, 2, 2]), 3)
 
     def test_integral_implies_fractional_perfect(self):
         for seed in range(20):
