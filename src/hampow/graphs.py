@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from math import ceil
 from typing import IO, Iterable, Sequence
@@ -67,8 +68,18 @@ class MultipartiteGraph:
         return self.part_index[v]
 
     def edges(self) -> list[tuple[int, int]]:
-        """Canonical edge list: each pair sorted ascending, list sorted lexicographically."""
-        return sorted((min(u, v), max(u, v)) for u in range(self.n) for v in self.adj[u] if u < v)
+        """Canonical edge list: each pair (u, v) has u < v, and the list is
+        sorted lexicographically.  It is `_upper_rows` read row by row, the
+        order `save_graph` writes."""
+        return [(u, v) for u, row in enumerate(self._upper_rows()) for v in row]
+
+    def _upper_rows(self) -> list[list[int]]:
+        """Row u holds the neighbours of u above u, ascending."""
+        rows = []
+        for u, nb in enumerate(self.adj):
+            row = sorted(nb)
+            rows.append(row[bisect_right(row, u):])
+        return rows
 
     def validate(self) -> None:
         """Reject parts that are unsorted, overlap, leave a vertex uncovered or
@@ -201,16 +212,6 @@ class MultipartiteGraph:
             raise GraphValidationError("part order must be a permutation of 0..k-1")
         return replace(self, parts=tuple(self.parts[i] for i in order))
 
-    def to_json_dict(self) -> dict:
-        doc: dict = {
-            "k": self.k,
-            "parts": [list(p) for p in self.parts],
-            "edges": [list(e) for e in self.edges()],
-        }
-        if self.name is not None:
-            doc["name"] = self.name
-        return doc
-
 
 def _adjacency(n: int, edges: Iterable[Sequence[int]]) -> list[set[int]] | None:
     """The adjacency sets of `edges`, or None when an edge is not a pair of
@@ -227,8 +228,25 @@ def _adjacency(n: int, edges: Iterable[Sequence[int]]) -> list[set[int]] | None:
 
 
 def save_graph(graph: MultipartiteGraph) -> str:
-    """Serialize to the canonical JSON format (bit-exact: sorted edges, fixed key order)."""
-    return json.dumps(graph.to_json_dict(), separators=(",", ":"))
+    """Serialize to the canonical JSON text, byte-stable for a given graph.
+
+    The text is compact JSON (no spaces) with the keys in the order `k`,
+    `parts`, `edges`, then `name` when the graph has one.  `parts` lists each
+    part's ids in the graph's part order; `edges` is `graph.edges()`, each
+    pair as a 2-array.  The edges are written row by row from `_upper_rows`,
+    one joined string per vertex; `parts` and `name` go through `json.dumps`,
+    which gives the name its escaping (non-ASCII as `\\uXXXX`).
+    """
+    dumps = partial(json.dumps, separators=(",", ":"))
+    # int.__repr__ writes an id as JSON writes an int, whatever int type holds it
+    edges = ",".join(
+        f"[{u}," + f"],[{u},".join(map(int.__repr__, row)) + "]"
+        for u, row in enumerate(graph._upper_rows())
+        if row
+    )
+    name = "" if graph.name is None else ',"name":' + dumps(graph.name)
+    parts = dumps([list(p) for p in graph.parts])
+    return f'{{"k":{graph.k},"parts":{parts},"edges":[{edges}]{name}}}'
 
 
 def load_graph(source: bytes | str | IO) -> MultipartiteGraph:
@@ -392,13 +410,17 @@ def gen_random(
     if not 0 <= target_delta <= 1:
         raise GraphValidationError("target_delta must lie in [0,1]")
     parts = _parts_from_sizes(sizes)
+    # random() returns a multiple of 2**-53, so rounding the density up to the
+    # next such multiple changes no comparison; that multiple is an exact
+    # float, which compares far faster than a Fraction
+    threshold = ceil(Fraction(target_delta) * 2**53) / 2**53
     rng = random.Random(seed)
     edges = []
     for i in range(k):
         for j in range(i + 1, k):
             for u in parts[i]:
                 for v in parts[j]:
-                    if rng.random() < target_delta:
+                    if rng.random() < threshold:
                         edges.append((u, v))
     return MultipartiteGraph.from_edges(parts, edges)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 from fractions import Fraction
 from typing import Sequence
 
@@ -213,6 +214,40 @@ def reference_load_graph(text: str):
     if k != len(parts):
         raise GraphValidationError(f"declared k={k} but {len(parts)} parts given")
     return reference_from_edges(parts, edges, name)
+
+
+def reference_save_graph(graph: MultipartiteGraph) -> str:
+    """The canonical text built as one document: each edge sorted by min/max,
+    the whole list sorted, then `json.dumps` of the key-ordered dict."""
+    edges = sorted(
+        (min(u, v), max(u, v)) for u in range(graph.n) for v in graph.adj[u] if u < v
+    )
+    doc: dict = {
+        "k": graph.k,
+        "parts": [list(p) for p in graph.parts],
+        "edges": [list(e) for e in edges],
+    }
+    if graph.name is not None:
+        doc["name"] = graph.name
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def reference_gen_random(k, sizes, target_delta, seed) -> MultipartiteGraph:
+    """Each draw compared with the density itself, a Fraction where one is given."""
+    parts, next_id = [], 0
+    for s in sizes:
+        parts.append(list(range(next_id, next_id + s)))
+        next_id += s
+    rng = random.Random(seed)
+    edges = [
+        (u, v)
+        for i in range(k)
+        for j in range(i + 1, k)
+        for u in parts[i]
+        for v in parts[j]
+        if rng.random() < target_delta
+    ]
+    return MultipartiteGraph.from_edges(parts, edges)
 
 
 def reference_grow_window_path(graph, cell_sequence, prefix, used, r, rng, tries=16):

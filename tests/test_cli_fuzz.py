@@ -37,7 +37,7 @@ def documents(draw) -> str:
     sizes = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
     density = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]))
     g = gen_random(k, sizes, density, draw(st.integers(0, 9)))
-    doc = g.to_json_dict()
+    doc = json.loads(save_graph(g))
     if draw(st.booleans()):
         doc["name"] = draw(st.sampled_from(["h", "a-b", "true"]))
     n = g.n

@@ -10,7 +10,9 @@ from conftest import (
     build_outcome,
     complete,
     reference_from_edges,
+    reference_gen_random,
     reference_load_graph,
+    reference_save_graph,
     scan_validate,
 )
 from hampow.errors import GraphFormatError, GraphValidationError
@@ -66,6 +68,36 @@ class TestLoadSave:
         g = gen_random(3, [3, 2, 2], Fraction(1, 2), 42)
         assert load_graph(save_graph(g)) == g
         assert save_graph(load_graph(save_graph(g))) == save_graph(g)
+
+
+def _serialised_hosts():
+    hosts = [MultipartiteGraph((), ())]
+    for k in range(7):
+        for sizes in ([0] * k, [1] * k, [4, 0, 3, 2, 5, 1][:k], [6] * k):
+            for delta in (Fraction(0), Fraction(1, 2), Fraction(1)):
+                hosts.append(gen_random(k, sizes, delta, k + sum(sizes)))
+    g = gen_random(3, [3, 2, 2], Fraction(1, 2), 42)
+    for name in ('a "quoted" name', "back\\slash", "non-ASCII \u00e9 \u2603", ""):
+        hosts.append(MultipartiteGraph(g.parts, g.adj, name))
+    hosts += [gen_extremal(3, (6, 6, 6), 3), gen_extremal(4, (5, 4, 4, 3), 2)]
+    return list(dict.fromkeys(hosts))
+
+
+@pytest.mark.parametrize("g", _serialised_hosts(), ids=lambda g: f"k{g.k}-n{g.n}-e{len(g.edges())}")
+def test_save_graph_and_edges_match_the_reference_serialiser(g):
+    text = reference_save_graph(g)
+    assert save_graph(g) == text
+    assert [list(e) for e in g.edges()] == json.loads(text)["edges"]
+
+
+@pytest.mark.parametrize("delta", [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(97, 100), 0.9])
+@pytest.mark.parametrize("k, sizes, seed", [(2, [7, 5], 0), (3, [6, 6, 6], 4), (5, [5, 4, 3, 0, 2], 9)])
+def test_gen_random_matches_the_fraction_comparing_reference(k, sizes, seed, delta):
+    """Comparing each draw with the density rounded up to a multiple of 2**-53
+    gives the graph comparing it with the density itself gives, adjacency
+    iteration order included."""
+    assert build_outcome(lambda: gen_random(k, sizes, delta, seed)) == \
+        build_outcome(lambda: reference_gen_random(k, sizes, delta, seed))
 
 
 class TestDegreeProfile:

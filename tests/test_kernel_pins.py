@@ -8,8 +8,11 @@ r=3 m=44 density 97/100 was re-recorded when absorption began to check
 coverage on the real leftover only: it now ends in a verified cycle, where the
 check over every balanced r-set stopped it with a coverage shortfall.  The
 sequenced pins were recorded while the plan still kept a (part, column) cell
-table, before it became its groups."""
+table, before it became its groups.  The `gen` pins hash the graph text that
+`json.dumps` of the whole document wrote, with each draw of `gen_random`
+compared with the Fraction density."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -127,6 +130,13 @@ def test_connect_command_counts_once_and_output_pinned(tmp_path, capsys, monkeyp
     assert rc == case["rc"]
     assert capsys.readouterr().out == case["out"]
     assert len(counted) == 1
+
+
+@pytest.mark.parametrize("case", PINS["gen"], ids=lambda case: " ".join(case["argv"][1:]))
+def test_gen_output_pinned(case, capsys):
+    assert main(case["argv"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == case["sha256"]
 
 
 def _terminated_pair(graph, r, rng):
