@@ -374,7 +374,7 @@ def assemble_absorbing_path(
             rng.shuffle(free)
             u_sets.append(sorted(free[:pool_cap]))
         conn = find_connector(graph, u_sets, VertexSeq(prev.slots, r), VertexSeq(nxt.slots, r),
-                              conn_len, used | excluded, cfg)
+                              conn_len, cfg)
         used.update(conn.vertices)
         connectors.append(conn.vertices)
 

@@ -264,12 +264,12 @@ def cmd_connect(args) -> int:
     u_sets = [[v for v in g.parts[i] if v not in terminal] for i in range(r)]
     total, table = connect.count_connecting_walks(g, u_sets, p1, p2, ell)
     doc: dict = {"count": total, "connector": None}
-    if total:
-        try:
-            q = connect.sample_connector(g, table, p1, p2, terminal, cfg)
-            doc["connector"] = q.to_json()
-        except SearchExhaustedError:
-            pass
+    try:
+        doc["connector"] = connect.search_connector(g, table, p1, p2, cfg).to_json()
+    except BudgetExhaustedError:
+        raise  # inconclusive: not a proved none, so main exits 5
+    except SearchExhaustedError:
+        pass  # proved: no connecting walk is a path
     _emit(args, json.dumps(doc))
     return EXIT_OK
 
@@ -370,7 +370,7 @@ _COMMANDS = {
     "verify": ("check a spanning power-cycle", _verify_options, cmd_verify),
     "sequence": ("run the partition-and-sequence pipeline", _sequence_options, cmd_sequence),
     "absorber": ("print the gadget routings", _absorber_options, cmd_absorber),
-    "connect": ("count and sample connecting walks", _connect_options, cmd_connect),
+    "connect": ("count connecting walks and find one that is a path", _connect_options, cmd_connect),
     "tile": ("fractional (and optionally integral) tiling", _tile_options, cmd_tile),
     "search": ("exact spanning power-cycle search", _search_options, cmd_search),
     "scan": ("threshold scan over random instances", _scan_options, cmd_scan),

@@ -1,25 +1,26 @@
-"""Exact counting and sampling of connecting walks between terminated walks.
+"""Exact counting of connecting walks between terminated walks, and an exact
+search for one whose vertices are distinct.
 
 The count is exact dynamic programming over the last r-1 chosen vertices; no
 lower-bound constants are involved.  Each state's successors are found once per
 count and reused on every layer.  The last layer keeps the states that splice
 before the right-hand walk under `paths.splice_ok`, the one seam check the
-package uses.  Sampling back-traces the DP table with probability proportional
-to the counts, so every connecting walk is equally likely: each step walks back
-through the predecessors of the current state that the table's layers hold,
-tried in ascending order of the vertex they drop.
+package uses.  The search runs on `oracle.DepthFirst`: it walks back from the
+final states through the table's layers, trying each state's predecessors in a
+seeded random order.  Every state of a layer is reachable from P1, so the
+search backtracks only where a vertex would repeat, and one that ends empty
+proves that no connecting walk is a path.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import GraphValidationError, SearchExhaustedError, VerificationError
 from .graphs import Config, MultipartiteGraph
+from .oracle import DepthFirst, SearchBudget
 from .paths import VertexSeq, final_respects, initial_respects, is_walk, splice_ok
 
 # Default connecting length from the construction: r * (2r - 2).
@@ -47,7 +48,7 @@ class WalkDPTable:
     @cached_property
     def first_vertices(self) -> tuple[list[int], ...]:
         """first_vertices[t] lists, ascending, the vertices that begin a state of
-        layers[t] (t < ell): the only vertices a step back to layer t can drop."""
+        layers[t] (t < ell): the only vertices a step back to layer t can add."""
         return tuple(sorted({state[0] for state in layer}) for layer in self.layers[:-1])
 
 
@@ -101,7 +102,7 @@ def count_connecting_walks(
     _check_terminated(graph, p2, part_order, "P2")
 
     # The iteration order of these sets fixes each layer's order, hence the
-    # seeded samples (tests/pinned_kernels.json): build them the same way.
+    # seeded search order (tests/pinned_kernels.json): build them the same way.
     pool = sorted(frozenset().union(*u_frozen))
     pool_set = frozenset(pool)
     in_pool = {v: graph.adj[v] & pool_set for v in pool}
@@ -154,75 +155,56 @@ def find_connector(
     p1: VertexSeq,
     p2: VertexSeq,
     ell: int,
-    forbidden: Iterable[int],
     cfg: Config,
 ) -> VertexSeq:
-    """Sample connecting walks uniformly until one is a path avoiding `forbidden`.
-
-    Raises SearchExhaustedError (quoting the exact walk count) when the retry
-    budget runs out or no connecting walk exists at all.
-    """
+    """`search_connector` on the table that `count_connecting_walks` builds."""
     _, table = count_connecting_walks(graph, u_sets, p1, p2, ell)
-    return sample_connector(graph, table, p1, p2, forbidden, cfg)
+    return search_connector(graph, table, p1, p2, cfg)
 
 
-def sample_connector(
+def search_connector(
     graph: MultipartiteGraph,
     table: WalkDPTable,
     p1: VertexSeq,
     p2: VertexSeq,
-    forbidden: Iterable[int],
     cfg: Config,
 ) -> VertexSeq:
-    """`find_connector` on the table that counted the walks from p1 to p2."""
-    total = table.total
-    if total == 0:
-        raise SearchExhaustedError("no connecting walks exist (exact count 0)")
-    bad = set(forbidden)
-    rng = cfg.rng("connector")
-    r = p1.r
-    for _ in range(cfg.retry_limit):
-        walk = _sample_walk(graph, table, rng)
-        if len(set(walk)) != len(walk) or any(v in bad for v in walk):
-            continue
-        q = VertexSeq(walk, r)
+    """A connecting walk counted by `table` whose vertices are distinct: a
+    depth-first search back from the final layer, trying its choices in an
+    order seeded by `cfg.rng("connector")`, within the default `SearchBudget`.
+
+    The walk takes its vertices from the pools, which the caller keeps clear of
+    p1, p2 and whatever else the connector must avoid.  An empty search raises
+    SearchExhaustedError, quoting the exact walk count; a spent budget raises
+    BudgetExhaustedError.
+    """
+    ell, r, rng = table.ell, p1.r, cfg.rng("connector")
+    # seq[i] is a state of layers[ell - i].  A state of layer t holds walk
+    # vertices t-r+2..t (those below 1 are P1's); its predecessor adds vertex
+    # t-r+1, adjacent to the state's vertices: only later ones can repeat it.
+    later_at = [0] * (ell + 1)  # later_at[d]: the last vertices of seq[:d]
+
+    def children(seq: list[State]) -> list[State] | None:
+        d = len(seq)
+        if d == 0:
+            options = list(table.final)
+        else:
+            later_at[d] = later_at[d - 1] | 1 << seq[-1][-1]
+            if d == ell:
+                return None
+            t, cur = ell - d + 1, seq[-1]
+            nb, tail, layer = graph.adj[cur[-1]], cur[:-1], table.layers[t - 1]
+            later = later_at[d - 1] if t >= r else 0
+            options = [prev for u in table.first_vertices[t - 1]
+                       if u in nb and not later >> u & 1 and (prev := (u,) + tail) in layer]
+        rng.shuffle(options)
+        return options
+
+    for found in DepthFirst(children, SearchBudget().node_limit):
+        q = VertexSeq(tuple(state[-1] for state in reversed(found)), r)
         if not is_walk(graph, p1.concat(q).concat(p2)):
-            raise VerificationError("sampled connector does not splice between its ends")
+            raise VerificationError("connector does not splice between its ends")
         return q
     raise SearchExhaustedError(
-        f"no path connector found in {cfg.retry_limit} samples "
-        f"({total} connecting walks exist)"
+        f"no vertex-distinct connector exists (exact count {table.total} connecting walks)"
     )
-
-
-def _sample_walk(graph: MultipartiteGraph, table: WalkDPTable, rng) -> State:
-    """Back-trace the DP table proportionally to the counts."""
-    state = _weighted_choice(rng, list(table.final), table.final.values())
-    out = [state]
-    for t in range(table.ell - 1, 0, -1):
-        layer = table.layers[t]
-        cur = out[-1]
-        nb = graph.adj[cur[-1]]
-        tail = cur[:-1]
-        preds, counts = [], []
-        for u in table.first_vertices[t]:
-            # cur's last vertex had to be adjacent to all of prev; the shared
-            # overlap is already certified by cur being reachable, only the
-            # dropped u needs checking.
-            if u in nb:
-                prev = (u,) + tail
-                cnt = layer.get(prev)
-                if cnt:
-                    preds.append(prev)
-                    counts.append(cnt)
-        out.append(_weighted_choice(rng, preds, counts))
-    return tuple(state[-1] for state in reversed(out))
-
-
-def _weighted_choice(rng, keys: Sequence[State], counts: Iterable[int]) -> State:
-    """keys[i] with probability counts[i] / sum(counts), from one rng.randrange."""
-    bounds = list(accumulate(counts))
-    if not bounds:
-        raise AssertionError("weights were empty")
-    return keys[bisect_right(bounds, rng.randrange(bounds[-1]))]
-

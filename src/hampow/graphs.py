@@ -118,10 +118,10 @@ class MultipartiteGraph:
 
         Each part, then each neighbourhood, is tested set-wise.  Only one that
         fails the test, or makes it raise TypeError, is scanned id by id, and
-        the scan names its first bad id.  An id that is not an int, such as
-        `True`, can fail the test yet pass the scan, so the pass goes on after
-        a scan that raises nothing.  A `symmetric` adjacency is not tested for
-        the other side of each edge."""
+        the scan names its first bad id.  A part's scan also rejects an id that
+        is not an int, such as `True`, which fails the test but no other check
+        of the scan.  A `symmetric` adjacency is not tested for the other side
+        of each edge."""
         n = self.n
         seen: set[int] = set()
         for part in self.parts:
@@ -145,6 +145,8 @@ class MultipartiteGraph:
                     raise GraphValidationError(f"vertex id {v} out of range 0..{n - 1}")
                 if v in seen:
                     raise GraphValidationError(f"vertex {v} appears in more than one part")
+                if type(v) is not int:
+                    raise GraphValidationError(f"vertex id {v!r} is not an int")
                 seen.add(v)
         if len(seen) != n:
             missing = next(v for v in range(n) if v not in seen)

@@ -161,7 +161,7 @@ def constructive_ham_path_between(
         pools = [
             [v for v in u if v not in used] for u in u_sets
         ]
-        conn = find_connector(graph, pools, left, seg, conn_len, used, cfg)
+        conn = find_connector(graph, pools, left, seg, conn_len, cfg)
         used.update(conn.vertices)
         connectors.append(conn)
         left = left.concat(conn).concat(seg)

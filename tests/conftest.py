@@ -86,33 +86,6 @@ def naive_path_between(graph: MultipartiteGraph, r: int, ka, kb) -> bool:
     )
 
 
-def full_scan_sample_walk(graph: MultipartiteGraph, table, rng):
-    """Reference back-trace of a connecting-walk DP table: every vertex of the
-    graph is tried as the dropped predecessor vertex, in ascending order."""
-
-    def choose(weighted):
-        pick = rng.randrange(sum(weighted.values()))
-        for key, cnt in weighted.items():
-            if pick < cnt:
-                return key
-            pick -= cnt
-        raise AssertionError("weights were empty")
-
-    out = [choose(table.final)]
-    for t in range(table.ell - 1, 0, -1):
-        layer = table.layers[t]
-        cur = out[-1]
-        nb = graph.adj[cur[-1]]
-        cand = {}
-        for u in range(graph.n):
-            prev = (u,) + cur[:-1]
-            cnt = layer.get(prev)
-            if cnt and u in nb:
-                cand[prev] = cnt
-        out.append(choose(cand))
-    return tuple(state[-1] for state in reversed(out))
-
-
 # Reference copies of the graph checks and the sequencing kernels as they were
 # before their set-wise rewrites.  The library must agree with them exactly:
 # same accepted graphs and adjacency iteration order, same error type and

@@ -11,8 +11,14 @@ from hampow.connect import (
     default_connector_length,
     find_connector,
 )
-from hampow.errors import GraphValidationError, SearchExhaustedError, VerificationError
+from hampow.errors import (
+    BudgetExhaustedError,
+    GraphValidationError,
+    SearchExhaustedError,
+    VerificationError,
+)
 from hampow.graphs import Config, MultipartiteGraph, gen_random
+from hampow.oracle import SearchBudget
 from hampow.paths import VertexSeq, is_path, is_walk
 
 
@@ -119,46 +125,92 @@ class TestFindConnector:
         ell = default_connector_length(3)
         terminal = (0, 1, 12, 13, 24, 25)
         u_sets = [[v for v in g.parts[i] if v not in terminal] for i in range(3)]
-        q = find_connector(g, u_sets, p1, p2, ell, terminal, cfg)
+        q = find_connector(g, u_sets, p1, p2, ell, cfg)
         assert len(q) == ell
         assert is_path(g, q)
         assert is_walk(g, p1.concat(q).concat(p2))
         assert all(any(v in u for u in map(set, u_sets)) for v in q.vertices)
 
-    def test_everything_forbidden_exhausts(self):
+    def test_only_repeating_walks_is_a_proved_none(self):
+        # the one connecting walk in these pools is 2, 5, 2, 5
         g = complete(2, [3, 3])
         cfg = Config.default(2, seed=0)
         p1, p2 = VertexSeq((0, 3), 2), VertexSeq((1, 4), 2)
         with pytest.raises(SearchExhaustedError) as info:
-            find_connector(g, [g.parts[0], g.parts[1]], p1, p2, 2, range(6), cfg)
-        assert "walks exist" in str(info.value)
+            find_connector(g, [[2], [5]], p1, p2, 4, cfg)
+        assert type(info.value) is SearchExhaustedError
+        assert str(info.value) == \
+            "no vertex-distinct connector exists (exact count 1 connecting walks)"
 
     def test_no_walks_at_all(self):
-        g = gen_random(2, [2, 2], 0, 0)
-        cfg = Config.default(2, seed=0)
-        # terminated pair needs a walk; build it on an edgeless graph is fine for r=2 len 2? no
         g = MultipartiteGraph.from_edges([[0, 1], [2, 3]], [[0, 2], [1, 3]])
+        cfg = Config.default(2, seed=0)
         p1, p2 = VertexSeq((0, 2), 2), VertexSeq((1, 3), 2)
         with pytest.raises(SearchExhaustedError, match="count 0"):
-            find_connector(g, [[1], [2]], p1, p2, 2, (), cfg)
+            find_connector(g, [[1], [2]], p1, p2, 2, cfg)
 
-    def test_sampling_is_seed_deterministic(self):
+    def test_search_agrees_with_brute_force(self):
+        found = none = 0
+        trial = 0
+        while found < 40 or none < 40:
+            trial += 1
+            rng = random.Random(trial)
+            r = rng.choice([2, 3])
+            g = gen_random(r, [rng.randint(3, 5)] * r, Fraction(rng.choice([6, 8, 10]), 10), trial)
+            pair = _terminated_pair(g, r, trial)
+            if pair is None:
+                continue
+            p1, p2 = pair
+            terminal = set(p1.vertices) | set(p2.vertices)
+            u_sets = [[v for v in g.parts[i] if v not in terminal and rng.random() < 0.8]
+                      for i in range(r)]
+            if not all(u_sets):
+                continue
+            ell = rng.randint(1, 2 * r)
+            pool = sorted(v for u in u_sets for v in u)
+            exists = any(
+                len(set(q)) == ell and naive_is_walk(g, p1.vertices + q + p2.vertices, r)
+                for q in itertools.product(pool, repeat=ell)
+            )
+            try:
+                q = find_connector(g, u_sets, p1, p2, ell, Config.default(r, seed=trial))
+            except SearchExhaustedError as exc:
+                assert type(exc) is SearchExhaustedError
+                assert not exists, trial
+                none += 1
+                continue
+            assert exists, trial
+            assert len(set(q.vertices)) == ell and set(q.vertices) <= set(pool)
+            assert naive_is_walk(g, p1.vertices + q.vertices + p2.vertices, r), trial
+            found += 1
+
+    def test_search_is_seed_deterministic(self):
         g = complete(3, [5, 5, 5])
         p1 = VertexSeq((0, 5, 10), 3)
         p2 = VertexSeq((1, 6, 11), 3)
-        forbidden = (0, 1, 5, 6, 10, 11)
-        u_sets = [[v for v in g.parts[i] if v not in forbidden] for i in range(3)]
-        a = find_connector(g, u_sets, p1, p2, 6, forbidden, Config.default(3, seed=9))
-        b = find_connector(g, u_sets, p1, p2, 6, forbidden, Config.default(3, seed=9))
+        terminal = (0, 1, 5, 6, 10, 11)
+        u_sets = [[v for v in g.parts[i] if v not in terminal] for i in range(3)]
+        a = find_connector(g, u_sets, p1, p2, 6, Config.default(3, seed=9))
+        b = find_connector(g, u_sets, p1, p2, 6, Config.default(3, seed=9))
         assert a == b
 
-    def test_sample_that_does_not_splice_fails_verification(self, monkeypatch):
+    def test_spent_budget_is_not_a_none(self, monkeypatch):
+        g = complete(3, [5, 5, 5])
+        p1, p2 = VertexSeq((0, 5, 10), 3), VertexSeq((1, 6, 11), 3)
+        terminal = (0, 1, 5, 6, 10, 11)
+        u_sets = [[v for v in g.parts[i] if v not in terminal] for i in range(3)]
+        monkeypatch.setattr(hampow.connect, "SearchBudget", lambda: SearchBudget(5))
+        with pytest.raises(BudgetExhaustedError, match="budget of 5 nodes"):
+            find_connector(g, u_sets, p1, p2, 6, Config.default(3, seed=9))
+
+    def test_walk_that_does_not_splice_fails_verification(self, monkeypatch):
         g = complete(3, [5, 5, 5])
         p1 = VertexSeq((0, 5, 10), 3)
         p2 = VertexSeq((1, 6, 11), 3)
-        forbidden = (0, 1, 5, 6, 10, 11)
-        u_sets = [[v for v in g.parts[i] if v not in forbidden] for i in range(3)]
-        # a path off the forbidden set whose first two vertices share a part
-        monkeypatch.setattr(hampow.connect, "_sample_walk", lambda *a: (2, 3, 7, 8, 12, 13))
-        with pytest.raises(VerificationError):
-            find_connector(g, u_sets, p1, p2, 6, forbidden, Config.default(3, seed=9))
+        terminal = (0, 1, 5, 6, 10, 11)
+        u_sets = [[v for v in g.parts[i] if v not in terminal] for i in range(3)]
+        # with the seam filter off, the final layer keeps walks of length 5,
+        # whose last vertex shares a part with P2's first
+        monkeypatch.setattr(hampow.connect, "splice_ok", lambda *a: True)
+        with pytest.raises(VerificationError, match="does not splice"):
+            find_connector(g, u_sets, p1, p2, 5, Config.default(3, seed=9))

@@ -64,6 +64,16 @@ class TestLoadSave:
         with pytest.raises(GraphFormatError):
             load_graph("{not json")
 
+    def test_part_id_that_is_not_an_int_rejected_so_every_graph_round_trips(self):
+        # `True` equals 1, so only the per-id scan can tell; saved, it would
+        # read `true`, which `load_graph` rejects
+        with pytest.raises(GraphValidationError, match="vertex id True is not an int"):
+            MultipartiteGraph(((0,), (True,)), (frozenset({1}), frozenset({0})))
+        with pytest.raises(GraphValidationError, match="vertex id True is not an int"):
+            MultipartiteGraph.from_edges([[0], [True]], [(0, 1)])
+        g = MultipartiteGraph.from_edges([[0], [1]], [(0, 1)])
+        assert load_graph(save_graph(g)) == g
+
     def test_round_trip_identity(self):
         g = gen_random(3, [3, 2, 2], Fraction(1, 2), 42)
         assert load_graph(save_graph(g)) == g

@@ -381,16 +381,40 @@ class TestCli:
 
     def test_connect_splice_failure_is_not_hidden(self, tmp_path, capsys, monkeypatch):
         gpath = self._gen(tmp_path, ["--k", "2", "--sizes", "6,6", "--delta", "1"])
-        # two vertices of one part cannot sit next to each other on the walk
-        monkeypatch.setattr(hampow.connect, "_sample_walk", lambda *a: (2, 3))
+        # with the seam filter off, a one-vertex connector from part 0 is kept,
+        # though it sits next to P2's first vertex, also in part 0
+        monkeypatch.setattr(hampow.connect, "splice_ok", lambda *a: True)
         rc = main(
             ["connect", "--graph", str(gpath), "--r", "2",
-             "--p1", "[0,6]", "--p2", "[1,7]", "--ell", "2"]
+             "--p1", "[0,6]", "--p2", "[1,7]", "--ell", "1"]
         )
         assert rc == EXIT_STAGE
         out = capsys.readouterr()
         assert out.out == ""
         assert "does not splice" in out.err
+
+    def test_connect_proved_none_is_null(self, tmp_path, capsys):
+        gpath = self._gen(tmp_path, ["--k", "2", "--sizes", "3,3", "--delta", "1"])
+        # one connecting walk through the free vertices 2 and 5: 2, 5, 2, 5
+        rc = main(
+            ["connect", "--graph", str(gpath), "--r", "2",
+             "--p1", "[0,3]", "--p2", "[1,4]", "--ell", "4"]
+        )
+        assert rc == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {"count": 1, "connector": None}
+
+    def test_connect_spent_budget_exits_5(self, tmp_path, capsys, monkeypatch):
+        gpath = self._gen(tmp_path, ["--k", "2", "--sizes", "6,6", "--delta", "1"])
+        monkeypatch.setattr(hampow.connect, "SearchBudget", lambda: SearchBudget(1))
+        rc = main(
+            ["connect", "--graph", str(gpath), "--r", "2",
+             "--p1", "[0,6]", "--p2", "[1,7]", "--ell", "2"]
+        )
+        assert rc == EXIT_BUDGET
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("\n") == 1 and "Traceback" not in out.err
+        assert out.err.startswith("search budget exhausted:")
 
     def test_tile_command(self, tmp_path, capsys):
         gpath = self._gen(tmp_path, ["--k", "3", "--sizes", "2,2,2", "--delta", "1"])
