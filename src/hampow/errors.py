@@ -30,7 +30,8 @@ class ScaleInfeasibleError(HampowError):
 
 
 class SearchExhaustedError(HampowError):
-    """A randomized greedy/backtracking routine ran out of its retry budget."""
+    """A search found nothing: an exact search that ended empty (a proof that
+    none exists), or a randomized routine that ran out of its retries."""
 
 
 class BudgetExhaustedError(SearchExhaustedError):

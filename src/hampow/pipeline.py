@@ -12,7 +12,7 @@ the caller may fall back to the exhaustive oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 from typing import Sequence
@@ -38,7 +38,7 @@ from .oracle import (
     independence_necessity,
 )
 from .paths import VertexSeq, is_path, is_walk, verify_ham_power_cycle_report
-from .sequencing import SequencingResult, Stage, run_sequencing
+from .sequencing import Stage, run_sequencing
 from .tiling import cover_with_paths, iter_cliques
 
 
@@ -333,27 +333,13 @@ def _sequenced_case(
 ) -> VertexSeq | None:
     """k' > r: cut into balanced groups and stitch the per-group paths."""
     r = cfg.r
-    seq: SequencingResult | None = None
-    last_exc: Exception | None = None
-    for attempt in range(3):
-        try:
-            seq = run_sequencing(
-                graph,
-                cfg if attempt == 0 else replace(cfg, seed=cfg.seed + attempt),
-                relaxed=relaxed,
-            )
-            break
-        except SearchExhaustedError as exc:
-            # only a spent search budget may go another way under a new seed
-            last_exc = exc
-        except (GraphValidationError, InfeasibleError, ScaleInfeasibleError) as exc:
-            # template arithmetic, precondition P1 and the residual bounds do
-            # not depend on the seed; a VerificationError is a fault of the
-            # construction: it propagates instead of being retried or hidden
-            last_exc = exc
-            break
-    if seq is None:
-        failure = str(last_exc)
+    try:
+        seq = run_sequencing(graph, cfg, relaxed=relaxed)
+    except (SearchExhaustedError, GraphValidationError, InfeasibleError,
+            ScaleInfeasibleError) as exc:
+        # a VerificationError is a fault of the construction: it propagates
+        # instead of being hidden behind a fallback
+        failure = str(exc)
     else:
         bad = next((c for c in seq.report.conditions if c.name != "A2" and not c.ok), None)
         failure = None if bad is None else f"{bad.name}: {bad.detail}"

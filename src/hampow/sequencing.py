@@ -4,6 +4,13 @@ solver for cell sizes, random refinement, connectors, and plan verification.
 The pipeline takes a k-partite graph with r < k and descending part sizes and
 cuts it into balanced r-partite groups joined by short connector paths, with an
 initial trim path absorbing the divisibility slack.
+
+Every path laid through a fixed sequence of cells (the trim path, each
+connector, and the two affixes that turn the trim path into p0) is the first
+one an exact depth-first search finds (`_window_paths` on `oracle.DepthFirst`)
+in a seeded order.  The trim path's search covers the whole graph, so when it
+ends empty no seed can help.  What stays random is the refinement into cells,
+which is re-drawn when the connectors dead-end.
 """
 
 from __future__ import annotations
@@ -137,31 +144,27 @@ def build_trim_path(
     cfg: Config,
     relaxed: bool = False,
 ) -> VertexSeq:
-    """Greedily realize the template as a properly ordered, properly terminated path.
+    """Realize the template as a properly ordered, properly terminated path:
+    the first path, in an order seeded by `cfg.rng("trim")`, through the run
+    cells (each run type's parts in ascending order, one vertex each).
 
-    In strict mode the degree precondition and the sigma-dependent residual slack
-    conditions are enforced; relaxed mode keeps only the exact combinatorial
-    identities (divisibility and the leading residual equalities).
+    The search is exact over the whole graph, so when it ends empty no trim
+    path exists and SearchExhaustedError says so; a spent budget raises
+    BudgetExhaustedError.  In strict mode the degree precondition and the
+    sigma-dependent residual slack conditions are enforced; relaxed mode keeps
+    only the exact combinatorial identities (divisibility and the leading
+    residual equalities).
     """
     r, n = tmpl.r, graph.n
     if not relaxed:
         if degree_profile(graph).delta_p < 1 - Fraction(1, r) + cfg.gamma:
             raise InfeasibleError("proportional minimum degree below 1 - 1/r + gamma")
 
-    rng = cfg.rng("trim")
-    last_exc: Exception | None = None
-    for attempt in range(cfg.retry_limit):
-        try:
-            vertices = _realize_types(graph, tmpl.type_sequence, r, rng)
-            break
-        except SearchExhaustedError as exc:
-            last_exc = exc
-    else:
-        raise SearchExhaustedError(
-            f"trim path construction exhausted {cfg.retry_limit} restarts: {last_exc}"
-        )
-
-    p0 = VertexSeq(tuple(vertices), r)
+    cells = [graph.part_sets[i] for z in tmpl.type_sequence for i, zi in enumerate(z) if zi]
+    vertices = next(_window_paths(graph, cells, set(), r, rng=cfg.rng("trim")), None)
+    if vertices is None:
+        raise SearchExhaustedError(f"no power-path realizes the template's {tmpl.q} run types")
+    p0 = VertexSeq(vertices, r)
     if not is_path(graph, p0):
         raise VerificationError("trim path is not a power-path")
     if decompose(graph, p0).types() != tmpl.type_sequence:
@@ -184,60 +187,6 @@ def build_trim_path(
         if total < (1 - 3 * r * r * cfg.sigma) * n:
             raise ScaleInfeasibleError("constants infeasible at this scale: trim path too long")
     return p0
-
-
-def _realize_types(
-    graph: MultipartiteGraph,
-    types: Sequence[TypeVector],
-    r: int,
-    rng: random.Random,
-) -> list[int]:
-    """One greedy pass over the template; raises SearchExhaustedError on a dead end."""
-    used: set[int] = set()
-    out: list[int] = []
-    for z in types:
-        support = [i for i, zi in enumerate(z) if zi]
-        chunk = _grow_run(graph, support, out, used, r, rng)
-        if chunk is None:
-            raise SearchExhaustedError(f"dead end while realizing run type {z}")
-        out.extend(chunk)
-        used.update(chunk)
-    return out
-
-
-def _grow_run(
-    graph: MultipartiteGraph,
-    support: Sequence[int],
-    prefix: Sequence[int],
-    used: set[int],
-    r: int,
-    rng: random.Random,
-) -> list[int] | None:
-    """Pick one unused vertex per part of the run, keeping all window adjacencies.
-
-    Candidates are scored by remaining degree into the not-yet-chosen required
-    parts, ties broken randomly; up to 8 attempts per run.  The candidates
-    are the part's vertices off `used` inside every window vertex's
-    neighbourhood, in ascending order, as the sorted part lists them.  The
-    parts in `support` are distinct.
-    """
-    adj = graph.adj
-    cells = [graph.part_sets[i] for i in support]
-    lead = list(prefix[-(r - 1):])  # in `used`, so `_window_fit` dropping it drops nothing
-    for _ in range(8):
-        chunk: list[int] = []
-        for pos in range(len(cells)):
-            pool = sorted(_window_fit(adj, cells, pos, lead + chunk, used, r))
-            if not pool:
-                break
-            # the parts of `support` are distinct, so one intersection with
-            # their union counts a vertex's degree into each of them
-            rest = frozenset().union(*cells[pos + 1:]) - used
-            rng.shuffle(pool)
-            chunk.append(max(pool, key=lambda v: len(adj[v] & rest)))
-        else:
-            return chunk
-    return None
 
 
 @dataclass(frozen=True)
@@ -500,10 +449,15 @@ def build_connectors_and_p0(
     patterns: tuple[tuple[int, ...], ...],
     cfg: Config,
 ) -> SequencingPlan:
-    """Greedy 2r-vertex connector paths between consecutive groups, then wrap the
-    trim path with r prepended vertices (from the last group) and r appended
+    """2r-vertex connector paths between consecutive groups, then the trim path
+    wrapped with r prepended vertices (from the last group) and r appended
     vertices (from the first group).  The groups are the cells as
     `refine_partition` returns them, and the plan keeps them with `patterns`.
+
+    Each piece is the first path `_window_paths` finds, in an order seeded by
+    `cfg.rng("connectors")`, off the trim path and the pieces laid before it.
+    A piece with no path left fails the attempt, and the next attempt lays
+    every piece again in a new order, up to `cfg.retry_limit` attempts.
 
     Connector 0 and the appended suffix each take one vertex from every cell of
     the first group.  When those cells are small they may have no room for
@@ -519,39 +473,38 @@ def build_connectors_and_p0(
             f"cells (sizes {[len(c) for c in groups[0]]}); no attempt can succeed"
         )
     rng = cfg.rng("connectors")
+
+    def first_path(cells, used, **context) -> tuple[int, ...] | None:
+        return next(_window_paths(graph, cells, used, r, rng=rng, **context), None)
+
     for attempt in range(cfg.retry_limit):
         used: set[int] = set(p0_prime.vertices)
         connectors: list[VertexSeq] = []
-        ok = True
         for j in range(ell - 1):
-            conn = _grow_window_path(graph, groups[j] + groups[j + 1], used, r, rng)
+            conn = first_path(groups[j] + groups[j + 1], used)
             if conn is None:
-                ok = False
                 break
-            connectors.append(VertexSeq(tuple(conn), r))
+            connectors.append(VertexSeq(conn, r))
             used.update(conn)
-        if not ok:
-            continue
-
-        prefix = _grow_window_path(graph, groups[-1], used, r, rng, after=p0_prime.vertices)
-        if prefix is None:
-            continue
-        used.update(prefix)
-        suffix = _grow_window_path(graph, groups[0], used, r, rng,
-                                   before=tuple(prefix) + p0_prime.vertices)
-        if suffix is None:
-            continue
-        p0 = VertexSeq(tuple(prefix) + p0_prime.vertices + tuple(suffix), r)
-        if not is_path(graph, p0):
-            raise VerificationError("P0 with its affixes is not a power-path")
-        return SequencingPlan(
-            r=r,
-            p0_prime=p0_prime,
-            p0=p0,
-            groups=groups,
-            patterns=patterns,
-            connectors=tuple(connectors),
-        )
+        else:
+            prefix = first_path(groups[-1], used, after=p0_prime.vertices)
+            if prefix is None:
+                continue
+            used.update(prefix)
+            suffix = first_path(groups[0], used, before=prefix + p0_prime.vertices)
+            if suffix is None:
+                continue
+            p0 = VertexSeq(prefix + p0_prime.vertices + suffix, r)
+            if not is_path(graph, p0):
+                raise VerificationError("P0 with its affixes is not a power-path")
+            return SequencingPlan(
+                r=r,
+                p0_prime=p0_prime,
+                p0=p0,
+                groups=groups,
+                patterns=patterns,
+                connectors=tuple(connectors),
+            )
     raise SearchExhaustedError(
         f"connector/terminal construction exhausted {cfg.retry_limit} attempts"
     )
@@ -608,50 +561,34 @@ def _window_paths(
     used: set[int],
     r: int,
     before: Sequence[int] = (),
+    after: Sequence[int] = (),
+    rng: random.Random | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Every pick list `_grow_window_path` can return for a nonempty
-    `cell_sequence` and no `after`, lazily, within the default search budget."""
+    """Every pick list of one distinct vertex per cell, in order, off `used`,
+    such that `before`, the picks and `after` read as one power-path: lazily,
+    in search order, within the default search budget.
+
+    The caller keeps `before` and `after` in `used`.  Each pick's candidates
+    are found by set intersection (`_window_fit`).  With `rng` they are tried
+    sorted and then shuffled by it, so a seeded rng gives the same paths in
+    the same order; without it, in set order.  The search is exact: when it
+    ends, no other pick list exists.
+    """
     adj = graph.adj
     lead = before[-(r - 1):]
 
-    def children(out: list[int]) -> frozenset[int] | None:
+    def children(out: list[int]) -> Iterable[int] | None:
         p = len(out) - len(lead)
-        return None if p == len(cell_sequence) else _window_fit(adj, cell_sequence, p, out, used, r)
+        if p == len(cell_sequence):
+            return None
+        fit = _window_fit(adj, cell_sequence, p, out, used, r, after)
+        if rng is None:
+            return fit
+        options = sorted(fit)
+        rng.shuffle(options)
+        return options
 
     return (out[len(lead):] for out in DepthFirst(children, SearchBudget().node_limit, lead))
-
-
-def _grow_window_path(
-    graph: MultipartiteGraph,
-    cell_sequence: Sequence[frozenset[int]],
-    used: set[int],
-    r: int,
-    rng: random.Random,
-    before: Sequence[int] = (),
-    after: Sequence[int] = (),
-) -> list[int] | None:
-    """One vertex per cell, in order, such that `before`, the picks and `after`
-    read as one power-path: each pick is adjacent to the last r-1 vertices of
-    `before` plus the earlier picks, and to the vertices of `after` that lie
-    within distance r-1 of it.
-
-    Each pick's candidates are found by set intersection (`_window_fit`): the
-    cell off `used`, narrowed to each window vertex's neighbourhood.  They are
-    listed in the cell's own iteration order, so a seeded `rng` picks the same
-    vertex as a vertex-by-vertex scan of the cell would.  Up to 16 attempts.
-    """
-    adj = graph.adj
-    lead = list(before[-(r - 1):])
-    for _ in range(16):
-        out = lead[:]
-        for p, cell in enumerate(cell_sequence):
-            fit = _window_fit(adj, cell_sequence, p, out, used, r, after)
-            if not fit:
-                break
-            out.append(rng.choice([v for v in cell if v in fit]))
-        else:
-            return out[len(lead):]
-    return None
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from hampow.errors import (
 )
 from hampow.graphs import MultipartiteGraph, gen_random
 from hampow.paths import VertexSeq, is_path
-from hampow.sequencing import SequencingPlan, _grow_window_path
+from hampow.sequencing import SequencingPlan, _window_paths
 from hampow.tiling import PathCover, _balanced
 
 
@@ -223,74 +223,20 @@ def reference_gen_random(k, sizes, target_delta, seed) -> MultipartiteGraph:
     return MultipartiteGraph.from_edges(parts, edges)
 
 
-def reference_grow_window_path(graph, cell_sequence, prefix, used, r, rng, tries=16):
-    for _ in range(tries):
-        out: list[int] = []
-        ok = True
-        for cell in cell_sequence:
-            window = (list(prefix) + out)[-(r - 1):]
-            pool = [v for v in cell
-                    if v not in used and v not in out
-                    and all(u in graph.adj[v] for u in window)]
-            if not pool:
-                ok = False
-                break
-            out.append(rng.choice(pool))
-        if ok:
-            return out
-    return None
-
-
-def reference_grow_run(graph, support, prefix, used, r, rng, tries=8):
-    for _ in range(tries):
-        chunk: list[int] = []
-        ok = True
-        for pos, part_idx in enumerate(support):
-            window = (list(prefix) + chunk)[-(r - 1):]
-            pool = [v for v in graph.parts[part_idx]
-                    if v not in used and v not in chunk
-                    and all(u in graph.adj[v] for u in window)]
-            if not pool:
-                ok = False
-                break
-            upcoming = support[pos + 1:]
-            remaining = [set(graph.parts[i]) - used for i in upcoming]
-
-            def score(v: int) -> int:
-                return sum(len(graph.adj[v] & rem) for rem in remaining)
-
-            rng.shuffle(pool)
-            chunk.append(max(pool, key=score))
-        if ok:
-            return chunk
-    return None
-
-
-def reference_choose_affix(graph, cells, anchor, used, r, rng, prepend, tries=16):
-    for _ in range(tries):
-        out: list[int] = []
-        ok = True
-        for h, cell in enumerate(cells, start=1):
-            pool = []
-            for v in cell:
-                if v in used or v in out:
-                    continue
-                if any(u == v or u not in graph.adj[v] for u in out[-(r - 1):]):
-                    continue
-                if prepend:
-                    need = anchor[: h - 1]
-                else:
-                    need = anchor[-(r - h):] if h < r else []
-                if any(u not in graph.adj[v] for u in need):
-                    continue
-                pool.append(v)
-            if not pool:
-                ok = False
-                break
-            out.append(rng.choice(pool))
-        if ok:
-            return out
-    return None
+def window_paths_by_brute_force(graph, cells, used, r, before=(), after=()):
+    """Every pick list, in product order, of one vertex per cell such that the
+    picks are distinct and off `used`, and each pick is adjacent to every
+    vertex of before + picks + after that lies within distance r-1 of it."""
+    found = []
+    for picks in itertools.product(*cells):
+        seq = [*before, *picks, *after]
+        at = range(len(before), len(before) + len(picks))
+        if len(set(picks)) == len(picks) and not used & set(picks) and all(
+            naive_is_walk(graph, (seq[i], seq[j]), 2)
+            for i in at for j in range(max(0, i - r + 1), min(len(seq), i + r)) if j != i
+        ):
+            found.append(picks)
+    return found
 
 
 # Reference copies of the kernels the constructive path reaches once a host's
@@ -467,41 +413,44 @@ def absorbable_by_brute_force(gadgets, by_part):
     )
 
 
-# The connector builder as it was before it proved doomed refinements up
-# front: it spends every attempt on them.  The library must give the same plan
-# or the same SearchExhaustedError.
+# The connector builder without the up-front proof of doomed refinements: it
+# spends every attempt on them.  The library must give the same plan or the
+# same SearchExhaustedError.
 
 
 def reference_build_connectors_and_p0(graph, p0_prime, groups, patterns, cfg):
-    """Greedy 2r-vertex connector paths between consecutive groups, then wrap the
+    """Seeded first-path connectors between consecutive groups, then wrap the
     trim path with r prepended vertices (from the last group) and r appended
     vertices (from the first group)."""
     r = cfg.r
     ell = len(groups)
     rng = cfg.rng("connectors")
+
+    def first_path(cells, used, **context):
+        return next(_window_paths(graph, cells, used, r, rng=rng, **context), None)
+
     for attempt in range(cfg.retry_limit):
         used: set[int] = set(p0_prime.vertices)
         connectors: list[VertexSeq] = []
         ok = True
         for j in range(ell - 1):
-            conn = _grow_window_path(graph, groups[j] + groups[j + 1], used, r, rng)
+            conn = first_path(groups[j] + groups[j + 1], used)
             if conn is None:
                 ok = False
                 break
-            connectors.append(VertexSeq(tuple(conn), r))
+            connectors.append(VertexSeq(conn, r))
             used.update(conn)
         if not ok:
             continue
 
-        prefix = _grow_window_path(graph, groups[-1], used, r, rng, after=p0_prime.vertices)
+        prefix = first_path(groups[-1], used, after=p0_prime.vertices)
         if prefix is None:
             continue
         used.update(prefix)
-        suffix = _grow_window_path(graph, groups[0], used, r, rng,
-                                   before=tuple(prefix) + p0_prime.vertices)
+        suffix = first_path(groups[0], used, before=prefix + p0_prime.vertices)
         if suffix is None:
             continue
-        p0 = VertexSeq(tuple(prefix) + p0_prime.vertices + tuple(suffix), r)
+        p0 = VertexSeq(prefix + p0_prime.vertices + suffix, r)
         if not is_path(graph, p0):
             raise VerificationError("P0 with its affixes is not a power-path")
         return SequencingPlan(

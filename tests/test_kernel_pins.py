@@ -11,9 +11,12 @@ The constructive pipeline pin r=3 m=44 density 97/100 was re-recorded earlier,
 when absorption began to check coverage on the real leftover only: it now ends
 in a verified cycle, where the check over every balanced r-set stopped it with
 a coverage shortfall.  The sequenced pins were recorded while the plan still
-kept a (part, column) cell table, before it became its groups.  The `gen` pins
-hash the graph text that `json.dumps` of the whole document wrote, with each
-draw of `gen_random` compared with the Fraction density."""
+kept a (part, column) cell table, before it became its groups; ten of them
+were re-recorded when one exact, seeded window-path search replaced the
+randomized growers of the trim path, the connectors and the affixes, and each
+kept its exit code.  The `gen` pins hash the graph text that `json.dumps` of
+the whole document wrote, with each draw of `gen_random` compared with the
+Fraction density."""
 
 import hashlib
 import json

@@ -10,29 +10,27 @@ import pytest
 
 from conftest import (
     complete,
-    reference_choose_affix,
     reference_group_degree_slack,
-    reference_grow_run,
-    reference_grow_window_path,
     reference_build_connectors_and_p0,
     reference_worst_cell_violation,
     suffix_and_connector_by_brute_force,
+    window_paths_by_brute_force,
 )
 from hampow import sequencing
+from hampow.cli import main
 from hampow.errors import (
     BudgetExhaustedError,
     GraphValidationError,
     InfeasibleError,
     SearchExhaustedError,
 )
-from hampow.graphs import Config, MultipartiteGraph, gen_random
+from hampow.graphs import Config, MultipartiteGraph, gen_random, save_graph
 from hampow.oracle import SearchBudget
 from hampow.paths import VertexSeq, decompose, is_path, is_properly_terminated, is_valid_pair
 from hampow.sequencing import (
     _connector_0_fits,
     _group_degree_slack,
-    _grow_run,
-    _grow_window_path,
+    _window_paths,
     _worst_cell_violation,
     build_connectors_and_p0,
     build_template_matrix,
@@ -221,6 +219,36 @@ class TestTrimPath:
         for i in range(tmpl.s):
             assert residual[i] == total // 3
 
+    def test_no_realizing_path_is_proved(self):
+        """Parts 0 and 1 share no edge, and every run of type z_0 puts a part-0
+        vertex right before a part-1 vertex: no trim path exists, and the
+        search says so as a proof, not as a spent budget."""
+        full = complete(4, [9, 9, 9, 8])
+        g = MultipartiteGraph.from_edges(
+            full.parts, [(u, v) for u, v in full.edges() if not (u < 9 <= v < 18)])
+        cfg = Config.default(3, seed=2)
+        tmpl = compute_trim_template([9, 9, 9, 8], 3, cfg.sigma)
+        assert tmpl.type_sequence[0] == z_vector(0, 4, 3)
+        with pytest.raises(SearchExhaustedError, match="no power-path realizes") as exc:
+            build_trim_path(g, tmpl, cfg, relaxed=True)
+        assert not isinstance(exc.value, BudgetExhaustedError)
+
+    def test_a_spent_budget_is_inconclusive_and_sequence_exits_5(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        g = complete(4, [9, 9, 9, 8])
+        cfg = Config.default(3, seed=2)
+        tmpl = compute_trim_template([9, 9, 9, 8], 3, cfg.sigma)
+        monkeypatch.setattr(sequencing, "SearchBudget", lambda: SearchBudget(1))
+        with pytest.raises(BudgetExhaustedError, match="budget of 1 nodes exhausted"):
+            build_trim_path(g, tmpl, cfg, relaxed=True)
+        gpath = tmp_path / "g.json"
+        gpath.write_text(save_graph(g))
+        assert main(["sequence", "--graph", str(gpath), "--r", "3", "--relaxed"]) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "search budget exhausted: search budget of 1 nodes exhausted\n"
+
 
 class TestRefineAndPlan:
     def test_cells_sum_to_rows(self):
@@ -395,28 +423,41 @@ def _kernel_case(seed):
     return rng, r, k, g, cells, used
 
 
-@pytest.mark.parametrize("seed", range(60))
-def test_window_kernels_pick_what_the_scans_picked(seed):
-    """Same rng seed, same vertices, same rng state after, as the reference scans."""
+def _window_case(seed):
+    """A `_kernel_case` cut to at most r+1 cells, with a `before` and an
+    `after` of up to r-1 vertices each, kept in `used` as every caller keeps
+    them.  In about half the cases each context vertex comes from a part none
+    of the r-1 cells next to it is in, so that the context may leave a path."""
     rng, r, k, g, cells, used = _kernel_case(seed)
-    ours, ref = random.Random(seed), random.Random(seed)
-    assert _grow_window_path(g, cells, used, r, ours) == \
-        reference_grow_window_path(g, cells, [], used, r, ref)
-    assert ours.getstate() == ref.getstate()
+    cells = cells[:rng.randint(1, r + 1)]
 
-    support = rng.sample(range(k), rng.randint(1, k))
-    prefix = rng.sample(range(g.n), rng.randint(0, r))
-    assert _grow_run(g, support, prefix, used | set(prefix), r, ours) == \
-        reference_grow_run(g, support, prefix, used | set(prefix), r, ref)
-    assert ours.getstate() == ref.getstate()
+    def context(near):
+        far = rng.random() < 0.5
+        parts = [i for i in range(k)
+                 if not far or not any(g.part_of(v) == i for c in near for v in c)]
+        return [rng.choice(g.parts[i]) for i in rng.sample(parts, rng.randint(0, len(parts)))]
 
-    anchor = tuple(rng.choice(g.parts[i]) for i in rng.sample(range(k), r))
-    for prepend in (True, False):
-        context = {"after": anchor} if prepend else {"before": anchor}
-        got = _grow_window_path(g, cells[:r], used | set(anchor), r, ours, **context)
-        want = reference_choose_affix(g, cells[:r], anchor, used | set(anchor), r, ref, prepend)
-        assert got == want
-        assert ours.getstate() == ref.getstate()
+    before, after = context(cells[:r - 1])[:r - 1], context(cells[-(r - 1):])[:r - 1]
+    return g, cells, used | set(before) | set(after), r, before, after
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_window_paths_are_the_brute_force_paths(seed):
+    """The search yields each path brute force finds, once, and no other, so
+    it finds one exactly when one exists; a seeded order lists the same
+    paths, the same way for the same seed."""
+    g, cells, used, r, before, after = _window_case(seed)
+    want = window_paths_by_brute_force(g, cells, used, r, before, after)
+    got = list(_window_paths(g, cells, used, r, before, after))
+    assert len(set(got)) == len(got) and sorted(got) == sorted(want)
+    seeded = list(_window_paths(g, cells, used, r, before, after, random.Random(seed)))
+    assert sorted(seeded) == sorted(want)
+    assert seeded == list(_window_paths(g, cells, used, r, before, after, random.Random(seed)))
+
+
+def test_window_cases_hold_paths_and_dead_ends():
+    found = Counter(bool(window_paths_by_brute_force(*_window_case(seed))) for seed in range(60))
+    assert found[True] >= 15 and found[False] >= 15, found
 
 
 def test_window_path_needs_only_the_after_vertices_within_reach():
@@ -427,8 +468,7 @@ def test_window_path_needs_only_the_after_vertices_within_reach():
         [[0, 1, 2], [3, 4, 5]], [(u, v) for u in (0, 1, 2) for v in (3, 4, 5) if (u, v) != (0, 4)]
     )
     cells = [frozenset({0}), frozenset({3}), frozenset({1})]
-    path = _grow_window_path(g, cells, set(), 2, random.Random(0), after=(4, 2))
-    assert path == [0, 3, 1]
+    assert list(_window_paths(g, cells, set(), 2, after=(4, 2))) == [(0, 3, 1)]
     assert is_path(g, VertexSeq((0, 3, 1, 4, 2), 2))
 
 
@@ -520,9 +560,9 @@ def _refinement_case(seed):
     free = [rng.sample(part, len(part)) for part in g.parts]
     order = rng.sample(range(k), r)
     length = rng.randint(0, 2 * r)
-    trim = _grow_window_path(
-        g, [frozenset(free[order[(t - length) % r]]) for t in range(length)], set(), r, rng
-    ) or []
+    trim = next(_window_paths(
+        g, [frozenset(free[order[(t - length) % r]]) for t in range(length)], set(), r, rng=rng
+    ), ())
     free = [[v for v in part if v not in trim] for part in free]
     groups, patterns = [], []
     for j in range(ell):
@@ -536,7 +576,7 @@ def _refinement_case(seed):
             free[i] = free[i][take:]
         groups.append(tuple(cells))
         patterns.append(tuple(order))
-    return g, VertexSeq(tuple(trim), r), tuple(groups), tuple(patterns), cfg
+    return g, VertexSeq(trim, r), tuple(groups), tuple(patterns), cfg
 
 
 def _plan_or_exhausted(build, *args):
@@ -576,10 +616,11 @@ class TestDoomedRefinements:
             answers[got] += 1
         assert answers[False] >= 30 and answers[True] >= 30, answers
 
-    def test_a_doomed_refinement_never_reaches_the_grower(self, monkeypatch):
+    def test_a_doomed_refinement_never_reaches_the_attempts(self, monkeypatch):
         """K_{3,3,1} with three edges gone, r=2: the trim path is t, which sees
         only a of the first cell {a, a2}, and a2 sees nothing of the second
-        cell {b, b2}.  The suffix and connector 0 would both need a."""
+        cell {b, b2}.  The suffix and connector 0 would both need a.  The
+        attempts' searches are the seeded ones; the proof draws no rng."""
         a, a2, a3, b, b2, b3, t = range(7)
         parts = [[a, a2, a3], [b, b2, b3], [t]]
         missing = {(a2, t), (a2, b), (a2, b2)}
@@ -587,17 +628,29 @@ class TestDoomedRefinements:
                  if (u, v) not in missing]
         g = MultipartiteGraph.from_edges(parts, edges)
         first, second = (frozenset({a, a2}), frozenset({b, b2})), (frozenset({a3}), frozenset({b3}))
-        calls = []
-        monkeypatch.setattr(sequencing, "_grow_window_path",
-                            lambda *args, **kw: calls.append(args))
+        seeded = []
+        real = sequencing._window_paths
+
+        def spy(*args, rng=None, **kw):
+            if rng is not None:
+                seeded.append(args)
+            return real(*args, rng=rng, **kw)
+
+        monkeypatch.setattr(sequencing, "_window_paths", spy)
         with pytest.raises(SearchExhaustedError, match="no attempt can succeed"):
             build_connectors_and_p0(g, VertexSeq((t,), 2), (first, second), ((0, 1), (0, 1)),
                                     Config.default(2))
-        assert calls == []
+        assert seeded == []
         assert suffix_and_connector_by_brute_force(g, (t,), first, second, 2) is None
         # with the edge a2-b back, a2 b starts connector 0 beside the suffix a b2
         g = MultipartiteGraph.from_edges(parts, edges + [(a2, b)])
         assert _connector_0_fits(g, VertexSeq((t,), 2), first, second, 2)
+        # then the attempts run, and the spy sees them: connector 0 takes a3
+        # and b3, so the prefix through the second group never fits
+        with pytest.raises(SearchExhaustedError, match="exhausted 3 attempts"):
+            build_connectors_and_p0(g, VertexSeq((t,), 2), (first, second), ((0, 1), (0, 1)),
+                                    Config.default(2, retry_limit=3))
+        assert seeded
         # a spent search budget proves nothing, so it is not read as doomed
         monkeypatch.setattr(sequencing, "SearchBudget", lambda: SearchBudget(1))
         with pytest.raises(BudgetExhaustedError, match="budget of 1 nodes exhausted"):
