@@ -442,10 +442,10 @@ def _window_case(seed):
 
 
 @pytest.mark.parametrize("seed", range(60))
-def test_window_paths_are_the_brute_force_paths(seed):
-    """The search yields each path brute force finds, once, and no other, so
-    it finds one exactly when one exists; a seeded order lists the same
-    paths, the same way for the same seed."""
+def test_window_kernels_pick_what_the_scans_picked(seed):
+    """The window-path search yields each path the brute-force scan finds,
+    once, and no other, so it finds one exactly when one exists; a seeded
+    order lists the same paths, the same way for the same seed."""
     g, cells, used, r, before, after = _window_case(seed)
     want = window_paths_by_brute_force(g, cells, used, r, before, after)
     got = list(_window_paths(g, cells, used, r, before, after))
@@ -616,11 +616,12 @@ class TestDoomedRefinements:
             answers[got] += 1
         assert answers[False] >= 30 and answers[True] >= 30, answers
 
-    def test_a_doomed_refinement_never_reaches_the_attempts(self, monkeypatch):
+    def test_a_doomed_refinement_never_reaches_the_grower(self, monkeypatch):
         """K_{3,3,1} with three edges gone, r=2: the trim path is t, which sees
         only a of the first cell {a, a2}, and a2 sees nothing of the second
         cell {b, b2}.  The suffix and connector 0 would both need a.  The
-        attempts' searches are the seeded ones; the proof draws no rng."""
+        pieces are grown by the attempts' seeded searches; the proof draws
+        no rng."""
         a, a2, a3, b, b2, b3, t = range(7)
         parts = [[a, a2, a3], [b, b2, b3], [t]]
         missing = {(a2, t), (a2, b), (a2, b2)}
