@@ -2,8 +2,8 @@
 gadget printer, connector counting, tilings, exact search, and the threshold
 scanner.
 
-Exit codes: 0 success, 2 parse error, 3 validation error, 4 stage failure,
-5 budget exhausted.
+Exit codes: 0 success, 2 parse error, 3 validation error (also a `connect`
+count too long to write), 4 stage failure, 5 budget exhausted.
 """
 
 from __future__ import annotations
@@ -270,7 +270,14 @@ def cmd_connect(args) -> int:
         raise  # inconclusive: not a proved none, so main exits 5
     except SearchExhaustedError:
         pass  # proved: no connecting walk is a path
-    _emit(args, json.dumps(doc))
+    try:
+        text = json.dumps(doc)
+    except ValueError as exc:  # more digits than int-to-str conversion allows
+        raise GraphValidationError(
+            f"the exact count has more than {sys.get_int_max_str_digits()} digits"
+            " and cannot be written"
+        ) from exc
+    _emit(args, text)
     return EXIT_OK
 
 

@@ -1,21 +1,28 @@
 """Exact counting of connecting walks between terminated walks, and an exact
 search for one whose vertices are distinct.
 
-The count is exact dynamic programming over the last r-1 chosen vertices; no
+The walk table is dynamic programming over the last r-1 chosen vertices; no
 lower-bound constants are involved.  Each state's successors are found once per
-count and reused on every layer.  The last layer keeps the states that splice
-before the right-hand walk under `paths.splice_ok`, the one seam check the
-package uses.  The search runs on `oracle.DepthFirst`: it walks back from the
-final states through the table's layers, trying each state's predecessors in a
-seeded random order.  Every state of a layer is reachable from P1, so the
-search backtracks only where a vertex would repeat, and one that ends empty
-proves that no connecting walk is a path.
+table, and each layer lists, in first-seen order, the successors of the
+previous layer's states.  A layer depends only on the ordered layer before it,
+so once an ordered layer repeats an earlier one, the layers cycle with that
+period up to the connecting length, and the table stores each repeat as the
+same dict.  The last layer keeps the states that splice before the right-hand
+walk under `paths.splice_ok`, the one seam check the package uses.  The exact
+count is propagated over the stored successor lists only when it is read.  The
+search runs on `oracle.DepthFirst`: it walks back from the final states through
+the table's layers, trying each state's predecessors in a seeded random order.
+Every state of a layer is reachable from P1, so the search backtracks only
+where a vertex would repeat, and one that ends empty proves that no connecting
+walk is a path.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import GraphValidationError, SearchExhaustedError, VerificationError
@@ -33,17 +40,31 @@ State = tuple[int, ...]
 
 @dataclass(frozen=True)
 class WalkDPTable:
-    """Layered exact counts: layers[t] maps the last r-1 vertices of a legal
-    t-step extension to the number of such extensions; the final layer is
-    filtered by the right-hand terminal, so its total is the connecting count."""
+    """Layered reachability: layers[t] maps the last r-1 vertices of each legal
+    t-step extension of P1, in the order they are first reached, to the state's
+    index in `successors`; the final layer keeps the states of layers[ell] that
+    splice before P2.  Layers that repeat an earlier ordered layer are the same
+    dict objects."""
 
     ell: int
     layers: tuple[dict[State, int], ...]
     final: dict[State, int]
+    # successors[i]: the ids one step after state i; a state first reached in
+    # layers[ell] has no entry
+    successors: tuple[list[int], ...]
 
-    @property
+    @cached_property
     def total(self) -> int:
-        return sum(self.final.values())
+        """The exact number of connecting walks, repeated vertices allowed."""
+        counts: dict[int, int] = {0: 1}
+        for _ in range(self.ell):
+            nxt: dict[int, int] = {}
+            get = nxt.get
+            for i, cnt in counts.items():
+                for j in self.successors[i]:
+                    nxt[j] = get(j, 0) + cnt
+            counts = nxt
+        return sum(counts[i] for i in self.final.values())
 
     @cached_property
     def first_vertices(self) -> tuple[list[int], ...]:
@@ -75,15 +96,15 @@ def _check_terminated(
         )
 
 
-def count_connecting_walks(
+def build_walk_table(
     graph: MultipartiteGraph,
     u_sets: Sequence[Iterable[int]],
     p1: VertexSeq,
     p2: VertexSeq,
     ell: int,
-) -> tuple[int, WalkDPTable]:
-    """Exact number of length-ell walks Q inside the union of the given sets such
-    that p1 Q p2 is a power-walk.  Repeated vertices are allowed in Q."""
+) -> WalkDPTable:
+    """The layers of the length-ell walks Q inside the union of the given sets
+    such that p1 Q p2 is a power-walk.  Repeated vertices are allowed in Q."""
     r = p1.r
     if ell < 1:
         raise GraphValidationError("connector length must be at least 1")
@@ -106,46 +127,55 @@ def count_connecting_walks(
     pool = sorted(frozenset().union(*u_frozen))
     pool_set = frozenset(pool)
     in_pool = {v: graph.adj[v] & pool_set for v in pool}
-    for v in set(p1.vertices) | set(p2.vertices):
-        in_pool.setdefault(v, graph.adj[v] & pool_set)
     window = r - 1
     seed: State = p1.vertices[-window:]
-    layers: list[dict[State, int]] = [{seed: 1}]
+    for v in seed:  # a state holds pool vertices and those of P1's tail only
+        if v not in in_pool:
+            in_pool[v] = graph.adj[v] & pool_set
     # The same states recur from layer to layer, so each gets an integer id and
-    # its successors' ids are found once; a layer is counted over ids and only
-    # then keyed by the states themselves, in the same order.
+    # its successors' ids are found once.  A state's successors share its tail:
+    # ids[tail] maps each vertex w that follows it to the id of tail + (w,).
+    # A layer is first built as the tuple of its ids, which also keys the
+    # layers already seen.
     states: list[State] = [seed]
-    ids: dict[State, int] = {seed: 0}
-    successors: list[list[int] | None] = [None]
-    counts: dict[int, int] = {0: 1}
-    for _ in range(ell):
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for i, cnt in counts.items():
-            succ = successors[i]
-            if succ is None:
-                state = states[i]
-                tail = state[1:]
-                succ = successors[i] = []
-                for w in frozenset.intersection(*(in_pool[u] for u in state)):
-                    key = tail + (w,)
-                    j = ids.get(key)
-                    if j is None:
-                        j = ids[key] = len(states)
-                        states.append(key)
-                        successors.append(None)
-                    succ.append(j)
-            for j in succ:
-                nxt[j] = get(j, 0) + cnt
-        layers.append(dict(zip(map(states.__getitem__, nxt), nxt.values())))
-        counts = nxt
+    ids: dict[State, dict[int, int]] = {seed[:-1]: {seed[-1]: 0}}
+    successors: list[list[int]] = []
+    layers: list[dict[State, int]] = [{seed: 0}]
+    order: tuple[int, ...] = (0,)
+    seen: dict[tuple[int, ...], int] = {order: 0}
+    for t in range(1, ell + 1):
+        # the states first reached in layers[t - 1] are the ones not expanded yet
+        for state in states[len(successors):]:
+            tail = state[1:]
+            following = ids.setdefault(tail, {})
+            after = frozenset.intersection(*map(in_pool.__getitem__, state))
+            for w in after.difference(following):
+                following[w] = len(states)
+                states.append(tail + (w,))
+            successors.append(list(map(following.__getitem__, after)))
+        order = tuple(dict.fromkeys(chain.from_iterable(map(successors.__getitem__, order))))
+        first = seen.setdefault(order, t)
+        if first < t:  # layers[t:] repeat layers[first:t]
+            period = t - first
+            layers.extend(layers[first + (s - first) % period] for s in range(t, ell + 1))
+            break
+        layers.append(dict(zip(map(states.__getitem__, order), order)))
 
     head = p2.vertices[:window]
-    final: dict[State, int] = {}
-    for state, cnt in layers[-1].items():
-        if splice_ok(graph, state, head, r):
-            final[state] = cnt
-    table = WalkDPTable(ell=ell, layers=tuple(layers), final=final)
+    final = {state: i for state, i in layers[-1].items() if splice_ok(graph, state, head, r)}
+    return WalkDPTable(ell=ell, layers=tuple(layers), final=final, successors=tuple(successors))
+
+
+def count_connecting_walks(
+    graph: MultipartiteGraph,
+    u_sets: Sequence[Iterable[int]],
+    p1: VertexSeq,
+    p2: VertexSeq,
+    ell: int,
+) -> tuple[int, WalkDPTable]:
+    """Exact number of length-ell walks Q inside the union of the given sets such
+    that p1 Q p2 is a power-walk, and the table `build_walk_table` builds."""
+    table = build_walk_table(graph, u_sets, p1, p2, ell)
     return table.total, table
 
 
@@ -157,9 +187,9 @@ def find_connector(
     ell: int,
     cfg: Config,
 ) -> VertexSeq:
-    """`search_connector` on the table that `count_connecting_walks` builds."""
-    _, table = count_connecting_walks(graph, u_sets, p1, p2, ell)
-    return search_connector(graph, table, p1, p2, cfg)
+    """`search_connector` on the table that `build_walk_table` builds; the
+    exact count is not computed unless the search proves that none exists."""
+    return search_connector(graph, build_walk_table(graph, u_sets, p1, p2, ell), p1, p2, cfg)
 
 
 def search_connector(
@@ -169,7 +199,7 @@ def search_connector(
     p2: VertexSeq,
     cfg: Config,
 ) -> VertexSeq:
-    """A connecting walk counted by `table` whose vertices are distinct: a
+    """A connecting walk of `table` whose vertices are distinct: a
     depth-first search back from the final layer, trying its choices in an
     order seeded by `cfg.rng("connector")`, within the default `SearchBudget`.
 
@@ -205,6 +235,8 @@ def search_connector(
         if not is_walk(graph, p1.concat(q).concat(p2)):
             raise VerificationError("connector does not splice between its ends")
         return q
-    raise SearchExhaustedError(
-        f"no vertex-distinct connector exists (exact count {table.total} connecting walks)"
-    )
+    try:
+        counted = f"exact count {table.total} connecting walks"
+    except ValueError:  # more digits than int-to-str conversion allows
+        counted = f"an exact count of more than {sys.get_int_max_str_digits()} digits"
+    raise SearchExhaustedError(f"no vertex-distinct connector exists ({counted})")

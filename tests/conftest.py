@@ -17,7 +17,7 @@ from hampow.errors import (
     VerificationError,
 )
 from hampow.graphs import MultipartiteGraph, gen_random
-from hampow.paths import VertexSeq, is_path
+from hampow.paths import VertexSeq, is_path, splice_ok
 from hampow.sequencing import SequencingPlan, _window_paths
 from hampow.tiling import PathCover, _balanced
 
@@ -203,6 +203,45 @@ def reference_save_graph(graph: MultipartiteGraph) -> str:
     if graph.name is not None:
         doc["name"] = graph.name
     return json.dumps(doc, separators=(",", ":"))
+
+
+def reference_count_connecting_walks(graph, u_sets, p1, p2, ell):
+    """The walk count that carries exact counts through every layer, as
+    (total, layers, final): layers[t] maps each state of t steps to its number
+    of walks, in first-seen order.  The inputs are taken as already validated."""
+    r = p1.r
+    pool = sorted(frozenset().union(*(frozenset(u) for u in u_sets)))
+    pool_set = frozenset(pool)
+    in_pool = {v: graph.adj[v] & pool_set for v in pool}
+    for v in set(p1.vertices) | set(p2.vertices):
+        in_pool.setdefault(v, graph.adj[v] & pool_set)
+    window = r - 1
+    seed = p1.vertices[-window:]
+    layers = [{seed: 1}]
+    states, ids, successors, counts = [seed], {seed: 0}, [None], {0: 1}
+    for _ in range(ell):
+        nxt = {}
+        for i, cnt in counts.items():
+            succ = successors[i]
+            if succ is None:
+                state = states[i]
+                succ = successors[i] = []
+                for w in frozenset.intersection(*(in_pool[u] for u in state)):
+                    key = state[1:] + (w,)
+                    j = ids.get(key)
+                    if j is None:
+                        j = ids[key] = len(states)
+                        states.append(key)
+                        successors.append(None)
+                    succ.append(j)
+            for j in succ:
+                nxt[j] = nxt.get(j, 0) + cnt
+        layers.append(dict(zip(map(states.__getitem__, nxt), nxt.values())))
+        counts = nxt
+    head = p2.vertices[:window]
+    final = {state: cnt for state, cnt in layers[-1].items()
+             if splice_ok(graph, state, head, r)}
+    return sum(final.values()), layers, final
 
 
 def reference_gen_random(k, sizes, target_delta, seed) -> MultipartiteGraph:

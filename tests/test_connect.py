@@ -1,12 +1,14 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import complete, naive_is_walk
+from conftest import complete, naive_is_walk, reference_count_connecting_walks
 import hampow.connect
 from hampow.connect import (
+    build_walk_table,
     count_connecting_walks,
     default_connector_length,
     find_connector,
@@ -103,6 +105,43 @@ class TestCount:
             after, _ = count_connecting_walks(g2, u_sets, p1, p2, 3)
             assert after >= before
 
+    def test_table_matches_the_counting_dp(self):
+        """The reachability table keeps the counting DP's layers in the same
+        order, its final states and its total, and stores each layer that
+        repeats an earlier ordered layer as that layer's dict."""
+        seen = {"repeats": set(), "no repeat": set(), "dies out": set()}
+        for trial in range(90):
+            rng = random.Random(trial)
+            r = (2, 3, 4)[trial % 3]
+            kind = ("dense", "sparse", "dying")[trial // 3 % 3]
+            density, keep = {"dense": (Fraction(9, 10), 1.0), "sparse": (Fraction(6, 10), 0.6),
+                             "dying": (Fraction(4, 10), 0.4)}[kind]
+            g = gen_random(r, [rng.randint(4, 7)] * r, density, trial)
+            pair = _terminated_pair(g, r, trial)
+            if pair is None:
+                continue
+            p1, p2 = pair
+            terminal = set(p1.vertices) | set(p2.vertices)
+            u_sets = [[v for v in g.parts[i] if v not in terminal and rng.random() < keep]
+                      for i in range(r)]
+            if not all(u_sets):
+                continue
+            for ell in range(1, 2 * default_connector_length(r) + 3):
+                table = build_walk_table(g, u_sets, p1, p2, ell)
+                total, layers, final = reference_count_connecting_walks(g, u_sets, p1, p2, ell)
+                assert [list(layer) for layer in table.layers] == [list(layer) for layer in layers]
+                assert list(table.final) == list(final)
+                assert table.total == total
+                assert count_connecting_walks(g, u_sets, p1, p2, ell)[0] == total
+                first_at: dict = {}
+                for t, layer in enumerate(table.layers):
+                    assert layer is table.layers[first_at.setdefault(tuple(layer), t)], (trial, t)
+                repeats = len(first_at) < len(table.layers)
+                seen["repeats" if repeats else "no repeat"].add(r)
+                if not table.layers[-1]:
+                    seen["dies out"].add(r)
+        assert seen == {name: {2, 3, 4} for name in seen}
+
     def test_ill_terminated_rejected(self):
         g = complete(2, [2, 2])
         p_bad = VertexSeq((2, 0), 2)  # starts in the second part
@@ -141,6 +180,15 @@ class TestFindConnector:
         assert type(info.value) is SearchExhaustedError
         assert str(info.value) == \
             "no vertex-distinct connector exists (exact count 1 connecting walks)"
+
+    def test_count_too_long_to_write_is_named_not_written(self):
+        g = complete(2, [6, 6])
+        p1, p2 = VertexSeq((0, 6), 2), VertexSeq((1, 7), 2)
+        u_sets = [[2, 3, 4, 5], [8, 9, 10, 11]]
+        with pytest.raises(SearchExhaustedError) as info:
+            find_connector(g, u_sets, p1, p2, 7500, Config.default(2, seed=0))
+        assert str(info.value) == ("no vertex-distinct connector exists (an exact count of "
+                                   f"more than {sys.get_int_max_str_digits()} digits)")
 
     def test_no_walks_at_all(self):
         g = MultipartiteGraph.from_edges([[0, 1], [2, 3]], [[0, 2], [1, 3]])

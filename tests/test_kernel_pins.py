@@ -49,14 +49,27 @@ def _free_parts(graph, r, taken):
     return [[v for v in graph.parts[i] if v not in taken] for i in range(r)]
 
 
-@pytest.mark.parametrize("case", PINS["connector"], ids=_case_id)
-def test_find_connector_walks_pinned(case):
+def _connector_walk(case):
     g, r = _host(case), case["r"]
     p1, p2 = VertexSeq(tuple(case["p1"]), r), VertexSeq(tuple(case["p2"]), r)
     terminal = set(case["p1"]) | set(case["p2"])
     q = find_connector(g, _free_parts(g, r, terminal), p1, p2, case["ell"],
                        Config.default(r, seed=case["seed"]))
-    assert list(q.vertices) == case["walk"]
+    return list(q.vertices)
+
+
+@pytest.mark.parametrize("case", PINS["connector"], ids=_case_id)
+def test_find_connector_walks_pinned(case):
+    assert _connector_walk(case) == case["walk"]
+
+
+def test_find_connector_never_counts_walks(monkeypatch):
+    def refuse(table):
+        raise AssertionError("the exact walk count was computed")
+
+    monkeypatch.setattr(hampow.connect.WalkDPTable, "total", property(refuse))
+    assert [_connector_walk(case) for case in PINS["connector"]] == \
+        [case["walk"] for case in PINS["connector"]]
 
 
 @pytest.mark.parametrize("case", PINS["absorber"], ids=_case_id)

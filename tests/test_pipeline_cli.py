@@ -1,6 +1,7 @@
 import argparse
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -404,6 +405,32 @@ class TestCli:
         )
         assert rc == EXIT_OK
         assert json.loads(capsys.readouterr().out) == {"count": 1, "connector": None}
+
+    def test_connect_count_too_long_to_write_exits_3(self, tmp_path, capsys):
+        gpath = self._gen(tmp_path, ["--k", "2", "--sizes", "6,6", "--delta", "1"])
+        # a proved none: 7500 > the 8 free vertices
+        rc = main(["connect", "--graph", str(gpath), "--r", "2",
+                   "--p1", "[0,6]", "--p2", "[1,7]", "--ell", "7500"])
+        assert rc == EXIT_VALIDATION
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"validation error: the exact count has more than "
+                           f"{sys.get_int_max_str_digits()} digits and cannot be written\n")
+
+    def test_connect_found_with_count_too_long_to_write_exits_3(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        gpath = self._gen(tmp_path, ["--k", "2", "--sizes", "6,6", "--delta", "1"])
+        real = hampow.connect.count_connecting_walks
+        monkeypatch.setattr(hampow.connect, "count_connecting_walks",
+                            lambda *args: (10 ** 5000, real(*args)[1]))
+        rc = main(["connect", "--graph", str(gpath), "--r", "2",
+                   "--p1", "[0,6]", "--p2", "[1,7]", "--ell", "2"])
+        assert rc == EXIT_VALIDATION
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("\n") == 1
+        assert out.err.startswith("validation error: the exact count has more than")
 
     def test_connect_spent_budget_exits_5(self, tmp_path, capsys, monkeypatch):
         gpath = self._gen(tmp_path, ["--k", "2", "--sizes", "6,6", "--delta", "1"])
