@@ -20,6 +20,7 @@ from typing import Sequence
 from .absorber import absorb, assemble_absorbing_path
 from .connect import default_connector_length, find_connector
 from .errors import (
+    BudgetExhaustedError,
     CoverageError,
     GraphValidationError,
     InfeasibleError,
@@ -228,7 +229,8 @@ def _per_group_path(
     """Spanning path of a balanced group between anchors, honoring the mode.
 
     A failed constructive attempt is recorded as stage `label:constructive`;
-    constructive mode then gives up, auto mode asks the oracle."""
+    constructive mode then gives up, flagging a spent budget, and auto mode
+    asks the oracle."""
     if mode in ("constructive", "auto"):
         try:
             path = constructive_ham_path_between(group, clique_a, clique_b, cfg)
@@ -237,6 +239,7 @@ def _per_group_path(
         except (ScaleInfeasibleError, InfeasibleError, SearchExhaustedError, CoverageError) as exc:
             report.add(f"{label}:constructive", False, str(exc))
             if mode == "constructive":
+                report.budget_exceeded |= isinstance(exc, BudgetExhaustedError)
                 return None
     res = ham_power_path_between(group, cfg.r, clique_a, clique_b, budget)
     return report.add_oracle(label, res, f"oracle ({res.nodes} nodes)")
@@ -318,6 +321,8 @@ def _balanced_case(
                 return VertexSeq(ka + path.vertices, r)
         if mode == "constructive":
             return None
+        # auto mode goes on to the oracle, so a budget the attempt spent does not end the run
+        report.budget_exceeded = False
     res = ham_power_cycle_exists(original, r, budget)
     return report.add_oracle("group_path", res, f"oracle ({res.nodes} nodes)")
 
@@ -340,6 +345,8 @@ def _sequenced_case(
         # a VerificationError is a fault of the construction: it propagates
         # instead of being hidden behind a fallback
         failure = str(exc)
+        if mode == "constructive":
+            report.budget_exceeded |= isinstance(exc, BudgetExhaustedError)
     else:
         bad = next((c for c in seq.report.conditions if c.name != "A2" and not c.ok), None)
         failure = None if bad is None else f"{bad.name}: {bad.detail}"

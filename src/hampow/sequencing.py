@@ -5,12 +5,13 @@ The pipeline takes a k-partite graph with r < k and descending part sizes and
 cuts it into balanced r-partite groups joined by short connector paths, with an
 initial trim path absorbing the divisibility slack.
 
-Every path laid through a fixed sequence of cells (the trim path, each
-connector, and the two affixes that turn the trim path into p0) is the first
-one an exact depth-first search finds (`_window_paths` on `oracle.DepthFirst`)
-in a seeded order.  The trim path's search covers the whole graph, so when it
-ends empty no seed can help.  What stays random is the refinement into cells,
-which is re-drawn when the connectors dead-end.
+The trim path is the first path through its run cells that an exact
+depth-first search (`_window_paths` on `oracle.DepthFirst`) finds in a seeded
+order; that search covers the whole graph, so when it ends empty no seed can
+help.  The bridges between groups (each connector, and the two affixes that
+turn the trim path into p0) are laid as one chain by one more exact search,
+whose children are window paths.  What stays random is the refinement into
+cells, which is re-drawn when the bridge search proves that none exist.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
+    BudgetExhaustedError,
     GraphValidationError,
     InfeasibleError,
     ScaleInfeasibleError,
@@ -449,88 +451,70 @@ def build_connectors_and_p0(
     patterns: tuple[tuple[int, ...], ...],
     cfg: Config,
 ) -> SequencingPlan:
-    """2r-vertex connector paths between consecutive groups, then the trim path
-    wrapped with r prepended vertices (from the last group) and r appended
-    vertices (from the first group).  The groups are the cells as
-    `refine_partition` returns them, and the plan keeps them with `patterns`.
+    """The plan's bridges: 2r-vertex connector paths between consecutive
+    groups, and the trim path wrapped with r prepended vertices (the prefix,
+    from the last group) and r appended vertices (the suffix, from the first
+    group).  The groups are the cells as `refine_partition` returns them, and
+    the plan keeps them with `patterns`.
 
-    Each piece is the first path `_window_paths` finds, in an order seeded by
-    `cfg.rng("connectors")`, off the trim path and the pieces laid before it.
-    A piece with no path left fails the attempt, and the next attempt lays
-    every piece again in a new order, up to `cfg.retry_limit` attempts.
+    A group's cells feed only the two bridges beside it, so the bridges form
+    a chain: the suffix, connector 0, ..., connector ell-2, the prefix.  One
+    depth-first search lays them in that order.  A node's children are the
+    next bridge's `_window_paths` off the trim path and the bridges laid, in
+    an order seeded by `cfg.rng("connectors")`.  What lies below a node
+    depends only on what its last bridge took from the next group, so a
+    (depth, those vertices) key whose subtree came up empty is not searched
+    again.  The search is exact: when it ends empty this refinement has no
+    bridges, and SearchExhaustedError says so; a spent budget raises
+    BudgetExhaustedError.
 
-    Connector 0 and the appended suffix each take one vertex from every cell of
-    the first group.  When those cells are small they may have no room for
-    both, and then every attempt fails: that is proved exactly before the
-    attempts start (`_connector_0_fits`), and the refinement is given up at
-    once with the same `SearchExhaustedError` the spent attempts would raise.
+    The affixes splice to the trim path only: a trim path of at least r-1
+    vertices keeps every prefix vertex out of reach of every suffix vertex,
+    and a shorter one raises GraphValidationError.
     """
     r = cfg.r
-    ell = len(groups)
-    if ell >= 2 and not _connector_0_fits(graph, p0_prime, groups[0], groups[1], r):
-        raise SearchExhaustedError(
-            f"no suffix of the trim path leaves connector 0 room in the first group's "
-            f"cells (sizes {[len(c) for c in groups[0]]}); no attempt can succeed"
+    trim = p0_prime.vertices
+    if len(trim) < r - 1:
+        raise GraphValidationError(
+            f"the affixes need a trim path of at least r-1 = {r - 1} vertices, got {len(trim)}"
         )
+    cells = [groups[0], *(a + b for a, b in zip(groups, groups[1:])), groups[-1]]
+    context = [{"before": trim}, *({} for _ in groups[1:]), {"after": trim}]
     rng = cfg.rng("connectors")
+    dead: set[tuple[int, frozenset[int]]] = set()
 
-    def first_path(cells, used, **context) -> tuple[int, ...] | None:
-        return next(_window_paths(graph, cells, used, r, rng=rng, **context), None)
+    def paths(key, found):
+        yield from found
+        dead.add(key)  # the search came back: nothing below any of them fits
 
-    for attempt in range(cfg.retry_limit):
-        used: set[int] = set(p0_prime.vertices)
-        connectors: list[VertexSeq] = []
-        for j in range(ell - 1):
-            conn = first_path(groups[j] + groups[j + 1], used)
-            if conn is None:
-                break
-            connectors.append(VertexSeq(conn, r))
-            used.update(conn)
-        else:
-            prefix = first_path(groups[-1], used, after=p0_prime.vertices)
-            if prefix is None:
-                continue
-            used.update(prefix)
-            suffix = first_path(groups[0], used, before=prefix + p0_prime.vertices)
-            if suffix is None:
-                continue
-            p0 = VertexSeq(prefix + p0_prime.vertices + suffix, r)
-            if not is_path(graph, p0):
-                raise VerificationError("P0 with its affixes is not a power-path")
-            return SequencingPlan(
-                r=r,
-                p0_prime=p0_prime,
-                p0=p0,
-                groups=groups,
-                patterns=patterns,
-                connectors=tuple(connectors),
-            )
-    raise SearchExhaustedError(
-        f"connector/terminal construction exhausted {cfg.retry_limit} attempts"
-    )
+    def children(laid: list[tuple[int, ...]]) -> Iterable[tuple[int, ...]] | None:
+        depth = len(laid)
+        if depth == len(cells):
+            return None
+        key = depth, frozenset(laid[-1][-r:] if laid else ())
+        if key in dead:
+            return ()
+        used = set(trim).union(*laid)
+        return paths(key, _window_paths(graph, cells[depth], used, r, rng=rng, **context[depth]))
 
-
-def _connector_0_fits(
-    graph: MultipartiteGraph,
-    p0_prime: VertexSeq,
-    first: tuple[frozenset[int], ...],
-    second: tuple[frozenset[int], ...],
-    r: int,
-) -> bool:
-    """Whether some suffix through the cells `first` can follow `p0_prime` and
-    leave room for a connector through `first + second` off both.
-
-    An attempt that succeeds builds such a pair under stronger constraints (it
-    uses more vertices, and the suffix also follows the prefix when
-    `p0_prime` is shorter than r-1), so when this is False no attempt
-    succeeds.  The suffixes are listed lazily; the first one that leaves room
-    ends the search.  No rng is drawn.  A spent budget proves nothing, so its
-    `BudgetExhaustedError` propagates.
-    """
-    used = set(p0_prime.vertices)
-    return any(
-        next(_window_paths(graph, first + second, used.union(suffix), r), None) is not None
-        for suffix in _window_paths(graph, first, used, r, before=p0_prime.vertices)
+    search = DepthFirst(children, SearchBudget().node_limit)
+    laid = next(iter(search), None)
+    if laid is None:
+        raise SearchExhaustedError(
+            f"no suffix, connectors and prefix fit these {len(groups)} groups together "
+            f"(search nodes: {search.nodes})"
+        )
+    suffix, *connectors, prefix = laid
+    p0 = VertexSeq(prefix + trim + suffix, r)
+    if not is_path(graph, p0):
+        raise VerificationError("P0 with its affixes is not a power-path")
+    return SequencingPlan(
+        r=r,
+        p0_prime=p0_prime,
+        p0=p0,
+        groups=groups,
+        patterns=patterns,
+        connectors=tuple(VertexSeq(c, r) for c in connectors),
     )
 
 
@@ -772,9 +756,7 @@ def run_sequencing(
     # solver spreads the remaining residual evenly and keeps few columns there.
     x = solve_part_sizes(matrix, b, cfg.floor_m(graph.n))
     # A refinement can strand a seam behind one missing edge; resampling the
-    # cells is the retry lever, so re-refine when the connectors dead-end.
-    plan = None
-    last_exc: SearchExhaustedError | None = None
+    # cells is the retry lever, so re-refine when no bridges exist.
     for attempt in range(8):
         attempt_cfg = cfg if attempt == 0 else replace(cfg, seed=cfg.seed + 7919 * attempt)
         groups, patterns = refine_partition(
@@ -783,10 +765,11 @@ def run_sequencing(
         try:
             plan = build_connectors_and_p0(graph, p0_prime, groups, patterns, attempt_cfg)
             break
+        except BudgetExhaustedError:
+            raise  # inconclusive: not a proved none, so no refinement follows
         except SearchExhaustedError as exc:
-            last_exc = exc
-    if plan is None:
-        assert last_exc is not None
-        raise last_exc
+            proved_none = exc
+    else:
+        raise proved_none
     report = verify_plan(graph, plan, cfg)
     return SequencingResult(tmpl, matrix, plan, report)

@@ -14,11 +14,9 @@ from hampow.errors import (
     GraphFormatError,
     GraphValidationError,
     SearchExhaustedError,
-    VerificationError,
 )
 from hampow.graphs import MultipartiteGraph, gen_random
-from hampow.paths import VertexSeq, is_path, splice_ok
-from hampow.sequencing import SequencingPlan, _window_paths
+from hampow.paths import VertexSeq, splice_ok
 from hampow.tiling import PathCover, _balanced
 
 
@@ -452,74 +450,25 @@ def absorbable_by_brute_force(gadgets, by_part):
     )
 
 
-# The connector builder without the up-front proof of doomed refinements: it
-# spends every attempt on them.  The library must give the same plan or the
-# same SearchExhaustedError.
+def bridge_choices_by_brute_force(graph, p0_prime, groups, r):
+    """Each bridge's brute-force window paths off p0_prime, in chain order:
+    the suffix through the first group after p0_prime, one connector through
+    each two consecutive groups, and the prefix through the last group
+    before p0_prime."""
+    trim = tuple(p0_prime)
+    used = set(trim)
+    return [
+        window_paths_by_brute_force(graph, groups[0], used, r, before=trim),
+        *(window_paths_by_brute_force(graph, a + b, used, r) for a, b in zip(groups, groups[1:])),
+        window_paths_by_brute_force(graph, groups[-1], used, r, after=trim),
+    ]
 
 
-def reference_build_connectors_and_p0(graph, p0_prime, groups, patterns, cfg):
-    """Seeded first-path connectors between consecutive groups, then wrap the
-    trim path with r prepended vertices (from the last group) and r appended
-    vertices (from the first group)."""
-    r = cfg.r
-    ell = len(groups)
-    rng = cfg.rng("connectors")
-
-    def first_path(cells, used, **context):
-        return next(_window_paths(graph, cells, used, r, rng=rng, **context), None)
-
-    for attempt in range(cfg.retry_limit):
-        used: set[int] = set(p0_prime.vertices)
-        connectors: list[VertexSeq] = []
-        ok = True
-        for j in range(ell - 1):
-            conn = first_path(groups[j] + groups[j + 1], used)
-            if conn is None:
-                ok = False
-                break
-            connectors.append(VertexSeq(conn, r))
-            used.update(conn)
-        if not ok:
-            continue
-
-        prefix = first_path(groups[-1], used, after=p0_prime.vertices)
-        if prefix is None:
-            continue
-        used.update(prefix)
-        suffix = first_path(groups[0], used, before=prefix + p0_prime.vertices)
-        if suffix is None:
-            continue
-        p0 = VertexSeq(prefix + p0_prime.vertices + suffix, r)
-        if not is_path(graph, p0):
-            raise VerificationError("P0 with its affixes is not a power-path")
-        return SequencingPlan(
-            r=r,
-            p0_prime=p0_prime,
-            p0=p0,
-            groups=groups,
-            patterns=patterns,
-            connectors=tuple(connectors),
-        )
-    raise SearchExhaustedError(
-        f"connector/terminal construction exhausted {cfg.retry_limit} attempts"
-    )
-
-
-def suffix_and_connector_by_brute_force(graph, p0_prime, first, second, r):
-    """The first (suffix, connector) in product order such that p0_prime +
-    suffix is a power-walk through the cells `first`, the connector is a
-    power-walk through `first + second`, and no vertex appears twice among
-    the three; or None.  A connector's half in `first` is checked on its own
-    before its half in `second` is tried."""
-    trim = list(p0_prime)
-    for suffix in itertools.product(*first):
-        if set(suffix) & set(trim) or not naive_is_walk(graph, trim + list(suffix), r):
-            continue
-        taken = set(trim) | set(suffix)
-        for head in itertools.product(*first):
-            if set(head) & taken or not naive_is_walk(graph, head, r):
-                continue
-            for tail in itertools.product(*second):
-                if not set(tail) & taken and naive_is_walk(graph, head + tail, r):
-                    return suffix, head + tail
+def disjoint_choice_by_brute_force(choices):
+    """The first joint choice, in product order, of one path per list that
+    uses no vertex twice, or None."""
+    for picked in itertools.product(*choices):
+        laid = [v for path in picked for v in path]
+        if len(set(laid)) == len(laid):
+            return picked
     return None

@@ -13,8 +13,10 @@ in a verified cycle, where the check over every balanced r-set stopped it with
 a coverage shortfall.  The sequenced pins were recorded while the plan still
 kept a (part, column) cell table, before it became its groups; ten of them
 were re-recorded when one exact, seeded window-path search replaced the
-randomized growers of the trim path, the connectors and the affixes, and each
-kept its exit code.  The `gen` pins hash the graph text that `json.dumps` of
+randomized growers of the trim path, the connectors and the affixes, and
+again when one exact search began to lay all of a plan's bridges as a chain
+(suffix, connectors, prefix) instead of seeded attempts; each kept its exit
+code.  The `gen` pins hash the graph text that `json.dumps` of
 the whole document wrote, with each draw of `gen_random` compared with the
 Fraction density."""
 
@@ -30,6 +32,7 @@ from hampow import sequencing
 from hampow.absorber import find_absorbers
 from hampow.cli import main
 from hampow.connect import find_connector
+from hampow.errors import BudgetExhaustedError, SearchExhaustedError
 from hampow.graphs import Config, gen_random, save_graph
 from hampow.paths import VertexSeq
 
@@ -111,23 +114,26 @@ def test_sequenced_pins_hold_a_long_plan_a_failure_and_a_doomed_refinement(
     tmp_path, capsys, monkeypatch
 ):
     """The pins include a plan of at least 10 groups, runs that exit 4, and a
-    run whose refinement is proved doomed before it is re-refined."""
+    run with a refinement whose bridge search proves that none exist, so it
+    is re-refined."""
     plans = [json.loads(c["out"])["plan"] for c in PINS["sequenced"]
              if c["args"][0] == "sequence" and c["out"]]
     assert max(len(plan["groups"]) for plan in plans) >= 10
     assert any(c["rc"] == 4 for c in PINS["sequenced"])
-    doomed = []
-    real = sequencing._connector_0_fits
+    raised = []
+    real = sequencing.build_connectors_and_p0
 
     def spy(*args):
-        fits = real(*args)
-        doomed.append(not fits)
-        return fits
+        try:
+            return real(*args)
+        except SearchExhaustedError as exc:
+            raised.append(type(exc))
+            raise
 
-    monkeypatch.setattr(sequencing, "_connector_0_fits", spy)
+    monkeypatch.setattr(sequencing, "build_connectors_and_p0", spy)
     for case in PINS["sequenced"]:
         assert _run_sequenced(case, tmp_path, capsys)[0] == case["rc"]
-    assert any(doomed)
+    assert SearchExhaustedError in raised and BudgetExhaustedError not in raised
 
 
 def test_connect_command_counts_once_and_output_pinned(tmp_path, capsys, monkeypatch):

@@ -13,8 +13,8 @@ import hampow.sequencing
 from conftest import complete, reference_sample_reservoir
 from hampow import cli
 from hampow.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_STAGE, EXIT_VALIDATION, build_parser, main
-from hampow.errors import SearchExhaustedError
-from hampow.graphs import Config, balanced_sizes, gen_extremal, gen_random
+from hampow.errors import BudgetExhaustedError, SearchExhaustedError
+from hampow.graphs import Config, balanced_sizes, gen_extremal, gen_random, save_graph
 from hampow.paths import VertexSeq, verify_ham_power_cycle
 from hampow.pipeline import _sample_reservoir, constructive_ham_path_between, run_pipeline
 from hampow.oracle import SearchBudget
@@ -345,6 +345,44 @@ class TestCli:
         assert rc == EXIT_BUDGET
         doc = json.loads(capsys.readouterr().out)
         assert doc["budget_exceeded"] is True and doc["cycle"] is None
+
+    @pytest.mark.parametrize("mode, rc, tail", [
+        ("constructive", EXIT_BUDGET, []),
+        ("auto", EXIT_OK, ["whole_graph_oracle", "verify"]),
+    ])
+    def test_a_spent_sequencing_budget_ends_only_a_constructive_run(
+        self, tmp_path, capsys, monkeypatch, mode, rc, tail
+    ):
+        """A spent budget proves nothing: constructive mode, which has no
+        fallback, ends inconclusive and exits 5, while auto mode still hands
+        the whole graph to the oracle."""
+        gpath = tmp_path / "g.json"
+        gpath.write_text(save_graph(gen_random(5, [24] * 5, Fraction(19, 20), 1)))
+        monkeypatch.setattr(hampow.sequencing, "SearchBudget", lambda: SearchBudget(1))
+        assert main(["pipeline", "--graph", str(gpath), "--r", "3", "--relaxed",
+                     "--mode", mode]) == rc
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["budget_exceeded"] is (mode == "constructive")
+        assert [(s["name"], s["detail"]) for s in doc["stages"]][2] == \
+            ("sequencing", "search budget of 1 nodes exhausted")
+        assert [s["name"] for s in doc["stages"][3:]] == tail
+
+    @pytest.mark.parametrize("mode, rc", [("constructive", EXIT_BUDGET), ("auto", EXIT_OK)])
+    def test_a_spent_group_path_budget_ends_only_a_constructive_run(
+        self, tmp_path, capsys, monkeypatch, mode, rc
+    ):
+        gpath = self._gen(tmp_path, ["--k", "3", "--sizes", "4,4,4", "--delta", "1"])
+
+        def spent(*args):
+            raise BudgetExhaustedError("search budget of 1 nodes exhausted")
+
+        monkeypatch.setattr(hampow.pipeline, "constructive_ham_path_between", spent)
+        assert main(["pipeline", "--graph", str(gpath), "--r", "3", "--mode", mode]) == rc
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["budget_exceeded"] is (mode == "constructive")
+        assert [(s["name"], s["ok"]) for s in doc["stages"][2:]] == [
+            ("group_path:constructive", False)
+        ] + [("group_path", True), ("verify", True)] * (mode == "auto")
 
     @pytest.mark.parametrize("where, reason", [
         ("a directory", "[Errno 21] Is a directory"),

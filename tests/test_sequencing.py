@@ -4,16 +4,16 @@ from dataclasses import replace
 from itertools import combinations
 from types import SimpleNamespace
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
 from conftest import (
+    bridge_choices_by_brute_force,
     complete,
+    disjoint_choice_by_brute_force,
     reference_group_degree_slack,
-    reference_build_connectors_and_p0,
     reference_worst_cell_violation,
-    suffix_and_connector_by_brute_force,
     window_paths_by_brute_force,
 )
 from hampow import sequencing
@@ -24,11 +24,10 @@ from hampow.errors import (
     InfeasibleError,
     SearchExhaustedError,
 )
-from hampow.graphs import Config, MultipartiteGraph, gen_random, save_graph
+from hampow.graphs import Config, MultipartiteGraph, gen_random, induced_subgraph, save_graph
 from hampow.oracle import SearchBudget
 from hampow.paths import VertexSeq, decompose, is_path, is_properly_terminated, is_valid_pair
 from hampow.sequencing import (
-    _connector_0_fits,
     _group_degree_slack,
     _window_paths,
     _worst_cell_violation,
@@ -547,10 +546,11 @@ def test_refinement_violation_matches_the_per_pair_fraction_loop():
 
 def _refinement_case(seed):
     """A random small host, a trim path of up to 2r vertices and ell random
-    groups off it.  The trim path ends in the first group's parts, in order,
-    and each next group swaps one part of the last, so every r cells in a row
-    lie in distinct parts.  The first group's cells often hold 2 vertices,
-    the others 2 or 3."""
+    groups off it, with the host cut down to the trim path and the cells.
+    The trim path ends in the first group's parts, in order, and each next
+    group swaps one part of the last, so every r cells in a row lie in
+    distinct parts.  The first group's cells often hold 2 vertices, the
+    others 2 or 3."""
     rng = random.Random(seed)
     r = (2, 3, 4)[seed % 3]
     k = rng.randint(r + 1, max(r + 1, 2 * r - 1))
@@ -574,85 +574,150 @@ def _refinement_case(seed):
             take = 2 if j == 0 and rng.random() < 0.6 else rng.randint(2, 3)
             cells.append(frozenset(free[i][:take]))
             free[i] = free[i][take:]
-        groups.append(tuple(cells))
+        groups.append(cells)
         patterns.append(tuple(order))
-    return g, VertexSeq(trim, r), tuple(groups), tuple(patterns), cfg
+    keep = set(trim).union(*(cell for cells in groups for cell in cells))
+    sub, old_ids = induced_subgraph(g, [[v for v in part if v in keep] for part in g.parts])
+    new = {old: v for v, old in enumerate(old_ids)}
+    groups = tuple(tuple(frozenset(map(new.get, cell)) for cell in cells) for cells in groups)
+    return sub, VertexSeq(tuple(map(new.get, trim)), r), groups, tuple(patterns), cfg
 
 
-def _plan_or_exhausted(build, *args):
+def _plan_or_none(*case):
+    """The plan `build_connectors_and_p0` lays, or None when its search proves
+    that none exists; a spent budget propagates."""
     try:
-        return build(*args)
+        return build_connectors_and_p0(*case)
+    except BudgetExhaustedError:
+        raise
     except SearchExhaustedError:
-        return SearchExhaustedError
+        return None
+
+
+def _record_bridge_searches(monkeypatch) -> list:
+    """Every bridge search `build_connectors_and_p0` runs from now on, with its
+    node count once it has run."""
+    searches = []
+
+    class Recording(sequencing.DepthFirst):
+        def __init__(self, children, *args):
+            super().__init__(children, *args)
+            if children.__qualname__.startswith("build_connectors_and_p0."):
+                searches.append(self)
+
+    monkeypatch.setattr(sequencing, "DepthFirst", Recording)
+    return searches
+
+
+def _doomed_prefix_chain(ell):
+    """r=2, ell groups of two 3-vertex cells, one in part 0 and one in part 1,
+    and the trim path t alone in part 2.  The host is complete but for the
+    edges from t to the last group's cell in part 1, so no prefix fits
+    before t, while every suffix and connector fits."""
+    parts = [list(range(3 * ell)), list(range(3 * ell, 6 * ell)), [6 * ell]]
+    t = 6 * ell
+    cut = set(parts[1][-3:])
+    edges = [(u, v) for p, q in combinations(parts, 2) for u in p for v in q
+             if not (v == t and u in cut)]
+    groups = tuple((frozenset(parts[0][3 * j:3 * j + 3]), frozenset(parts[1][3 * j:3 * j + 3]))
+                   for j in range(ell))
+    return MultipartiteGraph.from_edges(parts, edges), VertexSeq((t,), 2), groups, ((0, 1),) * ell
 
 
 class TestDoomedRefinements:
-    def test_same_plan_or_same_error_as_the_spent_attempts(self):
-        """Against the builder that spends every attempt: the same plan, or
-        SearchExhaustedError from both, on doomed and feasible refinements.
-        50 attempts instead of 200 keep the reference's doomed runs short; the
-        check does not read the limit."""
+    def test_found_or_none_as_brute_force_finds(self):
+        """The bridge search lays a plan exactly when brute force over every
+        joint choice of suffix, connectors and prefix finds one, and each plan
+        passes the terminal-extension, connector and partition conditions.
+        Brute force is asked where the joint choices number at most 10^5 (all
+        but about one case in 14; some of the rest number 10^13).  A trim path
+        shorter than r-1 vertices is refused, because then a prefix vertex
+        and a suffix vertex could share a window."""
         outcomes = Counter()
         for seed in range(240):
             g, trim, groups, patterns, cfg = _refinement_case(seed)
-            case = g, trim, groups, patterns, replace(cfg, retry_limit=50)
-            got = _plan_or_exhausted(build_connectors_and_p0, *case)
-            assert got == _plan_or_exhausted(reference_build_connectors_and_p0, *case), seed
-            outcomes[got is SearchExhaustedError] += 1
-        assert outcomes[False] >= 40 and outcomes[True] >= 40, outcomes
-
-    def test_doomed_means_no_suffix_and_connector_exist(self):
-        """The check answers what brute force over every suffix and connector
-        answers, and says doomed often enough to matter."""
-        answers = Counter()
-        for seed in range(240):
-            g, trim, groups, patterns, cfg = _refinement_case(seed)
-            if len(patterns) < 2:
+            if len(trim) < cfg.r - 1:
+                with pytest.raises(GraphValidationError, match="at least r-1"):
+                    build_connectors_and_p0(g, trim, groups, patterns, cfg)
+                outcomes["short"] += 1
                 continue
-            first, second = groups[:2]
-            got = _connector_0_fits(g, trim, first, second, cfg.r)
-            pair = suffix_and_connector_by_brute_force(g, trim.vertices, first, second, cfg.r)
-            assert got == (pair is not None), seed
-            answers[got] += 1
-        assert answers[False] >= 30 and answers[True] >= 30, answers
+            plan = _plan_or_none(g, trim, groups, patterns, cfg)
+            if plan is not None:
+                report = verify_plan(g, plan, cfg)
+                assert all(report.condition(c).ok for c in ("A3", "A4", "partition")), seed
+            choices = bridge_choices_by_brute_force(g, trim.vertices, groups, cfg.r)
+            if prod(map(len, choices)) > 10**5:
+                outcomes["beyond brute force"] += 1
+                continue
+            assert (plan is None) == (disjoint_choice_by_brute_force(choices) is None), seed
+            outcomes["none" if plan is None else "found"] += 1
+        assert outcomes["found"] >= 40 and outcomes["none"] >= 40, outcomes
+        assert outcomes["beyond brute force"] <= 20, outcomes
 
-    def test_a_doomed_refinement_never_reaches_the_grower(self, monkeypatch):
+    def test_a_dead_bridge_is_not_searched_again_below_every_earlier_one(self, monkeypatch):
+        """No prefix fits, so every connector's choice is searched to a dead
+        end: 1 root, 9 suffixes, and below each of them 36 choices of each
+        next connector, of which only the first 9 (one per way of leaving
+        the next group's cells) are searched further.  The count grows by
+        9 * 36 per group; searching each dead end again would multiply it by
+        36 instead."""
+        searches = _record_bridge_searches(monkeypatch)
+        for ell in (2, 3, 4):
+            g, trim, groups, patterns = _doomed_prefix_chain(ell)
+            assert _plan_or_none(g, trim, groups, patterns, Config.default(2, seed=ell)) is None
+        assert [s.nodes for s in searches] == [1 + 9 + 9 * 36 * (ell - 1) for ell in (2, 3, 4)]
+        g, trim, groups, _ = _doomed_prefix_chain(2)
+        assert disjoint_choice_by_brute_force(
+            bridge_choices_by_brute_force(g, trim.vertices, groups, 2)) is None
+
+    def test_a_doomed_refinement_is_proved_none_and_a_spent_budget_is_not(self, monkeypatch):
         """K_{3,3,1} with three edges gone, r=2: the trim path is t, which sees
         only a of the first cell {a, a2}, and a2 sees nothing of the second
-        cell {b, b2}.  The suffix and connector 0 would both need a.  The
-        pieces are grown by the attempts' seeded searches; the proof draws
-        no rng."""
+        cell {b, b2}.  The suffix and connector 0 would both need a, so the
+        search ends after the root and the two suffixes.  With the edge a2-b
+        back, connector 0 fits beside the suffix a b2, but it takes a3 and
+        b3, and then no prefix fits."""
         a, a2, a3, b, b2, b3, t = range(7)
         parts = [[a, a2, a3], [b, b2, b3], [t]]
         missing = {(a2, t), (a2, b), (a2, b2)}
         edges = [(u, v) for p, q in combinations(parts, 2) for u in p for v in q
                  if (u, v) not in missing]
-        g = MultipartiteGraph.from_edges(parts, edges)
-        first, second = (frozenset({a, a2}), frozenset({b, b2})), (frozenset({a3}), frozenset({b3}))
-        seeded = []
-        real = sequencing._window_paths
-
-        def spy(*args, rng=None, **kw):
-            if rng is not None:
-                seeded.append(args)
-            return real(*args, rng=rng, **kw)
-
-        monkeypatch.setattr(sequencing, "_window_paths", spy)
-        with pytest.raises(SearchExhaustedError, match="no attempt can succeed"):
-            build_connectors_and_p0(g, VertexSeq((t,), 2), (first, second), ((0, 1), (0, 1)),
-                                    Config.default(2))
-        assert seeded == []
-        assert suffix_and_connector_by_brute_force(g, (t,), first, second, 2) is None
-        # with the edge a2-b back, a2 b starts connector 0 beside the suffix a b2
-        g = MultipartiteGraph.from_edges(parts, edges + [(a2, b)])
-        assert _connector_0_fits(g, VertexSeq((t,), 2), first, second, 2)
-        # then the attempts run, and the spy sees them: connector 0 takes a3
-        # and b3, so the prefix through the second group never fits
-        with pytest.raises(SearchExhaustedError, match="exhausted 3 attempts"):
-            build_connectors_and_p0(g, VertexSeq((t,), 2), (first, second), ((0, 1), (0, 1)),
-                                    Config.default(2, retry_limit=3))
-        assert seeded
+        groups = (frozenset({a, a2}), frozenset({b, b2})), (frozenset({a3}), frozenset({b3}))
+        case = VertexSeq((t,), 2), groups, ((0, 1), (0, 1)), Config.default(2)
+        searches = _record_bridge_searches(monkeypatch)
+        for g, nodes in ((MultipartiteGraph.from_edges(parts, edges), 3),
+                         (MultipartiteGraph.from_edges(parts, edges + [(a2, b)]), 4)):
+            with pytest.raises(SearchExhaustedError, match=rf"\(search nodes: {nodes}\)$"):
+                build_connectors_and_p0(g, *case)
+            assert searches[-1].nodes == nodes
+            choices = bridge_choices_by_brute_force(g, (t,), groups, 2)
+            assert disjoint_choice_by_brute_force(choices) is None
         # a spent search budget proves nothing, so it is not read as doomed
         monkeypatch.setattr(sequencing, "SearchBudget", lambda: SearchBudget(1))
         with pytest.raises(BudgetExhaustedError, match="budget of 1 nodes exhausted"):
-            _connector_0_fits(g, VertexSeq((t,), 2), first, second, 2)
+            build_connectors_and_p0(g, *case)
+
+
+@pytest.mark.parametrize("first, rc, calls, err", [
+    (BudgetExhaustedError("search budget of 1 nodes exhausted"), 5, 1,
+     "search budget exhausted: search budget of 1 nodes exhausted\n"),
+    (SearchExhaustedError("proved none"), 4, 8, "stage failure: proved none\n"),
+])
+def test_a_spent_bridge_budget_ends_the_refinements(
+    tmp_path, capsys, monkeypatch, first, rc, calls, err
+):
+    """A spent budget proves nothing, so it is not read as a refinement with
+    no bridges: `sequence` stops at once and exits 5, where eight proved
+    nones exit 4."""
+    seen = []
+
+    def bridges(*args):
+        seen.append(args)
+        raise first if len(seen) == 1 else SearchExhaustedError("proved none")
+
+    monkeypatch.setattr(sequencing, "build_connectors_and_p0", bridges)
+    gpath = tmp_path / "g.json"
+    gpath.write_text(save_graph(gen_random(5, [24] * 5, Fraction(19, 20), 1)))
+    assert main(["sequence", "--graph", str(gpath), "--r", "3", "--relaxed"]) == rc
+    assert len(seen) == calls
+    assert capsys.readouterr().err == err
