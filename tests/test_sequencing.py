@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
@@ -625,14 +626,47 @@ def _doomed_prefix_chain(ell):
 
 
 class TestDoomedRefinements:
-    def test_found_or_none_as_brute_force_finds(self):
-        """The bridge search lays a plan exactly when brute force over every
-        joint choice of suffix, connectors and prefix finds one, and each plan
-        passes the terminal-extension, connector and partition conditions.
-        Brute force is asked where the joint choices number at most 10^5 (all
-        but about one case in 14; some of the rest number 10^13).  A trim path
-        shorter than r-1 vertices is refused, because then a prefix vertex
-        and a suffix vertex could share a window."""
+    def test_same_plan_or_same_error_as_the_spent_attempts(self):
+        """Against brute force, which spends every joint choice of suffix,
+        connectors and prefix: each bridge of a laid plan is one of brute
+        force's window paths for that bridge, no vertex is laid twice, and the
+        plan passes the terminal-extension, connector and partition
+        conditions; a second run with the same seed lays the same plan, or
+        raises the same SearchExhaustedError."""
+        outcomes = Counter()
+        for seed in range(240):
+            g, trim, groups, patterns, cfg = _refinement_case(seed)
+            if len(trim) < cfg.r - 1:
+                continue
+            case = g, trim, groups, patterns, cfg
+            try:
+                plan = build_connectors_and_p0(*case)
+            except SearchExhaustedError as exc:
+                with pytest.raises(SearchExhaustedError, match=f"^{re.escape(str(exc))}$"):
+                    build_connectors_and_p0(*case)
+                outcomes["none"] += 1
+                continue
+            assert build_connectors_and_p0(*case) == plan, seed
+            laid = [plan.p0.vertices[cfg.r + len(trim):],
+                    *(c.vertices for c in plan.connectors),
+                    plan.p0.vertices[:cfg.r]]
+            assert plan.p0.vertices[cfg.r:cfg.r + len(trim)] == trim.vertices, seed
+            choices = bridge_choices_by_brute_force(g, trim.vertices, groups, cfg.r)
+            assert all(path in paths for path, paths in zip(laid, choices, strict=True)), seed
+            flat = [v for path in laid for v in path]
+            assert len(set(flat)) == len(flat), seed
+            report = verify_plan(g, plan, cfg)
+            assert all(report.condition(c).ok for c in ("A3", "A4", "partition")), seed
+            outcomes["found"] += 1
+        assert outcomes["found"] >= 40 and outcomes["none"] >= 40, outcomes
+
+    def test_doomed_means_no_suffix_and_connector_exist(self):
+        """The bridge search proves a refinement doomed exactly when brute
+        force over every joint choice of suffix, connectors and prefix finds
+        none.  Brute force is asked where the joint choices number at most
+        10^5 (all but about one case in 14; some of the rest number 10^13).
+        A trim path shorter than r-1 vertices is refused, because then a
+        prefix vertex and a suffix vertex could share a window."""
         outcomes = Counter()
         for seed in range(240):
             g, trim, groups, patterns, cfg = _refinement_case(seed)
@@ -642,9 +676,6 @@ class TestDoomedRefinements:
                 outcomes["short"] += 1
                 continue
             plan = _plan_or_none(g, trim, groups, patterns, cfg)
-            if plan is not None:
-                report = verify_plan(g, plan, cfg)
-                assert all(report.condition(c).ok for c in ("A3", "A4", "partition")), seed
             choices = bridge_choices_by_brute_force(g, trim.vertices, groups, cfg.r)
             if prod(map(len, choices)) > 10**5:
                 outcomes["beyond brute force"] += 1
