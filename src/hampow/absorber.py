@@ -1,7 +1,8 @@
 """Absorber gadgets: the two-routing blow-up path that can swallow a balanced
-r-set, the search for one embedded copy per target r-set, assembly of a path of
-gadgets and connectors, and the absorption itself, which gives every gadget one
-r-set of the leftover.
+r-set, the search for one embedded copy per target r-set, the absorbing path,
+which is one embedded gadget in its passive routing, and the absorption
+itself, which switches that gadget to its active routing through the one
+leftover r-set.
 
 A gadget is a blow-up of a properly ordered path on r*r cells; cell (i,j) lives
 in part i and has three slots a/b/c except the diagonal cells, which have two
@@ -15,10 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from math import ceil
 from typing import Iterable, Sequence
 
-from .connect import default_connector_length, find_connector
 from .errors import CoverageError, GraphValidationError, InfeasibleError, VerificationError
 from .graphs import Config, MultipartiteGraph, degree_profile, require_power
 from .oracle import DepthFirst, SearchBudget
@@ -283,183 +282,87 @@ def find_absorbers(
 
 @dataclass(frozen=True)
 class PlacedGadget:
-    """A kept gadget: its embedding plus which r-sets it can still absorb,
-    namely those whose vertex in part i lies in cover[i] for every i."""
+    """A kept gadget: its embedding plus which r-sets it can absorb, namely
+    those whose vertex in part i lies in cover[i] for every i."""
 
     instance: AbsorberInstance
     cover: tuple[frozenset[int], ...]  # per part: vertices whose neighborhood spans the row
 
 
-def _chain(
-    r: int, routings: Sequence[Sequence[int]], connectors: Sequence[Sequence[int]]
-) -> VertexSeq:
-    """The routings in order, connector j between routing j and routing j+1."""
-    out = list(routings[0])
-    for conn, routing in zip(connectors, routings[1:]):
-        out += conn
-        out += routing
-    return VertexSeq(tuple(out), r)
-
-
 @dataclass(frozen=True)
 class AbsorbingPath:
-    """Pairwise disjoint gadgets in their passive routing, joined into one
-    properly terminated power-path: connector j runs from gadget j to gadget
-    j+1."""
+    """One gadget in its passive routing: a properly terminated power-path
+    that absorbs one r-set.  `gadgets` holds that gadget alone."""
 
     r: int
-    gadgets: tuple[PlacedGadget, ...]
-    connectors: tuple[tuple[int, ...], ...]
+    gadgets: tuple[PlacedGadget]
 
     @property
     def path(self) -> VertexSeq:
-        return _chain(self.r, [g.instance.slots for g in self.gadgets], self.connectors)
+        return VertexSeq(self.gadgets[0].instance.slots, self.r)
 
     @property
     def capacity(self) -> int:
-        """Vertices absorbed: r per gadget."""
-        return self.r * len(self.gadgets)
+        """Vertices absorbed: one r-set."""
+        return self.r
 
 
 def assemble_absorbing_path(
     graph: MultipartiteGraph,
     reservoir_exclusions: Iterable[int],
     cfg: Config,
-    gadgets: int,
 ) -> AbsorbingPath:
-    """Sample disjoint gadget embeddings and connect them into one absorbing path.
+    """Embed one gadget off the exclusions, for the first of 64 seeded target
+    r-sets that has an embedding.
 
-    Sampling stops once `gadgets` embeddings are kept or 64 targets are spent;
-    a path with fewer gadgets absorbs fewer r-sets.  Each kept gadget records,
-    per part, the vertices off the path it could absorb; whether the leftover
-    can actually be absorbed is decided by `absorb` once that leftover exists.
+    The gadget records, per part, the vertices off its path it could absorb;
+    whether the leftover can actually be absorbed is decided by `absorb` once
+    that leftover exists.
     """
-    r, n = cfg.r, graph.n
+    r = cfg.r
     if graph.k != r:
         raise GraphValidationError("absorbing path assembly expects an r-partite host")
     if degree_profile(graph).delta_p < 1 - Fraction(1, r) + cfg.gamma:
         raise InfeasibleError("proportional minimum degree below 1 - 1/r + gamma")
 
-    conn_len = default_connector_length(r)
     excluded = frozenset(reservoir_exclusions)
-
+    free = [[v for v in part if v not in excluded] for part in graph.parts]
     rng = cfg.rng("assemble")
-    used: set[int] = set()
-    kept: list[AbsorberInstance] = []
-    for _ in range(64):
-        if len(kept) == gadgets:
-            break
-        free = [
-            [v for v in part if v not in used and v not in excluded]
-            for part in graph.parts
-        ]
-        if any(not f for f in free):
-            break
+    found: list[AbsorberInstance] = []
+    for _ in range(64 if all(free) else 0):
         target = tuple(rng.choice(f) for f in free)
-        found = find_absorbers(graph, target, cfg, avoid=used | excluded)
+        found = find_absorbers(graph, target, cfg, avoid=excluded)
         if found:
-            kept.append(found[0])
-            used.update(found[0].slots)
-    if not kept:
+            break
+    if not found:
         raise CoverageError("coverage shortfall: no gadget could be embedded within budget")
 
-    # Connector reservoirs are sampled subsets; small pools keep the exact DP
-    # cheap while staying far above the per-connector consumption.
-    pool_cap = max(ceil(cfg.nu * n), 2 * conn_len // r + 2)
-    connectors: list[tuple[int, ...]] = []
-    for prev, nxt in zip(kept, kept[1:]):
-        u_sets = []
-        for part in graph.parts:
-            free = [v for v in part if v not in used and v not in excluded]
-            rng.shuffle(free)
-            u_sets.append(sorted(free[:pool_cap]))
-        conn = find_connector(graph, u_sets, VertexSeq(prev.slots, r), VertexSeq(nxt.slots, r),
-                              conn_len, cfg)
-        used.update(conn.vertices)
-        connectors.append(conn.vertices)
-
-    # `used` now holds exactly the path's vertices
-    placed = []
-    for inst in kept:
-        cover = []
-        for i in range(r):
-            row = [v for lab, v in zip(inst.template.q2, inst.slots)
-                   if lab[2] == i + 1 and _attached(lab)]
-            cover.append(graph.part_sets[i].intersection(*(graph.adj[u] for u in row)) - used)
-        placed.append(PlacedGadget(instance=inst, cover=tuple(cover)))
-
-    result = AbsorbingPath(r=r, gadgets=tuple(placed), connectors=tuple(connectors))
+    inst = found[0]
+    on_path = set(inst.slots)
+    cover = tuple(
+        graph.part_sets[i].intersection(*(
+            graph.adj[v] for lab, v in zip(inst.template.q2, inst.slots)
+            if lab[2] == i + 1 and _attached(lab)
+        )) - on_path
+        for i in range(r)
+    )
+    result = AbsorbingPath(r=r, gadgets=(PlacedGadget(instance=inst, cover=cover),))
     p = result.path
     if not (is_path(graph, p) and is_properly_terminated(graph, p)):
         raise VerificationError("assembled absorbing path is not a properly terminated path")
     return result
 
 
-def _assign_gadgets(
-    gadgets: Sequence[PlacedGadget], by_part: Sequence[Sequence[int]]
-) -> list[tuple[int, ...]] | None:
-    """The r-set each gadget absorbs, in gadget order, covering every vertex of
-    by_part once, or None when there are no such r-sets.  Each by_part[i]
-    holds one vertex per gadget.
-
-    Which r-sets a gadget absorbs is a product condition, so the vertices may
-    be grouped into r-sets freely: such r-sets exist exactly when, for every
-    part i, the vertices of by_part[i] have a perfect matching onto the
-    gadgets along `cover[i]`.  Each matching is grown by augmenting paths over
-    by_part[i] in the order given.
-    """
-    rows = []
-    for i, zi in enumerate(by_part):
-        row = _perfect_matching(zi, [g.cover[i] for g in gadgets])
-        if row is None:
-            return None
-        rows.append(row)
-    return [tuple(row[j] for row in rows) for j in range(len(gadgets))]
-
-
-def _perfect_matching(
-    vertices: Sequence[int], covers: Sequence[frozenset[int]]
-) -> dict[int, int] | None:
-    """Slot -> vertex matching every vertex, where vertex v may take slot j
-    when v is in covers[j], or None.
-
-    Kuhn's augmenting paths, each vertex taking its first free slot when it
-    has one, so that where every vertex fits every slot the k-th vertex gets
-    the k-th slot.  A path visits each slot at most once, so the recursion is
-    no deeper than len(covers).
-    """
-    owner: dict[int, int] = {}  # slot -> vertex
-
-    def augment(v: int, seen: set[int]) -> bool:
-        fits = [j for j, cov in enumerate(covers) if v in cov]
-        free = next((j for j in fits if j not in owner), None)
-        if free is not None:
-            owner[free] = v
-            return True
-        for j in fits:
-            if j not in seen:
-                seen.add(j)
-                if augment(owner[j], seen):
-                    owner[j] = v
-                    return True
-        return False
-
-    for v in vertices:
-        if not augment(v, set()):
-            return None
-    return owner
-
-
 def absorb(
     graph: MultipartiteGraph, p_abs: AbsorbingPath, z: Iterable[int]
 ) -> VertexSeq:
-    """Splice a balanced set holding one r-set per gadget into the absorbing
-    path by switching every gadget from its passive to its active routing.
+    """Splice a balanced r-set into the absorbing path by switching its gadget
+    from the passive to the active routing.
 
-    This is the coverage check: `_assign_gadgets` gives each gadget its r-set
-    through one perfect matching per part, and CoverageError means no grouping
-    of the set into r-sets gives every gadget one it absorbs.  The result is a
-    power-path on V(path) + Z with the same initial and final r vertices.
+    This is the coverage check: CoverageError means a vertex of the r-set
+    lies outside its part's `cover`, so the gadget cannot absorb it.  The
+    result is a power-path on V(path) + Z with the same initial and final r
+    vertices.
     """
     r = p_abs.r
     zs = sorted(set(z))
@@ -478,19 +381,17 @@ def absorb(
             f"absorbed set of size {len(zs)} differs from capacity {p_abs.capacity}"
         )
 
-    taken = _assign_gadgets(p_abs.gadgets, by_part)
-    if taken is None:
+    (gadget,) = p_abs.gadgets
+    rset = tuple(vs[0] for vs in by_part)
+    if any(v not in cov for v, cov in zip(rset, gadget.cover)):
         raise CoverageError(
-            f"coverage shortfall: no {len(zs) // r} of the {len(p_abs.gadgets)} gadgets "
-            f"absorb the balanced set {tuple(zs)}"
+            f"coverage shortfall: the gadget does not absorb the balanced set {rset}"
         )
 
-    routings = [
-        AbsorberInstance(template=g.instance.template, slots=g.instance.slots, target=rset)
-        .q1_vertices()
-        for g, rset in zip(p_abs.gadgets, taken)
-    ]
-    result = _chain(r, routings, p_abs.connectors)
+    inst = gadget.instance
+    result = VertexSeq(
+        AbsorberInstance(template=inst.template, slots=inst.slots, target=rset).q1_vertices(), r
+    )
     if not is_path(graph, result):
         raise VerificationError("absorbed path is not a power-path")
     if result.vertices[:r] != base.vertices[:r] or result.vertices[-r:] != base.vertices[-r:]:

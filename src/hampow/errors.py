@@ -39,8 +39,9 @@ class BudgetExhaustedError(SearchExhaustedError):
 
 
 class CoverageError(HampowError):
-    """Absorber coverage shortfall: no gadget could be embedded, or the
-    leftover cannot be split among distinct gadgets that absorb it."""
+    """Absorber coverage shortfall: no gadget could be embedded, or a vertex
+    of the leftover r-set lies outside its part's cover, so the gadget
+    cannot absorb it."""
 
 
 class VerificationError(HampowError):

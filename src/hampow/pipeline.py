@@ -3,11 +3,12 @@ per-group spanning paths (constructive machinery with exact-oracle fallback),
 splicing, and independent verification.
 
 The constructive per-group builder follows the balanced-case argument: absorbing
-path, reservoir sets, a perfect path cover of the rest, connectors inside the
-reservoir, then absorption of the reservoir vertices the connectors left over,
-one r-set per gadget.  Its constants do not scale down to tiny instances;
-when the exact vertex accounting does not fit it reports scale-infeasibility and
-the caller may fall back to the exhaustive oracle.
+path of one gadget, a reservoir drawn from the vertices that gadget can absorb,
+a perfect path cover of the rest, connectors inside the reservoir, then
+absorption of the one r-set of the reservoir the connectors left over.  Its
+constants do not scale down to tiny instances; when the exact vertex
+accounting does not fit it reports scale-infeasibility and the caller may fall
+back to the exhaustive oracle.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .oracle import (
     independence_necessity,
 )
 from .paths import VertexSeq, is_path, is_walk, verify_ham_power_cycle_report
-from .sequencing import Stage, run_sequencing
-from .tiling import cover_with_paths, iter_cliques
+from .sequencing import Stage, run_sequencing, window_paths
+from .tiling import cover_with_paths
 
 
 @dataclass
@@ -84,10 +85,11 @@ def constructive_ham_path_between(
 ) -> VertexSeq:
     """Spanning power-path of graph minus the anchors, built constructively.
 
-    The absorbing path's gadgets absorb one r-set each, and the reservoir holds
-    exactly that many spare r-sets beyond what its connectors use, so the cover
-    of the rest must be perfect.  Raises ScaleInfeasibleError when the exact
-    accounting (anchors + absorbing path + reservoir) cannot fit in the parts.
+    The absorbing path is one gadget, which absorbs one r-set, and the
+    reservoir holds exactly one spare r-set beyond what its connectors use,
+    drawn from the vertices the gadget can absorb; so the cover of the rest
+    must be perfect.  Raises ScaleInfeasibleError when the exact accounting
+    (anchors + absorbing path + reservoir) cannot fit in the parts.
     """
     r = cfg.r
     if graph.k != r:
@@ -104,47 +106,42 @@ def constructive_ham_path_between(
     conn_len = default_connector_length(r)
     per_part_conn = conn_len // r  # 2(r-1)
     gadget_per_part = 3 * r - 1
-    # One gadget suffices for r=2; longer connectors need more reservoir slack
-    # at the seams, and the slack must be absorbable (r vertices per gadget).
-    g_target = 1 if r == 2 else 2 * r - 3
 
-    minimum = (
-        anchors_per_part
-        + g_target * gadget_per_part
-        + (g_target - 1) * per_part_conn
-        + 2 * per_part_conn
-        + g_target
-    )
+    # anchors, the gadget, and a reservoir for the two connectors to the
+    # anchors plus the spare r-set the gadget absorbs
+    minimum = anchors_per_part + gadget_per_part + 2 * per_part_conn + 1
     if m_part < minimum:
         raise ScaleInfeasibleError(
             f"constants infeasible at this scale: parts of size {m_part} cannot hold "
             f"the absorbing machinery (needs at least {minimum} per part)"
         )
 
-    p_abs = assemble_absorbing_path(graph, anchors, cfg, g_target)
+    p_abs = assemble_absorbing_path(graph, anchors, cfg)
     on_abs = set(p_abs.path.vertices)
-    slack = len(p_abs.gadgets)
-
     free0 = [
         [v for v in part if v not in anchors and v not in on_abs]
         for part in graph.parts
     ]
+    # the connectors leave one spare vertex of the reservoir in each part,
+    # and the gadget absorbs it only from its covers
+    absorbable = [[v for v in f if v in cov] for f, cov in zip(free0, p_abs.gadgets[0].cover)]
 
     u_sets: list[list[int]] = []
-    m_paths = 0
+    # a rest beside the smallest reservoir needs at least one cover path
+    m_paths = int(len(free0[0]) > 2 * per_part_conn + 1)
     for _ in range(6):
-        u_size = (m_paths + 2) * per_part_conn + slack
-        if any(len(f) < u_size for f in free0):
+        u_size = (m_paths + 2) * per_part_conn + 1
+        if any(len(pool) < u_size for pool in absorbable):
             raise ScaleInfeasibleError(
-                f"constants infeasible at this scale: reservoir of {u_size} per part "
-                f"does not fit"
+                f"constants infeasible at this scale: absorbable reservoir of {u_size} "
+                f"per part does not fit"
             )
-        u_sets = _sample_reservoir(graph, free0, u_size, cfg)
+        u_sets = _sample_reservoir(graph, absorbable, u_size, cfg)
         rest = [
             [v for v in f if v not in reserved] for f, reserved in zip(free0, map(set, u_sets))
         ]
         sub, old_ids = induced_subgraph(graph, rest)
-        # every gadget absorbs a spare reservoir r-set, so none is left to
+        # the gadget absorbs the spare reservoir r-set, so none is left to
         # absorb a cover leftover: the cover must be perfect
         cover = cover_with_paths(sub, r, Fraction(0), cfg)
         paths = [VertexSeq(tuple(old_ids[v] for v in p.vertices), r) for p in cover.paths]
@@ -312,7 +309,7 @@ def _balanced_case(
     """k' == r: one balanced group; close a cycle through an anchor clique."""
     r = cfg.r
     if mode in ("constructive", "auto"):
-        ka = next(iter_cliques(graph, r), None)
+        ka = next(window_paths(graph, graph.part_sets, set(), r), None)
         if ka is None:
             report.add("anchor", False, "no transversal clique exists")
         else:

@@ -6,12 +6,14 @@ cuts it into balanced r-partite groups joined by short connector paths, with an
 initial trim path absorbing the divisibility slack.
 
 The trim path is the first path through its run cells that an exact
-depth-first search (`_window_paths` on `oracle.DepthFirst`) finds in a seeded
+depth-first search (`window_paths` on `oracle.DepthFirst`) finds in a seeded
 order; that search covers the whole graph, so when it ends empty no seed can
 help.  The bridges between groups (each connector, and the two affixes that
 turn the trim path into p0) are laid as one chain by one more exact search,
 whose children are window paths.  What stays random is the refinement into
 cells, which is re-drawn when the bridge search proves that none exist.
+The same window search picks each clique of the path cover in `tiling` and
+the anchor clique of the pipeline's balanced case.
 """
 
 from __future__ import annotations
@@ -163,7 +165,7 @@ def build_trim_path(
             raise InfeasibleError("proportional minimum degree below 1 - 1/r + gamma")
 
     cells = [graph.part_sets[i] for z in tmpl.type_sequence for i, zi in enumerate(z) if zi]
-    vertices = next(_window_paths(graph, cells, set(), r, rng=cfg.rng("trim")), None)
+    vertices = next(window_paths(graph, cells, set(), r, rng=cfg.rng("trim")), None)
     if vertices is None:
         raise SearchExhaustedError(f"no power-path realizes the template's {tmpl.q} run types")
     p0 = VertexSeq(vertices, r)
@@ -460,7 +462,7 @@ def build_connectors_and_p0(
     A group's cells feed only the two bridges beside it, so the bridges form
     a chain: the suffix, connector 0, ..., connector ell-2, the prefix.  One
     depth-first search lays them in that order.  A node's children are the
-    next bridge's `_window_paths` off the trim path and the bridges laid, in
+    next bridge's `window_paths` off the trim path and the bridges laid, in
     an order seeded by `cfg.rng("connectors")`.  What lies below a node
     depends only on what its last bridge took from the next group, so a
     (depth, those vertices) key whose subtree came up empty is not searched
@@ -495,7 +497,7 @@ def build_connectors_and_p0(
         if key in dead:
             return ()
         used = set(trim).union(*laid)
-        return paths(key, _window_paths(graph, cells[depth], used, r, rng=rng, **context[depth]))
+        return paths(key, window_paths(graph, cells[depth], used, r, rng=rng, **context[depth]))
 
     search = DepthFirst(children, SearchBudget().node_limit)
     laid = next(iter(search), None)
@@ -539,7 +541,7 @@ def _window_fit(
     return fit.difference(out)
 
 
-def _window_paths(
+def window_paths(
     graph: MultipartiteGraph,
     cell_sequence: Sequence[frozenset[int]],
     used: set[int],
@@ -553,10 +555,10 @@ def _window_paths(
     in search order, within the default search budget.
 
     The caller keeps `before` and `after` in `used`.  Each pick's candidates
-    are found by set intersection (`_window_fit`).  With `rng` they are tried
-    sorted and then shuffled by it, so a seeded rng gives the same paths in
-    the same order; without it, in set order.  The search is exact: when it
-    ends, no other pick list exists.
+    are found by set intersection (`_window_fit`) and tried in ascending
+    order, shuffled by `rng` when one is given, so a seeded rng gives the same
+    paths in the same order; without it the paths come in lexicographic
+    order.  The search is exact: when it ends, no other pick list exists.
     """
     adj = graph.adj
     lead = before[-(r - 1):]
@@ -565,11 +567,9 @@ def _window_paths(
         p = len(out) - len(lead)
         if p == len(cell_sequence):
             return None
-        fit = _window_fit(adj, cell_sequence, p, out, used, r, after)
-        if rng is None:
-            return fit
-        options = sorted(fit)
-        rng.shuffle(options)
+        options = sorted(_window_fit(adj, cell_sequence, p, out, used, r, after))
+        if rng is not None:
+            rng.shuffle(options)
         return options
 
     return (out[len(lead):] for out in DepthFirst(children, SearchBudget().node_limit, lead))

@@ -10,21 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import GraphValidationError, SearchExhaustedError, VerificationError
 from .graphs import Config, MultipartiteGraph, require_power
 from .oracle import DepthFirst, SearchBudget
-from .paths import VertexSeq, is_path, is_properly_terminated, splice_ok
+from .paths import VertexSeq, is_path, is_properly_terminated
+from .sequencing import window_paths
 
 
 def enumerate_cliques(graph: MultipartiteGraph, r: int) -> list[tuple[int, ...]]:
-    """All r-cliques with one vertex in each of r distinct parts, in part order."""
-    return list(iter_cliques(graph, r))
-
-
-def iter_cliques(graph: MultipartiteGraph, r: int) -> Iterator[tuple[int, ...]]:
-    """The cliques of `enumerate_cliques`, in the same order, found lazily.
+    """All r-cliques with one vertex in each of r distinct parts, in part order.
 
     Backtracking over parts in ascending index with common-neighborhood pruning;
     the last vertex of a clique is picked straight from the common neighborhood.
@@ -46,7 +42,7 @@ def iter_cliques(graph: MultipartiteGraph, r: int) -> Iterator[tuple[int, ...]]:
             for v in pool:
                 yield from rec(p + 1, chosen + (v,), adj[v] if common is None else common & adj[v])
 
-    return rec(0, (), None)
+    return list(rec(0, (), None))
 
 
 def _simplex_max(
@@ -206,13 +202,14 @@ def cover_with_paths(
 ) -> PathCover:
     """Cover all but alpha*n vertices by properly terminated power-paths.
 
-    Greedy clique chaining: the first attempt tries cliques in enumeration
-    order, paths grow while the next clique splices legally, reshuffled retries
-    on shortfall.  Within an attempt, a clique that meets a used vertex can
-    never be picked again, so each scan drops those it passes from the
-    attempt's list.  The leftover of a balanced host is automatically balanced
-    because every path meets all parts equally.  A negative alpha asks for a
-    leftover below zero, which no cover has.
+    Greedy clique chaining: each path grows by the first transversal clique
+    off the used vertices that splices after its tail, picked by the window
+    search `sequencing.window_paths` through the parts in order, until none
+    does.  The first attempt tries candidates in ascending order, so it
+    picks the lexicographically first such clique; retries on shortfall
+    shuffle them with the cover's rng.  The leftover of a balanced host is
+    automatically balanced because every path meets all parts equally.  A
+    negative alpha asks for a leftover below zero, which no cover has.
     """
     require_power(r)
     if alpha < 0:
@@ -222,45 +219,23 @@ def cover_with_paths(
     sizes = {len(p) for p in graph.parts}
     if len(sizes) != 1:
         raise GraphValidationError("path cover expects a balanced host")
-    n = graph.n
+    n, parts = graph.n, graph.part_sets
     target = alpha * n
-
-    ordered = enumerate_cliques(graph, r)
 
     rng = cfg.rng("cover")
     best: int | None = None
     for attempt in range(cfg.retry_limit):
-        order = ordered[:]
-        if attempt:
-            rng.shuffle(order)
+        reshuffle = rng if attempt else None
         used: set[int] = set()
         paths: list[VertexSeq] = []
-
-        def next_clique(tail: Sequence[int]) -> tuple[int, ...] | None:
-            """First clique of `order` off `used` that splices after `tail`;
-            the cliques that meet `used` before it leave `order`."""
-            live = 0
-            for idx, K in enumerate(order):
-                if not used.isdisjoint(K):
-                    continue
-                order[live] = K
-                live += 1
-                if splice_ok(graph, tail, K, r):
-                    order[live:] = order[idx + 1:]
-                    return K
-            del order[live:]
-            return None
-
         while n - len(used) > target:
             current: list[int] = []
-            while True:
-                K = next_clique(current[-r:])
+            while n - len(used) > target:
+                K = next(window_paths(graph, parts, used, r, before=current, rng=reshuffle), None)
                 if K is None:
                     break
                 current.extend(K)
                 used.update(K)
-                if n - len(used) <= target:
-                    break
             if not current:
                 break
             paths.append(VertexSeq(tuple(current), r))

@@ -439,17 +439,6 @@ def reference_cover_with_paths(graph, r, alpha, cfg):
     )
 
 
-def absorbable_by_brute_force(gadgets, by_part):
-    """Whether some grouping of by_part into r-sets gives every gadget an r-set
-    in its covers; each by_part[i] holds one vertex per gadget.  Every
-    grouping is every permutation of every part."""
-    return any(
-        all(perm[g] in gadgets[g].cover[i] for i, perm in enumerate(perms)
-            for g in range(len(gadgets)))
-        for perms in itertools.product(*(itertools.permutations(zi) for zi in by_part))
-    )
-
-
 def bridge_choices_by_brute_force(graph, p0_prime, groups, r):
     """Each bridge's brute-force window paths off p0_prime, in chain order:
     the suffix through the first group after p0_prime, one connector through

@@ -7,12 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import absorbable_by_brute_force, complete
+from conftest import complete
 from hampow import absorber
 from hampow.absorber import (
     GadgetTemplate,
-    PlacedGadget,
-    _assign_gadgets,
     _blowup_adjacent,
     absorb,
     assemble_absorbing_path,
@@ -24,7 +22,12 @@ from hampow.absorber import (
     verify_gadget,
     verify_instance,
 )
-from hampow.errors import BudgetExhaustedError, CoverageError, GraphValidationError
+from hampow.errors import (
+    BudgetExhaustedError,
+    CoverageError,
+    GraphValidationError,
+    InfeasibleError,
+)
 from hampow.graphs import Config, MultipartiteGraph, gen_random
 from hampow.oracle import SearchBudget
 from hampow.paths import VertexSeq, is_path, is_properly_terminated
@@ -172,10 +175,10 @@ class TestAssembleAbsorb:
     def test_round_trip_on_complete_host(self):
         g = complete(3, [11, 11, 11])
         cfg = Config.default(3, seed=7)
-        pa = assemble_absorbing_path(g, (), cfg, 1)
+        pa = assemble_absorbing_path(g, (), cfg)
         path = pa.path
         assert is_path(g, path) and is_properly_terminated(g, path)
-        assert len(path) == (3 * 9 - 3) * len(pa.gadgets) + 3 * 4 * (len(pa.gadgets) - 1)
+        assert len(pa.gadgets) == 1 and len(path) == 3 * 9 - 3
         outside = [v for v in range(g.n) if v not in set(path.vertices)]
         rng = random.Random(1)
         z = [rng.choice([v for v in outside if g.part_of(v) == i]) for i in range(3)]
@@ -187,17 +190,14 @@ class TestAssembleAbsorb:
 
     def test_absorbed_set_must_fill_every_gadget(self):
         g = complete(2, [16, 16])
-        pa = assemble_absorbing_path(g, (), Config.default(2, seed=6), 2)
-        outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
-        one_rset = [next(v for v in outside if g.part_of(v) == i) for i in range(2)]
-        for z in ((), one_rset):
-            with pytest.raises(GraphValidationError, match="capacity"):
-                absorb(g, pa, z)
+        pa = assemble_absorbing_path(g, (), Config.default(2, seed=6))
+        with pytest.raises(GraphValidationError, match="capacity"):
+            absorb(g, pa, ())
 
     def test_single_rset_extends_by_r(self):
         g = complete(3, [9, 9, 9])
         cfg = Config.default(3, seed=2)
-        pa = assemble_absorbing_path(g, (), cfg, 1)
+        pa = assemble_absorbing_path(g, (), cfg)
         outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
         z = [next(v for v in outside if g.part_of(v) == i) for i in range(3)]
         merged = absorb(g, pa, z)
@@ -205,8 +205,8 @@ class TestAssembleAbsorb:
 
     def test_determinism(self):
         g = complete(3, [10, 10, 10])
-        a = assemble_absorbing_path(g, (), Config.default(3, seed=5), 1)
-        b = assemble_absorbing_path(g, (), Config.default(3, seed=5), 1)
+        a = assemble_absorbing_path(g, (), Config.default(3, seed=5))
+        b = assemble_absorbing_path(g, (), Config.default(3, seed=5))
         assert a.path == b.path
         z = sorted({0, 10, 20} - set(a.path.vertices)) or None
         if z and len(z) == 3:
@@ -216,107 +216,75 @@ class TestAssembleAbsorb:
         # an r=2 gadget takes 5 vertices of each part besides its target's
         g = complete(2, [5, 5])
         with pytest.raises(CoverageError, match="no gadget could be embedded"):
-            assemble_absorbing_path(g, (), Config.default(2, seed=0), 1)
-
-    def test_multi_gadget_assembly_and_matching(self):
-        # two gadgets joined by a connector, both switched during absorption
-        g = complete(2, [16, 16])
-        cfg = Config.default(2, seed=6)
-        pa = assemble_absorbing_path(g, (), cfg, 2)
-        assert len(pa.gadgets) == 2
-        assert pa.capacity == 4
-        assert len(pa.path) == 24
-        outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
-        by_part = [[v for v in outside if g.part_of(v) == i] for i in range(2)]
-        z = [p[t] for t in range(2) for p in by_part]
-        merged = absorb(g, pa, z)
-        assert len(merged) == 24 + 4
-        assert set(merged.vertices) == set(pa.path.vertices) | set(z)
+            assemble_absorbing_path(g, (), Config.default(2, seed=0))
 
     def test_exclusions_respected(self):
         g = complete(3, [11, 11, 11])
         cfg = Config.default(3, seed=3)
         excl = {0, 11, 22}
-        pa = assemble_absorbing_path(g, excl, cfg, 1)
+        pa = assemble_absorbing_path(g, excl, cfg)
         assert not set(pa.path.vertices) & excl
 
     def test_oversized_z_rejected(self):
         g = complete(3, [11, 11, 11])
         cfg = Config.default(3, seed=7)
-        pa = assemble_absorbing_path(g, (), cfg, 1)
+        pa = assemble_absorbing_path(g, (), cfg)
         outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
         by_part = [[v for v in outside if g.part_of(v) == i] for i in range(3)]
-        if pa.capacity // 3 + 1 <= min(len(p) for p in by_part):
-            z = [v for p in by_part for v in p[: pa.capacity // 3 + 1]]
-            with pytest.raises(GraphValidationError, match="capacity"):
-                absorb(g, pa, z)
+        z = [v for p in by_part for v in p[:2]]
+        with pytest.raises(GraphValidationError, match="capacity"):
+            absorb(g, pa, z)
 
     def test_unbalanced_z_rejected(self):
         g = complete(3, [9, 9, 9])
         cfg = Config.default(3, seed=2)
-        pa = assemble_absorbing_path(g, (), cfg, 1)
+        pa = assemble_absorbing_path(g, (), cfg)
         outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
         z = [v for v in outside if g.part_of(v) == 0][:1]
         with pytest.raises(GraphValidationError, match="balanced"):
             absorb(g, pa, z)
 
-    def test_leftover_absorbed_under_another_grouping(self):
-        # sorted-zip grouping pairs (a0, b0) and (a1, b1), which no gadget takes;
-        # (a0, b1) and (a1, b0) each have a gadget
-        g = complete(2, [16, 16])
-        pa = assemble_absorbing_path(g, (), Config.default(2, seed=6), 2)
-        outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
-        a0, a1 = [v for v in outside if g.part_of(v) == 0][:2]
-        b0, b1 = [v for v in outside if g.part_of(v) == 1][:2]
-        covers = ((a0, b1), (a1, b0))
-        pa = replace(pa, gadgets=tuple(
-            replace(gad, cover=tuple(frozenset({v}) for v in cov))
-            for gad, cov in zip(pa.gadgets, covers)
-        ))
-        merged = absorb(g, pa, [a0, a1, b0, b1])
-        assert set(merged.vertices) == set(pa.path.vertices) | {a0, a1, b0, b1}
-        assert is_path(g, merged)
-        # gadget 0 comes first on the path and takes x_1 = a0, x_2 = b1
-        assert [v for v in merged.vertices if v not in set(pa.path.vertices)] == [a0, b1, a1, b0]
-
     def test_unabsorbable_leftover_is_coverage_error(self):
         g = complete(2, [16, 16])
-        pa = assemble_absorbing_path(g, (), Config.default(2, seed=6), 2)
+        pa = assemble_absorbing_path(g, (), Config.default(2, seed=6))
         outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
         a0, a1 = [v for v in outside if g.part_of(v) == 0][:2]
-        b0, b1 = [v for v in outside if g.part_of(v) == 1][:2]
-        # both gadgets can take a0 only: a1 has nowhere to go
-        pa = replace(pa, gadgets=tuple(
-            replace(gad, cover=(frozenset({a0}), frozenset({b0, b1}))) for gad in pa.gadgets
-        ))
+        b0 = next(v for v in outside if g.part_of(v) == 1)
+        # the gadget can take a0 only
+        (gadget,) = pa.gadgets
+        pa = replace(pa, gadgets=(replace(gadget, cover=(frozenset({a0}), frozenset({b0}))),))
+        assert is_path(g, absorb(g, pa, [a0, b0]))
         with pytest.raises(CoverageError, match="shortfall"):
-            absorb(g, pa, [a0, a1, b0, b1])
+            absorb(g, pa, [a1, b0])
 
 
-def test_assignment_matches_brute_force_over_groupings():
-    """The matchings give every gadget an r-set exactly when some grouping of
-    the leftover into r-sets does."""
-    outcomes = Counter()
-    for trial in range(400):
-        rng = random.Random(trial)
-        r = rng.choice([2, 3])
-        q = rng.randint(1, 3)
-        universe = [list(range(10 * i, 10 * i + 5)) for i in range(r)]
-        by_part = [sorted(rng.sample(u, q)) for u in universe]
-        density = rng.choice([0.4, 0.6, 0.8])
-        gadgets = [
-            PlacedGadget(instance=None, cover=tuple(
-                frozenset(v for v in u if rng.random() < density) for u in universe))
-            for _ in range(q)
-        ]
-        got = _assign_gadgets(gadgets, by_part)
-        outcomes[got is not None] += 1
-        assert (got is not None) == absorbable_by_brute_force(gadgets, by_part), trial
-        if got is None:
+@pytest.mark.parametrize("r, size, density", [
+    (2, 12, Fraction(19, 20)), (3, 16, Fraction(97, 100)), (4, 24, Fraction(97, 100))])
+def test_covers_are_exactly_what_the_gadget_absorbs(r, size, density):
+    """Over seeded hosts, every r-set drawn from the gadget's covers is
+    absorbed into a power-path with the same ends, and swapping in a vertex
+    off the path and outside its part's cover is a CoverageError."""
+    assembled = rejected = 0
+    for seed in range(12):
+        g = gen_random(r, [size] * r, density, seed)
+        try:
+            pa = assemble_absorbing_path(g, (), Config.default(r, seed=seed))
+        except InfeasibleError:  # the host misses the minimum degree the gadget asks for
             continue
-        assert len(got) == q
-        for gadget, rset in zip(gadgets, got):
-            assert all(v in gadget.cover[i] for i, v in enumerate(rset))
-        for i in range(r):
-            assert sorted(rset[i] for rset in got) == by_part[i]
-    assert outcomes[True] >= 50 and outcomes[False] >= 50
+        assembled += 1
+        (gadget,) = pa.gadgets
+        path = pa.path.vertices
+        rng = random.Random(seed)
+        for _ in range(5):
+            z = [rng.choice(sorted(cover)) for cover in gadget.cover]
+            merged = absorb(g, pa, z)
+            assert is_path(g, merged) and set(merged.vertices) == set(path) | set(z)
+            assert merged.vertices[:r] == path[:r] and merged.vertices[-r:] == path[-r:]
+            outside = [(i, v) for i in range(r) for v in g.parts[i]
+                       if v not in gadget.cover[i] and v not in path]
+            if outside:
+                i, v = rng.choice(outside)
+                with pytest.raises(CoverageError, match="does not absorb"):
+                    absorb(g, pa, z[:i] + [v] + z[i + 1:])
+                rejected += 1
+    assert assembled >= 2 and rejected >= 10

@@ -16,7 +16,11 @@ were re-recorded when one exact, seeded window-path search replaced the
 randomized growers of the trim path, the connectors and the affixes, and
 again when one exact search began to lay all of a plan's bridges as a chain
 (suffix, connectors, prefix) instead of seeded attempts; each kept its exit
-code.  The `gen` pins hash the graph text that `json.dumps` of
+code.  The four r=3 constructive pipeline pins and four `pipeline --relaxed`
+pins were re-recorded, each keeping its exit code, when the absorbing path
+became one gadget with its reservoir drawn from the vertices that gadget
+absorbs, and the cover began to pick its cliques by window search.  The
+`gen` pins hash the graph text that `json.dumps` of
 the whole document wrote, with each draw of `gen_random` compared with the
 Fraction density."""
 

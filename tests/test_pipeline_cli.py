@@ -12,12 +12,14 @@ import hampow.pipeline
 import hampow.sequencing
 from conftest import complete, reference_sample_reservoir
 from hampow import cli
+from hampow.absorber import assemble_absorbing_path
 from hampow.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_STAGE, EXIT_VALIDATION, build_parser, main
-from hampow.errors import BudgetExhaustedError, SearchExhaustedError
+from hampow.errors import BudgetExhaustedError, ScaleInfeasibleError, SearchExhaustedError
 from hampow.graphs import Config, balanced_sizes, gen_extremal, gen_random, save_graph
 from hampow.paths import VertexSeq, verify_ham_power_cycle
 from hampow.pipeline import _sample_reservoir, constructive_ham_path_between, run_pipeline
 from hampow.oracle import SearchBudget
+from hampow.sequencing import window_paths
 
 
 class TestPipeline:
@@ -164,9 +166,45 @@ class TestConstructive:
         assert verify_ham_power_cycle(g, rep.cycle, 3)
         assert any(s.name == "group_path" and s.detail == "constructive" for s in rep.stages)
 
-    def test_small_host_is_scale_infeasible(self):
-        from hampow.errors import ScaleInfeasibleError
+    def test_no_clique_list_is_built(self, monkeypatch):
+        from hampow import tiling
 
+        def no_list(*args):
+            raise AssertionError("the constructive path listed every clique")
+
+        monkeypatch.setattr(tiling, "enumerate_cliques", no_list)
+        g = complete(3, [24, 24, 24])
+        rep = run_pipeline(g, Config.default(3, seed=1), mode="constructive")
+        assert rep.ok and verify_ham_power_cycle(g, rep.cycle, 3)
+        assert any(s.name == "group_path" and s.detail == "constructive" for s in rep.stages)
+
+    def test_reservoir_is_drawn_from_what_the_gadget_absorbs(self):
+        # each part keeps 10 vertices off the anchor and the gadget, more than
+        # the 7 the reservoir takes, but the gadget absorbs fewer of part 1's
+        g = gen_random(2, [16, 16], Fraction(19, 20), 10)
+        cfg = Config.default(2, seed=10)
+        anchor = next(window_paths(g, g.part_sets, set(), 2))
+        gadget = assemble_absorbing_path(g, anchor, cfg).gadgets[0]
+        free = [set(p) - set(anchor) - set(gadget.instance.slots) for p in g.parts]
+        assert [len(f) for f in free] == [10, 10]
+        assert min(len(f & cover) for f, cover in zip(free, gadget.cover)) < 7
+        with pytest.raises(ScaleInfeasibleError,
+                           match="absorbable reservoir of 7 per part does not fit"):
+            constructive_ham_path_between(g, anchor, anchor, cfg)
+
+    @pytest.mark.parametrize("r, size", [(2, 11), (3, 18), (4, 25)])
+    def test_parts_of_the_minimum_size_are_spanned(self, r, size):
+        # the anchor, the gadget and the reservoir of the two connectors fill
+        # each part, so the cover has nothing to cover
+        g = complete(r, [size] * r)
+        rep = run_pipeline(g, Config.default(r, seed=1), mode="constructive")
+        assert rep.ok and verify_ham_power_cycle(g, rep.cycle, r)
+        small = complete(r, [size - 1] * r)
+        anchor = tuple(part[0] for part in small.parts)
+        with pytest.raises(ScaleInfeasibleError, match=f"needs at least {size} per part"):
+            constructive_ham_path_between(small, anchor, anchor, Config.default(r))
+
+    def test_small_host_is_scale_infeasible(self):
         g = complete(2, [5, 5])
         with pytest.raises(ScaleInfeasibleError):
             constructive_ham_path_between(g, (0, 5), (1, 6), Config.default(2, seed=0))

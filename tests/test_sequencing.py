@@ -30,7 +30,6 @@ from hampow.oracle import SearchBudget
 from hampow.paths import VertexSeq, decompose, is_path, is_properly_terminated, is_valid_pair
 from hampow.sequencing import (
     _group_degree_slack,
-    _window_paths,
     _worst_cell_violation,
     build_connectors_and_p0,
     build_template_matrix,
@@ -41,6 +40,7 @@ from hampow.sequencing import (
     run_sequencing,
     solve_part_sizes,
     verify_plan,
+    window_paths,
     z_vector,
 )
 
@@ -448,11 +448,11 @@ def test_window_kernels_pick_what_the_scans_picked(seed):
     order lists the same paths, the same way for the same seed."""
     g, cells, used, r, before, after = _window_case(seed)
     want = window_paths_by_brute_force(g, cells, used, r, before, after)
-    got = list(_window_paths(g, cells, used, r, before, after))
+    got = list(window_paths(g, cells, used, r, before, after))
     assert len(set(got)) == len(got) and sorted(got) == sorted(want)
-    seeded = list(_window_paths(g, cells, used, r, before, after, random.Random(seed)))
+    seeded = list(window_paths(g, cells, used, r, before, after, random.Random(seed)))
     assert sorted(seeded) == sorted(want)
-    assert seeded == list(_window_paths(g, cells, used, r, before, after, random.Random(seed)))
+    assert seeded == list(window_paths(g, cells, used, r, before, after, random.Random(seed)))
 
 
 def test_window_cases_hold_paths_and_dead_ends():
@@ -468,7 +468,7 @@ def test_window_path_needs_only_the_after_vertices_within_reach():
         [[0, 1, 2], [3, 4, 5]], [(u, v) for u in (0, 1, 2) for v in (3, 4, 5) if (u, v) != (0, 4)]
     )
     cells = [frozenset({0}), frozenset({3}), frozenset({1})]
-    assert list(_window_paths(g, cells, set(), 2, after=(4, 2))) == [(0, 3, 1)]
+    assert list(window_paths(g, cells, set(), 2, after=(4, 2))) == [(0, 3, 1)]
     assert is_path(g, VertexSeq((0, 3, 1, 4, 2), 2))
 
 
@@ -561,7 +561,7 @@ def _refinement_case(seed):
     free = [rng.sample(part, len(part)) for part in g.parts]
     order = rng.sample(range(k), r)
     length = rng.randint(0, 2 * r)
-    trim = next(_window_paths(
+    trim = next(window_paths(
         g, [frozenset(free[order[(t - length) % r]]) for t in range(length)], set(), r, rng=rng
     ), ())
     free = [[v for v in part if v not in trim] for part in free]

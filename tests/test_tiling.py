@@ -14,9 +14,17 @@ from hampow.errors import (
     SearchExhaustedError,
     VerificationError,
 )
-from hampow.graphs import Config, MultipartiteGraph, degree_profile, gen_extremal, gen_random
+from hampow.graphs import (
+    Config,
+    MultipartiteGraph,
+    degree_profile,
+    gen_extremal,
+    gen_random,
+    induced_subgraph,
+)
 from hampow.oracle import SearchBudget
 from hampow.paths import is_path, is_properly_terminated
+from hampow.sequencing import window_paths
 from hampow.tiling import (
     cover_with_paths,
     enumerate_cliques,
@@ -34,7 +42,10 @@ class TestEnumerate:
         g = gen_random(k, [rng.randint(1, 6) for _ in range(k)],
                        rng.choice([Fraction(1, 2), Fraction(4, 5), 1]), seed)
         assert enumerate_cliques(g, r) == reference_cliques(g, r)
-        assert next(tiling.iter_cliques(g, r), None) == next(iter(reference_cliques(g, r)), None)
+        # the pipeline's anchor on the host of the first r parts: its first clique
+        head, _ = induced_subgraph(g, g.parts[:r])
+        anchor = next(window_paths(head, head.part_sets, set(), r), None)
+        assert anchor == next(iter(reference_cliques(head, r)), None)
 
     def test_complete_222(self):
         g = complete(3, [2, 2, 2])
@@ -169,6 +180,18 @@ class TestBruteForceTiling:
                 assert fractional_tiling(g, 3).is_perfect
 
 
+def _cover_is_valid(cover, g, alpha):
+    """Disjoint properly terminated paths and a balanced leftover of at most
+    alpha*n vertices that together cover every vertex."""
+    seen = set(cover.leftover)
+    for p in cover.paths:
+        assert is_path(g, p) and is_properly_terminated(g, p)
+        assert not seen & set(p.vertices)
+        seen.update(p.vertices)
+    assert seen == set(range(g.n)) and len(cover.leftover) <= alpha * g.n
+    assert len({len(cover.leftover & set(part)) for part in g.parts}) == 1
+
+
 class TestCover:
     def test_complete_host_single_hamiltonian_path(self):
         g = complete(3, [3, 3, 3])
@@ -191,16 +214,7 @@ class TestCover:
             if degree_profile(g).delta_p < Fraction(1, 2):
                 continue
             cfg = Config.default(2, seed=seed)
-            cov = cover_with_paths(g, 2, Fraction(1, 3), cfg)
-            seen = set(cov.leftover)
-            for p in cov.paths:
-                assert is_path(g, p) and is_properly_terminated(g, p)
-                assert not seen & set(p.vertices)
-                seen.update(p.vertices)
-            assert seen == set(range(g.n))
-            counts = [len(set(cov.leftover) & set(part)) for part in g.parts]
-            assert len(set(counts)) == 1
-            assert len(cov.leftover) <= Fraction(1, 3) * g.n
+            _cover_is_valid(cover_with_paths(g, 2, Fraction(1, 3), cfg), g, Fraction(1, 3))
 
     def test_unbalanced_host_rejected(self):
         g = complete(2, [3, 4])
@@ -209,10 +223,10 @@ class TestCover:
 
     @pytest.mark.parametrize("alpha", [Fraction(-1), Fraction(-1, 100)])
     def test_negative_alpha_is_rejected_before_any_attempt(self, alpha, monkeypatch):
-        def no_cliques(*a):
-            raise AssertionError("the cover enumerated cliques")
+        def no_search(*a, **kw):
+            raise AssertionError("the cover searched for a clique")
 
-        monkeypatch.setattr(tiling, "enumerate_cliques", no_cliques)
+        monkeypatch.setattr(tiling, "window_paths", no_search)
         with pytest.raises(GraphValidationError, match=f"at least 0, got {alpha}$"):
             cover_with_paths(complete(3, [4, 4, 4]), 3, alpha, Config.default(3, seed=0))
 
@@ -244,9 +258,10 @@ def _cover_outcome(cover, g, r, alpha, cfg):
 
 
 def test_cover_matches_the_rescanning_reference():
-    """Same PathCover, or the same shortfall text, as the greedy that rescans
-    every clique at every step, over first attempts, reshuffled retries and
-    exhausted budgets."""
+    """A first attempt gives the same PathCover, or the same shortfall text,
+    as the greedy that rescans every clique at every step.  Reshuffled
+    retries give a valid cover, the same one for the same seed, or the
+    shortfall text."""
     seen = Counter()
     for trial in range(80):
         rng = random.Random(trial)
@@ -255,10 +270,17 @@ def test_cover_matches_the_rescanning_reference():
         g = gen_random(r, [m] * r, rng.choice([Fraction(1, 2), Fraction(3, 5), Fraction(4, 5), 1]),
                        trial)
         alpha = Fraction(rng.randint(0, 2), m)
-        cfg = Config.default(r, seed=trial, retry_limit=rng.choice([1, 4, 20]))
+        once = Config.default(r, seed=trial, retry_limit=1)
+        first = _cover_outcome(cover_with_paths, g, r, alpha, once)
+        assert first == _cover_outcome(reference_cover_with_paths, g, r, alpha, once), trial
+        limit = rng.choice([1, 4, 20])
+        cfg = Config.default(r, seed=trial, retry_limit=limit)
         got = _cover_outcome(cover_with_paths, g, r, alpha, cfg)
-        assert got == _cover_outcome(reference_cover_with_paths, g, r, alpha, cfg), trial
-        first = _cover_outcome(reference_cover_with_paths, g, r, alpha,
-                               Config.default(r, seed=trial, retry_limit=1))
-        seen["exhausted" if isinstance(got, str) else "first" if got == first else "retried"] += 1
+        assert got == _cover_outcome(cover_with_paths, g, r, alpha, cfg), trial
+        if isinstance(got, str):
+            assert got.startswith(f"cover shortfall after {limit} attempts"), trial
+            seen["exhausted"] += 1
+        else:
+            _cover_is_valid(got, g, alpha)
+            seen["first" if got == first else "retried"] += 1
     assert min(seen["first"], seen["retried"], seen["exhausted"]) >= 5, seen
