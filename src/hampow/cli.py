@@ -262,10 +262,11 @@ def cmd_connect(args) -> int:
         raise GraphValidationError(f"connectors need r={r} parts but the host has k={g.k}")
     terminal = set(p1.vertices) | set(p2.vertices)
     u_sets = [[v for v in g.parts[i] if v not in terminal] for i in range(r)]
-    total, table = connect.count_connecting_walks(g, u_sets, p1, p2, ell)
+    total, _ = connect.count_connecting_walks(g, u_sets, p1, p2, ell)
     doc: dict = {"count": total, "connector": None}
     try:
-        doc["connector"] = connect.search_connector(g, table, p1, p2, cfg).to_json()
+        if total:
+            doc["connector"] = connect.find_connector(g, u_sets, p1, p2, ell, cfg).to_json()
     except BudgetExhaustedError:
         raise  # inconclusive: not a proved none, so main exits 5
     except SearchExhaustedError:

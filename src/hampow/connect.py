@@ -9,17 +9,19 @@ so once an ordered layer repeats an earlier one, the layers cycle with that
 period up to the connecting length, and the table stores each repeat as the
 same dict.  The last layer keeps the states that splice before the right-hand
 walk under `paths.splice_ok`, the one seam check the package uses.  The exact
-count is propagated over the stored successor lists only when it is read.  The
-search runs on `oracle.DepthFirst`: it walks back from the final states through
-the table's layers, trying each state's predecessors in a seeded random order.
-Every state of a layer is reachable from P1, so the search backtracks only
-where a vertex would repeat, and one that ends empty proves that no connecting
-walk is a path.
+count is propagated over the stored successor lists only when it is read.
+
+The connector search builds no table.  P1 ends in the sets' order, so step t
+of a connector lies in set t mod r, and `oracle.window_paths`, the exact
+search that also lays the trim path, the bridges, the cover cliques and the
+anchor, lays one distinct vertex per step.  Each step's cell is first cut,
+back from P2, to the vertices that fit P2's seam and have a neighbour in the
+next step's cell.  The cut drops no vertex a connector can use and the search
+is exact, so one that ends empty proves that no connecting walk is a path.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -27,8 +29,11 @@ from typing import Iterable, Sequence
 
 from .errors import GraphValidationError, SearchExhaustedError, VerificationError
 from .graphs import Config, MultipartiteGraph
-from .oracle import DepthFirst, SearchBudget
-from .paths import VertexSeq, final_respects, initial_respects, is_walk, splice_ok
+from .oracle import window_paths
+from .paths import VertexSeq, is_walk, splice_ok
+
+NO_CONNECTOR = "no vertex-distinct connector exists"
+
 
 # Default connecting length from the construction: r * (2r - 2).
 def default_connector_length(r: int) -> int:
@@ -66,17 +71,11 @@ class WalkDPTable:
             counts = nxt
         return sum(counts[i] for i in self.final.values())
 
-    @cached_property
-    def first_vertices(self) -> tuple[list[int], ...]:
-        """first_vertices[t] lists, ascending, the vertices that begin a state of
-        layers[t] (t < ell): the only vertices a step back to layer t can add."""
-        return tuple(sorted({state[0] for state in layer}) for layer in self.layers[:-1])
-
 
 def _check_terminated(
     graph: MultipartiteGraph,
     seq: VertexSeq,
-    part_order: Sequence[int],
+    part_order: list[int],
     which: str,
 ) -> None:
     r = len(part_order)
@@ -87,24 +86,24 @@ def _check_terminated(
         raise GraphValidationError(f"{which} holds vertex {stray} outside 0..{graph.n - 1}")
     if not is_walk(graph, seq):
         raise GraphValidationError(f"{which} is not a power-walk")
-    parts = [graph.parts[i] for i in part_order]
-    head = initial_respects(seq.vertices, parts)
-    tail = final_respects(seq.vertices, parts)
-    if not (head and tail):
+    part_of = graph.part_index.__getitem__
+    if [*map(part_of, seq.vertices[:r])] != part_order or \
+            [*map(part_of, seq.vertices[-r:])] != part_order:
         raise GraphValidationError(
             f"{which} is ill-terminated with respect to the given set sequence"
         )
 
 
-def build_walk_table(
+def _connector_sets(
     graph: MultipartiteGraph,
     u_sets: Sequence[Iterable[int]],
     p1: VertexSeq,
     p2: VertexSeq,
     ell: int,
-) -> WalkDPTable:
-    """The layers of the length-ell walks Q inside the union of the given sets
-    such that p1 Q p2 is a power-walk.  Repeated vertices are allowed in Q."""
+) -> list[frozenset[int]]:
+    """The sets, frozen, once the length, the sets and both ends are checked:
+    r sets in r distinct parts, and P1 and P2 each beginning and ending in
+    the sets' parts, in the sets' order."""
     r = p1.r
     if ell < 1:
         raise GraphValidationError("connector length must be at least 1")
@@ -121,9 +120,22 @@ def build_walk_table(
         raise GraphValidationError("the sets must lie in r distinct parts")
     _check_terminated(graph, p1, part_order, "P1")
     _check_terminated(graph, p2, part_order, "P2")
+    return u_frozen
 
-    # The iteration order of these sets fixes each layer's order, hence the
-    # seeded search order (tests/pinned_kernels.json): build them the same way.
+
+def build_walk_table(
+    graph: MultipartiteGraph,
+    u_sets: Sequence[Iterable[int]],
+    p1: VertexSeq,
+    p2: VertexSeq,
+    ell: int,
+) -> WalkDPTable:
+    """The layers of the length-ell walks Q inside the union of the given sets
+    such that p1 Q p2 is a power-walk.  Repeated vertices are allowed in Q."""
+    r = p1.r
+    u_frozen = _connector_sets(graph, u_sets, p1, p2, ell)
+
+    # The iteration order of these sets fixes each layer's order.
     pool = sorted(frozenset().union(*u_frozen))
     pool_set = frozenset(pool)
     in_pool = {v: graph.adj[v] & pool_set for v in pool}
@@ -187,56 +199,39 @@ def find_connector(
     ell: int,
     cfg: Config,
 ) -> VertexSeq:
-    """`search_connector` on the table that `build_walk_table` builds; the
-    exact count is not computed unless the search proves that none exists."""
-    return search_connector(graph, build_walk_table(graph, u_sets, p1, p2, ell), p1, p2, cfg)
+    """A length-ell walk Q of distinct vertices inside the given sets, off P1
+    and P2, such that p1 Q p2 is a power-walk: the first that `window_paths`
+    finds through the live cells, in an order seeded by `cfg.rng("connector")`,
+    within the default search budget.
 
-
-def search_connector(
-    graph: MultipartiteGraph,
-    table: WalkDPTable,
-    p1: VertexSeq,
-    p2: VertexSeq,
-    cfg: Config,
-) -> VertexSeq:
-    """A connecting walk of `table` whose vertices are distinct: a
-    depth-first search back from the final layer, trying its choices in an
-    order seeded by `cfg.rng("connector")`, within the default `SearchBudget`.
-
-    The walk takes its vertices from the pools, which the caller keeps clear of
-    p1, p2 and whatever else the connector must avoid.  An empty search raises
-    SearchExhaustedError, quoting the exact walk count; a spent budget raises
+    P1 ends in the sets' order, so step t of Q lies in set t mod r.  The live
+    cell of step t keeps the vertices of that set that are adjacent to every
+    vertex of P2 within distance r-1 of the step and that have a neighbour in
+    the next live cell: a sound prune, and exact co-reachability at r = 2.  A
+    set with fewer vertices than the steps that land in it, or an empty search,
+    raises SearchExhaustedError: no connector exists.  A spent budget raises
     BudgetExhaustedError.
     """
-    ell, r, rng = table.ell, p1.r, cfg.rng("connector")
-    # seq[i] is a state of layers[ell - i].  A state of layer t holds walk
-    # vertices t-r+2..t (those below 1 are P1's); its predecessor adds vertex
-    # t-r+1, adjacent to the state's vertices: only later ones can repeat it.
-    later_at = [0] * (ell + 1)  # later_at[d]: the last vertices of seq[:d]
-
-    def children(seq: list[State]) -> list[State] | None:
-        d = len(seq)
-        if d == 0:
-            options = list(table.final)
-        else:
-            later_at[d] = later_at[d - 1] | 1 << seq[-1][-1]
-            if d == ell:
-                return None
-            t, cur = ell - d + 1, seq[-1]
-            nb, tail, layer = graph.adj[cur[-1]], cur[:-1], table.layers[t - 1]
-            later = later_at[d - 1] if t >= r else 0
-            options = [prev for u in table.first_vertices[t - 1]
-                       if u in nb and not later >> u & 1 and (prev := (u,) + tail) in layer]
-        rng.shuffle(options)
-        return options
-
-    for found in DepthFirst(children, SearchBudget().node_limit):
-        q = VertexSeq(tuple(state[-1] for state in reversed(found)), r)
-        if not is_walk(graph, p1.concat(q).concat(p2)):
-            raise VerificationError("connector does not splice between its ends")
-        return q
-    try:
-        counted = f"exact count {table.total} connecting walks"
-    except ValueError:  # more digits than int-to-str conversion allows
-        counted = f"an exact count of more than {sys.get_int_max_str_digits()} digits"
-    raise SearchExhaustedError(f"no vertex-distinct connector exists ({counted})")
+    u_frozen = _connector_sets(graph, u_sets, p1, p2, ell)
+    r = p1.r
+    adj, head = graph.adj, p2.vertices[:r - 1]
+    used = {*p1.vertices, *p2.vertices}
+    pools = [u - used for u in u_frozen]
+    if any(len(pool) < len(range(i, ell, r)) for i, pool in enumerate(pools)):
+        raise SearchExhaustedError(NO_CONNECTOR)
+    alive: list[frozenset[int]] = []  # the live cells, last step first
+    for t in reversed(range(ell)):
+        cell = pools[t % r]
+        for u in head[:max(0, r - ell + t)]:  # P2's vertices within distance r-1
+            cell &= adj[u]
+        if alive:
+            cell = frozenset(v for v in cell if not adj[v].isdisjoint(alive[-1]))
+        alive.append(cell)
+    found = next(window_paths(graph, alive[::-1], used, r, before=p1.vertices,
+                              after=p2.vertices, rng=cfg.rng("connector")), None)
+    if found is None:
+        raise SearchExhaustedError(NO_CONNECTOR)
+    # the search checked each pick against both ends: check the seams again
+    if not is_walk(graph, VertexSeq(p1.vertices[-(r - 1):] + found + head, r)):
+        raise VerificationError("connector does not splice between its ends")
+    return VertexSeq(found, r)

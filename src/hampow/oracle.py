@@ -1,7 +1,10 @@
 """Exhaustive decision procedures used as ground truth: existence of spanning
 power-cycles, spanning power-paths between anchor cliques, and the
-independence-number necessity pre-filter; and `DepthFirst`, the budgeted
-depth-first engine every exact search in the package runs on.
+independence-number necessity pre-filter; `DepthFirst`, the budgeted
+depth-first engine every exact search in the package runs on; and
+`window_paths`, the search on it that lays one vertex per cell as a
+power-path: the trim path, the bridges between groups, each clique of the
+path cover, the anchor clique and every connector.
 
 Both oracles extend a witness over vertex orderings, with bitmask adjacency,
 between a lead anchor and a closing clique; a cycle is the path anchored on
@@ -13,7 +16,9 @@ distinct inconclusive value, never conflated with `no`.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExhaustedError, GraphValidationError, VerificationError
@@ -65,6 +70,61 @@ class DepthFirst:
                     return
                 prefix.pop()
             prefix.append(choice)
+
+
+def _window_fit(
+    adj: Sequence[frozenset[int]],
+    cell_sequence: Sequence[frozenset[int]],
+    p: int,
+    out: Sequence[int],
+    used: set[int],
+    r: int,
+    after: Sequence[int] = (),
+) -> frozenset[int]:
+    """The candidates for pick p of a window path, where `out` is the last r-1
+    vertices of `before` followed by the picks so far: cell p off `used` and
+    `out`, adjacent to the last r-1 vertices of `out` and to the vertices of
+    `after` that lie within distance r-1 of the pick."""
+    fit = cell_sequence[p] - used
+    # pick p sits len(cell_sequence) - p positions before after[0]; the end is
+    # clamped because a negative slice end would select vertices
+    for u in chain(out[-(r - 1):], after[:max(0, r - len(cell_sequence) + p)]):
+        fit &= adj[u]
+    return fit.difference(out)
+
+
+def window_paths(
+    graph: MultipartiteGraph,
+    cell_sequence: Sequence[frozenset[int]],
+    used: set[int],
+    r: int,
+    before: Sequence[int] = (),
+    after: Sequence[int] = (),
+    rng: random.Random | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Every pick list of one distinct vertex per cell, in order, off `used`,
+    such that `before`, the picks and `after` read as one power-path: lazily,
+    in search order, within the default search budget.
+
+    The caller keeps `before` and `after` in `used`.  Each pick's candidates
+    are found by set intersection (`_window_fit`) and tried in ascending
+    order, shuffled by `rng` when one is given, so a seeded rng gives the same
+    paths in the same order; without it the paths come in lexicographic
+    order.  The search is exact: when it ends, no other pick list exists.
+    """
+    adj = graph.adj
+    lead = before[-(r - 1):]
+
+    def children(out: list[int]) -> Iterable[int] | None:
+        p = len(out) - len(lead)
+        if p == len(cell_sequence):
+            return None
+        options = sorted(_window_fit(adj, cell_sequence, p, out, used, r, after))
+        if rng is not None:
+            rng.shuffle(options)
+        return options
+
+    return (out[len(lead):] for out in DepthFirst(children, SearchBudget().node_limit, lead))
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,10 @@ from .oracle import (
     ham_power_cycle_exists,
     ham_power_path_between,
     independence_necessity,
+    window_paths,
 )
 from .paths import VertexSeq, is_path, is_walk, verify_ham_power_cycle_report
-from .sequencing import Stage, run_sequencing, window_paths
+from .sequencing import Stage, run_sequencing
 from .tiling import cover_with_paths
 
 
@@ -154,7 +155,7 @@ def constructive_ham_path_between(
     segments: list[VertexSeq] = [p_abs.path] + paths
     used: set[int] = set()
     connectors: list[VertexSeq] = []
-    left = VertexSeq(ka, r)
+    left = VertexSeq(ka, r)  # the segment before the next connector
     for seg in segments + [VertexSeq(kb, r)]:
         pools = [
             [v for v in u if v not in used] for u in u_sets
@@ -162,7 +163,7 @@ def constructive_ham_path_between(
         conn = find_connector(graph, pools, left, seg, conn_len, cfg)
         used.update(conn.vertices)
         connectors.append(conn)
-        left = left.concat(conn).concat(seg)
+        left = seg
 
     spare = {v for u in u_sets for v in u if v not in used}
     absorbed = absorb(graph, p_abs, sorted(spare))

@@ -6,25 +6,22 @@ cuts it into balanced r-partite groups joined by short connector paths, with an
 initial trim path absorbing the divisibility slack.
 
 The trim path is the first path through its run cells that an exact
-depth-first search (`window_paths` on `oracle.DepthFirst`) finds in a seeded
-order; that search covers the whole graph, so when it ends empty no seed can
-help.  The bridges between groups (each connector, and the two affixes that
-turn the trim path into p0) are laid as one chain by one more exact search,
-whose children are window paths.  What stays random is the refinement into
-cells, which is re-drawn when the bridge search proves that none exist.
-The same window search picks each clique of the path cover in `tiling` and
-the anchor clique of the pipeline's balanced case.
+depth-first search (`oracle.window_paths`) finds in a seeded order; that
+search covers the whole graph, so when it ends empty no seed can help.  The
+bridges between groups (each connector, and the two affixes that turn the
+trim path into p0) are laid as one chain by one more exact search, whose
+children are window paths.  What stays random is the refinement into cells,
+which is re-drawn when the bridge search proves that none exist.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, combinations, zip_longest
+from itertools import combinations, zip_longest
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     BudgetExhaustedError,
@@ -35,7 +32,7 @@ from .errors import (
     VerificationError,
 )
 from .graphs import Config, MultipartiteGraph, degree_profile
-from .oracle import DepthFirst, SearchBudget
+from .oracle import DepthFirst, SearchBudget, window_paths
 from .paths import (
     TypeVector,
     VertexSeq,
@@ -518,61 +515,6 @@ def build_connectors_and_p0(
         patterns=patterns,
         connectors=tuple(VertexSeq(c, r) for c in connectors),
     )
-
-
-def _window_fit(
-    adj: Sequence[frozenset[int]],
-    cell_sequence: Sequence[frozenset[int]],
-    p: int,
-    out: Sequence[int],
-    used: set[int],
-    r: int,
-    after: Sequence[int] = (),
-) -> frozenset[int]:
-    """The candidates for pick p of a window path, where `out` is the last r-1
-    vertices of `before` followed by the picks so far: cell p off `used` and
-    `out`, adjacent to the last r-1 vertices of `out` and to the vertices of
-    `after` that lie within distance r-1 of the pick."""
-    fit = cell_sequence[p] - used
-    # pick p sits len(cell_sequence) - p positions before after[0]; the end is
-    # clamped because a negative slice end would select vertices
-    for u in chain(out[-(r - 1):], after[:max(0, r - len(cell_sequence) + p)]):
-        fit &= adj[u]
-    return fit.difference(out)
-
-
-def window_paths(
-    graph: MultipartiteGraph,
-    cell_sequence: Sequence[frozenset[int]],
-    used: set[int],
-    r: int,
-    before: Sequence[int] = (),
-    after: Sequence[int] = (),
-    rng: random.Random | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Every pick list of one distinct vertex per cell, in order, off `used`,
-    such that `before`, the picks and `after` read as one power-path: lazily,
-    in search order, within the default search budget.
-
-    The caller keeps `before` and `after` in `used`.  Each pick's candidates
-    are found by set intersection (`_window_fit`) and tried in ascending
-    order, shuffled by `rng` when one is given, so a seeded rng gives the same
-    paths in the same order; without it the paths come in lexicographic
-    order.  The search is exact: when it ends, no other pick list exists.
-    """
-    adj = graph.adj
-    lead = before[-(r - 1):]
-
-    def children(out: list[int]) -> Iterable[int] | None:
-        p = len(out) - len(lead)
-        if p == len(cell_sequence):
-            return None
-        options = sorted(_window_fit(adj, cell_sequence, p, out, used, r, after))
-        if rng is not None:
-            rng.shuffle(options)
-        return options
-
-    return (out[len(lead):] for out in DepthFirst(children, SearchBudget().node_limit, lead))
 
 
 @dataclass(frozen=True)

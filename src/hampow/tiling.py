@@ -14,9 +14,8 @@ from typing import Iterable, Sequence
 
 from .errors import GraphValidationError, SearchExhaustedError, VerificationError
 from .graphs import Config, MultipartiteGraph, require_power
-from .oracle import DepthFirst, SearchBudget
+from .oracle import DepthFirst, SearchBudget, window_paths
 from .paths import VertexSeq, is_path, is_properly_terminated
-from .sequencing import window_paths
 
 
 def enumerate_cliques(graph: MultipartiteGraph, r: int) -> list[tuple[int, ...]]:
@@ -204,7 +203,7 @@ def cover_with_paths(
 
     Greedy clique chaining: each path grows by the first transversal clique
     off the used vertices that splices after its tail, picked by the window
-    search `sequencing.window_paths` through the parts in order, until none
+    search `oracle.window_paths` through the parts in order, until none
     does.  The first attempt tries candidates in ascending order, so it
     picks the lexicographically first such clique; retries on shortfall
     shuffle them with the cover's rng.  The leftover of a balanced host is

@@ -242,6 +242,25 @@ def reference_count_connecting_walks(graph, u_sets, p1, p2, ell):
     return sum(final.values()), layers, final
 
 
+def connectors_by_brute_force(graph, u_sets, p1, p2, ell):
+    """Every length-ell sequence Q of distinct vertices of the sets, off P1 and
+    P2, such that p1 Q p2 passes the naive window check: grown one vertex at a
+    time from the whole pool, each prefix checked after P1."""
+    r = p1.r
+    taken = set(p1.vertices) | set(p2.vertices)
+    pool = sorted({v for u in u_sets for v in u} - taken)
+    found, stack = [], [()]
+    while stack:
+        q = stack.pop()
+        if len(q) == ell:
+            if naive_is_walk(graph, p1.vertices + q + p2.vertices, r):
+                found.append(q)
+            continue
+        stack.extend(q + (v,) for v in pool
+                     if v not in q and naive_is_walk(graph, p1.vertices[-(r - 1):] + q + (v,), r))
+    return sorted(found)
+
+
 def reference_gen_random(k, sizes, target_delta, seed) -> MultipartiteGraph:
     """Each draw compared with the density itself, a Fraction where one is given."""
     parts, next_id = [], 0

@@ -1,12 +1,17 @@
 import itertools
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import complete, naive_is_walk, reference_count_connecting_walks
+from conftest import (
+    complete,
+    connectors_by_brute_force,
+    naive_is_walk,
+    reference_count_connecting_walks,
+)
 import hampow.connect
+import hampow.oracle
 from hampow.connect import (
     build_walk_table,
     count_connecting_walks,
@@ -24,13 +29,15 @@ from hampow.oracle import SearchBudget
 from hampow.paths import VertexSeq, is_path, is_walk
 
 
-def _terminated_pair(graph, r, seed):
-    """Two properly terminated walks picked at random, or None."""
+def _terminated_pair(graph, r, seed, order=None):
+    """Two walks through the parts of `order` (the first r parts by default),
+    in that order, picked at random, or None."""
     rng = random.Random(seed)
+    order = range(r) if order is None else order
     out = []
     for _ in range(2):
         for _ in range(300):
-            seq = tuple(rng.choice(graph.parts[i]) for i in range(r))
+            seq = tuple(rng.choice(graph.parts[i]) for i in order)
             vs = VertexSeq(seq, r)
             if is_walk(graph, vs):
                 out.append(vs)
@@ -170,67 +177,132 @@ class TestFindConnector:
         assert is_walk(g, p1.concat(q).concat(p2))
         assert all(any(v in u for u in map(set, u_sets)) for v in q.vertices)
 
-    def test_only_repeating_walks_is_a_proved_none(self):
-        # the one connecting walk in these pools is 2, 5, 2, 5
-        g = complete(2, [3, 3])
-        cfg = Config.default(2, seed=0)
-        p1, p2 = VertexSeq((0, 3), 2), VertexSeq((1, 4), 2)
+    def test_only_repeating_walks_is_a_proved_none(self, monkeypatch):
+        # the one connecting walk in these pools is 2, 6, 2, 6: vertex 3 has
+        # no neighbour in the second pool and 7 none after P1 or before P2
+        g = MultipartiteGraph.from_edges(
+            [[0, 1, 2, 3], [4, 5, 6, 7]], [[0, 4], [1, 5], [4, 2], [2, 6], [6, 1], [3, 7]]
+        )
+        p1, p2 = VertexSeq((0, 4), 2), VertexSeq((1, 5), 2)
+        u_sets = [[2, 3], [6, 7]]
+        assert count_connecting_walks(g, u_sets, p1, p2, 4)[0] == 1
+        searches = _record_searches(monkeypatch)
         with pytest.raises(SearchExhaustedError) as info:
-            find_connector(g, [[2], [5]], p1, p2, 4, cfg)
+            find_connector(g, u_sets, p1, p2, 4, Config.default(2, seed=0))
         assert type(info.value) is SearchExhaustedError
-        assert str(info.value) == \
-            "no vertex-distinct connector exists (exact count 1 connecting walks)"
+        assert str(info.value) == "no vertex-distinct connector exists"
+        assert [s.nodes for s in searches] == [3]  # the root, 2 and 6
 
-    def test_count_too_long_to_write_is_named_not_written(self):
+    def test_count_too_long_to_write_is_named_not_written(self, monkeypatch):
+        """A connector of 7500 steps through 8 free vertices: the message
+        names no walk count, and none is computed."""
+        monkeypatch.setattr(hampow.connect, "build_walk_table", _refuse)
         g = complete(2, [6, 6])
         p1, p2 = VertexSeq((0, 6), 2), VertexSeq((1, 7), 2)
         u_sets = [[2, 3, 4, 5], [8, 9, 10, 11]]
         with pytest.raises(SearchExhaustedError) as info:
             find_connector(g, u_sets, p1, p2, 7500, Config.default(2, seed=0))
-        assert str(info.value) == ("no vertex-distinct connector exists (an exact count of "
-                                   f"more than {sys.get_int_max_str_digits()} digits)")
+        assert type(info.value) is SearchExhaustedError
+        assert str(info.value) == "no vertex-distinct connector exists"
 
     def test_no_walks_at_all(self):
-        g = MultipartiteGraph.from_edges([[0, 1], [2, 3]], [[0, 2], [1, 3]])
-        cfg = Config.default(2, seed=0)
-        p1, p2 = VertexSeq((0, 2), 2), VertexSeq((1, 3), 2)
-        with pytest.raises(SearchExhaustedError, match="count 0"):
-            find_connector(g, [[1], [2]], p1, p2, 2, cfg)
+        # the pools' only vertices, 2 and 5, are not adjacent
+        g = MultipartiteGraph.from_edges([[0, 1, 2], [3, 4, 5]], [[0, 3], [1, 4], [3, 2], [5, 1]])
+        p1, p2 = VertexSeq((0, 3), 2), VertexSeq((1, 4), 2)
+        assert count_connecting_walks(g, [[2], [5]], p1, p2, 2)[0] == 0
+        with pytest.raises(SearchExhaustedError) as info:
+            find_connector(g, [[2], [5]], p1, p2, 2, Config.default(2, seed=0))
+        assert type(info.value) is SearchExhaustedError
+        assert str(info.value) == "no vertex-distinct connector exists"
 
     def test_search_agrees_with_brute_force(self):
-        found = none = 0
-        trial = 0
-        while found < 40 or none < 40:
-            trial += 1
+        """At r = 2, 3 and 4, on r-partite hosts and on hosts with two more
+        parts than r, whose sets lie in r parts taken in a random order."""
+        for r, extra in itertools.product((2, 3, 4), (0, 2)):
+            k = r + extra
+            found = none = 0
+            trial = 0
+            while found < 12 or none < 12:
+                trial += 1
+                rng = random.Random(trial)
+                g = gen_random(k, [rng.randint(3, 5)] * k, Fraction(rng.choice([6, 8, 10]), 10),
+                               trial)
+                order = rng.sample(range(k), r)
+                pair = _terminated_pair(g, r, trial, order)
+                if pair is None:
+                    continue
+                p1, p2 = pair
+                terminal = set(p1.vertices) | set(p2.vertices)
+                u_sets = [[v for v in g.parts[i] if v not in terminal and rng.random() < 0.8]
+                          for i in order]
+                if not all(u_sets):
+                    continue
+                ell = rng.choice([rng.randint(1, 2 * r), r * rng.randint(1, 2)])
+                want = connectors_by_brute_force(g, u_sets, p1, p2, ell)
+                try:
+                    q = find_connector(g, u_sets, p1, p2, ell, Config.default(r, seed=trial))
+                except SearchExhaustedError as exc:
+                    assert type(exc) is SearchExhaustedError
+                    assert not want, (r, k, trial)
+                    none += 1
+                    continue
+                assert q.vertices in want, (r, k, trial)
+                found += 1
+
+    def test_no_walk_at_r2_is_proved_none_at_the_root(self, monkeypatch):
+        """At r = 2 the live cells are exactly the vertices a walk can reach
+        P2 from, so with no connecting walk the root has no child."""
+        searches = _record_searches(monkeypatch)
+        proved = 0
+        for trial in range(200):
             rng = random.Random(trial)
-            r = rng.choice([2, 3])
-            g = gen_random(r, [rng.randint(3, 5)] * r, Fraction(rng.choice([6, 8, 10]), 10), trial)
-            pair = _terminated_pair(g, r, trial)
+            g = gen_random(2, [rng.randint(4, 7)] * 2, Fraction(3, 10), trial)
+            pair = _terminated_pair(g, 2, trial)
             if pair is None:
                 continue
             p1, p2 = pair
             terminal = set(p1.vertices) | set(p2.vertices)
-            u_sets = [[v for v in g.parts[i] if v not in terminal and rng.random() < 0.8]
-                      for i in range(r)]
-            if not all(u_sets):
+            u_sets = [[v for v in part if v not in terminal] for part in g.parts]
+            ell = 2 * rng.randint(1, 2)
+            if count_connecting_walks(g, u_sets, p1, p2, ell)[0] or \
+                    min(map(len, u_sets)) < ell // 2:
                 continue
-            ell = rng.randint(1, 2 * r)
-            pool = sorted(v for u in u_sets for v in u)
-            exists = any(
-                len(set(q)) == ell and naive_is_walk(g, p1.vertices + q + p2.vertices, r)
-                for q in itertools.product(pool, repeat=ell)
-            )
-            try:
-                q = find_connector(g, u_sets, p1, p2, ell, Config.default(r, seed=trial))
-            except SearchExhaustedError as exc:
-                assert type(exc) is SearchExhaustedError
-                assert not exists, trial
-                none += 1
-                continue
-            assert exists, trial
-            assert len(set(q.vertices)) == ell and set(q.vertices) <= set(pool)
-            assert naive_is_walk(g, p1.vertices + q.vertices + p2.vertices, r), trial
-            found += 1
+            del searches[:]
+            with pytest.raises(SearchExhaustedError):
+                find_connector(g, u_sets, p1, p2, ell, Config.default(2, seed=trial))
+            assert [s.nodes for s in searches] == [1], trial
+            proved += 1
+        assert proved >= 20
+
+    @pytest.mark.parametrize("ell", [9, 12])
+    def test_seam_cut_off_from_its_pool_is_proved_none_in_a_few_nodes(self, monkeypatch, ell):
+        """P2's first vertex has no neighbour in the third pool of a complete
+        12 + 12 + 12 host, so no connector ends there."""
+        g = complete(3, [12, 12, 12])
+        p1, p2 = VertexSeq((0, 12, 24), 3), VertexSeq((1, 13, 25), 3)
+        terminal = (0, 1, 12, 13, 24, 25)
+        u_sets = [[v for v in g.parts[i] if v not in terminal] for i in range(3)]
+        cut = MultipartiteGraph.from_edges(
+            [list(p) for p in g.parts],
+            [(u, v) for u, v in g.edges() if not (u == 1 and v in u_sets[2])],
+        )
+        searches = _record_searches(monkeypatch)
+        with pytest.raises(SearchExhaustedError) as info:
+            find_connector(cut, u_sets, p1, p2, ell, Config.default(3, seed=1))
+        assert type(info.value) is SearchExhaustedError
+        assert [s.nodes for s in searches] == [1]
+
+    def test_pigeonhole_proves_none_without_a_search(self, monkeypatch):
+        """Six steps take three vertices from each pool of two."""
+        monkeypatch.setattr(hampow.connect, "window_paths", _refuse)
+        g = complete(2, [4, 4])
+        p1, p2 = VertexSeq((0, 4), 2), VertexSeq((1, 5), 2)
+        with pytest.raises(SearchExhaustedError) as info:
+            find_connector(g, [[2, 3], [6, 7]], p1, p2, 6, Config.default(2, seed=0))
+        assert str(info.value) == "no vertex-distinct connector exists"
+        # four steps take two vertices from each pool
+        monkeypatch.undo()
+        assert len(find_connector(g, [[2, 3], [6, 7]], p1, p2, 4, Config.default(2, seed=0))) == 4
 
     def test_search_is_seed_deterministic(self):
         g = complete(3, [5, 5, 5])
@@ -247,7 +319,8 @@ class TestFindConnector:
         p1, p2 = VertexSeq((0, 5, 10), 3), VertexSeq((1, 6, 11), 3)
         terminal = (0, 1, 5, 6, 10, 11)
         u_sets = [[v for v in g.parts[i] if v not in terminal] for i in range(3)]
-        monkeypatch.setattr(hampow.connect, "SearchBudget", lambda: SearchBudget(5))
+        # the search needs the root and six picks
+        monkeypatch.setattr(hampow.oracle, "SearchBudget", lambda: SearchBudget(5))
         with pytest.raises(BudgetExhaustedError, match="budget of 5 nodes"):
             find_connector(g, u_sets, p1, p2, 6, Config.default(3, seed=9))
 
@@ -257,8 +330,29 @@ class TestFindConnector:
         p2 = VertexSeq((1, 6, 11), 3)
         terminal = (0, 1, 5, 6, 10, 11)
         u_sets = [[v for v in g.parts[i] if v not in terminal] for i in range(3)]
-        # with the seam filter off, the final layer keeps walks of length 5,
-        # whose last vertex shares a part with P2's first
-        monkeypatch.setattr(hampow.connect, "splice_ok", lambda *a: True)
+        # a search that forgets P2 lays 5 steps, the last two before P2's
+        # first vertex, and the fourth in its part
+        cells = [frozenset(u_sets[t % 3]) for t in range(5)]
+        real = hampow.connect.window_paths
+        monkeypatch.setattr(hampow.connect, "window_paths",
+                            lambda graph, _, used, r, before, after, rng:
+                                real(graph, cells, used, r, before=before, rng=rng))
         with pytest.raises(VerificationError, match="does not splice"):
             find_connector(g, u_sets, p1, p2, 5, Config.default(3, seed=9))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def _record_searches(monkeypatch):
+    """The depth-first searches started from now on, to read their node counts."""
+    searches = []
+
+    class Recorded(hampow.oracle.DepthFirst):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(hampow.oracle, "DepthFirst", Recorded)
+    return searches

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import hampow.connect
+import hampow.oracle
 import hampow.pipeline
 import hampow.sequencing
 from conftest import complete, reference_sample_reservoir
@@ -18,8 +19,7 @@ from hampow.errors import BudgetExhaustedError, ScaleInfeasibleError, SearchExha
 from hampow.graphs import Config, balanced_sizes, gen_extremal, gen_random, save_graph
 from hampow.paths import VertexSeq, verify_ham_power_cycle
 from hampow.pipeline import _sample_reservoir, constructive_ham_path_between, run_pipeline
-from hampow.oracle import SearchBudget
-from hampow.sequencing import window_paths
+from hampow.oracle import SearchBudget, window_paths
 
 
 class TestPipeline:
@@ -460,9 +460,15 @@ class TestCli:
 
     def test_connect_splice_failure_is_not_hidden(self, tmp_path, capsys, monkeypatch):
         gpath = self._gen(tmp_path, ["--k", "2", "--sizes", "6,6", "--delta", "1"])
-        # with the seam filter off, a one-vertex connector from part 0 is kept,
-        # though it sits next to P2's first vertex, also in part 0
+        # with the seam filter off the count keeps a one-vertex connector from
+        # part 0, and a search that forgets P2 lays one, though it sits next to
+        # P2's first vertex, also in part 0
         monkeypatch.setattr(hampow.connect, "splice_ok", lambda *a: True)
+        real = hampow.connect.window_paths
+        monkeypatch.setattr(hampow.connect, "window_paths",
+                            lambda graph, _, used, r, before, after, rng:
+                                real(graph, [graph.part_sets[0] - used], used, r,
+                                     before=before, rng=rng))
         rc = main(
             ["connect", "--graph", str(gpath), "--r", "2",
              "--p1", "[0,6]", "--p2", "[1,7]", "--ell", "1"]
@@ -481,6 +487,16 @@ class TestCli:
         )
         assert rc == EXIT_OK
         assert json.loads(capsys.readouterr().out) == {"count": 1, "connector": None}
+
+    def test_connect_no_walk_is_null_without_a_search(self, tmp_path, capsys, monkeypatch):
+        # K_{3,3} without the edge 2-5 between the free vertices
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"k": 2, "parts": [[0, 1, 2], [3, 4, 5]],
+                                     "edges": [[0, 3], [1, 4], [2, 3], [1, 5]]}))
+        monkeypatch.setattr(hampow.connect, "find_connector", lambda *a: pytest.fail("searched"))
+        rc = main(["connect", "--graph", str(gpath), "--r", "2", "--p1", "[0,3]", "--p2", "[1,4]"])
+        assert rc == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {"count": 0, "connector": None}
 
     def test_connect_count_too_long_to_write_exits_3(self, tmp_path, capsys):
         gpath = self._gen(tmp_path, ["--k", "2", "--sizes", "6,6", "--delta", "1"])
@@ -510,7 +526,7 @@ class TestCli:
 
     def test_connect_spent_budget_exits_5(self, tmp_path, capsys, monkeypatch):
         gpath = self._gen(tmp_path, ["--k", "2", "--sizes", "6,6", "--delta", "1"])
-        monkeypatch.setattr(hampow.connect, "SearchBudget", lambda: SearchBudget(1))
+        monkeypatch.setattr(hampow.oracle, "SearchBudget", lambda: SearchBudget(1))
         rc = main(
             ["connect", "--graph", str(gpath), "--r", "2",
              "--p1", "[0,6]", "--p2", "[1,7]", "--ell", "2"]

@@ -17,7 +17,7 @@ from conftest import (
     reference_worst_cell_violation,
     window_paths_by_brute_force,
 )
-from hampow import sequencing
+from hampow import oracle, sequencing
 from hampow.cli import main
 from hampow.errors import (
     BudgetExhaustedError,
@@ -26,7 +26,7 @@ from hampow.errors import (
     SearchExhaustedError,
 )
 from hampow.graphs import Config, MultipartiteGraph, gen_random, induced_subgraph, save_graph
-from hampow.oracle import SearchBudget
+from hampow.oracle import SearchBudget, window_paths
 from hampow.paths import VertexSeq, decompose, is_path, is_properly_terminated, is_valid_pair
 from hampow.sequencing import (
     _group_degree_slack,
@@ -40,7 +40,6 @@ from hampow.sequencing import (
     run_sequencing,
     solve_part_sizes,
     verify_plan,
-    window_paths,
     z_vector,
 )
 
@@ -239,7 +238,7 @@ class TestTrimPath:
         g = complete(4, [9, 9, 9, 8])
         cfg = Config.default(3, seed=2)
         tmpl = compute_trim_template([9, 9, 9, 8], 3, cfg.sigma)
-        monkeypatch.setattr(sequencing, "SearchBudget", lambda: SearchBudget(1))
+        monkeypatch.setattr(oracle, "SearchBudget", lambda: SearchBudget(1))
         with pytest.raises(BudgetExhaustedError, match="budget of 1 nodes exhausted"):
             build_trim_path(g, tmpl, cfg, relaxed=True)
         gpath = tmp_path / "g.json"

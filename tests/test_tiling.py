@@ -22,9 +22,8 @@ from hampow.graphs import (
     gen_random,
     induced_subgraph,
 )
-from hampow.oracle import SearchBudget
+from hampow.oracle import SearchBudget, window_paths
 from hampow.paths import is_path, is_properly_terminated
-from hampow.sequencing import window_paths
 from hampow.tiling import (
     cover_with_paths,
     enumerate_cliques,
