@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import CoverageError, GraphValidationError, InfeasibleError, VerificationError
-from .graphs import Config, MultipartiteGraph, degree_profile, require_power
+from .graphs import Config, MultipartiteGraph, degree_profile, require_power, shuffle
 from .oracle import DepthFirst, SearchBudget
 from .paths import VertexSeq, is_path, is_properly_terminated
 
@@ -269,7 +269,7 @@ def find_absorbers(
             return None
         fit = base[idx].intersection(*(adj[chosen[p]] for p in earlier[idx]))
         pool = sorted(fit.difference(chosen))
-        rng.shuffle(pool)
+        shuffle(rng, pool)
         return pool
 
     for slots in DepthFirst(candidates, SearchBudget().node_limit):

@@ -242,7 +242,9 @@ def cmd_sequence(args) -> int:
     res = sequencing.run_sequencing(g.with_parts(order), cfg, relaxed=args.relaxed)
     doc = {"plan": res.plan.to_json_dict(), "report": res.report.to_json_dict()}
     _emit(args, json.dumps(doc))
-    return EXIT_OK if res.report.ok else EXIT_STAGE
+    # relaxed, the plan is judged as the pipeline judges it: A2 is reported, not enforced
+    ok = res.report.structural_failure() is None if args.relaxed else res.report.ok
+    return EXIT_OK if ok else EXIT_STAGE
 
 
 def cmd_absorber(args) -> int:

@@ -81,9 +81,10 @@ def _check_terminated(
     r = len(part_order)
     if len(seq) < r:
         raise GraphValidationError(f"{which} has fewer than r={r} vertices")
-    stray = next((v for v in seq.vertices if not 0 <= v < graph.n), None)
+    n = graph.n
+    stray = next((v for v in seq.vertices if not 0 <= v < n), None)
     if stray is not None:
-        raise GraphValidationError(f"{which} holds vertex {stray} outside 0..{graph.n - 1}")
+        raise GraphValidationError(f"{which} holds vertex {stray} outside 0..{n - 1}")
     if not is_walk(graph, seq):
         raise GraphValidationError(f"{which} is not a power-walk")
     part_of = graph.part_index.__getitem__
@@ -111,8 +112,9 @@ def _connector_sets(
     if len(u_frozen) != r:
         raise GraphValidationError(f"expected r={r} sets")
     part_order = []
+    part_index = graph.part_index
     for i, u in enumerate(u_frozen):
-        owners = {graph.part_of(v) for v in u}
+        owners = {part_index[v] for v in u}
         if len(owners) != 1:
             raise GraphValidationError(f"set {i} must lie inside a single part")
         part_order.append(owners.pop())

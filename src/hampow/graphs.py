@@ -399,6 +399,20 @@ class Config:
         return random.Random(f"{self.seed}:{label}")
 
 
+def shuffle(rng: random.Random, x: list) -> None:
+    """Shuffle `x` in place exactly as `rng.shuffle(x)` does: Fisher-Yates
+    from the end, each index drawn by rejection from `getrandbits` of the
+    bound's bit length, so the list and the state of `rng` come out the same.
+    The draws are inlined, with no Python-level `_randbelow` call per element."""
+    getrandbits = rng.getrandbits
+    for i in reversed(range(1, len(x))):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
 def gen_random(
     k: int, sizes: Sequence[int], target_delta: Fraction | float, seed: int
 ) -> MultipartiteGraph:

@@ -22,7 +22,7 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExhaustedError, GraphValidationError, VerificationError
-from .graphs import MultipartiteGraph, require_power
+from .graphs import MultipartiteGraph, require_power, shuffle
 from .paths import VertexSeq, is_path, is_walk, splice_ok, verify_ham_power_cycle
 
 YES = "yes"
@@ -121,7 +121,7 @@ def window_paths(
             return None
         options = sorted(_window_fit(adj, cell_sequence, p, out, used, r, after))
         if rng is not None:
-            rng.shuffle(options)
+            shuffle(rng, options)
         return options
 
     return (out[len(lead):] for out in DepthFirst(children, SearchBudget().node_limit, lead))
@@ -174,6 +174,7 @@ def _anchored_search(
     taken = set(lead) | set(closing or ())
     free_in_part = [sum(1 << v for v in part if v not in taken) for part in graph.parts]
     free_mask = sum(free_in_part)
+    full = (1 << graph.n) - 1
     m = free_mask.bit_count()
     start = len(head)
     used_at = [0] * (m + 1)  # used_at[d]: the witness's first d vertices
@@ -187,15 +188,16 @@ def _anchored_search(
         close = seq if closing is None else closing
         if depth == m:
             return None if splice_ok(graph, seq, close, r) else []
+        unused = full & ~used  # every mask below lies inside `full`
         # same-part vertices sit >= r apart, so the `slots` positions left
         # take at most ceil(slots/r) more from any one part; below the root,
         # where the parent passed, that can newly fail only where r | slots
         slots = m - depth
         if depth == start or slots % r == 0:
             cap = -(-slots // r)
-            if any((free & ~used).bit_count() > cap for free in free_in_part):
+            if any((free & unused).bit_count() > cap for free in free_in_part):
                 return []
-        mask = free_mask & ~used
+        mask = free_mask & unused
         for u in seq[-(r - 1):]:
             mask &= adj[u]
         # the last r-1 positions also precede the closing clique
@@ -206,7 +208,7 @@ def _anchored_search(
             low = mask & -mask
             out.append(low.bit_length() - 1)
             mask ^= low
-        out.sort(key=lambda v: (adj[v] & ~used).bit_count())
+        out.sort(key=lambda v: (adj[v] & unused).bit_count())
         return out
 
     search = DepthFirst(children, budget.node_limit, (*lead, *head))

@@ -4,11 +4,18 @@ A sequence is a power-walk when every r consecutive vertices induce a clique;
 equivalently, every two entries at distance at most r-1 are adjacent.  Sequences
 shorter than r are vacuously walks and the empty sequence is a path, which keeps
 the concatenation algebra total.
+
+The window checks run as one C-level pass per distance d: the neighbourhoods
+of the vertices, shifted by d, are matched against the vertices with
+`frozenset.__contains__`.  Only when a pass fails, or raises on an id that is
+not a vertex, does the check scan position by position, and the scan alone
+names the first violation; so a kernel never changes what a check reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphValidationError, ImproperOrderError
@@ -45,6 +52,17 @@ class VertexSeq:
 def _pairs_ok(graph: MultipartiteGraph, vertices: Sequence[int], r: int) -> int | None:
     """Index of the first window violation, or None.  Checks pairs at distance <= r-1."""
     n = len(vertices)
+    if n < 2:  # no pair; and `itemgetter` of one id gives its set, not a tuple
+        return None
+    try:
+        nbs = itemgetter(*vertices)(graph.adj)
+        for d in range(1, r):
+            if not all(map(frozenset.__contains__, nbs[d:], vertices)):
+                break
+        else:
+            return None
+    except (IndexError, TypeError):
+        pass  # an id that is not a vertex: the scan meets it in its own order
     for t in range(1, n):
         v = vertices[t]
         for d in range(1, min(r - 1, t) + 1):
@@ -176,6 +194,18 @@ def verify_ham_power_cycle_report(
     n = graph.n
     if len(vs) != n or set(vs) != set(range(n)):
         return False, "sequence does not cover every vertex exactly once", None
+    if n > 1:  # `itemgetter` of one id gives its set, not a tuple
+        try:
+            # vs[t] against its successor at distance d, cyclically; where
+            # d >= n a vertex meets itself, which no validated adjacency holds
+            nbs = itemgetter(*vs)(graph.adj)
+            for d in range(1, r):
+                if not all(map(frozenset.__contains__, nbs, vs[d:] + vs[:d])):
+                    break
+            else:
+                return True, "ok", None
+        except TypeError:
+            pass  # an id such as 1.0: the scan meets it in its own order
     for t in range(n):
         for d in range(1, r):
             u, v = vs[t], vs[(t + d) % n]

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, repeat
 from math import ceil
+from operator import ne
 from typing import Sequence
 
 from .absorber import absorb, assemble_absorbing_path
@@ -138,14 +140,10 @@ def constructive_ham_path_between(
                 f"per part does not fit"
             )
         u_sets = _sample_reservoir(graph, absorbable, u_size, cfg)
-        rest = [
-            [v for v in f if v not in reserved] for f, reserved in zip(free0, map(set, u_sets))
-        ]
-        sub, old_ids = induced_subgraph(graph, rest)
         # the gadget absorbs the spare reservoir r-set, so none is left to
-        # absorb a cover leftover: the cover must be perfect
-        cover = cover_with_paths(sub, r, Fraction(0), cfg)
-        paths = [VertexSeq(tuple(old_ids[v] for v in p.vertices), r) for p in cover.paths]
+        # absorb a cover leftover: the cover of the rest must be perfect
+        reserved = anchors.union(on_abs, *u_sets)
+        paths = list(cover_with_paths(graph, r, Fraction(0), cfg, leave_out=reserved).paths)
         if len(paths) == m_paths:
             break
         m_paths = len(paths)
@@ -195,7 +193,8 @@ def _sample_reservoir(
     r = cfg.r
     # an int count reaches the rational bound exactly when it reaches its ceiling
     need = ceil((1 - Fraction(1, r) + cfg.nu) * u_size)
-    outside = [[v for v in range(graph.n) if graph.part_of(v) != i] for i in range(r)]
+    outside = [list(compress(range(graph.n), map(ne, graph.part_index, repeat(i))))
+               for i in range(r)]
     adj = graph.adj
     rng = cfg.rng("reservoir")
     last = None
@@ -346,7 +345,7 @@ def _sequenced_case(
         if mode == "constructive":
             report.budget_exceeded |= isinstance(exc, BudgetExhaustedError)
     else:
-        bad = next((c for c in seq.report.conditions if c.name != "A2" and not c.ok), None)
+        bad = seq.report.structural_failure()
         failure = None if bad is None else f"{bad.name}: {bad.detail}"
     if failure is not None:
         report.add("sequencing", False, failure)

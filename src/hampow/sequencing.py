@@ -31,7 +31,7 @@ from .errors import (
     SearchExhaustedError,
     VerificationError,
 )
-from .graphs import Config, MultipartiteGraph, degree_profile
+from .graphs import Config, MultipartiteGraph, degree_profile, shuffle
 from .oracle import DepthFirst, SearchBudget, window_paths
 from .paths import (
     TypeVector,
@@ -354,7 +354,7 @@ def refine_partition(
         rng = cfg.rng(f"refine:{i}")
         for attempt in range(cfg.retry_limit):
             pool = residual[i][:]
-            rng.shuffle(pool)
+            shuffle(rng, pool)
             row: dict[tuple[int, int], frozenset[int]] = {}
             at = 0
             for j in range(matrix.ell):
@@ -538,6 +538,12 @@ class PlanReport:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.conditions)
+
+    def structural_failure(self) -> Stage | None:
+        """The first failing condition other than A2, or None.  A2, the group
+        degree slack, is measured and reported, but the pipeline and a
+        relaxed `hampow sequence` do not enforce it."""
+        return next((c for c in self.conditions if c.name != "A2" and not c.ok), None)
 
     def condition(self, name: str) -> Stage:
         for c in self.conditions:

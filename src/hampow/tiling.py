@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .errors import GraphValidationError, SearchExhaustedError, VerificationError
 from .graphs import Config, MultipartiteGraph, require_power
@@ -197,7 +197,11 @@ class PathCover:
 
 
 def cover_with_paths(
-    graph: MultipartiteGraph, r: int, alpha: Fraction, cfg: Config
+    graph: MultipartiteGraph,
+    r: int,
+    alpha: Fraction,
+    cfg: Config,
+    leave_out: AbstractSet[int] = frozenset(),
 ) -> PathCover:
     """Cover all but alpha*n vertices by properly terminated power-paths.
 
@@ -209,16 +213,25 @@ def cover_with_paths(
     shuffle them with the cover's rng.  The leftover of a balanced host is
     automatically balanced because every path meets all parts equally.  A
     negative alpha asks for a leftover below zero, which no cover has.
+
+    `leave_out` names vertices to treat as absent: the cover is then the one
+    of the subgraph the other vertices induce, mapped back to the host's
+    ids, without building that subgraph.  It is the same cover because
+    relabelling a part keeps its order and every pick draws from one part,
+    in ascending order or shuffled as a list of the same length; n, alpha*n
+    and the balance check count only the other vertices.
     """
     require_power(r)
     if alpha < 0:
         raise GraphValidationError(f"cover leftover fraction must be at least 0, got {alpha}")
     if graph.k != r:
         raise GraphValidationError("path cover expects an r-partite graph")
-    sizes = {len(p) for p in graph.parts}
+    parts = [p - leave_out for p in graph.part_sets]
+    sizes = set(map(len, parts))
     if len(sizes) != 1:
         raise GraphValidationError("path cover expects a balanced host")
-    n, parts = graph.n, graph.part_sets
+    vertices = frozenset().union(*parts)
+    n = len(vertices)
     target = alpha * n
 
     rng = cfg.rng("cover")
@@ -239,7 +252,7 @@ def cover_with_paths(
                 break
             paths.append(VertexSeq(tuple(current), r))
 
-        leftover = frozenset(v for v in range(n) if v not in used)
+        leftover = vertices - used
         if len(leftover) <= target and _balanced(graph, leftover):
             if not all(is_path(graph, p) and is_properly_terminated(graph, p) for p in paths):
                 raise VerificationError("cover built a path that is not properly terminated")

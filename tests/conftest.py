@@ -48,6 +48,57 @@ def naive_seam_ok(graph, left, right, r):
     )
 
 
+def reference_pairs_ok(graph: MultipartiteGraph, vertices, r: int):
+    """Index of the first window violation, or None: the position-by-position
+    scan `paths._pairs_ok` runs only after its one-pass test fails."""
+    n = len(vertices)
+    for t in range(1, n):
+        v = vertices[t]
+        for d in range(1, min(r - 1, t) + 1):
+            if vertices[t - d] not in graph.adj[v]:
+                return t
+    return None
+
+
+def reference_verify_report(graph: MultipartiteGraph, seq, r: int):
+    """`paths.verify_ham_power_cycle_report` as a scan over every position and
+    distance, cyclically, with no one-pass test before it."""
+    vs = tuple(seq)
+    n = graph.n
+    if len(vs) != n or set(vs) != set(range(n)):
+        return False, "sequence does not cover every vertex exactly once", None
+    for t in range(n):
+        for d in range(1, r):
+            u, v = vs[t], vs[(t + d) % n]
+            if u == v or v not in graph.adj[u]:
+                return False, f"cyclic window violation between positions {t} and {(t + d) % n}", t
+    return True, "ok", None
+
+
+def reference_degree_profile(graph: MultipartiteGraph):
+    """The least proportional degree of every ordered part pair, vertex by
+    vertex, and their minimum, with `degree_profile`'s errors."""
+    if graph.k < 2:
+        raise GraphValidationError("degree profile needs at least two parts")
+    for i, part in enumerate(graph.parts):
+        if not part:
+            raise GraphValidationError(f"part {i} is empty")
+    rows = []
+    for i, part in enumerate(graph.parts):
+        row = []
+        for j, other in enumerate(graph.parts):
+            if i == j:
+                row.append(None)
+                continue
+            worst = None
+            for v in part:
+                d = Fraction(sum(1 for w in other if w in graph.adj[v]), len(other))
+                worst = d if worst is None or d < worst else worst
+            row.append(worst)
+        rows.append(tuple(row))
+    return tuple(rows), min(d for row in rows for d in row if d is not None)
+
+
 def naive_is_cycle(graph: MultipartiteGraph, order, r: int) -> bool:
     """Cyclic windows over a candidate spanning order."""
     vs = list(order)

@@ -155,6 +155,17 @@ class TestCount:
         with pytest.raises(GraphValidationError, match="ill-terminated"):
             count_connecting_walks(g, [g.parts[0], g.parts[1]], p_bad, p_bad, 2)
 
+    @pytest.mark.parametrize("p2, bad", [
+        ((1, 3, 99, -1), "99"),  # the first stray is named, not the smallest or largest
+        ((1, -1, 99, 3), "-1"),
+        ((1, 3, float("nan"), 3), "nan"),  # passes a min/max range test, fails the scan
+    ])
+    def test_stray_terminal_vertex_is_named_as_the_scan_names_it(self, p2, bad):
+        g = complete(2, [2, 2])
+        p1 = VertexSeq((0, 2), 2)
+        with pytest.raises(GraphValidationError, match=f"^P2 holds vertex {bad} outside 0..3$"):
+            count_connecting_walks(g, [g.parts[0], g.parts[1]], p1, VertexSeq(p2, 2), 2)
+
     def test_u_set_spanning_two_parts_rejected(self):
         g = complete(2, [2, 2])
         p1 = VertexSeq((0, 2), 2)

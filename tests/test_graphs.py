@@ -12,6 +12,7 @@ from conftest import (
     reference_from_edges,
     reference_gen_random,
     reference_load_graph,
+    reference_degree_profile,
     reference_save_graph,
     scan_validate,
 )
@@ -26,6 +27,7 @@ from hampow.graphs import (
     load_graph,
     reduce_parts,
     save_graph,
+    shuffle,
 )
 
 
@@ -399,6 +401,61 @@ def test_validate_matches_pair_scan_reference(seed):
         ours = build_outcome(lambda: MultipartiteGraph(parts, adj, "h"))
         ref = build_outcome(lambda: scan_validate(parts, adj) or (parts, adj, "h"))
         assert ours == ref, label
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_validate_names_the_first_one_sided_edge_as_the_scan_does(seed):
+    """One-sided edges planted at two vertices, on frozenset and on plain set
+    neighbourhoods: the same graph or the same first message as the
+    pair-by-pair scan."""
+    rng = random.Random(seed)
+    k = rng.randint(2, 5)
+    g = gen_random(k, [rng.randint(1, 6) for _ in range(k)], Fraction(1, 2), seed)
+    for _ in range(10):
+        adj = [set(a) for a in g.adj]
+        for u in rng.sample(range(g.n), min(2, g.n)):
+            other = [v for v in range(g.n) if g.part_of(v) != g.part_of(u) and v not in adj[u]]
+            if other:
+                adj[u].add(rng.choice(other))
+        for wrap in (frozenset, set):
+            wrapped = tuple(map(wrap, adj))
+            ours = build_outcome(lambda: MultipartiteGraph(g.parts, wrapped))
+            ref = build_outcome(lambda: scan_validate(g.parts, wrapped) or (g.parts, wrapped, None))
+            assert ours == ref
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_degree_profile_matches_the_vertex_by_vertex_reference(seed):
+    """Random hosts, isolated vertices and single-vertex parts included, and
+    the two refusals: one part, and an empty part."""
+    rng = random.Random(seed)
+    k = rng.randint(1, 5)
+    sizes = [rng.randint(0 if seed % 4 == 0 else 1, 7) for _ in range(k)]
+    g = gen_random(k, sizes, rng.choice([0, Fraction(1, 3), Fraction(4, 5), 1]), seed)
+
+    def outcome(profile):
+        try:
+            return profile()
+        except GraphValidationError as exc:
+            return str(exc)
+
+    def ours():
+        profile = degree_profile(g)
+        return profile.delta_ij, profile.delta_p
+
+    assert outcome(ours) == outcome(lambda: reference_degree_profile(g))
+
+
+def test_shuffle_draws_as_random_shuffle():
+    """The same list and the same next draw as `random.Random.shuffle`, for
+    every size 0..64 and 200 seeds."""
+    for size in range(65):
+        for seed in range(200):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            got, want = list(range(size)), list(range(size))
+            shuffle(ours, got)
+            theirs.shuffle(want)
+            assert (got, ours.random()) == (want, theirs.random()), (size, seed)
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -24,7 +24,10 @@ connector walks, the constructive pipeline reports, the `connect` command's
 output (the same count) and the `pipeline --relaxed` pin at k=3, r=2, n=120
 were re-recorded when the connector search became a window-path search
 through cells cut back from P2, with no walk table: each pipeline pin kept
-its stages and exit code, and only its cycle changed.  The
+its stages and exit code, and only its cycle changed.  The two
+`sequence --relaxed` pins whose only failing plan condition is the group
+slack A2 went from exit 4 to exit 0, their output unchanged, when
+`--relaxed` began to judge a plan as the pipeline does.  The
 `gen` pins hash the graph text that `json.dumps` of
 the whole document wrote, with each draw of `gen_random` compared with the
 Fraction density."""

@@ -7,11 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _accepts, _splices, complete, naive_is_walk, naive_seam_ok
+from conftest import (
+    _accepts,
+    _splices,
+    complete,
+    naive_is_walk,
+    naive_seam_ok,
+    reference_pairs_ok,
+    reference_verify_report,
+)
 from hampow.errors import GraphValidationError, ImproperOrderError
-from hampow.graphs import gen_random
+from hampow.graphs import MultipartiteGraph, gen_random
 from hampow.paths import (
     VertexSeq,
+    _pairs_ok,
     decompose,
     final_respects,
     initial_respects,
@@ -256,3 +265,72 @@ def test_splice_ok_matches_the_seam_checks_it_replaced():
             assert got == naive_seam_ok(g, left, right, r)
             seen["naive", got, len(left) < r] += 1
     assert len(seen) == 8 and min(seen.values()) >= 100, seen
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # the comparison is over every exception type
+        return type(exc), str(exc)
+
+
+def _without_edge(g, u, v):
+    return MultipartiteGraph.from_edges(g.parts, [e for e in g.edges() if {u, v} != set(e)])
+
+
+def _assert_windows_match_the_scan(g, r, seqs, cycles):
+    for seq in seqs:
+        ref = _outcome(lambda: reference_pairs_ok(g, seq, r))
+        assert _outcome(lambda: _pairs_ok(g, seq, r)) == ref, seq
+        if len(seq) >= r and not isinstance(ref, tuple):
+            assert is_walk(g, VertexSeq(tuple(seq), r)) == (ref is None), seq
+    for cycle in cycles:
+        assert _outcome(lambda: verify_ham_power_cycle_report(g, cycle, r)) == \
+            _outcome(lambda: reference_verify_report(g, cycle, r)), cycle
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_window_kernels_name_each_planted_violation_as_the_scan_does(r):
+    """One missing edge at every position and distance of a spanning cyclic
+    order of a complete host, wrap-around included: the walk check and the
+    cycle verifier report the index and reason the scan reports."""
+    rng = random.Random(r)
+    m = 3
+    g = complete(r, [m] * r)
+    order = [v for column in zip(*(rng.sample(p, m) for p in g.parts)) for v in column]
+    n = len(order)
+    seen = Counter()
+    for t in range(n):
+        for d in range(1, r):
+            h = _without_edge(g, order[t], order[(t + d) % n])
+            prefix = order[:rng.randint(r, n)]
+            _assert_windows_match_the_scan(h, r, [order, prefix, order[::-1]], [order])
+            ok, reason, index = verify_ham_power_cycle_report(h, order, r)
+            assert not ok and index is not None
+            seen[t + d >= n] += 1
+    assert seen[True] and seen[False], seen
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_window_kernels_match_the_scan_on_random_hosts_and_odd_ids(seed):
+    """Random orders with any number of violations, repeated vertices, ids
+    that are not vertices (out of range, negative, a float, a string) and
+    hosts smaller than a window: the same index or the same exception."""
+    rng = random.Random(seed)
+    r = (2, 3, 4)[seed % 3]
+    k = rng.randint(1, 2 * r - 1)
+    g = gen_random(k, [rng.randint(1, 4) for _ in range(k)],
+                   rng.choice([Fraction(1, 2), Fraction(9, 10), 1]), seed)
+    n = g.n
+    seqs, cycles = [], []
+    for _ in range(30):
+        order = rng.sample(range(n), n)
+        seqs += [order, order[:rng.randint(0, n)], [rng.randrange(n) for _ in range(rng.randint(0, 8))]]
+        cycles.append(order)
+        odd = order[:]
+        odd.insert(rng.randint(0, n), rng.choice([n, n + 7, -1, -n - 1, 1.5, "v"]))
+        seqs.append(odd)
+        if n > 1:
+            at = rng.randrange(n)
+            cycles.append([float(v) if i == at else v for i, v in enumerate(order)])
+    _assert_windows_match_the_scan(g, r, seqs, cycles)

@@ -20,6 +20,7 @@ from hampow.graphs import Config, balanced_sizes, gen_extremal, gen_random, save
 from hampow.paths import VertexSeq, verify_ham_power_cycle
 from hampow.pipeline import _sample_reservoir, constructive_ham_path_between, run_pipeline
 from hampow.oracle import SearchBudget, window_paths
+from hampow.sequencing import PlanReport, Stage
 
 
 class TestPipeline:
@@ -270,6 +271,37 @@ class TestCli:
         assert list(doc) == ["plan", "report"]
         assert list(doc["report"]) == ["ok", "conditions", "measured_group_slack"]
         assert all(list(c) == ["name", "ok", "detail"] for c in doc["report"]["conditions"])
+
+    def test_relaxed_sequence_is_judged_as_the_pipeline_judges_it(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        """Relaxed, a plan whose only failing condition is the group slack A2
+        exits 0, and the report still shows A2 failing; unrelaxed, that plan
+        exits 4, and so does a relaxed plan with another failing condition."""
+        gpath = self._gen(tmp_path, ["--k", "5", "--sizes", "30,30,30,30,30",
+                                     "--delta", "49/50", "--seed", "1"])
+        argv = ["sequence", "--graph", str(gpath), "--r", "3"]
+        assert main(argv + ["--relaxed"]) == EXIT_OK
+        relaxed = capsys.readouterr().out
+        report = json.loads(relaxed)["report"]
+        assert not report["ok"]
+        assert [c["name"] for c in report["conditions"] if not c["ok"]] == ["A2"]
+
+        real_run = hampow.sequencing.run_sequencing
+        monkeypatch.setattr(hampow.sequencing, "run_sequencing",
+                            lambda graph, cfg, relaxed: real_run(graph, cfg, relaxed=True))
+        assert main(argv) == EXIT_STAGE
+        assert capsys.readouterr().out == relaxed
+
+        real_verify = hampow.sequencing.verify_plan
+
+        def a3_fails(*args):
+            rep = real_verify(*args)
+            conditions = [Stage("A3", False, "planted") if c.name == "A3" else c
+                          for c in rep.conditions]
+            return PlanReport(tuple(conditions), rep.measured_group_slack)
+
+        monkeypatch.setattr(hampow.sequencing, "verify_plan", a3_fails)
+        assert main(argv + ["--relaxed"]) == EXIT_STAGE
 
     def test_pipeline_extremal_nonzero(self, tmp_path, capsys):
         gpath = self._gen(tmp_path, ["--k", "3", "--sizes", "4,4,4", "--extremal", "--r", "3"])

@@ -23,7 +23,7 @@ from hampow.graphs import (
     induced_subgraph,
 )
 from hampow.oracle import SearchBudget, window_paths
-from hampow.paths import is_path, is_properly_terminated
+from hampow.paths import VertexSeq, is_path, is_properly_terminated
 from hampow.tiling import (
     cover_with_paths,
     enumerate_cliques,
@@ -283,3 +283,40 @@ def test_cover_matches_the_rescanning_reference():
             _cover_is_valid(got, g, alpha)
             seen["first" if got == first else "retried"] += 1
     assert min(seen["first"], seen["retried"], seen["exhausted"]) >= 5, seen
+
+
+def test_leave_out_cover_is_the_induced_copy_cover_mapped_back():
+    """Covering a balanced host with a balanced set left out gives the cover
+    of the subgraph the rest induces, relabelled back: the same paths and
+    leftover, or the same shortfall text.  Sparse hosts and alpha 0 make
+    first attempts fall short, so the reshuffled retries run."""
+    seen = Counter()
+    for trial in range(60):
+        rng = random.Random(trial)
+        r = (2, 3)[trial % 2]
+        m = rng.randint(4, 9)
+        g = gen_random(r, [m] * r, rng.choice([Fraction(3, 5), Fraction(7, 10), 1]), trial)
+        drop = rng.randint(0, m - 2)
+        leave_out = frozenset(v for p in g.parts for v in rng.sample(p, drop))
+        rest = [[v for v in p if v not in leave_out] for p in g.parts]
+        sub, old_ids = induced_subgraph(g, rest)
+        alpha = Fraction(rng.choice([0, 0, 1]), m - drop)
+        cfg = Config.default(r, seed=trial, retry_limit=rng.choice([5, 20]))
+        want = _cover_outcome(cover_with_paths, sub, r, alpha, cfg)
+        if not isinstance(want, str):
+            want = tiling.PathCover(
+                tuple(VertexSeq(tuple(old_ids[v] for v in p.vertices), r) for p in want.paths),
+                frozenset(old_ids[v] for v in want.leftover),
+            )
+        got = _cover_outcome(lambda *a: cover_with_paths(*a, leave_out=leave_out), g, r, alpha, cfg)
+        assert got == want, trial
+        once = Config.default(r, seed=trial, retry_limit=1)
+        first_ok = not isinstance(_cover_outcome(cover_with_paths, sub, r, alpha, once), str)
+        seen["first" if first_ok else "exhausted" if isinstance(got, str) else "retried"] += 1
+    assert min(seen["first"], seen["retried"], seen["exhausted"]) >= 5, seen
+
+
+def test_leave_out_must_leave_a_balanced_rest():
+    g = complete(2, [4, 4])
+    with pytest.raises(GraphValidationError, match="balanced host"):
+        cover_with_paths(g, 2, Fraction(0), Config.default(2), leave_out={0})
