@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import CoverageError, GraphValidationError, InfeasibleError, VerificationError
-from .graphs import Config, MultipartiteGraph, degree_profile, require_power, shuffle
+from .graphs import Config, MultipartiteGraph, require_power, shuffle
 from .oracle import DepthFirst, SearchBudget
 from .paths import VertexSeq, is_path, is_properly_terminated
 
@@ -322,8 +321,6 @@ def assemble_absorbing_path(
     r = cfg.r
     if graph.k != r:
         raise GraphValidationError("absorbing path assembly expects an r-partite host")
-    if degree_profile(graph).delta_p < 1 - Fraction(1, r) + cfg.gamma:
-        raise InfeasibleError("proportional minimum degree below 1 - 1/r + gamma")
 
     excluded = frozenset(reservoir_exclusions)
     free = [[v for v in part if v not in excluded] for part in graph.parts]

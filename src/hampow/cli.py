@@ -138,7 +138,6 @@ def _verify_options(p: argparse.ArgumentParser) -> None:
 
 def _sequence_options(p: argparse.ArgumentParser) -> None:
     _add_common(p, constants=("gamma", "sigma", "beta"))
-    p.add_argument("--relaxed", action="store_true")
 
 
 def _absorber_options(p: argparse.ArgumentParser) -> None:
@@ -180,7 +179,8 @@ def _pipeline_options(p: argparse.ArgumentParser) -> None:
     _add_common(p, constants=_CONSTANTS)
     p.add_argument("--mode", choices=["constructive", "oracle", "auto"], default="auto")
     p.add_argument("--budget", type=int, default=2_000_000)
-    p.add_argument("--relaxed", action="store_true")
+    p.add_argument("--relaxed", action="store_true",
+                   help="accepted and ignored: the paper's degree hypotheses are never enforced")
 
 
 _PROG = "hampow"
@@ -239,12 +239,11 @@ def cmd_sequence(args) -> int:
     g = _read_graph(args)
     cfg = _config(args)
     order = sorted(range(g.k), key=lambda i: (-len(g.parts[i]), i))
-    res = sequencing.run_sequencing(g.with_parts(order), cfg, relaxed=args.relaxed)
+    res = sequencing.run_sequencing(g.with_parts(order), cfg)
     doc = {"plan": res.plan.to_json_dict(), "report": res.report.to_json_dict()}
     _emit(args, json.dumps(doc))
-    # relaxed, the plan is judged as the pipeline judges it: A2 is reported, not enforced
-    ok = res.report.structural_failure() is None if args.relaxed else res.report.ok
-    return EXIT_OK if ok else EXIT_STAGE
+    # the plan is judged as the pipeline judges it: A2 is reported, not enforced
+    return EXIT_OK if res.report.structural_failure() is None else EXIT_STAGE
 
 
 def cmd_absorber(args) -> int:
@@ -363,7 +362,6 @@ def cmd_pipeline(args) -> int:
         g,
         cfg,
         mode=args.mode,
-        relaxed=args.relaxed,
         budget=oracle.SearchBudget(args.budget),
     )
     _emit(args, json.dumps(rep.to_json_dict()))

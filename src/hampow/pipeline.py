@@ -246,7 +246,6 @@ def run_pipeline(
     graph: MultipartiteGraph,
     cfg: Config,
     mode: str = "auto",
-    relaxed: bool = False,
     budget: SearchBudget | None = None,
 ) -> PipelineReport:
     """Reduce, sequence, build per-group spanning paths, splice, and verify.
@@ -287,7 +286,7 @@ def run_pipeline(
         if reduced.k == r:
             cycle = _balanced_case(reduced, graph, mode, cfg, budget, report)
         else:
-            cycle = _sequenced_case(reduced, graph, mode, relaxed, cfg, budget, report)
+            cycle = _sequenced_case(reduced, graph, mode, cfg, budget, report)
     if cycle is None:
         return report
 
@@ -328,7 +327,6 @@ def _sequenced_case(
     graph: MultipartiteGraph,
     original: MultipartiteGraph,
     mode: str,
-    relaxed: bool,
     cfg: Config,
     budget: SearchBudget,
     report: PipelineReport,
@@ -336,9 +334,8 @@ def _sequenced_case(
     """k' > r: cut into balanced groups and stitch the per-group paths."""
     r = cfg.r
     try:
-        seq = run_sequencing(graph, cfg, relaxed=relaxed)
-    except (SearchExhaustedError, GraphValidationError, InfeasibleError,
-            ScaleInfeasibleError) as exc:
+        seq = run_sequencing(graph, cfg)
+    except (SearchExhaustedError, GraphValidationError, InfeasibleError) as exc:
         # a VerificationError is a fault of the construction: it propagates
         # instead of being hidden behind a fallback
         failure = str(exc)

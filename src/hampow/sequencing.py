@@ -21,17 +21,16 @@ from fractions import Fraction
 from itertools import combinations, zip_longest
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     BudgetExhaustedError,
     GraphValidationError,
     InfeasibleError,
-    ScaleInfeasibleError,
     SearchExhaustedError,
     VerificationError,
 )
-from .graphs import Config, MultipartiteGraph, degree_profile, shuffle
+from .graphs import Config, MultipartiteGraph, shuffle
 from .oracle import DepthFirst, SearchBudget, window_paths
 from .paths import (
     TypeVector,
@@ -88,12 +87,7 @@ class TrimTemplate:
                 raise InfeasibleError(f"adjacent template types {za} -> {zb} are not valid")
 
 
-def compute_trim_template(
-    sizes: Sequence[int],
-    r: int,
-    sigma: Fraction,
-    gamma: Fraction | None = None,
-) -> TrimTemplate:
+def compute_trim_template(sizes: Sequence[int], r: int, sigma: Fraction) -> TrimTemplate:
     """Derive the trim-path template from the part sizes.
 
     s is the number of leading parts within 2*sigma*n of n/r; each such part gets
@@ -107,8 +101,6 @@ def compute_trim_template(
         raise GraphValidationError("part sizes must be descending")
     if any(r * s > n for s in sizes):
         raise GraphValidationError("every part must have size at most n/r")
-    if gamma is not None and any(s < gamma * n for s in sizes):
-        raise GraphValidationError("every part must have size at least gamma*n")
     if k <= r:
         raise GraphValidationError(f"sequencing needs r < k, got k={k}, r={r}")
 
@@ -139,28 +131,19 @@ def compute_trim_template(
     return tmpl
 
 
-def build_trim_path(
-    graph: MultipartiteGraph,
-    tmpl: TrimTemplate,
-    cfg: Config,
-    relaxed: bool = False,
-) -> VertexSeq:
+def build_trim_path(graph: MultipartiteGraph, tmpl: TrimTemplate, cfg: Config) -> VertexSeq:
     """Realize the template as a properly ordered, properly terminated path:
     the first path, in an order seeded by `cfg.rng("trim")`, through the run
     cells (each run type's parts in ascending order, one vertex each).
 
     The search is exact over the whole graph, so when it ends empty no trim
     path exists and SearchExhaustedError says so; a spent budget raises
-    BudgetExhaustedError.  In strict mode the degree precondition and the
-    sigma-dependent residual slack conditions are enforced; relaxed mode keeps
-    only the exact combinatorial identities (divisibility and the leading
-    residual equalities).
+    BudgetExhaustedError.  The host's degree is not checked against the
+    paper's 1 - 1/r + gamma: the path is verified, and so are the exact
+    combinatorial identities of its residual (divisibility by r and the
+    leading residual equalities).
     """
     r, n = tmpl.r, graph.n
-    if not relaxed:
-        if degree_profile(graph).delta_p < 1 - Fraction(1, r) + cfg.gamma:
-            raise InfeasibleError("proportional minimum degree below 1 - 1/r + gamma")
-
     cells = [graph.part_sets[i] for z in tmpl.type_sequence for i, zi in enumerate(z) if zi]
     vertices = next(window_paths(graph, cells, set(), r, rng=cfg.rng("trim")), None)
     if vertices is None:
@@ -177,16 +160,6 @@ def build_trim_path(
         raise VerificationError("residual size is not divisible by r")
     if any(residual[i] != total // r for i in range(tmpl.s)):
         raise VerificationError("leading residual equalities fail")
-    if not relaxed:
-        sigma_n = cfg.sigma * n
-        for i in range(tmpl.s, tmpl.k):
-            if residual[i] < sigma_n or residual[i] > Fraction(total, r) - sigma_n:
-                raise ScaleInfeasibleError(
-                    f"constants infeasible at this scale: residual part {i} has size "
-                    f"{residual[i]} outside [sigma*n, |V'|/r - sigma*n]"
-                )
-        if total < (1 - 3 * r * r * cfg.sigma) * n:
-            raise ScaleInfeasibleError("constants infeasible at this scale: trim path too long")
     return p0
 
 
@@ -324,19 +297,18 @@ def refine_partition(
     matrix: TemplateMatrix,
     x: Sequence[int],
     cfg: Config,
-    check_degrees: bool = True,
 ) -> tuple[tuple[tuple[frozenset[int], ...], ...], tuple[tuple[int, ...], ...]]:
     """Randomly split each residual part i into one cell of x_j vertices per
     column j whose pattern holds i, and return the groups and their patterns:
     group j is column j's cells in the ascending part order of its pattern.
     No cell is built for a part outside a pattern.
 
-    With check_degrees, every vertex of the graph must see at least a
-    (1 - 1/r + gamma/2) fraction of every nonempty cell outside its own part;
-    failing parts are resampled up to the retry budget.  A violation names its
-    cell (part, column).
+    Each part gets one split, seeded by `cfg.rng(f"refine:{i}")`.  No degree
+    into the cells is required of it: `verify_plan` measures the group degree
+    slack (A2), and the bridge and group-path searches decide whether the
+    cells can be used.
     """
-    k, r = matrix.k, matrix.r
+    k = matrix.k
     residual = [sorted(p) for p in residual_parts]
     if len(residual) != k:
         raise GraphValidationError(f"expected {k} residual parts")
@@ -347,36 +319,16 @@ def refine_partition(
                 f"row {i}: cells sum to {want} but residual part has {len(residual[i])}"
             )
 
-    threshold = 1 - Fraction(1, r) + cfg.gamma / 2
     groups: list[list[frozenset[int]]] = [[] for _ in range(matrix.ell)]
-    worst: tuple[Fraction, int, tuple[int, int]] | None = None
-    for i in range(k):
-        rng = cfg.rng(f"refine:{i}")
-        for attempt in range(cfg.retry_limit):
-            pool = residual[i][:]
-            shuffle(rng, pool)
-            row: dict[tuple[int, int], frozenset[int]] = {}
-            at = 0
-            for j in range(matrix.ell):
-                if matrix.entry(i, j):
-                    row[(i, j)] = frozenset(pool[at : at + x[j]])
-                    at += x[j]
-            bad = _worst_cell_violation(graph, row, threshold) if check_degrees else None
-            if bad is None:
-                # parts are split in ascending order, so each group's cells
-                # arrive in its pattern's order
-                for (_, j), cell in row.items():
-                    groups[j].append(cell)
-                break
-            if worst is None or bad[0] < worst[0]:
-                worst = bad
-        else:
-            assert worst is not None
-            frac, v, cell = worst
-            raise SearchExhaustedError(
-                f"refinement degree check exhausted {cfg.retry_limit} resamples; worst "
-                f"violation: vertex {v} sees only {frac} of cell {cell}"
-            )
+    for i, pool in enumerate(residual):
+        shuffle(cfg.rng(f"refine:{i}"), pool)
+        at = 0
+        # parts are split in ascending order, so each group's cells arrive in
+        # its pattern's order
+        for j in range(matrix.ell):
+            if matrix.entry(i, j):
+                groups[j].append(frozenset(pool[at : at + x[j]]))
+                at += x[j]
     return tuple(map(tuple, groups)), group_patterns(matrix)
 
 
@@ -386,27 +338,6 @@ def _least_degree_into(
     """The least int count len(adj[v] & cell) over the nonempty `vertices`,
     and the first v reaching it."""
     return min(((len(adj[v] & cell), v) for v in vertices), key=itemgetter(0))
-
-
-def _worst_cell_violation(
-    graph: MultipartiteGraph,
-    row: Mapping[tuple[int, int], frozenset[int]],
-    threshold: Fraction,
-) -> tuple[Fraction, int, tuple[int, int]] | None:
-    """The least proportional degree below `threshold` of a vertex outside a
-    cell's part into that cell, with the first vertex and the cell reaching
-    it, or None; a later cell replaces the minimum only when strictly smaller.
-    """
-    worst: tuple[Fraction, int, tuple[int, int]] | None = None
-    for (i, j), cell in row.items():
-        if not cell:
-            continue
-        outside = (v for v in range(graph.n) if graph.part_of(v) != i)
-        low, v = _least_degree_into(graph.adj, outside, cell)
-        frac = Fraction(low, len(cell))
-        if frac < threshold and (worst is None or frac < worst[0]):
-            worst = (frac, v, (i, j))
-    return worst
 
 
 @dataclass(frozen=True)
@@ -541,8 +472,8 @@ class PlanReport:
 
     def structural_failure(self) -> Stage | None:
         """The first failing condition other than A2, or None.  A2, the group
-        degree slack, is measured and reported, but the pipeline and a
-        relaxed `hampow sequence` do not enforce it."""
+        degree slack, is measured and reported, but neither the pipeline nor
+        `hampow sequence` enforces it: the group-path searches decide."""
         return next((c for c in self.conditions if c.name != "A2" and not c.ok), None)
 
     def condition(self, name: str) -> Stage:
@@ -686,16 +617,14 @@ class SequencingResult:
     report: PlanReport
 
 
-def run_sequencing(
-    graph: MultipartiteGraph, cfg: Config, relaxed: bool = False
-) -> SequencingResult:
+def run_sequencing(graph: MultipartiteGraph, cfg: Config) -> SequencingResult:
     """Full pipeline: trim template, trim path, matrix, solver, refinement,
     connectors, and an independent verification report."""
     sizes = [len(p) for p in graph.parts]
     if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
         raise GraphValidationError("run_sequencing expects parts ordered by descending size")
-    tmpl = compute_trim_template(sizes, cfg.r, cfg.sigma, None if relaxed else cfg.gamma)
-    p0_prime = build_trim_path(graph, tmpl, cfg, relaxed=relaxed)
+    tmpl = compute_trim_template(sizes, cfg.r, cfg.sigma)
+    p0_prime = build_trim_path(graph, tmpl, cfg)
     on_path = set(p0_prime.vertices)
     residual = [[v for v in part if v not in on_path] for part in graph.parts]
     matrix = build_template_matrix(tmpl.k, tmpl.r, tmpl.s)
@@ -707,9 +636,7 @@ def run_sequencing(
     # cells is the retry lever, so re-refine when no bridges exist.
     for attempt in range(8):
         attempt_cfg = cfg if attempt == 0 else replace(cfg, seed=cfg.seed + 7919 * attempt)
-        groups, patterns = refine_partition(
-            graph, residual, matrix, x, attempt_cfg, check_degrees=not relaxed
-        )
+        groups, patterns = refine_partition(graph, residual, matrix, x, attempt_cfg)
         try:
             plan = build_connectors_and_p0(graph, p0_prime, groups, patterns, attempt_cfg)
             break

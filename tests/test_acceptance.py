@@ -158,7 +158,7 @@ def test_criterion_05_sequencing_identities():
         for idx, (sizes, delta, seed) in enumerate(_a5_instances()):
             g = gen_random(4, list(sizes), delta, seed)
             cfg = Config.default(3, seed=seed)
-            res = run_sequencing(g, cfg, relaxed=True)
+            res = run_sequencing(g, cfg)
             p0p = res.plan.p0_prime
             used = set(p0p.vertices)
             residual = [len([v for v in p if v not in used]) for p in g.parts]

@@ -98,7 +98,7 @@ def _valid_options(graph: str) -> dict[str, list[tuple[str, str | None]]]:
                 ("--r", "2"), ("--seed", "1"), ("--name", "h")],
         "verify": [*common, ("--cycle", "[0,4,1,5,2,6,3,7]")],
         "sequence": [*common, ("--seed", "1"), ("--gamma", "1/4"), ("--sigma", "1/13"),
-                     ("--beta", "1/104"), ("--relaxed", None)],
+                     ("--beta", "1/104")],
         "absorber": [("--r", "2")],
         "connect": [*common, ("--p1", "[0,4]"), ("--p2", "[1,5]"), ("--ell", "2"),
                     ("--seed", "1")],

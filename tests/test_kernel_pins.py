@@ -27,7 +27,12 @@ through cells cut back from P2, with no walk table: each pipeline pin kept
 its stages and exit code, and only its cycle changed.  The two
 `sequence --relaxed` pins whose only failing plan condition is the group
 slack A2 went from exit 4 to exit 0, their output unchanged, when
-`--relaxed` began to judge a plan as the pipeline does.  The
+`--relaxed` began to judge a plan as the pipeline does.  The three
+`sequence` pins that stopped at the degree hypotheses (the proportional
+minimum degree test of the trim path) were re-recorded when those tests were
+deleted along with `--relaxed`: each `sequence` pin now gives what
+`sequence --relaxed` gave, and the `sequence --relaxed` pins, the same runs
+since, were folded into them.  The
 `gen` pins hash the graph text that `json.dumps` of
 the whole document wrote, with each draw of `gen_random` compared with the
 Fraction density."""

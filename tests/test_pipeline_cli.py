@@ -16,7 +16,14 @@ from hampow import cli
 from hampow.absorber import assemble_absorbing_path
 from hampow.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_STAGE, EXIT_VALIDATION, build_parser, main
 from hampow.errors import BudgetExhaustedError, ScaleInfeasibleError, SearchExhaustedError
-from hampow.graphs import Config, balanced_sizes, gen_extremal, gen_random, save_graph
+from hampow.graphs import (
+    Config,
+    balanced_sizes,
+    degree_profile,
+    gen_extremal,
+    gen_random,
+    save_graph,
+)
 from hampow.paths import VertexSeq, verify_ham_power_cycle
 from hampow.pipeline import _sample_reservoir, constructive_ham_path_between, run_pipeline
 from hampow.oracle import SearchBudget, window_paths
@@ -56,7 +63,7 @@ class TestPipeline:
 
     def test_multi_part_instance_via_sequencing(self):
         g = complete(4, [12, 12, 12, 12])
-        rep = run_pipeline(g, Config.default(3, seed=0), relaxed=True)
+        rep = run_pipeline(g, Config.default(3, seed=0))
         assert rep.ok
         assert any(s.name == "sequencing" and s.ok for s in rep.stages)
         assert verify_ham_power_cycle(g, rep.cycle, 3)
@@ -64,7 +71,7 @@ class TestPipeline:
     def test_sequencing_infeasible_falls_back_to_whole_graph_oracle(self):
         # n too small for the integer solver: fallback still delivers the cycle
         g = complete(4, [4, 4, 4, 3])
-        rep = run_pipeline(g, Config.default(3, seed=0), relaxed=True)
+        rep = run_pipeline(g, Config.default(3, seed=0))
         assert rep.ok
         assert any(s.name == "whole_graph_oracle" for s in rep.stages)
 
@@ -82,7 +89,7 @@ class TestPipeline:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(hampow.pipeline, "run_sequencing", counting)
-        rep = run_pipeline(g, Config.default(4, seed=1), mode=mode, relaxed=True)
+        rep = run_pipeline(g, Config.default(4, seed=1), mode=mode)
         assert calls == [1]
         p1 = "precondition P1 fails: residual total -24 negative or not divisible by r"
         assert [(s.name, s.ok, s.detail) for s in rep.stages] == [
@@ -96,13 +103,13 @@ class TestPipeline:
         # so another seed would repeat work run_sequencing has already done
         calls = []
 
-        def exhausted(graph, cfg, relaxed):
+        def exhausted(graph, cfg):
             calls.append(cfg.seed)
             raise SearchExhaustedError(f"spent under seed {cfg.seed}")
 
         monkeypatch.setattr(hampow.pipeline, "run_sequencing", exhausted)
         rep = run_pipeline(complete(4, [12, 12, 12, 12]), Config.default(3, seed=5),
-                           mode="constructive", relaxed=True)
+                           mode="constructive")
         assert calls == [5]
         assert (rep.stages[-1].name, rep.stages[-1].detail) == ("sequencing", "spent under seed 5")
 
@@ -122,7 +129,7 @@ class TestPipeline:
         assert ham_power_cycle_exists(g, 3).answer == YES
         reduced = reduce_parts(g, 3)
         assert ham_power_cycle_exists(reduced, 3).answer != YES
-        rep = run_pipeline(g, Config.default(3, seed=79), relaxed=True)
+        rep = run_pipeline(g, Config.default(3, seed=79))
         assert rep.ok
         assert verify_ham_power_cycle(g, rep.cycle, 3)
 
@@ -139,7 +146,7 @@ class TestPipeline:
         for seed in range(12):
             k, sizes, delta = cases[seed % len(cases)]
             g = gen_random(k, sizes, delta, seed)
-            rep = run_pipeline(g, Config.default(3, seed=seed), relaxed=True)
+            rep = run_pipeline(g, Config.default(3, seed=seed))
             assert not rep.budget_exceeded
             truth = ham_power_cycle_exists(g, 3)
             assert rep.ok == (truth.answer == YES), (seed, k, sizes)
@@ -205,10 +212,22 @@ class TestConstructive:
         with pytest.raises(ScaleInfeasibleError, match=f"needs at least {size} per part"):
             constructive_ham_path_between(small, anchor, anchor, Config.default(r))
 
+    def test_host_below_the_degree_threshold_is_built(self):
+        # the theorem's 1 - 1/r + o(1) is not checked: the exact searches decide
+        g = gen_random(2, [16, 16], Fraction(9, 10), 10)
+        assert degree_profile(g).delta_p == Fraction(11, 16) < Fraction(3, 4)
+        rep = run_pipeline(g, Config.default(2, seed=0), mode="constructive")
+        assert rep.ok and verify_ham_power_cycle(g, rep.cycle, 2)
+        assert ("group_path", True, "constructive") in [(s.name, s.ok, s.detail) for s in rep.stages]
+
     def test_small_host_is_scale_infeasible(self):
         g = complete(2, [5, 5])
         with pytest.raises(ScaleInfeasibleError):
             constructive_ham_path_between(g, (0, 5), (1, 6), Config.default(2, seed=0))
+
+
+# a k=5 host for r=3 whose sequencing plan fails only the group slack A2
+_A2_ONLY_HOST = ["--k", "5", "--sizes", "30,30,30,30,30", "--delta", "49/50", "--seed", "1"]
 
 
 class TestCli:
@@ -238,8 +257,7 @@ class TestCli:
         # the groups are too small for the absorbing machinery; auto mode
         # would hand the group to the oracle
         gpath = self._gen(tmp_path, ["--k", "4", "--sizes", "12,12,12,12", "--delta", "1"])
-        rc = main(["pipeline", "--graph", str(gpath), "--r", "3", "--mode", "constructive",
-                   "--relaxed"])
+        rc = main(["pipeline", "--graph", str(gpath), "--r", "3", "--mode", "constructive"])
         assert rc == EXIT_STAGE
         stages = json.loads(capsys.readouterr().out)["stages"]
         assert [s["name"] for s in stages if not s["ok"]] == ["group_path[0]:constructive"]
@@ -262,11 +280,11 @@ class TestCli:
 
     def test_report_json_keys(self, tmp_path, capsys):
         gpath = self._gen(tmp_path, ["--k", "4", "--sizes", "12,12,12,12", "--delta", "1"])
-        assert main(["pipeline", "--graph", str(gpath), "--r", "3", "--relaxed"]) == EXIT_OK
+        assert main(["pipeline", "--graph", str(gpath), "--r", "3"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert list(doc) == ["ok", "budget_exceeded", "stages", "cycle"]
         assert all(list(s) == ["name", "ok", "detail"] for s in doc["stages"])
-        assert main(["sequence", "--graph", str(gpath), "--r", "3", "--relaxed"]) == EXIT_OK
+        assert main(["sequence", "--graph", str(gpath), "--r", "3"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert list(doc) == ["plan", "report"]
         assert list(doc["report"]) == ["ok", "conditions", "measured_group_slack"]
@@ -274,23 +292,15 @@ class TestCli:
 
     def test_relaxed_sequence_is_judged_as_the_pipeline_judges_it(self, tmp_path, capsys,
                                                                    monkeypatch):
-        """Relaxed, a plan whose only failing condition is the group slack A2
-        exits 0, and the report still shows A2 failing; unrelaxed, that plan
-        exits 4, and so does a relaxed plan with another failing condition."""
-        gpath = self._gen(tmp_path, ["--k", "5", "--sizes", "30,30,30,30,30",
-                                     "--delta", "49/50", "--seed", "1"])
+        """A plan whose only failing condition is the group slack A2 exits 0,
+        and the report still shows A2 failing; a plan with another failing
+        condition exits 4."""
+        gpath = self._gen(tmp_path, _A2_ONLY_HOST)
         argv = ["sequence", "--graph", str(gpath), "--r", "3"]
-        assert main(argv + ["--relaxed"]) == EXIT_OK
-        relaxed = capsys.readouterr().out
-        report = json.loads(relaxed)["report"]
+        assert main(argv) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)["report"]
         assert not report["ok"]
         assert [c["name"] for c in report["conditions"] if not c["ok"]] == ["A2"]
-
-        real_run = hampow.sequencing.run_sequencing
-        monkeypatch.setattr(hampow.sequencing, "run_sequencing",
-                            lambda graph, cfg, relaxed: real_run(graph, cfg, relaxed=True))
-        assert main(argv) == EXIT_STAGE
-        assert capsys.readouterr().out == relaxed
 
         real_verify = hampow.sequencing.verify_plan
 
@@ -301,7 +311,23 @@ class TestCli:
             return PlanReport(tuple(conditions), rep.measured_group_slack)
 
         monkeypatch.setattr(hampow.sequencing, "verify_plan", a3_fails)
-        assert main(argv + ["--relaxed"]) == EXIT_STAGE
+        assert main(argv) == EXIT_STAGE
+        assert json.loads(capsys.readouterr().out)["report"]["conditions"][2] == \
+            {"name": "A3", "ok": False, "detail": "planted"}
+
+    def test_pipeline_relaxed_is_accepted_and_ignored(self, tmp_path, capsys):
+        """`pipeline --relaxed` still parses and changes nothing, on a host
+        whose plan fails the group slack A2: the pipeline builds its cycle
+        through that plan either way."""
+        gpath = self._gen(tmp_path, _A2_ONLY_HOST)
+        argv = ["pipeline", "--graph", str(gpath), "--r", "3"]
+        rc = main(argv)
+        out = capsys.readouterr().out
+        assert (main(argv + ["--relaxed"]), capsys.readouterr().out) == (rc, out)
+        assert rc == EXIT_OK
+        stages = json.loads(out)["stages"]
+        assert (stages[2]["name"], stages[2]["ok"]) == ("sequencing", True)
+        assert not any("oracle" in s["name"] for s in stages)
 
     def test_pipeline_extremal_nonzero(self, tmp_path, capsys):
         gpath = self._gen(tmp_path, ["--k", "3", "--sizes", "4,4,4", "--extremal", "--r", "3"])
@@ -429,8 +455,7 @@ class TestCli:
         gpath = tmp_path / "g.json"
         gpath.write_text(save_graph(gen_random(5, [24] * 5, Fraction(19, 20), 1)))
         monkeypatch.setattr(hampow.sequencing, "SearchBudget", lambda: SearchBudget(1))
-        assert main(["pipeline", "--graph", str(gpath), "--r", "3", "--relaxed",
-                     "--mode", mode]) == rc
+        assert main(["pipeline", "--graph", str(gpath), "--r", "3", "--mode", mode]) == rc
         doc = json.loads(capsys.readouterr().out)
         assert doc["budget_exceeded"] is (mode == "constructive")
         assert [(s["name"], s["detail"]) for s in doc["stages"]][2] == \
@@ -654,7 +679,7 @@ class TestCli:
 
     def test_sequence_command(self, tmp_path, capsys):
         gpath = self._gen(tmp_path, ["--k", "4", "--sizes", "12,12,12,12", "--delta", "1"])
-        rc = main(["sequence", "--graph", str(gpath), "--r", "3", "--relaxed"])
+        rc = main(["sequence", "--graph", str(gpath), "--r", "3"])
         assert rc == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["report"]["ok"]
@@ -745,8 +770,7 @@ def test_every_option_is_read_by_its_command(tmp_path):
         ["gen", "--k", "4", "--sizes", "12,12,12,12", "--delta", "1", "--out", g4],
         ["gen", "--k", "3", "--sizes", "4,4,4", "--extremal", "--r", "3", "--out", out],
         ["verify", *common, "--cycle", "[0,4,8,1,5,9,2,6,10,3,7,11]"],
-        ["sequence", "--graph", g4, "--r", "3", "--out", out, "--relaxed", "--seed", "1",
-         *constants],
+        ["sequence", "--graph", g4, "--r", "3", "--out", out, "--seed", "1", *constants],
         ["absorber", "--r", "3", "--out", out],
         ["connect", "--graph", g, "--r", "2", "--out", out, "--p1", "[0,4]", "--p2", "[1,5]",
          "--ell", "2", "--seed", "1"],
@@ -773,4 +797,6 @@ def test_every_option_is_read_by_its_command(tmp_path):
         for action in sub._actions
         if action.dest != "help"
     }
-    assert defined - read == set()
+    # `pipeline --relaxed` is accepted so that older command lines still
+    # parse, and is ignored: it is the one option that may decide nothing
+    assert defined - read == {("pipeline", "relaxed")}

@@ -14,7 +14,6 @@ from conftest import (
     complete,
     disjoint_choice_by_brute_force,
     reference_group_degree_slack,
-    reference_worst_cell_violation,
     window_paths_by_brute_force,
 )
 from hampow import oracle, sequencing
@@ -30,7 +29,6 @@ from hampow.oracle import SearchBudget, window_paths
 from hampow.paths import VertexSeq, decompose, is_path, is_properly_terminated, is_valid_pair
 from hampow.sequencing import (
     _group_degree_slack,
-    _worst_cell_violation,
     build_connectors_and_p0,
     build_template_matrix,
     build_trim_path,
@@ -187,10 +185,10 @@ class TestSolver:
             assert sum(xj - floor for xj in x) == (sum(b) - 3 * 0 - m.ell * floor * r) // r
 
 
-def _pipeline_fixture(seed=0, relaxed=True, delta=1, sizes=(12, 12, 12, 12)):
+def _pipeline_fixture(seed=0, delta=1, sizes=(12, 12, 12, 12)):
     g = gen_random(4, list(sizes), delta, seed)
     cfg = Config.default(3, seed=seed)
-    return g, cfg, run_sequencing(g, cfg, relaxed=relaxed)
+    return g, cfg, run_sequencing(g, cfg)
 
 
 class TestTrimPath:
@@ -198,7 +196,7 @@ class TestTrimPath:
         g = complete(4, [9, 9, 9, 8])
         cfg = Config.default(3, seed=2)
         tmpl = compute_trim_template([9, 9, 9, 8], 3, cfg.sigma)
-        p0 = build_trim_path(g, tmpl, cfg, relaxed=True)
+        p0 = build_trim_path(g, tmpl, cfg)
         assert is_path(g, p0)
         assert is_properly_terminated(g, p0)
         dec = decompose(g, p0)
@@ -210,7 +208,7 @@ class TestTrimPath:
         g = complete(4, [9, 9, 9, 8])
         cfg = Config.default(3, seed=2)
         tmpl = compute_trim_template([9, 9, 9, 8], 3, cfg.sigma)
-        p0 = build_trim_path(g, tmpl, cfg, relaxed=True)
+        p0 = build_trim_path(g, tmpl, cfg)
         used = set(p0.vertices)
         residual = [len([v for v in p if v not in used]) for p in g.parts]
         total = g.n - len(p0)
@@ -229,7 +227,7 @@ class TestTrimPath:
         tmpl = compute_trim_template([9, 9, 9, 8], 3, cfg.sigma)
         assert tmpl.type_sequence[0] == z_vector(0, 4, 3)
         with pytest.raises(SearchExhaustedError, match="no power-path realizes") as exc:
-            build_trim_path(g, tmpl, cfg, relaxed=True)
+            build_trim_path(g, tmpl, cfg)
         assert not isinstance(exc.value, BudgetExhaustedError)
 
     def test_a_spent_budget_is_inconclusive_and_sequence_exits_5(
@@ -240,10 +238,10 @@ class TestTrimPath:
         tmpl = compute_trim_template([9, 9, 9, 8], 3, cfg.sigma)
         monkeypatch.setattr(oracle, "SearchBudget", lambda: SearchBudget(1))
         with pytest.raises(BudgetExhaustedError, match="budget of 1 nodes exhausted"):
-            build_trim_path(g, tmpl, cfg, relaxed=True)
+            build_trim_path(g, tmpl, cfg)
         gpath = tmp_path / "g.json"
         gpath.write_text(save_graph(g))
-        assert main(["sequence", "--graph", str(gpath), "--r", "3", "--relaxed"]) == 5
+        assert main(["sequence", "--graph", str(gpath), "--r", "3"]) == 5
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "search budget exhausted: search budget of 1 nodes exhausted\n"
@@ -265,7 +263,7 @@ class TestRefineAndPlan:
     def test_single_column_refinement_is_identity(self):
         g = complete(4, [16, 16, 15, 4])
         cfg = Config.default(3, seed=1)
-        res = run_sequencing(g, cfg, relaxed=True)
+        res = run_sequencing(g, cfg)
         assert res.plan.ell == 1
         assert res.report.ok
 
@@ -364,7 +362,7 @@ class TestRunSequencingRandom:
             g = gen_random(4, [13, 13, 12, 10], Fraction(9, 10), seed)
             cfg = Config.default(3, seed=seed)
             try:
-                res = run_sequencing(g, cfg, relaxed=True)
+                res = run_sequencing(g, cfg)
             except InfeasibleError:
                 continue
             structural = [c for c in res.report.conditions if c.name != "A2"]
@@ -374,28 +372,16 @@ class TestRunSequencingRandom:
     @pytest.mark.parametrize("seed", range(6))
     def test_connectors_do_not_dead_end(self, seed):
         g = gen_random(6, [40] * 6, Fraction(9, 10), seed)
-        res = run_sequencing(g, Config.default(4), relaxed=True)
+        res = run_sequencing(g, Config.default(4))
         assert all(c.ok for c in res.report.conditions if c.name != "A2")
-
-    def test_strict_mode_rejects_sparse(self):
-        g = gen_random(4, [12, 12, 12, 12], Fraction(1, 2), 0)
-        cfg = Config.default(3, seed=0)
-        with pytest.raises(InfeasibleError):
-            run_sequencing(g, cfg, relaxed=False)
 
     def test_other_powers(self):
         # r=2 with k=3, and r=4 at both ends of its k range
-        res = run_sequencing(
-            complete(3, [12, 12, 12]), Config.default(2, seed=0), relaxed=True
-        )
+        res = run_sequencing(complete(3, [12, 12, 12]), Config.default(2, seed=0))
         assert res.report.ok and res.plan.ell == 3
-        res = run_sequencing(
-            complete(5, [20] * 5), Config.default(4, seed=2), relaxed=True
-        )
+        res = run_sequencing(complete(5, [20] * 5), Config.default(4, seed=2))
         assert res.report.ok and res.plan.ell == 5
-        res = run_sequencing(
-            complete(7, [48] * 7), Config.default(4, seed=3), relaxed=True
-        )
+        res = run_sequencing(complete(7, [48] * 7), Config.default(4, seed=3))
         assert res.report.ok and res.plan.ell == 35
         assert len(res.plan.connectors) == 34
 
@@ -482,66 +468,31 @@ def test_a2_minimum_matches_the_per_vertex_fraction_loop(seed):
     assert _group_degree_slack(g, plan) == reference_group_degree_slack(g, plan)
     host = gen_random(4, [13, 13, 12, 10], Fraction(9, 10), seed)
     try:
-        res = run_sequencing(host, Config.default(3, seed=seed), relaxed=True)
+        res = run_sequencing(host, Config.default(3, seed=seed))
     except InfeasibleError:
         return
     assert _group_degree_slack(host, res.plan) == reference_group_degree_slack(host, res.plan)
 
 
-def test_strict_refinement_keeps_the_first_sample_on_a_complete_host():
-    # every vertex sees all of every cell, so the degree check never resamples
-    g = complete(4, [8, 8, 4, 4])
-    matrix = build_template_matrix(4, 3, 2)
-    cfg = Config.default(3, seed=3)
-    strict = refine_partition(g, g.parts, matrix, (4, 4), cfg, check_degrees=True)
-    assert strict == refine_partition(g, g.parts, matrix, (4, 4), cfg, check_degrees=False)
-    assert sorted(v for cells in strict[0] for cell in cells for v in cell) == list(range(g.n))
-
-
-def test_strict_refinement_names_the_least_violation_once_its_resamples_run_out():
-    """Vertex 20 of part 3 sees only vertices 0 and 1 of part 0: every split
-    of part 0 into two cells of 4 leaves it below 3/4 of some cell."""
+def test_refinement_makes_one_seeded_split_per_part_whatever_the_degrees():
+    """Vertex 20 of part 3 sees only vertices 0 and 1 of part 0, below 3/4 of
+    any cell of 4 from part 0; the refinement still makes each part's one
+    split, drawn by its own seeded stream, and the cells partition the host."""
     full = complete(4, [8, 8, 4, 4])
     g = MultipartiteGraph.from_edges(
         full.parts, [e for e in full.edges() if not (e[1] == 20 and e[0] in range(2, 8))])
     matrix = build_template_matrix(4, 3, 2)
-    cfg = Config.default(3, seed=1, retry_limit=5)
-    rng = cfg.rng("refine:0")
-    seen = []
-    for _ in range(5):
-        pool = list(g.parts[0])
-        rng.shuffle(pool)
-        seen.append(min(Fraction(len(g.adj[20] & set(cell)), 4) for cell in (pool[:4], pool[4:])))
-    least = min(seen)
-    assert seen[0] > least and seen[-1] > least  # neither the first nor the last sample
-    with pytest.raises(SearchExhaustedError, match=(
-        rf"refinement degree check exhausted 5 resamples; worst violation: "
-        rf"vertex 20 sees only {least} of cell \(0, [01]\)$"
-    )):
-        refine_partition(g, g.parts, matrix, (4, 4), cfg, check_degrees=True)
-
-
-def test_refinement_violation_matches_the_per_pair_fraction_loop():
-    """Same worst (fraction, vertex, cell), or None, as the reference on random
-    rows of random hosts: empty cells, ties, and rows with no violation."""
-    none_seen = violations_seen = 0
-    for seed in range(80):
-        rng = random.Random(seed)
-        k = rng.randint(3, 5)
-        g = gen_random(k, [rng.randint(4, 9) for _ in range(k)], rng.choice([0.5, 0.8, 1]), seed)
-        i = rng.randrange(k)
-        pool = rng.sample(g.parts[i], len(g.parts[i]))
-        row = {}
-        for j in range(rng.randint(1, 4)):
-            take = rng.randint(0, 3)
-            row[(i, j)] = frozenset(pool[:take])
-            pool = pool[take:]
-        threshold = rng.choice([Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(1)])
-        want = reference_worst_cell_violation(g, row, threshold)
-        assert _worst_cell_violation(g, row, threshold) == want, seed
-        none_seen += want is None
-        violations_seen += want is not None
-    assert none_seen >= 10 and violations_seen >= 10
+    cfg = Config.default(3, seed=1)
+    want = [[] for _ in range(matrix.ell)]
+    for i, part in enumerate(g.parts):
+        pool = list(part)
+        cfg.rng(f"refine:{i}").shuffle(pool)
+        for j in (j for j in range(matrix.ell) if matrix.entry(i, j)):
+            want[j].append(frozenset(pool[:4]))
+            pool = pool[4:]
+    groups, patterns = refine_partition(g, g.parts, matrix, (4, 4), cfg)
+    assert groups == tuple(map(tuple, want)) and patterns == group_patterns(matrix)
+    assert sorted(v for cells in groups for cell in cells for v in cell) == list(range(g.n))
 
 
 def _refinement_case(seed):
@@ -748,6 +699,6 @@ def test_a_spent_bridge_budget_ends_the_refinements(
     monkeypatch.setattr(sequencing, "build_connectors_and_p0", bridges)
     gpath = tmp_path / "g.json"
     gpath.write_text(save_graph(gen_random(5, [24] * 5, Fraction(19, 20), 1)))
-    assert main(["sequence", "--graph", str(gpath), "--r", "3", "--relaxed"]) == rc
+    assert main(["sequence", "--graph", str(gpath), "--r", "3"]) == rc
     assert len(seen) == calls
     assert capsys.readouterr().err == err
