@@ -31,8 +31,9 @@ slack A2 went from exit 4 to exit 0, their output unchanged, when
 `sequence` pins that stopped at the degree hypotheses (the proportional
 minimum degree test of the trim path) were re-recorded when those tests were
 deleted along with `--relaxed`: each `sequence` pin now gives what
-`sequence --relaxed` gave, and the `sequence --relaxed` pins, the same runs
-since, were folded into them.  The
+`sequence --relaxed` gave.  The `sequence --relaxed` pins keep their names
+and their recorded outputs; they are run as `sequence` (their `run` field),
+which must reproduce exactly what the deleted flag gave.  The
 `gen` pins hash the graph text that `json.dumps` of
 the whole document wrote, with each draw of `gen_random` compared with the
 Fraction density."""
@@ -117,7 +118,7 @@ def _run_sequenced(case, tmp_path, capsys):
     gpath = tmp_path / "g.json"
     host = gen_random(case["k"], case["sizes"], Fraction(case["density"]), case["graph_seed"])
     gpath.write_text(save_graph(host))
-    rc = main(case["args"] + ["--graph", str(gpath), "--r", str(case["r"])])
+    rc = main(case.get("run", case["args"]) + ["--graph", str(gpath), "--r", str(case["r"])])
     out, err = capsys.readouterr()
     return rc, out, err
 
