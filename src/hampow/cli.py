@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -96,7 +97,7 @@ def _seq_arg(text: str) -> tuple[int, ...]:
     """A JSON array of ints, or ints separated by commas."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # not JSON, nested too deep, or an over-long int
         try:
             data = _int_list(text)
         except ValueError:
@@ -194,20 +195,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, with the prog, usage, help and errors
+    that subcommand has in the full parser.  It depends on the subcommand
+    alone, so a process that calls `main` many times builds it once."""
+    _, add_options, _ = _COMMANDS[command]
+    p = argparse.ArgumentParser(prog=f"{_PROG} {command}")
+    add_options(p)
+    return p
+
+
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """What `build_parser().parse_args(argv)` returns, building only the
-    parser of the subcommand `argv[0]` names, with the prog, usage, help and
-    errors that subcommand has in the full parser.  Without a subcommand, or
-    with arguments the subcommand leaves over, the full parser parses: its
-    usage, printed with the error, lists every command."""
+    """What `build_parser().parse_args(argv)` returns, parsing with only the
+    parser of the subcommand `argv[0]` names.  Without a subcommand, or with
+    arguments the subcommand leaves over, the full parser parses: its usage,
+    printed with the error, lists every command."""
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv else None
     if command not in _COMMANDS:
         return build_parser().parse_args(argv)
-    _, add_options, _ = _COMMANDS[command]
-    p = argparse.ArgumentParser(prog=f"{_PROG} {command}")
-    add_options(p)
-    args, extras = p.parse_known_args(argv[1:], argparse.Namespace(command=command))
+    args, extras = _command_parser(command).parse_known_args(
+        argv[1:], argparse.Namespace(command=command))
     if extras:
         return build_parser().parse_args(argv)
     return args

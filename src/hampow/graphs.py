@@ -7,6 +7,7 @@ part order is semantic: it is the ordered partition that every other module
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from bisect import bisect_right
@@ -257,11 +258,29 @@ def load_graph(source: bytes | str | IO) -> MultipartiteGraph:
     Every type, range and structure check of the document is made, and each
     failure keeps its message; `from_edges` and `validate` do the graph checks.
     The adjacency holds each edge both ways, so, as in `from_edges`, those
-    checks skip the symmetry scan.  Bytes that are not UTF-8 are a
-    GraphFormatError.
+    checks skip the symmetry scan.  Bytes that are not UTF-8, and JSON that
+    nests deeper than the decoder recurses or holds an int longer than
+    Python's int-to-string limit, are a GraphFormatError.
+
+    The cyclic collector is paused while the document is decoded and the
+    graph built, and left as it was found: the decoded document is a tree
+    and the graph's sets hold ints, so nothing made there can form a
+    reference cycle, and a large host's per-edge lists would otherwise set
+    off collection passes that find nothing.
     """
     if hasattr(source, "read"):
         source = source.read()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_graph(source)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_graph(source: bytes | str) -> MultipartiteGraph:
+    """`load_graph` of the document's bytes or text."""
     if isinstance(source, bytes):
         try:
             source = source.decode("utf-8")
@@ -269,7 +288,7 @@ def load_graph(source: bytes | str | IO) -> MultipartiteGraph:
             raise GraphFormatError(f"graph document is not UTF-8: {exc}") from exc
     try:
         doc = json.loads(source)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also the int digit limit
         raise GraphFormatError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise GraphFormatError("graph document must be a JSON object")

@@ -3,11 +3,13 @@ documented exit code, no exception escapes `main`, `load_graph` agrees with the
 reference loader, and parsing with one subcommand's parser does what the full
 parser does."""
 
+import argparse
 import contextlib
 import io
 import json
 import tempfile
 from fractions import Fraction
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -177,6 +179,38 @@ def test_fuzzed_argv_parses_as_the_full_parser_parses(k44, data):
     end, _, err = got
     assert end in {("exit", 0), ("exit", 2)} or (end[0] == "return" and end[1] in DOCUMENTED)
     assert "Traceback" not in err
+
+
+def test_reused_parsers_carry_nothing_from_one_call_to_the_next(k44):
+    """In one process, each subcommand's parser is built once, and every call
+    ends as a run parsed by a freshly built full parser ends."""
+    first = ["pipeline", "--relaxed", "--mode", "constructive", "--gamma", "1/5", "--seed", "3",
+             "--budget", "300", "--graph", k44, "--r", "2"]
+    sequence = [
+        first,
+        ["pipeline", "--graph", k44, "--r", "2"],
+        ["pipeline", "--graph", k44, "--r", "x"],
+        ["pipeline", "--help"],
+        ["verify", "--graph", k44, "--r", "2", "--cycle", "[0,4,1,5,2,6,3,7]"],
+        first,
+    ]
+    built = Counter()
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built[self.prog] += 1
+
+    cli._command_parser.cache_clear()
+    with mock.patch.object(argparse.ArgumentParser, "__init__", counting_init):
+        got = [_run(argv) for argv in sequence]
+    assert built == {"hampow pipeline": 1, "hampow verify": 1}
+    with mock.patch.object(cli, "_parse_args", _full_parser_parse):
+        want = [_run(argv) for argv in sequence]
+    assert got == want
+    # the constructive run fails on K_{4,4} where the default auto run succeeds
+    assert [end for end, _, _ in got] == [("return", 4), ("return", 0), ("exit", 2), ("exit", 0),
+                                          ("return", 0), ("return", 4)]
 
 
 def test_budget_exhaustion_reaching_main_exits_5(k44):

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from fractions import Fraction
@@ -552,3 +553,32 @@ def test_only_edge_built_hosts_skip_the_full_check(monkeypatch):
 def test_bytes_that_are_not_utf8_are_a_format_error():
     with pytest.raises(GraphFormatError, match="not UTF-8"):
         load_graph(b"\xff\xfe\x7b")
+
+
+K22_TEXT = '{"k":2,"parts":[[0,1],[2,3]],"edges":[[0,2],[0,3],[1,2],[1,3]]}'
+
+
+@pytest.mark.parametrize("collector_on", [True, False])
+@pytest.mark.parametrize(
+    "source, error",
+    [
+        (K22_TEXT, None),
+        ("{not json", GraphFormatError),
+        ("[" * 100_000 + "]" * 100_000, GraphFormatError),
+        (b"\xff\xfe\x7b", GraphFormatError),
+        ('{"k":2,"parts":[[0,1],[2,3]],"edges":[[0,1]]}', GraphValidationError),
+    ],
+    ids=["good", "malformed", "nested", "not-utf8", "invalid"],
+)
+def test_load_graph_leaves_the_collector_as_it_found_it(collector_on, source, error):
+    was_on = gc.isenabled()
+    try:
+        (gc.enable if collector_on else gc.disable)()
+        if error is None:
+            assert load_graph(source).n == 4
+        else:
+            with pytest.raises(error):
+                load_graph(source)
+        assert gc.isenabled() is collector_on
+    finally:
+        (gc.enable if was_on else gc.disable)()

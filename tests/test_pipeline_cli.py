@@ -354,8 +354,28 @@ class TestCli:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("[" * 100_000 + "]" * 100_000, id="nested-arrays"),
+            pytest.param('{"k":0,"parts":[],"edges":[],"name":' + "[" * 3000 + "]" * 3000 + "}",
+                         id="nested-name"),
+            pytest.param('{"k":' + "1" * 5000 + ',"parts":[],"edges":[]}', id="oversized-int"),
+        ],
+    )
+    def test_json_the_decoder_cannot_hold_is_a_parse_error(self, tmp_path, capsys, text):
+        """Nesting deeper than the decoder recurses, or an int longer than
+        Python's int-to-string limit, is malformed JSON, not a traceback."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["pipeline", "--graph", str(bad), "--r", "2"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: malformed JSON: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "cycle", ["0", "x", "null", "[[0]]", "[1e400]", '{"a": 1}', '"0213"', "[0.9,2,1,3]",
-                  "[0,2,true,3]"])
+                  "[0,2,true,3]", pytest.param("[" * 3000 + "]" * 3000, id="nested"),
+                  pytest.param("[" + "1" * 5000 + "]", id="oversized-int")])
     def test_cycle_that_is_not_an_int_list_is_a_usage_error(self, tmp_path, capsys, cycle):
         gpath = self._gen(tmp_path, ["--k", "2", "--sizes", "2,2", "--delta", "1"])
         with pytest.raises(SystemExit) as exc:
