@@ -79,9 +79,9 @@ def _read_graph(args) -> MultipartiteGraph:
         raise GraphFormatError(str(exc)) from exc
 
 
-# Config constants a command may override; each subcommand defines only those
-# its computation reads.
-_CONSTANTS = ("gamma", "sigma", "beta", "nu")
+# Config constants a command may override; only the commands whose
+# computation reads them define them.
+_CONSTANTS = ("gamma", "sigma", "beta")
 
 
 def _config(args) -> Config:
@@ -138,7 +138,7 @@ def _verify_options(p: argparse.ArgumentParser) -> None:
 
 
 def _sequence_options(p: argparse.ArgumentParser) -> None:
-    _add_common(p, constants=("gamma", "sigma", "beta"))
+    _add_common(p, constants=_CONSTANTS)
 
 
 def _absorber_options(p: argparse.ArgumentParser) -> None:

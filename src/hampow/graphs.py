@@ -374,13 +374,14 @@ def degree_profile(graph: MultipartiteGraph) -> DegreeProfile:
 
 @dataclass(frozen=True)
 class Config:
-    """Slack constants, seed and retry budget shared by the randomized routines."""
+    """Slack constants, seed and retry budget shared by the randomized routines.
+
+    `retry_limit` bounds only the path cover's reshuffled attempts."""
 
     r: int
     gamma: Fraction
     sigma: Fraction
     beta: Fraction
-    nu: Fraction
     seed: int = 0
     retry_limit: int = 200
 
@@ -401,7 +402,6 @@ class Config:
             gamma=Fraction(1, 2 * r),
             sigma=sigma,
             beta=sigma / 8,
-            nu=sigma,
             seed=seed,
         )
         base.update(overrides)

@@ -15,9 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat
-from math import ceil
-from operator import ne
 from typing import Sequence
 
 from .absorber import absorb, assemble_absorbing_path
@@ -91,8 +88,10 @@ def constructive_ham_path_between(
     The absorbing path is one gadget, which absorbs one r-set, and the
     reservoir holds exactly one spare r-set beyond what its connectors use,
     drawn from the vertices the gadget can absorb; so the cover of the rest
-    must be perfect.  Raises ScaleInfeasibleError when the exact accounting
-    (anchors + absorbing path + reservoir) cannot fit in the parts.
+    must be perfect.  The reservoir is sized for a number of cover paths that
+    only grows: a cover of more paths sizes it again, and one of fewer is cut
+    at clique boundaries.  Raises ScaleInfeasibleError when the exact
+    accounting (anchors + absorbing path + reservoir) cannot fit in the parts.
     """
     r = cfg.r
     if graph.k != r:
@@ -129,26 +128,26 @@ def constructive_ham_path_between(
     # and the gadget absorbs it only from its covers
     absorbable = [[v for v in f if v in cov] for f, cov in zip(free0, p_abs.gadgets[0].cover)]
 
-    u_sets: list[list[int]] = []
-    # a rest beside the smallest reservoir needs at least one cover path
+    # a rest beside the smallest reservoir needs at least one cover path; the
+    # reservoir only grows, so the fit check below ends the loop
     m_paths = int(len(free0[0]) > 2 * per_part_conn + 1)
-    for _ in range(6):
+    while True:
         u_size = (m_paths + 2) * per_part_conn + 1
         if any(len(pool) < u_size for pool in absorbable):
             raise ScaleInfeasibleError(
                 f"constants infeasible at this scale: absorbable reservoir of {u_size} "
                 f"per part does not fit"
             )
-        u_sets = _sample_reservoir(graph, absorbable, u_size, cfg)
+        rng = cfg.rng("reservoir")
+        u_sets = [sorted(rng.sample(pool, u_size)) for pool in absorbable]
         # the gadget absorbs the spare reservoir r-set, so none is left to
         # absorb a cover leftover: the cover of the rest must be perfect
         reserved = anchors.union(on_abs, *u_sets)
         paths = list(cover_with_paths(graph, r, Fraction(0), cfg, leave_out=reserved).paths)
-        if len(paths) == m_paths:
+        if len(paths) <= m_paths:
             break
         m_paths = len(paths)
-    else:
-        raise ScaleInfeasibleError("cover size did not stabilize against the reservoir")
+    paths = _cut_paths(paths, m_paths)
 
     segments: list[VertexSeq] = [p_abs.path] + paths
     used: set[int] = set()
@@ -181,36 +180,23 @@ def constructive_ham_path_between(
     return result
 
 
-def _sample_reservoir(
-    graph: MultipartiteGraph,
-    free: Sequence[Sequence[int]],
-    u_size: int,
-    cfg: Config,
-) -> list[list[int]]:
-    """Per-part reservoir subsets satisfying the proportional-degree condition:
-    every vertex outside part i has at least (1 - 1/r + nu) * u_size
-    neighbours in reservoir i."""
-    r = cfg.r
-    # an int count reaches the rational bound exactly when it reaches its ceiling
-    need = ceil((1 - Fraction(1, r) + cfg.nu) * u_size)
-    outside = [list(compress(range(graph.n), map(ne, graph.part_index, repeat(i))))
-               for i in range(r)]
-    adj = graph.adj
-    rng = cfg.rng("reservoir")
-    last = None
-    for _ in range(cfg.retry_limit):
-        u_sets = [sorted(rng.sample(list(f), u_size)) for f in free]
-        for i, u in enumerate(u_sets):
-            uset = set(u)
-            last = next(((v, i) for v in outside[i] if len(adj[v] & uset) < need), None)
-            if last is not None:
-                break
-        else:
-            return u_sets
-    raise SearchExhaustedError(
-        f"reservoir degree condition failed for {cfg.retry_limit} samples "
-        f"(last violation: vertex {last[0]} into part {last[1]})"
-    )
+def _cut_paths(paths: Sequence[VertexSeq], count: int) -> list[VertexSeq]:
+    """`paths` cut into `count` pieces: the longest path, in half at a clique
+    boundary, until there are `count`.  Each path of a cover runs through
+    transversal cliques in part order, so both pieces of a cut are properly
+    terminated power-paths.  Raises ScaleInfeasibleError when no path has two
+    cliques left to cut."""
+    out = list(paths)
+    while len(out) < count:
+        i = max(range(len(out)), key=lambda j: len(out[j]), default=None)
+        if i is None or len(out[i]) < 2 * out[i].r:
+            raise ScaleInfeasibleError(
+                f"cover of {len(out)} paths has no path of two cliques to cut into {count}"
+            )
+        p = out[i]
+        cut = len(p) // (2 * p.r) * p.r
+        out[i:i + 1] = [VertexSeq(p.vertices[:cut], p.r), VertexSeq(p.vertices[cut:], p.r)]
+    return out
 
 
 def _per_group_path(

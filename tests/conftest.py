@@ -368,34 +368,6 @@ def reference_group_degree_slack(graph, plan):
     return slack, a2_detail
 
 
-def reference_sample_reservoir(graph, free, u_size, cfg):
-    """Reservoir sampling with a Fraction bound compared per vertex and part."""
-    r = cfg.r
-    threshold = 1 - Fraction(1, r) + cfg.nu
-    rng = cfg.rng("reservoir")
-    last = None
-    for _ in range(cfg.retry_limit):
-        u_sets = [sorted(rng.sample(list(f), u_size)) for f in free]
-        ok = True
-        for i, u in enumerate(u_sets):
-            uset = set(u)
-            for v in range(graph.n):
-                if graph.part_of(v) == i:
-                    continue
-                if len(graph.adj[v] & uset) < threshold * u_size:
-                    ok = False
-                    last = (v, i)
-                    break
-            if not ok:
-                break
-        if ok:
-            return u_sets
-    raise SearchExhaustedError(
-        f"reservoir degree condition failed for {cfg.retry_limit} samples "
-        f"(last violation: vertex {last[0]} into part {last[1]})"
-    )
-
-
 def reference_cliques(graph, r):
     """Transversal r-cliques by one generator frame per chosen vertex, every
     pool filtered vertex by vertex in part order."""

@@ -109,7 +109,7 @@ def _valid_options(graph: str) -> dict[str, list[tuple[str, str | None]]]:
         "scan": [("--r", "2"), ("--k", "2"), ("--n", "4"), ("--delta", "1,1/2"),
                  ("--samples", "1"), ("--budget", "300"), ("--seed", "1")],
         "pipeline": [*common, ("--mode", "auto"), ("--budget", "300"), ("--seed", "1"),
-                     ("--nu", "1/13"), ("--relaxed", None)],
+                     ("--relaxed", None)],
     }
 
 

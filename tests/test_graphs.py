@@ -324,7 +324,6 @@ class TestConfig:
                 gamma=Fraction(1, 10),
                 sigma=Fraction(1, 5),
                 beta=Fraction(1, 20),
-                nu=Fraction(1, 10),
             )
 
     def test_floor_is_at_least_two(self):

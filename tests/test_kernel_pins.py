@@ -34,6 +34,13 @@ deleted along with `--relaxed`: each `sequence` pin now gives what
 `sequence --relaxed` gave.  The `sequence --relaxed` pins keep their names
 and their recorded outputs; they are run as `sequence` (their `run` field),
 which must reproduce exactly what the deleted flag gave.  The
+constructive pipeline pin r=3 m=44 density 97/100 and the `pipeline
+--relaxed` pin at k=3, r=2, n=120 were re-recorded when the reservoir's
+degree-sample gate was deleted and the number of cover paths it is sized
+for began only to grow, a cover of fewer paths being cut at clique
+boundaries: both keep exit 0 with a verified cycle, and the second's first
+group path is constructive again where the cover-size loop had given up
+and the oracle built it.  The
 `gen` pins hash the graph text that `json.dumps` of
 the whole document wrote, with each draw of `gen_random` compared with the
 Fraction density."""

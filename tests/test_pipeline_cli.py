@@ -1,8 +1,6 @@
 import argparse
 import json
-import random
 import sys
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +9,7 @@ import hampow.connect
 import hampow.oracle
 import hampow.pipeline
 import hampow.sequencing
-from conftest import complete, reference_sample_reservoir
+from conftest import complete
 from hampow import cli
 from hampow.absorber import assemble_absorbing_path
 from hampow.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_STAGE, EXIT_VALIDATION, build_parser, main
@@ -24,10 +22,11 @@ from hampow.graphs import (
     gen_random,
     save_graph,
 )
-from hampow.paths import VertexSeq, verify_ham_power_cycle
-from hampow.pipeline import _sample_reservoir, constructive_ham_path_between, run_pipeline
+from hampow.paths import VertexSeq, is_path, is_properly_terminated, verify_ham_power_cycle
+from hampow.pipeline import _cut_paths, constructive_ham_path_between, run_pipeline
 from hampow.oracle import SearchBudget, window_paths
 from hampow.sequencing import PlanReport, Stage
+from hampow.tiling import cover_with_paths
 
 
 class TestPipeline:
@@ -213,12 +212,62 @@ class TestConstructive:
             constructive_ham_path_between(small, anchor, anchor, Config.default(r))
 
     def test_host_below_the_degree_threshold_is_built(self):
-        # the theorem's 1 - 1/r + o(1) is not checked: the exact searches decide
-        g = gen_random(2, [16, 16], Fraction(9, 10), 10)
-        assert degree_profile(g).delta_p == Fraction(11, 16) < Fraction(3, 4)
-        rep = run_pipeline(g, Config.default(2, seed=0), mode="constructive")
+        # the theorem's 1 - 1/r + o(1) is not checked, nor a degree condition
+        # on the reservoir draw: the exact searches decide
+        g = gen_random(2, [18, 18], Fraction(17, 20), 18153)
+        assert degree_profile(g).delta_p == Fraction(13, 18) < Fraction(3, 4)
+        rep = run_pipeline(g, Config.default(2, seed=4), mode="constructive")
         assert rep.ok and verify_ham_power_cycle(g, rep.cycle, 2)
         assert ("group_path", True, "constructive") in [(s.name, s.ok, s.detail) for s in rep.stages]
+        # this host's rest needs two cover paths, so a reservoir of
+        # (2 + 2) * 2 + 1 = 9 per part, which the gadget's covers cannot hold
+        g = gen_random(2, [16, 16], Fraction(9, 10), 10)
+        assert degree_profile(g).delta_p == Fraction(11, 16)
+        rep = run_pipeline(g, Config.default(2, seed=0), mode="constructive")
+        assert not rep.ok
+        assert [(s.name, s.ok, s.detail) for s in rep.stages][-1] == (
+            "group_path:constructive", False,
+            "constants infeasible at this scale: absorbable reservoir of 9 per part does not fit",
+        )
+
+    def test_cover_size_loop_cannot_oscillate(self, monkeypatch):
+        # sized for one cover path this host's rest takes two, and sized for
+        # two the smaller rest takes one: the count only grows, and the one
+        # path is cut in two
+        cuts = []
+
+        def spy(paths, count):
+            cuts.append((len(paths), count))
+            return _cut_paths(paths, count)
+
+        monkeypatch.setattr(hampow.pipeline, "_cut_paths", spy)
+        g = gen_random(2, [18, 18], Fraction(97, 100), 18216)
+        assert degree_profile(g).delta_p == Fraction(8, 9)
+        rep = run_pipeline(g, Config.default(2, seed=7), mode="constructive")
+        assert rep.ok and verify_ham_power_cycle(g, rep.cycle, 2)
+        assert ("group_path", True, "constructive") in [(s.name, s.ok, s.detail) for s in rep.stages]
+        assert cuts == [(1, 2)]
+
+    @pytest.mark.parametrize("r, size, delta, seed", [(2, 12, 1, 0), (3, 10, Fraction(19, 20), 2),
+                                                       (4, 8, 1, 1)])
+    def test_every_piece_of_a_cut_is_a_terminated_power_path(self, r, size, delta, seed):
+        g = gen_random(r, [size] * r, delta, seed)
+        cover = list(cover_with_paths(g, r, Fraction(0), Config.default(r, seed=seed)).paths)
+        cliques = sum(len(p) for p in cover) // r
+        for count in range(len(cover), cliques + 1):
+            pieces = _cut_paths(cover, count)
+            assert len(pieces) == count
+            assert sorted(v for p in pieces for v in p.vertices) == list(range(g.n))
+            for p in pieces:
+                assert len(p) % r == 0
+                assert is_path(g, p) and is_properly_terminated(g, p)
+        with pytest.raises(ScaleInfeasibleError, match="no path of two cliques to cut"):
+            _cut_paths(cover, cliques + 1)
+
+    def test_an_empty_cover_cannot_be_cut(self):
+        with pytest.raises(ScaleInfeasibleError, match="cover of 0 paths"):
+            _cut_paths([], 1)
+        assert _cut_paths([], 0) == []
 
     def test_small_host_is_scale_infeasible(self):
         g = complete(2, [5, 5])
@@ -738,33 +787,6 @@ class TestCli:
         assert all(",no," in row for row in rows)
 
 
-def _reservoir_outcome(sample, *args):
-    try:
-        return sample(*args)
-    except SearchExhaustedError as exc:
-        return str(exc)
-
-
-def test_reservoir_matches_the_fraction_bound_reference():
-    """One integer ceiling per call decides as the Fraction bound did per vertex:
-    the same samples, or the same exhaustion text, including nu that makes the
-    bound an integer."""
-    seen = Counter()
-    for trial in range(120):
-        rng = random.Random(trial)
-        r = rng.choice([2, 3])
-        m = rng.randint(5, 12)
-        g = gen_random(r, [m] * r, rng.choice([Fraction(7, 10), Fraction(9, 10), 1]), trial)
-        free = [sorted(rng.sample(p, rng.randint(3, m))) for p in g.parts]
-        u_size = rng.randint(1, min(map(len, free)))
-        nu = rng.choice([Fraction(0), Fraction(1, 2 * r), Fraction(1, 12), Fraction(1, 7)])
-        cfg = Config.default(r, seed=trial, nu=nu, retry_limit=rng.choice([1, 5]))
-        got = _reservoir_outcome(_sample_reservoir, g, free, u_size, cfg)
-        assert got == _reservoir_outcome(reference_sample_reservoir, g, free, u_size, cfg), trial
-        seen[isinstance(got, str)] += 1
-    assert seen[True] >= 20 and seen[False] >= 20, seen
-
-
 class _ReadLog(argparse.Namespace):
     """A namespace that records the name of every public attribute read from it."""
 
@@ -799,7 +821,7 @@ def test_every_option_is_read_by_its_command(tmp_path):
         ["scan", "--r", "2", "--k", "2", "--n", "4", "--delta", "1", "--samples", "1",
          "--budget", "1000", "--seed", "1", "--out", out],
         ["pipeline", *common, "--mode", "oracle", "--budget", "1000", "--relaxed", "--seed", "1",
-         *constants, "--nu", "1/25"],
+         *constants],
     ]
     parser = build_parser()
     read = set()
