@@ -232,7 +232,7 @@ def cmd_gen(args) -> int:
             raise GraphValidationError("need --delta or --extremal")
         g = gen_random(args.k, args.sizes, args.delta, args.seed)
     if args.name:
-        g = MultipartiteGraph(g.parts, g.adj, args.name)
+        g = MultipartiteGraph._from_symmetric(g.parts, g.adj, args.name)
     _emit(args, save_graph(g))
     return EXIT_OK
 

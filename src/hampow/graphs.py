@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import chain
+from itertools import chain, combinations, compress, filterfalse, repeat
 from math import ceil
 from typing import IO, Iterable, Sequence
 
@@ -90,9 +90,13 @@ class MultipartiteGraph:
         Each part and then each neighbourhood is tested set-wise; only the
         first one that fails is scanned id by id, so the error names the first
         violation in that order.  Every construction runs these checks,
-        symmetry included, except `from_edges` and `load_graph`: an adjacency
-        built from an edge list holds each edge both ways, so they skip the
-        symmetry test.
+        symmetry included, except the builders whose adjacency is symmetric
+        by construction, which skip the symmetry test: `from_edges` and
+        `load_graph` add each edge both ways, `gen_random` fills both ends of
+        each drawn pair, `gen_extremal` gives each part's vertices every
+        vertex outside it but the planted pairs, `reduce_parts` and
+        `induced_subgraph` filter a graph's adjacency by a symmetric test, and
+        `hampow gen --name` renames a generated graph.
         """
         self._check(symmetric=False)
 
@@ -241,9 +245,11 @@ def save_graph(graph: MultipartiteGraph) -> str:
     which gives the name its escaping (non-ASCII as `\\uXXXX`).
     """
     dumps = partial(json.dumps, separators=(",", ":"))
-    # int.__repr__ writes an id as JSON writes an int, whatever int type holds it
+    # ids[v] is v as JSON writes an int; looking it up is cheaper than a
+    # repr per edge end
+    ids = list(map(int.__repr__, range(graph.n)))
     edges = ",".join(
-        f"[{u}," + f"],[{u},".join(map(int.__repr__, row)) + "]"
+        f"[{ids[u]}," + f"],[{ids[u]},".join(map(ids.__getitem__, row)) + "]"
         for u, row in enumerate(graph._upper_rows())
         if row
     )
@@ -437,34 +443,49 @@ def gen_random(
 ) -> MultipartiteGraph:
     """Independent cross-part edges with the given probability; deterministic per seed.
 
-    The realized degree profile may deviate from the target; callers recheck via
-    degree_profile.
+    The seed must be nonnegative: `random.Random` seeds from its absolute
+    value, so a negative seed would repeat another seed's host.  One
+    `random()` is drawn per cross pair, and the pair is an edge when the draw
+    is below `target_delta`.  The draws run over the part pairs i < j in
+    ascending order, and within a pair over u in part i, then v in part j,
+    both ascending.  The realized degree profile may deviate from the target;
+    callers recheck via degree_profile.
     """
     if k != len(sizes):
         raise GraphValidationError(f"k={k} but {len(sizes)} sizes given")
     if not 0 <= target_delta <= 1:
         raise GraphValidationError("target_delta must lie in [0,1]")
+    if seed < 0:
+        raise GraphValidationError(f"seed must be nonnegative, got {seed}")
     parts = _parts_from_sizes(sizes)
     # random() returns a multiple of 2**-53, so rounding the density up to the
     # next such multiple changes no comparison; that multiple is an exact
     # float, which compares far faster than a Fraction
     threshold = ceil(Fraction(target_delta) * 2**53) / 2**53
-    rng = random.Random(seed)
-    edges = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            for u in parts[i]:
-                for v in parts[j]:
-                    if rng.random() < threshold:
-                        edges.append((u, v))
-    return MultipartiteGraph.from_edges(parts, edges)
+    draw = random.Random(seed).random
+    # Each part pair's draws form a block whose row a and column c are the
+    # hits of u = rows[a] and v = cols[c].  The blocks come in ascending part
+    # order, so every set gets its neighbours in ascending order, as
+    # `from_edges` adds them from a sorted edge list: a set's iteration order
+    # depends on its insertion order, and the searches follow it.
+    adj: list[set[int]] = [set() for _ in range(sum(map(len, parts)))]
+    for rows, cols in combinations(parts, 2):
+        m = len(cols)
+        hits = [draw() < threshold for _ in repeat(None, len(rows) * m)]
+        for a, u in enumerate(rows):
+            adj[u].update(compress(cols, hits[a * m:(a + 1) * m]))
+        for c, v in enumerate(cols):
+            adj[v].update(compress(rows, hits[c::m]))
+    return MultipartiteGraph._from_symmetric(parts, tuple(map(frozenset, adj)), None)
 
 
 def gen_extremal(k: int, sizes: Sequence[int], r: int) -> MultipartiteGraph:
     """Complete k-partite graph minus all edges inside a planted oversized independent set.
 
     The planted set takes floor(|V_i|/r)+1 vertices from each part, so its size
-    exceeds floor(n/r) and the graph has no spanning power-of-a-cycle.
+    exceeds floor(n/r) and the graph has no spanning power-of-a-cycle.  All
+    unplanted vertices of a part share one neighbourhood, and all planted
+    ones another.
     """
     if k != len(sizes):
         raise GraphValidationError(f"k={k} but {len(sizes)} sizes given")
@@ -473,15 +494,15 @@ def gen_extremal(k: int, sizes: Sequence[int], r: int) -> MultipartiteGraph:
     planted: set[int] = set()
     for part in parts:
         planted.update(part[: len(part) // r + 1])
-    edges = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            for u in parts[i]:
-                for v in parts[j]:
-                    if u in planted and v in planted:
-                        continue
-                    edges.append((u, v))
-    return MultipartiteGraph.from_edges(parts, edges)
+    adj: list[frozenset[int]] = []
+    for i, part in enumerate(parts):
+        outside = [v for j, other in enumerate(parts) if j != i for v in other]
+        # each set filled in ascending order and then frozen, as `from_edges`
+        # builds it from the sorted edge list, so it iterates in that order
+        full = frozenset(set(outside))
+        cut = frozenset(set(filterfalse(planted.__contains__, outside)))
+        adj.extend(cut if v in planted else full for v in part)
+    return MultipartiteGraph._from_symmetric(parts, tuple(adj), None)
 
 
 def _parts_from_sizes(sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -568,7 +589,7 @@ def reduce_parts(
     new_adj = tuple(
         frozenset(u for u in graph.adj[v] if part_map[u] != part_map[v]) for v in range(n)
     )
-    return MultipartiteGraph(new_parts, new_adj, graph.name)
+    return MultipartiteGraph._from_symmetric(new_parts, new_adj, graph.name)
 
 
 def induced_subgraph(
@@ -595,4 +616,4 @@ def induced_subgraph(
     adj = tuple(
         frozenset(map(relabel, filter(keep, graph.adj[old]))) for old in old_ids
     )
-    return MultipartiteGraph(tuple(new_parts), adj), tuple(old_ids)
+    return MultipartiteGraph._from_symmetric(tuple(new_parts), adj, None), tuple(old_ids)

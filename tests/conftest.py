@@ -313,7 +313,9 @@ def connectors_by_brute_force(graph, u_sets, p1, p2, ell):
 
 
 def reference_gen_random(k, sizes, target_delta, seed) -> MultipartiteGraph:
-    """Each draw compared with the density itself, a Fraction where one is given."""
+    """One draw per cross pair, part pair by part pair, each compared with the
+    density itself (a Fraction where one is given), and the edges drawn
+    handed to `from_edges` in order."""
     parts, next_id = [], 0
     for s in sizes:
         parts.append(list(range(next_id, next_id + s)))
@@ -326,6 +328,25 @@ def reference_gen_random(k, sizes, target_delta, seed) -> MultipartiteGraph:
         for u in parts[i]
         for v in parts[j]
         if rng.random() < target_delta
+    ]
+    return MultipartiteGraph.from_edges(parts, edges)
+
+
+def reference_gen_extremal(k, sizes, r) -> MultipartiteGraph:
+    """Every cross pair but the planted ones, pair by pair, handed to
+    `from_edges` in order."""
+    parts, next_id = [], 0
+    for s in sizes:
+        parts.append(list(range(next_id, next_id + s)))
+        next_id += s
+    planted = {v for part in parts for v in part[: len(part) // r + 1]}
+    edges = [
+        (u, v)
+        for i in range(k)
+        for j in range(i + 1, k)
+        for u in parts[i]
+        for v in parts[j]
+        if not (u in planted and v in planted)
     ]
     return MultipartiteGraph.from_edges(parts, edges)
 

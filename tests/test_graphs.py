@@ -11,6 +11,7 @@ from conftest import (
     build_outcome,
     complete,
     reference_from_edges,
+    reference_gen_extremal,
     reference_gen_random,
     reference_load_graph,
     reference_degree_profile,
@@ -103,14 +104,35 @@ def test_save_graph_and_edges_match_the_reference_serialiser(g):
     assert [list(e) for e in g.edges()] == json.loads(text)["edges"]
 
 
-@pytest.mark.parametrize("delta", [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(97, 100), 0.9])
-@pytest.mark.parametrize("k, sizes, seed", [(2, [7, 5], 0), (3, [6, 6, 6], 4), (5, [5, 4, 3, 0, 2], 9)])
+@pytest.mark.parametrize("delta", [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(97, 100), 0.9,
+                                   Fraction(9, 10)])
+@pytest.mark.parametrize("k, sizes, seed", [
+    (2, [7, 5], 0), (3, [6, 6, 6], 4), (5, [5, 4, 3, 0, 2], 9),
+    # k from 0 to 5, empty and unequal parts, and sets in tables smaller than
+    # their largest id, where a set's iteration order depends on the order
+    # its ids were added in: sparse sets on parts of 60, and the middle part
+    # of [3, 60, 3], whose neighbours are the three ids at each end
+    (0, [], 1), (1, [7], 2), (2, [0, 5], 3), (2, [33, 70], 5), (3, [60, 60, 60], 6),
+    (3, [3, 60, 3], 7), (4, [5, 0, 12, 3], 8), (5, [50, 3, 0, 41, 20], 10),
+])
 def test_gen_random_matches_the_fraction_comparing_reference(k, sizes, seed, delta):
-    """Comparing each draw with the density rounded up to a multiple of 2**-53
-    gives the graph comparing it with the density itself gives, adjacency
-    iteration order included."""
-    assert build_outcome(lambda: gen_random(k, sizes, delta, seed)) == \
-        build_outcome(lambda: reference_gen_random(k, sizes, delta, seed))
+    """Comparing each draw with the density rounded up to a multiple of 2**-53,
+    and filling the sets part pair by part pair, gives the graph of the
+    reference, which compares each draw with the density itself and adds the
+    pairs drawn edge by edge: the same adjacency, iteration order included,
+    and the same file text.  The searches downstream follow set order."""
+    got, want = gen_random(k, sizes, delta, seed), reference_gen_random(k, sizes, delta, seed)
+    assert build_outcome(lambda: got) == build_outcome(lambda: want)
+    assert save_graph(got) == save_graph(want)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("sizes", [[], [7], [0, 5], [33, 70], [3, 60, 3], [5, 0, 12, 3],
+                                   [50, 3, 0, 41, 20]], ids=str)
+def test_gen_extremal_matches_the_edge_by_edge_reference(sizes, r):
+    got, want = gen_extremal(len(sizes), sizes, r), reference_gen_extremal(len(sizes), sizes, r)
+    assert build_outcome(lambda: got) == build_outcome(lambda: want)
+    assert save_graph(got) == save_graph(want)
 
 
 class TestDegreeProfile:
@@ -182,6 +204,13 @@ class TestGenerators:
     def test_size_mismatch(self):
         with pytest.raises(GraphValidationError):
             gen_random(2, [2, 2, 2], 1, 0)
+
+    @pytest.mark.parametrize("seed", [-1, -7])
+    def test_negative_seed_rejected(self, seed):
+        # random.Random seeds from |seed|: -7 would repeat the host of seed 7
+        assert random.Random(seed).random() == random.Random(-seed).random()
+        with pytest.raises(GraphValidationError, match=f"seed must be nonnegative, got {seed}"):
+            gen_random(2, [2, 2], Fraction(1, 2), seed)
 
     @pytest.mark.parametrize("k, sizes", [(2, [2, 2, 2]), (3, [1]), (3, [])])
     def test_extremal_size_mismatch(self, k, sizes):
@@ -277,16 +306,14 @@ class TestReduceParts:
         assert res.adj == g.adj
         assert res.part_index == tuple((3, 1, 2, 0)[i] for i in g.part_index)
 
-    def test_merged_parts_get_a_new_validated_graph(self, monkeypatch):
+    def test_merged_parts_get_a_new_validated_graph(self):
+        # the reduction skips the symmetry scan; an explicit full check accepts its graph
         g = gen_random(4, [5, 5, 3, 2], Fraction(9, 10), 2)
-        checked = []
-        real = MultipartiteGraph.validate
-        monkeypatch.setattr(MultipartiteGraph, "validate",
-                            lambda self: checked.append(self.parts) or real(self))
         res = reduce_parts(g, 3)
         assert res is not g
-        assert checked == [res.parts]
         assert sorted(len(p) for p in res.parts) == [5, 5, 5]
+        res.validate()
+        scan_validate(res.parts, res.adj)
 
 
 def test_induced_subgraph_relabels():
@@ -295,6 +322,23 @@ def test_induced_subgraph_relabels():
     assert sub.n == 4 and sub.k == 2
     for new, old in enumerate(old_ids):
         assert {old_ids[u] for u in sub.adj[new]} <= g.adj[old]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_induced_subgraph_passes_the_full_check(seed):
+    rng = random.Random(seed)
+    g = gen_random(4, [9, 7, 5, 3], Fraction(2, 3), seed)
+    chosen = [rng.sample(p, rng.randint(0, len(p))) for p in g.parts]
+    rng.shuffle(chosen)
+    sub, _ = induced_subgraph(g, chosen)
+    sub.validate()
+    scan_validate(sub.parts, sub.adj)
+
+
+def test_overlapping_induced_parts_rejected():
+    g = complete(3, [3, 3, 3])
+    with pytest.raises(GraphValidationError, match="induced parts overlap"):
+        induced_subgraph(g, [[0, 1], [3, 1]])
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -532,21 +576,25 @@ def test_edge_built_hosts_match_the_fully_checked_build(host, seed):
         build_outcome(lambda: reference_load_graph(save_graph(g)))
 
 
-def test_only_edge_built_hosts_skip_the_full_check(monkeypatch):
-    """Direct construction and every derived graph run `validate`, symmetry
-    scan included; the edge-list builds do not call it."""
-    g = gen_random(3, [4, 3, 3], Fraction(2, 3), 5)
+def test_only_builds_symmetric_by_construction_skip_the_full_check(monkeypatch):
+    """Direct construction and `with_parts` run `validate`, symmetry scan
+    included; the edge-list builds, the generators, the reduction and the
+    induced subgraph do not call it."""
+    g = gen_random(4, [5, 5, 3, 2], Fraction(2, 3), 5)
     checked = []
     real = MultipartiteGraph.validate
     monkeypatch.setattr(MultipartiteGraph, "validate",
                         lambda self: checked.append(self.parts) or real(self))
     MultipartiteGraph.from_edges(g.parts, g.edges())
     load_graph(save_graph(g))
+    gen_random(3, [4, 3, 3], Fraction(2, 3), 5)
+    gen_extremal(3, [4, 3, 3], 2)
+    assert reduce_parts(g, 3) is not g
+    induced_subgraph(g, [g.parts[0], g.parts[1]])
     assert checked == []
     MultipartiteGraph(g.parts, g.adj)
-    g.with_parts([2, 0, 1])
-    induced_subgraph(g, [g.parts[0], g.parts[1]])
-    assert len(checked) == 3
+    g.with_parts([2, 0, 1, 3])
+    assert len(checked) == 2
 
 
 def test_bytes_that_are_not_utf8_are_a_format_error():

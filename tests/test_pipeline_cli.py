@@ -698,6 +698,23 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "validation error: power parameter r must be at least 2\n"
 
+    @pytest.mark.parametrize("argv, seed", [
+        (["gen", "--k", "2", "--sizes", "2,2", "--delta", "1", "--seed", "-1"], -1),
+        (["gen", "--k", "3", "--sizes", "4,4,4", "--delta", "9/10", "--seed", "-7"], -7),
+        (["scan", "--r", "2", "--k", "2", "--n", "4", "--delta", "1", "--seed", "-1"], -1),
+        # the samples' seeds run -2..2: without the check, rows -2 and 2 and
+        # rows -1 and 1 would test the same hosts
+        (["scan", "--r", "2", "--k", "2", "--n", "4", "--delta", "1/2", "--seed", "-2",
+          "--samples", "5"], -2),
+    ])
+    def test_negative_seed_is_a_validation_error(self, tmp_path, capsys, argv, seed):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"validation error: seed must be nonnegative, got {seed}\n"
+        assert not out.exists()
+
     def test_search_on_the_empty_host_prints_an_empty_witness(self, tmp_path, capsys):
         gpath = self._gen(tmp_path, ["--k", "0", "--sizes", "", "--delta", "1"])
         assert main(["search", "--graph", str(gpath), "--r", "2"]) == EXIT_OK
