@@ -2,6 +2,11 @@
 gadget printer, connector counting, tilings, exact search, and the threshold
 scanner.
 
+`pipeline --mode` picks one strategy: `constructive` builds and never calls
+an oracle, `oracle` is the whole-graph exact search that `search` runs, and
+`auto` builds with the oracles as fallback.  The slack constants are fixed
+functions of r, so no command takes them.
+
 Exit codes: 0 success, 2 parse error, 3 validation error (also a `connect`
 count too long to write), 4 stage failure, 5 budget exhausted.
 """
@@ -79,18 +84,8 @@ def _read_graph(args) -> MultipartiteGraph:
         raise GraphFormatError(str(exc)) from exc
 
 
-# Config constants a command may override; only the commands whose
-# computation reads them define them.
-_CONSTANTS = ("gamma", "sigma", "beta")
-
-
 def _config(args) -> Config:
-    overrides = {}
-    for name in _CONSTANTS:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    return Config.default(args.r, seed=args.seed, **overrides)
+    return Config(args.r, seed=args.seed)
 
 
 def _seq_arg(text: str) -> tuple[int, ...]:
@@ -107,17 +102,13 @@ def _seq_arg(text: str) -> tuple[int, ...]:
     return tuple(data)
 
 
-def _add_common(
-    p: argparse.ArgumentParser, seed: bool = True, constants: tuple[str, ...] = ()
-) -> None:
-    """--graph, --r and --out, plus --seed and the Config constants for the
-    commands whose computation reads them."""
+def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
+    """--graph, --r and --out, plus --seed for the commands whose computation
+    reads it."""
     p.add_argument("--graph", required=True, help="graph JSON file")
     p.add_argument("--r", type=int, required=True, help="power parameter")
     if seed:
         p.add_argument("--seed", type=int, default=0)
-    for name in constants:
-        p.add_argument(f"--{name}", type=_fraction, default=None, help="rational p/q")
     p.add_argument("--out", default=None, help="write output to this file")
 
 
@@ -135,10 +126,6 @@ def _gen_options(p: argparse.ArgumentParser) -> None:
 def _verify_options(p: argparse.ArgumentParser) -> None:
     _add_common(p, seed=False)
     p.add_argument("--cycle", type=_seq_arg, required=True, help="JSON int array or comma list")
-
-
-def _sequence_options(p: argparse.ArgumentParser) -> None:
-    _add_common(p, constants=_CONSTANTS)
 
 
 def _absorber_options(p: argparse.ArgumentParser) -> None:
@@ -177,7 +164,7 @@ def _scan_options(p: argparse.ArgumentParser) -> None:
 
 
 def _pipeline_options(p: argparse.ArgumentParser) -> None:
-    _add_common(p, constants=_CONSTANTS)
+    _add_common(p)
     p.add_argument("--mode", choices=["constructive", "oracle", "auto"], default="auto")
     p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("--relaxed", action="store_true",
@@ -385,7 +372,7 @@ def cmd_pipeline(args) -> int:
 _COMMANDS = {
     "gen": ("generate an instance", _gen_options, cmd_gen),
     "verify": ("check a spanning power-cycle", _verify_options, cmd_verify),
-    "sequence": ("run the partition-and-sequence pipeline", _sequence_options, cmd_sequence),
+    "sequence": ("run the partition-and-sequence pipeline", _add_common, cmd_sequence),
     "absorber": ("print the gadget routings", _absorber_options, cmd_absorber),
     "connect": ("count connecting walks and find one that is a path", _connect_options, cmd_connect),
     "tile": ("fractional (and optionally integral) tiling", _tile_options, cmd_tile),

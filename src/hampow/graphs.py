@@ -380,38 +380,30 @@ def degree_profile(graph: MultipartiteGraph) -> DegreeProfile:
 
 @dataclass(frozen=True)
 class Config:
-    """Slack constants, seed and retry budget shared by the randomized routines.
+    """The power r and the seed shared by the randomized routines.
 
-    `retry_limit` bounds only the path cover's reshuffled attempts."""
+    The slack constants are desk-scale functions of r in the order the paper
+    needs, 0 < beta < sigma < gamma <= 1/r: gamma stands in for the o(1) of
+    the degree threshold, and sigma stays below 1/(2r(r+1)) so the trim
+    index is at most r."""
 
     r: int
-    gamma: Fraction
-    sigma: Fraction
-    beta: Fraction
     seed: int = 0
-    retry_limit: int = 200
 
     def __post_init__(self):
         require_power(self.r)
-        if not (0 < self.beta < self.sigma < self.gamma <= Fraction(1, self.r)):
-            raise GraphValidationError("constants must satisfy 0 < beta < sigma < gamma <= 1/r")
-        if self.retry_limit < 1:
-            raise GraphValidationError("retry_limit must be at least 1")
 
-    @classmethod
-    def default(cls, r: int, seed: int = 0, **overrides) -> "Config":
-        """Desk-scale defaults; sigma is kept below 1/(2r(r+1)) so the trim index stays <= r."""
-        require_power(r)  # before 1/(2r) divides by zero at r = 0
-        sigma = Fraction(1, 2 * r * (r + 1) + 1)
-        base = dict(
-            r=r,
-            gamma=Fraction(1, 2 * r),
-            sigma=sigma,
-            beta=sigma / 8,
-            seed=seed,
-        )
-        base.update(overrides)
-        return cls(**base)
+    @property
+    def gamma(self) -> Fraction:
+        return Fraction(1, 2 * self.r)
+
+    @property
+    def sigma(self) -> Fraction:
+        return Fraction(1, 2 * self.r * (self.r + 1) + 1)
+
+    @property
+    def beta(self) -> Fraction:
+        return self.sigma / 8
 
     def floor_m(self, n: int) -> int:
         """Least cell size of a group: the integer stand-in for beta*n, but at

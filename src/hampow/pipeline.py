@@ -1,6 +1,6 @@
 """End-to-end cycle assembly: part reduction, sequencing into balanced groups,
-per-group spanning paths (constructive machinery with exact-oracle fallback),
-splicing, and independent verification.
+per-group spanning paths, splicing, and independent verification; or, in
+oracle mode, the whole-graph exact search alone.
 
 The constructive per-group builder follows the balanced-case argument: absorbing
 path of one gadget, a reservoir drawn from the vertices that gadget can absorb,
@@ -199,33 +199,28 @@ def _cut_paths(paths: Sequence[VertexSeq], count: int) -> list[VertexSeq]:
     return out
 
 
-def _per_group_path(
+def _constructive_group_path(
     group: MultipartiteGraph,
     clique_a: Sequence[int],
     clique_b: Sequence[int],
     mode: str,
     cfg: Config,
-    budget: SearchBudget,
     report: PipelineReport,
     label: str,
 ) -> VertexSeq | None:
-    """Spanning path of a balanced group between anchors, honoring the mode.
-
-    A failed constructive attempt is recorded as stage `label:constructive`;
-    constructive mode then gives up, flagging a spent budget, and auto mode
-    asks the oracle."""
-    if mode in ("constructive", "auto"):
-        try:
-            path = constructive_ham_path_between(group, clique_a, clique_b, cfg)
-            report.add(label, True, "constructive")
-            return path
-        except (ScaleInfeasibleError, InfeasibleError, SearchExhaustedError, CoverageError) as exc:
-            report.add(f"{label}:constructive", False, str(exc))
-            if mode == "constructive":
-                report.budget_exceeded |= isinstance(exc, BudgetExhaustedError)
-                return None
-    res = ham_power_path_between(group, cfg.r, clique_a, clique_b, budget)
-    return report.add_oracle(label, res, f"oracle ({res.nodes} nodes)")
+    """The constructive spanning path of a balanced group between anchors,
+    recorded as stage `label`.  A failed build is recorded as stage
+    `label:constructive`; in constructive mode it ends the run, flagging a
+    spent budget."""
+    try:
+        path = constructive_ham_path_between(group, clique_a, clique_b, cfg)
+    except (ScaleInfeasibleError, InfeasibleError, SearchExhaustedError, CoverageError) as exc:
+        report.add(f"{label}:constructive", False, str(exc))
+        if mode == "constructive":
+            report.budget_exceeded = isinstance(exc, BudgetExhaustedError)
+        return None
+    report.add(label, True, "constructive")
+    return path
 
 
 def run_pipeline(
@@ -234,7 +229,9 @@ def run_pipeline(
     mode: str = "auto",
     budget: SearchBudget | None = None,
 ) -> PipelineReport:
-    """Reduce, sequence, build per-group spanning paths, splice, and verify.
+    """Reduce, sequence, build per-group spanning paths, splice, and verify;
+    auto mode falls back to the exact oracles where the build fails, and
+    oracle mode runs only the whole-graph oracle on the host.
 
     A host with no vertices gets the empty cycle in every mode.  The report
     records every stage; the final cycle is only accepted after the
@@ -259,6 +256,8 @@ def run_pipeline(
         # the empty cycle spans the empty host, as the oracle answers; there
         # is nothing to reduce or cut, and the verifier still checks it
         cycle: VertexSeq | None = VertexSeq((), r)
+    elif mode == "oracle":
+        cycle = _whole_graph_oracle(graph, cfg, budget, report)
     else:
         try:
             reduced = reduce_parts(graph, r, tiny=cfg.gamma / (2 * r))
@@ -291,20 +290,23 @@ def _balanced_case(
     budget: SearchBudget,
     report: PipelineReport,
 ) -> VertexSeq | None:
-    """k' == r: one balanced group; close a cycle through an anchor clique."""
+    """k' == r: one balanced group; close a cycle through an anchor clique,
+    or in auto mode ask the oracle for a cycle of the whole host."""
     r = cfg.r
-    if mode in ("constructive", "auto"):
+    try:
         ka = next(window_paths(graph, graph.part_sets, set(), r), None)
+    except BudgetExhaustedError as exc:
+        report.add("anchor", False, str(exc))
+        report.budget_exceeded = mode == "constructive"
+    else:
         if ka is None:
             report.add("anchor", False, "no transversal clique exists")
         else:
-            path = _per_group_path(graph, ka, ka, "constructive", cfg, budget, report, "group_path")
+            path = _constructive_group_path(graph, ka, ka, mode, cfg, report, "group_path")
             if path is not None:
                 return VertexSeq(ka + path.vertices, r)
-        if mode == "constructive":
-            return None
-        # auto mode goes on to the oracle, so a budget the attempt spent does not end the run
-        report.budget_exceeded = False
+    if mode == "constructive":
+        return None
     res = ham_power_cycle_exists(original, r, budget)
     return report.add_oracle("group_path", res, f"oracle ({res.nodes} nodes)")
 
@@ -325,8 +327,7 @@ def _sequenced_case(
         # a VerificationError is a fault of the construction: it propagates
         # instead of being hidden behind a fallback
         failure = str(exc)
-        if mode == "constructive":
-            report.budget_exceeded |= isinstance(exc, BudgetExhaustedError)
+        report.budget_exceeded = mode == "constructive" and isinstance(exc, BudgetExhaustedError)
     else:
         bad = seq.report.structural_failure()
         failure = None if bad is None else f"{bad.name}: {bad.detail}"
@@ -335,7 +336,7 @@ def _sequenced_case(
         # constructive mode never hands the whole graph to the oracle
         if mode == "constructive":
             return None
-        return _whole_graph_fallback(original, cfg, budget, report)
+        return _whole_graph_oracle(original, cfg, budget, report)
     report.add(
         "sequencing", True,
         f"ell={seq.plan.ell}, measured group slack {seq.report.measured_group_slack}",
@@ -350,19 +351,23 @@ def _sequenced_case(
         back = {old: new for new, old in enumerate(old_ids)}
         ka = tuple(back[v] for v in before.vertices[-r:])
         kb = tuple(back[v] for v in after.vertices[:r])
-        q = _per_group_path(sub, ka, kb, mode, cfg, budget, report, f"group_path[{j}]")
+        label = f"group_path[{j}]"
+        q = _constructive_group_path(sub, ka, kb, mode, cfg, report, label)
+        if q is None and mode == "auto":
+            res = ham_power_path_between(sub, r, ka, kb, budget)
+            q = report.add_oracle(label, res, f"oracle ({res.nodes} nodes)")
+            if q is None and not report.budget_exceeded:
+                # a no through these fixed anchors does not certify anything
+                # about the whole graph; auto mode retries without the cutting
+                return _whole_graph_oracle(original, cfg, budget, report)
         if q is None:
-            # a failure through these fixed anchors does not certify anything
-            # about the whole graph; auto mode retries without the cutting
-            if mode == "auto" and not report.budget_exceeded:
-                return _whole_graph_fallback(original, cfg, budget, report)
             return None
         out.extend(before.vertices)
         out.extend(old_ids[v] for v in q.vertices)
     return VertexSeq(tuple(out), r)
 
 
-def _whole_graph_fallback(
+def _whole_graph_oracle(
     graph: MultipartiteGraph,
     cfg: Config,
     budget: SearchBudget,

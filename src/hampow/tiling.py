@@ -196,6 +196,10 @@ class PathCover:
         }
 
 
+# Attempts of the cover: the first in ascending order, the rest reshuffled.
+COVER_ATTEMPTS = 200
+
+
 def cover_with_paths(
     graph: MultipartiteGraph,
     r: int,
@@ -209,8 +213,8 @@ def cover_with_paths(
     off the used vertices that splices after its tail, picked by the window
     search `oracle.window_paths` through the parts in order, until none
     does.  The first attempt tries candidates in ascending order, so it
-    picks the lexicographically first such clique; retries on shortfall
-    shuffle them with the cover's rng.  The leftover of a balanced host is
+    picks the lexicographically first such clique; retries on shortfall,
+    up to `COVER_ATTEMPTS` attempts in all, shuffle them with the cover's rng.  The leftover of a balanced host is
     automatically balanced because every path meets all parts equally.  A
     negative alpha asks for a leftover below zero, which no cover has.
 
@@ -236,7 +240,7 @@ def cover_with_paths(
 
     rng = cfg.rng("cover")
     best: int | None = None
-    for attempt in range(cfg.retry_limit):
+    for attempt in range(COVER_ATTEMPTS):
         reshuffle = rng if attempt else None
         used: set[int] = set()
         paths: list[VertexSeq] = []
@@ -260,7 +264,7 @@ def cover_with_paths(
         if best is None or len(leftover) < best:
             best = len(leftover)
     raise SearchExhaustedError(
-        f"cover shortfall after {cfg.retry_limit} attempts: best leftover {best} > {target}"
+        f"cover shortfall after {COVER_ATTEMPTS} attempts: best leftover {best} > {target}"
     )
 
 

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+from hampow import tiling
 from hampow.connect import State
 from hampow.errors import (
     GraphFormatError,
@@ -440,13 +441,15 @@ def _accepts(graph: MultipartiteGraph, state: State, head: Sequence[int]) -> boo
 
 
 def reference_cover_with_paths(graph, r, alpha, cfg):
-    """Greedy clique chaining that rescans the whole clique list at every step."""
+    """Greedy clique chaining that rescans the whole clique list at every step,
+    in as many attempts as `tiling.COVER_ATTEMPTS` holds when it is called."""
+    attempts = tiling.COVER_ATTEMPTS
     n = graph.n
     target = alpha * n
     ordered = reference_cliques(graph, r)
     rng = cfg.rng("cover")
     best = None
-    for attempt in range(cfg.retry_limit):
+    for attempt in range(attempts):
         order = ordered[:]
         if attempt:
             rng.shuffle(order)
@@ -482,7 +485,7 @@ def reference_cover_with_paths(graph, r, alpha, cfg):
         if best is None or len(leftover) < best:
             best = len(leftover)
     raise SearchExhaustedError(
-        f"cover shortfall after {cfg.retry_limit} attempts: best leftover {best} > {target}"
+        f"cover shortfall after {attempts} attempts: best leftover {best} > {target}"
     )
 
 

@@ -91,7 +91,7 @@ class TestFindAbsorbers:
     def test_complete_host_finds_instances(self):
         g = complete(3, [9, 9, 9])
         for seed, x in [(0, (0, 9, 18)), (0, (5, 13, 22)), (4, (0, 9, 18))]:
-            found = find_absorbers(g, x, Config.default(3, seed=seed))
+            found = find_absorbers(g, x, Config(3, seed=seed))
             assert len(found) == 1
             inst = found[0]
             assert verify_instance(g, inst)
@@ -105,12 +105,12 @@ class TestFindAbsorbers:
         g0 = complete(3, [9, 9, 9])
         edges = [e for e in g0.edges() if not (e[0] == 0 and 9 <= e[1] < 18)]
         g = MultipartiteGraph.from_edges([list(p) for p in g0.parts], edges)
-        cfg = Config.default(3, seed=0)
+        cfg = Config(3, seed=0)
         assert find_absorbers(g, (0, 9, 18), cfg) == []
 
     def test_avoided_vertices_are_left_out(self):
         # an r=2 gadget fills 5 vertices of each part besides its target's
-        cfg = Config.default(2, seed=0)
+        cfg = Config(2, seed=0)
         g = complete(2, [6, 6])
         (inst,) = find_absorbers(g, (0, 6), cfg)
         assert set(inst.slots) == set(g.parts[0][1:]) | set(g.parts[1][1:])
@@ -123,13 +123,13 @@ class TestFindAbsorbers:
         # an r=3 gadget has 8 slots in each part, and each part of 8 keeps 7
         # vertices off the target
         start = time.perf_counter()
-        assert find_absorbers(complete(3, [8, 8, 8]), (0, 8, 16), Config.default(3)) == []
+        assert find_absorbers(complete(3, [8, 8, 8]), (0, 8, 16), Config(3)) == []
         assert time.perf_counter() - start < 1
 
     def test_spent_budget_is_not_a_no(self, monkeypatch):
         monkeypatch.setattr(absorber, "SearchBudget", lambda: SearchBudget(2))
         with pytest.raises(BudgetExhaustedError, match="budget of 2 nodes exhausted"):
-            find_absorbers(complete(3, [9, 9, 9]), (0, 9, 18), Config.default(3))
+            find_absorbers(complete(3, [9, 9, 9]), (0, 9, 18), Config(3))
 
     def test_finds_an_embedding_exactly_when_brute_force_does(self):
         """On sparse r=2 hosts with parts of 6, the 5 free vertices of each part
@@ -151,7 +151,7 @@ class TestFindAbsorbers:
                     for m in [dict(zip(part_slots[0], left)) | dict(zip(part_slots[1], right))
                               | {("x", 1): 0, ("x", 2): 6}]
                 )
-                found = find_absorbers(g, (0, 6), Config.default(2, seed=seed))
+                found = find_absorbers(g, (0, 6), Config(2, seed=seed))
                 assert bool(found) == exists, (density, seed)
                 assert all(verify_instance(g, inst) for inst in found)
                 outcomes[exists] += 1
@@ -161,20 +161,20 @@ class TestFindAbsorbers:
         # 1064 slots, more than the default recursion limit of 1000 frames
         g = complete(19, [57] * 19)
         x = tuple(part[0] for part in g.parts)
-        found = find_absorbers(g, x, Config.default(19))
+        found = find_absorbers(g, x, Config(19))
         assert len(found) == 1 and verify_instance(g, found[0])
         assert len(found[0].slots) == 3 * 19 * 19 - 19
 
     def test_k_mismatch_rejected(self):
         g = complete(3, [6, 6, 6])
         with pytest.raises(GraphValidationError):
-            find_absorbers(g, (0, 6), Config.default(2, seed=0))
+            find_absorbers(g, (0, 6), Config(2, seed=0))
 
 
 class TestAssembleAbsorb:
     def test_round_trip_on_complete_host(self):
         g = complete(3, [11, 11, 11])
-        cfg = Config.default(3, seed=7)
+        cfg = Config(3, seed=7)
         pa = assemble_absorbing_path(g, (), cfg)
         path = pa.path
         assert is_path(g, path) and is_properly_terminated(g, path)
@@ -190,13 +190,13 @@ class TestAssembleAbsorb:
 
     def test_absorbed_set_must_fill_every_gadget(self):
         g = complete(2, [16, 16])
-        pa = assemble_absorbing_path(g, (), Config.default(2, seed=6))
+        pa = assemble_absorbing_path(g, (), Config(2, seed=6))
         with pytest.raises(GraphValidationError, match="capacity"):
             absorb(g, pa, ())
 
     def test_single_rset_extends_by_r(self):
         g = complete(3, [9, 9, 9])
-        cfg = Config.default(3, seed=2)
+        cfg = Config(3, seed=2)
         pa = assemble_absorbing_path(g, (), cfg)
         outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
         z = [next(v for v in outside if g.part_of(v) == i) for i in range(3)]
@@ -205,8 +205,8 @@ class TestAssembleAbsorb:
 
     def test_determinism(self):
         g = complete(3, [10, 10, 10])
-        a = assemble_absorbing_path(g, (), Config.default(3, seed=5))
-        b = assemble_absorbing_path(g, (), Config.default(3, seed=5))
+        a = assemble_absorbing_path(g, (), Config(3, seed=5))
+        b = assemble_absorbing_path(g, (), Config(3, seed=5))
         assert a.path == b.path
         z = sorted({0, 10, 20} - set(a.path.vertices)) or None
         if z and len(z) == 3:
@@ -216,18 +216,18 @@ class TestAssembleAbsorb:
         # an r=2 gadget takes 5 vertices of each part besides its target's
         g = complete(2, [5, 5])
         with pytest.raises(CoverageError, match="no gadget could be embedded"):
-            assemble_absorbing_path(g, (), Config.default(2, seed=0))
+            assemble_absorbing_path(g, (), Config(2, seed=0))
 
     def test_exclusions_respected(self):
         g = complete(3, [11, 11, 11])
-        cfg = Config.default(3, seed=3)
+        cfg = Config(3, seed=3)
         excl = {0, 11, 22}
         pa = assemble_absorbing_path(g, excl, cfg)
         assert not set(pa.path.vertices) & excl
 
     def test_oversized_z_rejected(self):
         g = complete(3, [11, 11, 11])
-        cfg = Config.default(3, seed=7)
+        cfg = Config(3, seed=7)
         pa = assemble_absorbing_path(g, (), cfg)
         outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
         by_part = [[v for v in outside if g.part_of(v) == i] for i in range(3)]
@@ -237,7 +237,7 @@ class TestAssembleAbsorb:
 
     def test_unbalanced_z_rejected(self):
         g = complete(3, [9, 9, 9])
-        cfg = Config.default(3, seed=2)
+        cfg = Config(3, seed=2)
         pa = assemble_absorbing_path(g, (), cfg)
         outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
         z = [v for v in outside if g.part_of(v) == 0][:1]
@@ -246,7 +246,7 @@ class TestAssembleAbsorb:
 
     def test_unabsorbable_leftover_is_coverage_error(self):
         g = complete(2, [16, 16])
-        pa = assemble_absorbing_path(g, (), Config.default(2, seed=6))
+        pa = assemble_absorbing_path(g, (), Config(2, seed=6))
         outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
         a0, a1 = [v for v in outside if g.part_of(v) == 0][:2]
         b0 = next(v for v in outside if g.part_of(v) == 1)
@@ -268,7 +268,7 @@ def test_covers_are_exactly_what_the_gadget_absorbs(r, size, density):
     for seed in range(12):
         g = gen_random(r, [size] * r, density, seed)
         try:
-            pa = assemble_absorbing_path(g, (), Config.default(r, seed=seed))
+            pa = assemble_absorbing_path(g, (), Config(r, seed=seed))
         except InfeasibleError:  # the host misses the minimum degree the gadget asks for
             continue
         assembled += 1

@@ -135,7 +135,7 @@ def _a5_instances(count=100):
                 sizes[i] += 1
                 sizes[j] -= 1
         sizes.sort(reverse=True)
-        sigma = Config.default(3).sigma
+        sigma = Config(3).sigma
         try:
             tmpl = compute_trim_template(sizes, 3, sigma)
         except InfeasibleError:
@@ -157,7 +157,7 @@ def test_criterion_05_sequencing_identities():
     with _Timer(5, "sequencing identities", 60.0):
         for idx, (sizes, delta, seed) in enumerate(_a5_instances()):
             g = gen_random(4, list(sizes), delta, seed)
-            cfg = Config.default(3, seed=seed)
+            cfg = Config(3, seed=seed)
             res = run_sequencing(g, cfg)
             p0p = res.plan.p0_prime
             used = set(p0p.vertices)
@@ -258,7 +258,7 @@ def test_criterion_09_absorption_round_trip():
         for run in range(50):
             per = sizes_cycle[run % len(sizes_cycle)]
             g = gen_random(3, [per] * 3, 1, 0)
-            cfg = Config.default(3, seed=run)
+            cfg = Config(3, seed=run)
             pa = assemble_absorbing_path(g, (), cfg)
             path = pa.path
             on_path = set(path.vertices)

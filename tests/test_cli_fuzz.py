@@ -99,8 +99,7 @@ def _valid_options(graph: str) -> dict[str, list[tuple[str, str | None]]]:
         "gen": [("--k", "3"), ("--sizes", "2,2,2"), ("--delta", "1/2"), ("--extremal", None),
                 ("--r", "2"), ("--seed", "1"), ("--name", "h")],
         "verify": [*common, ("--cycle", "[0,4,1,5,2,6,3,7]")],
-        "sequence": [*common, ("--seed", "1"), ("--gamma", "1/4"), ("--sigma", "1/13"),
-                     ("--beta", "1/104")],
+        "sequence": [*common, ("--seed", "1")],
         "absorber": [("--r", "2")],
         "connect": [*common, ("--p1", "[0,4]"), ("--p2", "[1,5]"), ("--ell", "2"),
                     ("--seed", "1")],
@@ -184,7 +183,7 @@ def test_fuzzed_argv_parses_as_the_full_parser_parses(k44, data):
 def test_reused_parsers_carry_nothing_from_one_call_to_the_next(k44):
     """In one process, each subcommand's parser is built once, and every call
     ends as a run parsed by a freshly built full parser ends."""
-    first = ["pipeline", "--relaxed", "--mode", "constructive", "--gamma", "1/5", "--seed", "3",
+    first = ["pipeline", "--relaxed", "--mode", "constructive", "--seed", "3",
              "--budget", "300", "--graph", k44, "--r", "2"]
     sequence = [
         first,

@@ -176,7 +176,7 @@ class TestCount:
 class TestFindConnector:
     def test_complete_host_returns_verified_path(self):
         g = complete(3, [12, 12, 12])
-        cfg = Config.default(3, seed=4)
+        cfg = Config(3, seed=4)
         p1 = VertexSeq((0, 12, 24), 3)
         p2 = VertexSeq((1, 13, 25), 3)
         ell = default_connector_length(3)
@@ -199,7 +199,7 @@ class TestFindConnector:
         assert count_connecting_walks(g, u_sets, p1, p2, 4)[0] == 1
         searches = _record_searches(monkeypatch)
         with pytest.raises(SearchExhaustedError) as info:
-            find_connector(g, u_sets, p1, p2, 4, Config.default(2, seed=0))
+            find_connector(g, u_sets, p1, p2, 4, Config(2, seed=0))
         assert type(info.value) is SearchExhaustedError
         assert str(info.value) == "no vertex-distinct connector exists"
         assert [s.nodes for s in searches] == [3]  # the root, 2 and 6
@@ -212,7 +212,7 @@ class TestFindConnector:
         p1, p2 = VertexSeq((0, 6), 2), VertexSeq((1, 7), 2)
         u_sets = [[2, 3, 4, 5], [8, 9, 10, 11]]
         with pytest.raises(SearchExhaustedError) as info:
-            find_connector(g, u_sets, p1, p2, 7500, Config.default(2, seed=0))
+            find_connector(g, u_sets, p1, p2, 7500, Config(2, seed=0))
         assert type(info.value) is SearchExhaustedError
         assert str(info.value) == "no vertex-distinct connector exists"
 
@@ -222,7 +222,7 @@ class TestFindConnector:
         p1, p2 = VertexSeq((0, 3), 2), VertexSeq((1, 4), 2)
         assert count_connecting_walks(g, [[2], [5]], p1, p2, 2)[0] == 0
         with pytest.raises(SearchExhaustedError) as info:
-            find_connector(g, [[2], [5]], p1, p2, 2, Config.default(2, seed=0))
+            find_connector(g, [[2], [5]], p1, p2, 2, Config(2, seed=0))
         assert type(info.value) is SearchExhaustedError
         assert str(info.value) == "no vertex-distinct connector exists"
 
@@ -251,7 +251,7 @@ class TestFindConnector:
                 ell = rng.choice([rng.randint(1, 2 * r), r * rng.randint(1, 2)])
                 want = connectors_by_brute_force(g, u_sets, p1, p2, ell)
                 try:
-                    q = find_connector(g, u_sets, p1, p2, ell, Config.default(r, seed=trial))
+                    q = find_connector(g, u_sets, p1, p2, ell, Config(r, seed=trial))
                 except SearchExhaustedError as exc:
                     assert type(exc) is SearchExhaustedError
                     assert not want, (r, k, trial)
@@ -280,7 +280,7 @@ class TestFindConnector:
                 continue
             del searches[:]
             with pytest.raises(SearchExhaustedError):
-                find_connector(g, u_sets, p1, p2, ell, Config.default(2, seed=trial))
+                find_connector(g, u_sets, p1, p2, ell, Config(2, seed=trial))
             assert [s.nodes for s in searches] == [1], trial
             proved += 1
         assert proved >= 20
@@ -299,7 +299,7 @@ class TestFindConnector:
         )
         searches = _record_searches(monkeypatch)
         with pytest.raises(SearchExhaustedError) as info:
-            find_connector(cut, u_sets, p1, p2, ell, Config.default(3, seed=1))
+            find_connector(cut, u_sets, p1, p2, ell, Config(3, seed=1))
         assert type(info.value) is SearchExhaustedError
         assert [s.nodes for s in searches] == [1]
 
@@ -309,11 +309,11 @@ class TestFindConnector:
         g = complete(2, [4, 4])
         p1, p2 = VertexSeq((0, 4), 2), VertexSeq((1, 5), 2)
         with pytest.raises(SearchExhaustedError) as info:
-            find_connector(g, [[2, 3], [6, 7]], p1, p2, 6, Config.default(2, seed=0))
+            find_connector(g, [[2, 3], [6, 7]], p1, p2, 6, Config(2, seed=0))
         assert str(info.value) == "no vertex-distinct connector exists"
         # four steps take two vertices from each pool
         monkeypatch.undo()
-        assert len(find_connector(g, [[2, 3], [6, 7]], p1, p2, 4, Config.default(2, seed=0))) == 4
+        assert len(find_connector(g, [[2, 3], [6, 7]], p1, p2, 4, Config(2, seed=0))) == 4
 
     def test_search_is_seed_deterministic(self):
         g = complete(3, [5, 5, 5])
@@ -321,8 +321,8 @@ class TestFindConnector:
         p2 = VertexSeq((1, 6, 11), 3)
         terminal = (0, 1, 5, 6, 10, 11)
         u_sets = [[v for v in g.parts[i] if v not in terminal] for i in range(3)]
-        a = find_connector(g, u_sets, p1, p2, 6, Config.default(3, seed=9))
-        b = find_connector(g, u_sets, p1, p2, 6, Config.default(3, seed=9))
+        a = find_connector(g, u_sets, p1, p2, 6, Config(3, seed=9))
+        b = find_connector(g, u_sets, p1, p2, 6, Config(3, seed=9))
         assert a == b
 
     def test_spent_budget_is_not_a_none(self, monkeypatch):
@@ -333,7 +333,7 @@ class TestFindConnector:
         # the search needs the root and six picks
         monkeypatch.setattr(hampow.oracle, "SearchBudget", lambda: SearchBudget(5))
         with pytest.raises(BudgetExhaustedError, match="budget of 5 nodes"):
-            find_connector(g, u_sets, p1, p2, 6, Config.default(3, seed=9))
+            find_connector(g, u_sets, p1, p2, 6, Config(3, seed=9))
 
     def test_walk_that_does_not_splice_fails_verification(self, monkeypatch):
         g = complete(3, [5, 5, 5])
@@ -349,7 +349,7 @@ class TestFindConnector:
                             lambda graph, _, used, r, before, after, rng:
                                 real(graph, cells, used, r, before=before, rng=rng))
         with pytest.raises(VerificationError, match="does not splice"):
-            find_connector(g, u_sets, p1, p2, 5, Config.default(3, seed=9))
+            find_connector(g, u_sets, p1, p2, 5, Config(3, seed=9))
 
 
 def _refuse(*args, **kwargs):

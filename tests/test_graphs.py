@@ -1,7 +1,9 @@
+import dataclasses
 import gc
 import json
 import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import given, settings
@@ -357,21 +359,26 @@ def test_induced_subgraph_sets_iterate_as_when_built_vertex_by_vertex(seed):
 
 class TestConfig:
     def test_defaults_satisfy_chain(self):
+        """The constants are the desk-scale defaults of r that the pipeline
+        has always used, in the order 0 < beta < sigma < gamma <= 1/r."""
         for r in range(2, 7):
-            cfg = Config.default(r)
+            cfg = Config(r, seed=r)
+            sigma = Fraction(1, 2 * r * (r + 1) + 1)
+            assert (cfg.gamma, cfg.sigma, cfg.beta) == (Fraction(1, 2 * r), sigma, sigma / 8)
             assert 0 < cfg.beta < cfg.sigma < cfg.gamma <= Fraction(1, r)
+            for n in (0, 1, 2, 100, 8 * (2 * r * (r + 1) + 1) * 2, 10_000):
+                assert cfg.floor_m(n) == max(2, ceil(n * sigma / 8)), (r, n)
 
-    def test_invalid_chain_rejected(self):
-        with pytest.raises(GraphValidationError):
-            Config(
-                r=3,
-                gamma=Fraction(1, 10),
-                sigma=Fraction(1, 5),
-                beta=Fraction(1, 20),
-            )
+    def test_only_r_and_seed_are_settable(self):
+        assert [f.name for f in dataclasses.fields(Config)] == ["r", "seed"]
+        with pytest.raises(TypeError):
+            Config(3, gamma=Fraction(1, 10))
+        cfg = Config(3)
+        with pytest.raises(AttributeError):
+            cfg.sigma = Fraction(1, 5)
 
     def test_floor_is_at_least_two(self):
-        cfg = Config.default(3)
+        cfg = Config(3)
         assert cfg.floor_m(0) == cfg.floor_m(10) == cfg.floor_m(400) == 2
         assert cfg.floor_m(401) == 3
         assert cfg.floor_m(10_000) >= cfg.beta * 10_000
@@ -379,10 +386,10 @@ class TestConfig:
     @pytest.mark.parametrize("r", [-1, 0, 1])
     def test_default_rejects_r_below_two_before_dividing_by_it(self, r):
         with pytest.raises(GraphValidationError, match="at least 2"):
-            Config.default(r)
+            Config(r)
 
     def test_rng_streams_are_deterministic(self):
-        cfg = Config.default(3, seed=5)
+        cfg = Config(3, seed=5)
         assert cfg.rng("x").random() == cfg.rng("x").random()
         assert cfg.rng("x").random() != cfg.rng("y").random()
 

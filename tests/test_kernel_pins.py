@@ -82,7 +82,7 @@ def _connector_walk(case):
     p1, p2 = VertexSeq(tuple(case["p1"]), r), VertexSeq(tuple(case["p2"]), r)
     terminal = set(case["p1"]) | set(case["p2"])
     q = find_connector(g, _free_parts(g, r, terminal), p1, p2, case["ell"],
-                       Config.default(r, seed=case["seed"]))
+                       Config(r, seed=case["seed"]))
     return list(q.vertices)
 
 
@@ -102,7 +102,7 @@ def test_find_connector_never_counts_walks(monkeypatch):
 
 @pytest.mark.parametrize("case", PINS["absorber"], ids=_case_id)
 def test_find_absorbers_first_embedding_pinned(case):
-    found = find_absorbers(_host(case), case["target"], Config.default(case["r"], seed=case["seed"]))
+    found = find_absorbers(_host(case), case["target"], Config(case["r"], seed=case["seed"]))
     assert [list(inst.slots) for inst in found] == case["q2"]
 
 

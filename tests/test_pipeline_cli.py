@@ -1,6 +1,8 @@
 import argparse
 import json
+import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,37 +34,37 @@ from hampow.tiling import cover_with_paths
 class TestPipeline:
     def test_complete_balanced_three_partite(self):
         g = complete(3, [4, 4, 4])
-        rep = run_pipeline(g, Config.default(3, seed=0))
+        rep = run_pipeline(g, Config(3, seed=0))
         assert rep.ok
         assert verify_ham_power_cycle(g, rep.cycle, 3)
 
     def test_extremal_fails_with_stage_diagnosis(self):
         g = gen_extremal(3, (4, 4, 4), 3)
-        rep = run_pipeline(g, Config.default(3, seed=0))
+        rep = run_pipeline(g, Config(3, seed=0))
         assert not rep.ok
         assert any(not s.ok for s in rep.stages)
 
     def test_oversized_part_reported_at_independence(self):
         g = complete(2, [5, 3])
-        rep = run_pipeline(g, Config.default(2, seed=0))
+        rep = run_pipeline(g, Config(2, seed=0))
         assert not rep.ok
         assert rep.stages[0].name == "independence" and not rep.stages[0].ok
 
     def test_oracle_mode(self):
         g = complete(3, [3, 3, 3])
-        rep = run_pipeline(g, Config.default(3, seed=1), mode="oracle")
+        rep = run_pipeline(g, Config(3, seed=1), mode="oracle")
         assert rep.ok
 
     def test_budget_exhaustion_reported(self):
         g = complete(3, [4, 4, 4])
         rep = run_pipeline(
-            g, Config.default(3, seed=0), mode="oracle", budget=SearchBudget(1)
+            g, Config(3, seed=0), mode="oracle", budget=SearchBudget(1)
         )
         assert not rep.ok and rep.budget_exceeded
 
     def test_multi_part_instance_via_sequencing(self):
         g = complete(4, [12, 12, 12, 12])
-        rep = run_pipeline(g, Config.default(3, seed=0))
+        rep = run_pipeline(g, Config(3, seed=0))
         assert rep.ok
         assert any(s.name == "sequencing" and s.ok for s in rep.stages)
         assert verify_ham_power_cycle(g, rep.cycle, 3)
@@ -70,7 +72,7 @@ class TestPipeline:
     def test_sequencing_infeasible_falls_back_to_whole_graph_oracle(self):
         # n too small for the integer solver: fallback still delivers the cycle
         g = complete(4, [4, 4, 4, 3])
-        rep = run_pipeline(g, Config.default(3, seed=0))
+        rep = run_pipeline(g, Config(3, seed=0))
         assert rep.ok
         assert any(s.name == "whole_graph_oracle" for s in rep.stages)
 
@@ -88,7 +90,7 @@ class TestPipeline:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(hampow.pipeline, "run_sequencing", counting)
-        rep = run_pipeline(g, Config.default(4, seed=1), mode=mode)
+        rep = run_pipeline(g, Config(4, seed=1), mode=mode)
         assert calls == [1]
         p1 = "precondition P1 fails: residual total -24 negative or not divisible by r"
         assert [(s.name, s.ok, s.detail) for s in rep.stages] == [
@@ -107,15 +109,15 @@ class TestPipeline:
             raise SearchExhaustedError(f"spent under seed {cfg.seed}")
 
         monkeypatch.setattr(hampow.pipeline, "run_sequencing", exhausted)
-        rep = run_pipeline(complete(4, [12, 12, 12, 12]), Config.default(3, seed=5),
+        rep = run_pipeline(complete(4, [12, 12, 12, 12]), Config(3, seed=5),
                            mode="constructive")
         assert calls == [5]
         assert (rep.stages[-1].name, rep.stages[-1].detail) == ("sequencing", "spent under seed 5")
 
     def test_dense_random_reproducible(self):
         g = gen_random(3, [4, 4, 4], Fraction(19, 20), 3)
-        a = run_pipeline(g, Config.default(3, seed=5))
-        b = run_pipeline(g, Config.default(3, seed=5))
+        a = run_pipeline(g, Config(3, seed=5))
+        b = run_pipeline(g, Config(3, seed=5))
         assert a.to_json_dict() == b.to_json_dict()
 
     def test_fallback_searches_the_unreduced_graph(self):
@@ -128,7 +130,7 @@ class TestPipeline:
         assert ham_power_cycle_exists(g, 3).answer == YES
         reduced = reduce_parts(g, 3)
         assert ham_power_cycle_exists(reduced, 3).answer != YES
-        rep = run_pipeline(g, Config.default(3, seed=79))
+        rep = run_pipeline(g, Config(3, seed=79))
         assert rep.ok
         assert verify_ham_power_cycle(g, rep.cycle, 3)
 
@@ -145,7 +147,7 @@ class TestPipeline:
         for seed in range(12):
             k, sizes, delta = cases[seed % len(cases)]
             g = gen_random(k, sizes, delta, seed)
-            rep = run_pipeline(g, Config.default(3, seed=seed))
+            rep = run_pipeline(g, Config(3, seed=seed))
             assert not rep.budget_exceeded
             truth = ham_power_cycle_exists(g, 3)
             assert rep.ok == (truth.answer == YES), (seed, k, sizes)
@@ -154,7 +156,7 @@ class TestPipeline:
 class TestConstructive:
     def test_r2_full_machinery(self):
         g = complete(2, [20, 20])
-        cfg = Config.default(2, seed=3)
+        cfg = Config(2, seed=3)
         K, K2 = (0, 20), (1, 21)
         path = constructive_ham_path_between(g, K, K2, cfg)
         assert len(path) == 36
@@ -167,7 +169,7 @@ class TestConstructive:
 
         monkeypatch.setattr(tiling, "fractional_tiling", no_lp)
         g = complete(3, [50, 50, 50])
-        cfg = Config.default(3, seed=1)
+        cfg = Config(3, seed=1)
         rep = run_pipeline(g, cfg, mode="constructive")
         assert rep.ok
         assert verify_ham_power_cycle(g, rep.cycle, 3)
@@ -181,7 +183,7 @@ class TestConstructive:
 
         monkeypatch.setattr(tiling, "enumerate_cliques", no_list)
         g = complete(3, [24, 24, 24])
-        rep = run_pipeline(g, Config.default(3, seed=1), mode="constructive")
+        rep = run_pipeline(g, Config(3, seed=1), mode="constructive")
         assert rep.ok and verify_ham_power_cycle(g, rep.cycle, 3)
         assert any(s.name == "group_path" and s.detail == "constructive" for s in rep.stages)
 
@@ -189,7 +191,7 @@ class TestConstructive:
         # each part keeps 10 vertices off the anchor and the gadget, more than
         # the 7 the reservoir takes, but the gadget absorbs fewer of part 1's
         g = gen_random(2, [16, 16], Fraction(19, 20), 10)
-        cfg = Config.default(2, seed=10)
+        cfg = Config(2, seed=10)
         anchor = next(window_paths(g, g.part_sets, set(), 2))
         gadget = assemble_absorbing_path(g, anchor, cfg).gadgets[0]
         free = [set(p) - set(anchor) - set(gadget.instance.slots) for p in g.parts]
@@ -204,26 +206,26 @@ class TestConstructive:
         # the anchor, the gadget and the reservoir of the two connectors fill
         # each part, so the cover has nothing to cover
         g = complete(r, [size] * r)
-        rep = run_pipeline(g, Config.default(r, seed=1), mode="constructive")
+        rep = run_pipeline(g, Config(r, seed=1), mode="constructive")
         assert rep.ok and verify_ham_power_cycle(g, rep.cycle, r)
         small = complete(r, [size - 1] * r)
         anchor = tuple(part[0] for part in small.parts)
         with pytest.raises(ScaleInfeasibleError, match=f"needs at least {size} per part"):
-            constructive_ham_path_between(small, anchor, anchor, Config.default(r))
+            constructive_ham_path_between(small, anchor, anchor, Config(r))
 
     def test_host_below_the_degree_threshold_is_built(self):
         # the theorem's 1 - 1/r + o(1) is not checked, nor a degree condition
         # on the reservoir draw: the exact searches decide
         g = gen_random(2, [18, 18], Fraction(17, 20), 18153)
         assert degree_profile(g).delta_p == Fraction(13, 18) < Fraction(3, 4)
-        rep = run_pipeline(g, Config.default(2, seed=4), mode="constructive")
+        rep = run_pipeline(g, Config(2, seed=4), mode="constructive")
         assert rep.ok and verify_ham_power_cycle(g, rep.cycle, 2)
         assert ("group_path", True, "constructive") in [(s.name, s.ok, s.detail) for s in rep.stages]
         # this host's rest needs two cover paths, so a reservoir of
         # (2 + 2) * 2 + 1 = 9 per part, which the gadget's covers cannot hold
         g = gen_random(2, [16, 16], Fraction(9, 10), 10)
         assert degree_profile(g).delta_p == Fraction(11, 16)
-        rep = run_pipeline(g, Config.default(2, seed=0), mode="constructive")
+        rep = run_pipeline(g, Config(2, seed=0), mode="constructive")
         assert not rep.ok
         assert [(s.name, s.ok, s.detail) for s in rep.stages][-1] == (
             "group_path:constructive", False,
@@ -243,7 +245,7 @@ class TestConstructive:
         monkeypatch.setattr(hampow.pipeline, "_cut_paths", spy)
         g = gen_random(2, [18, 18], Fraction(97, 100), 18216)
         assert degree_profile(g).delta_p == Fraction(8, 9)
-        rep = run_pipeline(g, Config.default(2, seed=7), mode="constructive")
+        rep = run_pipeline(g, Config(2, seed=7), mode="constructive")
         assert rep.ok and verify_ham_power_cycle(g, rep.cycle, 2)
         assert ("group_path", True, "constructive") in [(s.name, s.ok, s.detail) for s in rep.stages]
         assert cuts == [(1, 2)]
@@ -252,7 +254,7 @@ class TestConstructive:
                                                        (4, 8, 1, 1)])
     def test_every_piece_of_a_cut_is_a_terminated_power_path(self, r, size, delta, seed):
         g = gen_random(r, [size] * r, delta, seed)
-        cover = list(cover_with_paths(g, r, Fraction(0), Config.default(r, seed=seed)).paths)
+        cover = list(cover_with_paths(g, r, Fraction(0), Config(r, seed=seed)).paths)
         cliques = sum(len(p) for p in cover) // r
         for count in range(len(cover), cliques + 1):
             pieces = _cut_paths(cover, count)
@@ -272,7 +274,7 @@ class TestConstructive:
     def test_small_host_is_scale_infeasible(self):
         g = complete(2, [5, 5])
         with pytest.raises(ScaleInfeasibleError):
-            constructive_ham_path_between(g, (0, 5), (1, 6), Config.default(2, seed=0))
+            constructive_ham_path_between(g, (0, 5), (1, 6), Config(2, seed=0))
 
 
 # a k=5 host for r=3 whose sequencing plan fails only the group slack A2
@@ -312,6 +314,66 @@ class TestCli:
         assert [s["name"] for s in stages if not s["ok"]] == ["group_path[0]:constructive"]
         assert stages[-1]["detail"].startswith("constants infeasible at this scale")
         assert not any("oracle" in s["name"] or "oracle" in s["detail"] for s in stages)
+
+    @pytest.mark.parametrize("mode, rc, tail", [
+        ("constructive", EXIT_BUDGET, []),
+        ("auto", EXIT_OK, [("group_path", True, "oracle (18 nodes)"), ("verify", True, "ok")]),
+    ])
+    def test_spent_anchor_search_is_a_failed_stage(self, tmp_path, capsys, monkeypatch,
+                                                   mode, rc, tail):
+        """The anchor is found by a budgeted window-path search; spending its
+        budget ends a constructive run with exit 5 and a report, and auto
+        mode goes on to the oracle."""
+        gpath = self._gen(tmp_path, ["--k", "3", "--sizes", "6,6,6", "--delta", "1", "--seed", "1"])
+        monkeypatch.setattr(hampow.oracle, "SearchBudget",
+                            lambda node_limit=2: SearchBudget(node_limit))
+        assert main(["pipeline", "--graph", str(gpath), "--r", "3", "--mode", mode]) == rc
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["budget_exceeded"] == (rc == EXIT_BUDGET)
+        assert [(s["name"], s["ok"], s["detail"]) for s in doc["stages"]] == [
+            ("independence", True, ""),
+            ("reduce", True, "k'=3, sizes=[6, 6, 6]"),
+            ("anchor", False, "search budget of 2 nodes exhausted"),
+        ] + tail
+
+    def test_oracle_mode_answers_as_search_does(self, tmp_path, capsys):
+        """Differential check on small seeded hosts, r in {2, 3}, k from r to
+        2r-1 and densities 7/10 to 1: oracle mode runs only the whole-graph
+        oracle, and exits 0 with the cycle `search` finds, which `verify`
+        accepts, exactly when `search` says yes, 4 when it says no and 5
+        when the same budget runs out.  On the first host, with k > r, the
+        oracle through sequencing's fixed anchors says no."""
+        hosts = [(2, ["--k", "3", "--sizes", "8,8,8", "--delta", "9/10"], 2_000_000)]
+        for i in range(30):
+            rng = random.Random(i)
+            r = 2 + i % 2
+            k = r + (i // 2) % r
+            sizes = [rng.randint(2, 5)] * r if k == r else [rng.randint(2, 5) for _ in range(k)]
+            delta = rng.choice(["7/10", "4/5", "9/10", "1"])
+            host = ["--k", str(k), "--sizes", ",".join(map(str, sizes)), "--delta", delta,
+                    "--seed", str(i)]
+            hosts.append((r, host, 30 if i % 10 == 9 else 20_000))
+        want_rc = {"yes": EXIT_OK, "no": EXIT_STAGE, "budget_exceeded": EXIT_BUDGET}
+        seen = Counter()
+        for i, (r, host, budget) in enumerate(hosts):
+            gpath = str(self._gen(tmp_path, host, name=f"g{i}.json"))
+            common = ["--graph", gpath, "--r", str(r), "--budget", str(budget)]
+            main(["search", *common])
+            found = json.loads(capsys.readouterr().out)
+            answer = found["answer"]
+            rc = main(["pipeline", *common, "--mode", "oracle"])
+            doc = json.loads(capsys.readouterr().out)
+            assert rc == want_rc[answer], (i, host)
+            assert [s["name"] for s in doc["stages"]] == [
+                "independence", "whole_graph_oracle"] + ["verify"] * (answer == "yes"), (i, host)
+            assert doc["budget_exceeded"] == (answer == "budget_exceeded"), (i, host)
+            assert doc["cycle"] == found["witness"], (i, host)
+            if answer == "yes":
+                cycle = json.dumps(doc["cycle"])
+                assert main(["verify", "--graph", gpath, "--r", str(r), "--cycle", cycle]) == EXIT_OK
+                capsys.readouterr()
+            seen[answer] += 1
+        assert min(seen["yes"], seen["no"], seen["budget_exceeded"]) >= 2, seen
 
     def test_sequencing_self_check_failure_is_not_hidden(self, tmp_path, capsys, monkeypatch):
         gpath = self._gen(tmp_path, ["--k", "4", "--sizes", "12,12,12,12", "--delta", "1"])
@@ -738,10 +800,6 @@ class TestCli:
          "hampow tile: error: argument --cover: expected one argument"),
         (["tile", "--r", "3", "--cover=-1/2"], EXIT_VALIDATION,
          "validation error: cover leftover fraction must be at least 0, got -1/2"),
-        (["pipeline", "--r", "3", "--gamma", "-1/6"], EXIT_PARSE,
-         "hampow pipeline: error: argument --gamma: expected one argument"),
-        (["pipeline", "--r", "3", "--gamma=-1/6"], EXIT_VALIDATION,
-         "validation error: constants must satisfy 0 < beta < sigma < gamma <= 1/r"),
     ])
     def test_a_negative_rational_option_needs_the_equals_form(
         self, tmp_path, capsys, argv, rc, line
@@ -822,14 +880,13 @@ def test_every_option_is_read_by_its_command(tmp_path):
     at least one of these invocations: an option no command reads decides nothing."""
     g, g4, out = (str(tmp_path / name) for name in ("g.json", "g4.json", "out"))
     common = ["--graph", g, "--r", "3", "--out", out]
-    constants = ["--gamma", "1/6", "--sigma", "1/25", "--beta", "1/200"]
     invocations = [
         ["gen", "--k", "3", "--sizes", "4,4,4", "--delta", "1", "--seed", "1", "--name", "h",
          "--out", g],
         ["gen", "--k", "4", "--sizes", "12,12,12,12", "--delta", "1", "--out", g4],
         ["gen", "--k", "3", "--sizes", "4,4,4", "--extremal", "--r", "3", "--out", out],
         ["verify", *common, "--cycle", "[0,4,8,1,5,9,2,6,10,3,7,11]"],
-        ["sequence", "--graph", g4, "--r", "3", "--out", out, "--seed", "1", *constants],
+        ["sequence", "--graph", g4, "--r", "3", "--out", out, "--seed", "1"],
         ["absorber", "--r", "3", "--out", out],
         ["connect", "--graph", g, "--r", "2", "--out", out, "--p1", "[0,4]", "--p2", "[1,5]",
          "--ell", "2", "--seed", "1"],
@@ -837,8 +894,7 @@ def test_every_option_is_read_by_its_command(tmp_path):
         ["search", *common, "--budget", "1000"],
         ["scan", "--r", "2", "--k", "2", "--n", "4", "--delta", "1", "--samples", "1",
          "--budget", "1000", "--seed", "1", "--out", out],
-        ["pipeline", *common, "--mode", "oracle", "--budget", "1000", "--relaxed", "--seed", "1",
-         *constants],
+        ["pipeline", *common, "--mode", "oracle", "--budget", "1000", "--relaxed", "--seed", "1"],
     ]
     parser = build_parser()
     read = set()

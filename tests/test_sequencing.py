@@ -187,14 +187,14 @@ class TestSolver:
 
 def _pipeline_fixture(seed=0, delta=1, sizes=(12, 12, 12, 12)):
     g = gen_random(4, list(sizes), delta, seed)
-    cfg = Config.default(3, seed=seed)
+    cfg = Config(3, seed=seed)
     return g, cfg, run_sequencing(g, cfg)
 
 
 class TestTrimPath:
     def test_postconditions_on_complete_host(self):
         g = complete(4, [9, 9, 9, 8])
-        cfg = Config.default(3, seed=2)
+        cfg = Config(3, seed=2)
         tmpl = compute_trim_template([9, 9, 9, 8], 3, cfg.sigma)
         p0 = build_trim_path(g, tmpl, cfg)
         assert is_path(g, p0)
@@ -206,7 +206,7 @@ class TestTrimPath:
 
     def test_residual_identities(self):
         g = complete(4, [9, 9, 9, 8])
-        cfg = Config.default(3, seed=2)
+        cfg = Config(3, seed=2)
         tmpl = compute_trim_template([9, 9, 9, 8], 3, cfg.sigma)
         p0 = build_trim_path(g, tmpl, cfg)
         used = set(p0.vertices)
@@ -223,7 +223,7 @@ class TestTrimPath:
         full = complete(4, [9, 9, 9, 8])
         g = MultipartiteGraph.from_edges(
             full.parts, [(u, v) for u, v in full.edges() if not (u < 9 <= v < 18)])
-        cfg = Config.default(3, seed=2)
+        cfg = Config(3, seed=2)
         tmpl = compute_trim_template([9, 9, 9, 8], 3, cfg.sigma)
         assert tmpl.type_sequence[0] == z_vector(0, 4, 3)
         with pytest.raises(SearchExhaustedError, match="no power-path realizes") as exc:
@@ -234,7 +234,7 @@ class TestTrimPath:
         self, monkeypatch, tmp_path, capsys
     ):
         g = complete(4, [9, 9, 9, 8])
-        cfg = Config.default(3, seed=2)
+        cfg = Config(3, seed=2)
         tmpl = compute_trim_template([9, 9, 9, 8], 3, cfg.sigma)
         monkeypatch.setattr(oracle, "SearchBudget", lambda: SearchBudget(1))
         with pytest.raises(BudgetExhaustedError, match="budget of 1 nodes exhausted"):
@@ -262,7 +262,7 @@ class TestRefineAndPlan:
 
     def test_single_column_refinement_is_identity(self):
         g = complete(4, [16, 16, 15, 4])
-        cfg = Config.default(3, seed=1)
+        cfg = Config(3, seed=1)
         res = run_sequencing(g, cfg)
         assert res.plan.ell == 1
         assert res.report.ok
@@ -360,7 +360,7 @@ class TestRunSequencingRandom:
         while done < 10:
             seed += 1
             g = gen_random(4, [13, 13, 12, 10], Fraction(9, 10), seed)
-            cfg = Config.default(3, seed=seed)
+            cfg = Config(3, seed=seed)
             try:
                 res = run_sequencing(g, cfg)
             except InfeasibleError:
@@ -372,16 +372,16 @@ class TestRunSequencingRandom:
     @pytest.mark.parametrize("seed", range(6))
     def test_connectors_do_not_dead_end(self, seed):
         g = gen_random(6, [40] * 6, Fraction(9, 10), seed)
-        res = run_sequencing(g, Config.default(4))
+        res = run_sequencing(g, Config(4))
         assert all(c.ok for c in res.report.conditions if c.name != "A2")
 
     def test_other_powers(self):
         # r=2 with k=3, and r=4 at both ends of its k range
-        res = run_sequencing(complete(3, [12, 12, 12]), Config.default(2, seed=0))
+        res = run_sequencing(complete(3, [12, 12, 12]), Config(2, seed=0))
         assert res.report.ok and res.plan.ell == 3
-        res = run_sequencing(complete(5, [20] * 5), Config.default(4, seed=2))
+        res = run_sequencing(complete(5, [20] * 5), Config(4, seed=2))
         assert res.report.ok and res.plan.ell == 5
-        res = run_sequencing(complete(7, [48] * 7), Config.default(4, seed=3))
+        res = run_sequencing(complete(7, [48] * 7), Config(4, seed=3))
         assert res.report.ok and res.plan.ell == 35
         assert len(res.plan.connectors) == 34
 
@@ -468,7 +468,7 @@ def test_a2_minimum_matches_the_per_vertex_fraction_loop(seed):
     assert _group_degree_slack(g, plan) == reference_group_degree_slack(g, plan)
     host = gen_random(4, [13, 13, 12, 10], Fraction(9, 10), seed)
     try:
-        res = run_sequencing(host, Config.default(3, seed=seed))
+        res = run_sequencing(host, Config(3, seed=seed))
     except InfeasibleError:
         return
     assert _group_degree_slack(host, res.plan) == reference_group_degree_slack(host, res.plan)
@@ -482,7 +482,7 @@ def test_refinement_makes_one_seeded_split_per_part_whatever_the_degrees():
     g = MultipartiteGraph.from_edges(
         full.parts, [e for e in full.edges() if not (e[1] == 20 and e[0] in range(2, 8))])
     matrix = build_template_matrix(4, 3, 2)
-    cfg = Config.default(3, seed=1)
+    cfg = Config(3, seed=1)
     want = [[] for _ in range(matrix.ell)]
     for i, part in enumerate(g.parts):
         pool = list(part)
@@ -507,7 +507,7 @@ def _refinement_case(seed):
     k = rng.randint(r + 1, max(r + 1, 2 * r - 1))
     ell = rng.choice([1, 2, 2, 3, 4])
     g = gen_random(k, [3 * ell + 2 * r] * k, rng.choice([0.7, 0.85, 1]), seed)
-    cfg = Config.default(r, seed=seed)
+    cfg = Config(r, seed=seed)
     free = [rng.sample(part, len(part)) for part in g.parts]
     order = rng.sample(range(k), r)
     length = rng.randint(0, 2 * r)
@@ -645,7 +645,7 @@ class TestDoomedRefinements:
         searches = _record_bridge_searches(monkeypatch)
         for ell in (2, 3, 4):
             g, trim, groups, patterns = _doomed_prefix_chain(ell)
-            assert _plan_or_none(g, trim, groups, patterns, Config.default(2, seed=ell)) is None
+            assert _plan_or_none(g, trim, groups, patterns, Config(2, seed=ell)) is None
         assert [s.nodes for s in searches] == [1 + 9 + 9 * 36 * (ell - 1) for ell in (2, 3, 4)]
         g, trim, groups, _ = _doomed_prefix_chain(2)
         assert disjoint_choice_by_brute_force(
@@ -664,7 +664,7 @@ class TestDoomedRefinements:
         edges = [(u, v) for p, q in combinations(parts, 2) for u in p for v in q
                  if (u, v) not in missing]
         groups = (frozenset({a, a2}), frozenset({b, b2})), (frozenset({a3}), frozenset({b3}))
-        case = VertexSeq((t,), 2), groups, ((0, 1), (0, 1)), Config.default(2)
+        case = VertexSeq((t,), 2), groups, ((0, 1), (0, 1)), Config(2)
         searches = _record_bridge_searches(monkeypatch)
         for g, nodes in ((MultipartiteGraph.from_edges(parts, edges), 3),
                          (MultipartiteGraph.from_edges(parts, edges + [(a2, b)]), 4)):

@@ -194,7 +194,7 @@ def _cover_is_valid(cover, g, alpha):
 class TestCover:
     def test_complete_host_single_hamiltonian_path(self):
         g = complete(3, [3, 3, 3])
-        cfg = Config.default(3, seed=0)
+        cfg = Config(3, seed=0)
         cov = cover_with_paths(g, 3, Fraction(0), cfg)
         assert len(cov.paths) == 1
         assert len(cov.paths[0]) == 9
@@ -203,7 +203,7 @@ class TestCover:
 
     def test_alpha_one_trivial(self):
         g = complete(3, [3, 3, 3])
-        cov = cover_with_paths(g, 3, Fraction(1), Config.default(3, seed=0))
+        cov = cover_with_paths(g, 3, Fraction(1), Config(3, seed=0))
         assert cov.paths == ()
         assert len(cov.leftover) == 9
 
@@ -212,13 +212,13 @@ class TestCover:
             g = gen_random(2, [6, 6], Fraction(9, 10), seed)
             if degree_profile(g).delta_p < Fraction(1, 2):
                 continue
-            cfg = Config.default(2, seed=seed)
+            cfg = Config(2, seed=seed)
             _cover_is_valid(cover_with_paths(g, 2, Fraction(1, 3), cfg), g, Fraction(1, 3))
 
     def test_unbalanced_host_rejected(self):
         g = complete(2, [3, 4])
         with pytest.raises(GraphValidationError):
-            cover_with_paths(g, 2, Fraction(1), Config.default(2, seed=0))
+            cover_with_paths(g, 2, Fraction(1), Config(2, seed=0))
 
     @pytest.mark.parametrize("alpha", [Fraction(-1), Fraction(-1, 100)])
     def test_negative_alpha_is_rejected_before_any_attempt(self, alpha, monkeypatch):
@@ -227,12 +227,12 @@ class TestCover:
 
         monkeypatch.setattr(tiling, "window_paths", no_search)
         with pytest.raises(GraphValidationError, match=f"at least 0, got {alpha}$"):
-            cover_with_paths(complete(3, [4, 4, 4]), 3, alpha, Config.default(3, seed=0))
+            cover_with_paths(complete(3, [4, 4, 4]), 3, alpha, Config(3, seed=0))
 
     def test_shortfall_reports_best(self):
         g = gen_random(2, [4, 4], 0, 0)  # empty graph: no cliques at all
         with pytest.raises(SearchExhaustedError, match="shortfall"):
-            cover_with_paths(g, 2, Fraction(1, 8), Config.default(2, seed=0))
+            cover_with_paths(g, 2, Fraction(1, 8), Config(2, seed=0))
 
 
 @pytest.mark.parametrize("r", [-1, 0, 1])
@@ -242,7 +242,7 @@ def test_r_below_two_is_rejected_by_every_tiling(r, sizes):
     looked at: an r-partite host with r = 1 passes them all, and r = 0
     divides by zero."""
     g = complete(len(sizes), sizes)
-    cfg = Config.default(2)
+    cfg = Config(2)
     for call in (lambda: fractional_tiling(g, r), lambda: perfect_tiling_bruteforce(g, r),
                  lambda: cover_with_paths(g, r, Fraction(0), cfg)):
         with pytest.raises(GraphValidationError, match="r must be at least 2"):
@@ -256,11 +256,11 @@ def _cover_outcome(cover, g, r, alpha, cfg):
         return str(exc)
 
 
-def test_cover_matches_the_rescanning_reference():
+def test_cover_matches_the_rescanning_reference(monkeypatch):
     """A first attempt gives the same PathCover, or the same shortfall text,
     as the greedy that rescans every clique at every step.  Reshuffled
     retries give a valid cover, the same one for the same seed, or the
-    shortfall text."""
+    shortfall text.  The attempt limit is patched to 1, 4 or 20."""
     seen = Counter()
     for trial in range(80):
         rng = random.Random(trial)
@@ -269,11 +269,12 @@ def test_cover_matches_the_rescanning_reference():
         g = gen_random(r, [m] * r, rng.choice([Fraction(1, 2), Fraction(3, 5), Fraction(4, 5), 1]),
                        trial)
         alpha = Fraction(rng.randint(0, 2), m)
-        once = Config.default(r, seed=trial, retry_limit=1)
-        first = _cover_outcome(cover_with_paths, g, r, alpha, once)
-        assert first == _cover_outcome(reference_cover_with_paths, g, r, alpha, once), trial
+        cfg = Config(r, seed=trial)
+        monkeypatch.setattr(tiling, "COVER_ATTEMPTS", 1)
+        first = _cover_outcome(cover_with_paths, g, r, alpha, cfg)
+        assert first == _cover_outcome(reference_cover_with_paths, g, r, alpha, cfg), trial
         limit = rng.choice([1, 4, 20])
-        cfg = Config.default(r, seed=trial, retry_limit=limit)
+        monkeypatch.setattr(tiling, "COVER_ATTEMPTS", limit)
         got = _cover_outcome(cover_with_paths, g, r, alpha, cfg)
         assert got == _cover_outcome(cover_with_paths, g, r, alpha, cfg), trial
         if isinstance(got, str):
@@ -285,7 +286,7 @@ def test_cover_matches_the_rescanning_reference():
     assert min(seen["first"], seen["retried"], seen["exhausted"]) >= 5, seen
 
 
-def test_leave_out_cover_is_the_induced_copy_cover_mapped_back():
+def test_leave_out_cover_is_the_induced_copy_cover_mapped_back(monkeypatch):
     """Covering a balanced host with a balanced set left out gives the cover
     of the subgraph the rest induces, relabelled back: the same paths and
     leftover, or the same shortfall text.  Sparse hosts and alpha 0 make
@@ -301,7 +302,8 @@ def test_leave_out_cover_is_the_induced_copy_cover_mapped_back():
         rest = [[v for v in p if v not in leave_out] for p in g.parts]
         sub, old_ids = induced_subgraph(g, rest)
         alpha = Fraction(rng.choice([0, 0, 1]), m - drop)
-        cfg = Config.default(r, seed=trial, retry_limit=rng.choice([5, 20]))
+        cfg = Config(r, seed=trial)
+        monkeypatch.setattr(tiling, "COVER_ATTEMPTS", rng.choice([5, 20]))
         want = _cover_outcome(cover_with_paths, sub, r, alpha, cfg)
         if not isinstance(want, str):
             want = tiling.PathCover(
@@ -310,8 +312,8 @@ def test_leave_out_cover_is_the_induced_copy_cover_mapped_back():
             )
         got = _cover_outcome(lambda *a: cover_with_paths(*a, leave_out=leave_out), g, r, alpha, cfg)
         assert got == want, trial
-        once = Config.default(r, seed=trial, retry_limit=1)
-        first_ok = not isinstance(_cover_outcome(cover_with_paths, sub, r, alpha, once), str)
+        monkeypatch.setattr(tiling, "COVER_ATTEMPTS", 1)
+        first_ok = not isinstance(_cover_outcome(cover_with_paths, sub, r, alpha, cfg), str)
         seen["first" if first_ok else "exhausted" if isinstance(got, str) else "retried"] += 1
     assert min(seen["first"], seen["retried"], seen["exhausted"]) >= 5, seen
 
@@ -319,4 +321,4 @@ def test_leave_out_cover_is_the_induced_copy_cover_mapped_back():
 def test_leave_out_must_leave_a_balanced_rest():
     g = complete(2, [4, 4])
     with pytest.raises(GraphValidationError, match="balanced host"):
-        cover_with_paths(g, 2, Fraction(0), Config.default(2), leave_out={0})
+        cover_with_paths(g, 2, Fraction(0), Config(2), leave_out={0})
