@@ -1,15 +1,12 @@
 """Exact counting of connecting walks between terminated walks, and an exact
 search for one whose vertices are distinct.
 
-The walk table is dynamic programming over the last r-1 chosen vertices; no
-lower-bound constants are involved.  Each state's successors are found once per
-table, and each layer lists, in first-seen order, the successors of the
-previous layer's states.  A layer depends only on the ordered layer before it,
-so once an ordered layer repeats an earlier one, the layers cycle with that
-period up to the connecting length, and the table stores each repeat as the
-same dict.  The last layer keeps the states that splice before the right-hand
-walk under `paths.splice_ok`, the one seam check the package uses.  The exact
-count is propagated over the stored successor lists only when it is read.
+The walk count is one layered dynamic program over the last r-1 chosen
+vertices; no lower-bound constants are involved.  Each layer carries the
+number of walks that end in each state, in the order the states are first
+reached, and the last layer keeps the states that splice before the
+right-hand walk under `paths.splice_ok`, the one seam check the package
+uses.  Only `hampow connect` counts walks.
 
 The connector search builds no table.  P1 ends in the sets' order, so step t
 of a connector lies in set t mod r, and `oracle.window_paths`, the exact
@@ -23,8 +20,6 @@ is exact, so one that ends empty proves that no connecting walk is a path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import GraphValidationError, SearchExhaustedError, VerificationError
@@ -45,31 +40,15 @@ State = tuple[int, ...]
 
 @dataclass(frozen=True)
 class WalkDPTable:
-    """Layered reachability: layers[t] maps the last r-1 vertices of each legal
-    t-step extension of P1, in the order they are first reached, to the state's
-    index in `successors`; the final layer keeps the states of layers[ell] that
-    splice before P2.  Layers that repeat an earlier ordered layer are the same
-    dict objects."""
+    """Layered reachability: layers[t] holds the last r-1 vertices of each legal
+    t-step extension of P1, in the order they are first reached; `final` keeps
+    the states of layers[ell] that splice before P2, and `total` counts the
+    connecting walks, repeated vertices allowed."""
 
     ell: int
-    layers: tuple[dict[State, int], ...]
-    final: dict[State, int]
-    # successors[i]: the ids one step after state i; a state first reached in
-    # layers[ell] has no entry
-    successors: tuple[list[int], ...]
-
-    @cached_property
-    def total(self) -> int:
-        """The exact number of connecting walks, repeated vertices allowed."""
-        counts: dict[int, int] = {0: 1}
-        for _ in range(self.ell):
-            nxt: dict[int, int] = {}
-            get = nxt.get
-            for i, cnt in counts.items():
-                for j in self.successors[i]:
-                    nxt[j] = get(j, 0) + cnt
-            counts = nxt
-        return sum(counts[i] for i in self.final.values())
+    layers: tuple[tuple[State, ...], ...]
+    final: tuple[State, ...]
+    total: int
 
 
 def _check_terminated(
@@ -125,15 +104,16 @@ def _connector_sets(
     return u_frozen
 
 
-def build_walk_table(
+def count_connecting_walks(
     graph: MultipartiteGraph,
     u_sets: Sequence[Iterable[int]],
     p1: VertexSeq,
     p2: VertexSeq,
     ell: int,
-) -> WalkDPTable:
-    """The layers of the length-ell walks Q inside the union of the given sets
-    such that p1 Q p2 is a power-walk.  Repeated vertices are allowed in Q."""
+) -> tuple[int, WalkDPTable]:
+    """Exact number of length-ell walks Q inside the union of the given sets
+    such that p1 Q p2 is a power-walk, and the table of their layers.
+    Repeated vertices are allowed in Q."""
     r = p1.r
     u_frozen = _connector_sets(graph, u_sets, p1, p2, ell)
 
@@ -146,51 +126,23 @@ def build_walk_table(
     for v in seed:  # a state holds pool vertices and those of P1's tail only
         if v not in in_pool:
             in_pool[v] = graph.adj[v] & pool_set
-    # The same states recur from layer to layer, so each gets an integer id and
-    # its successors' ids are found once.  A state's successors share its tail:
-    # ids[tail] maps each vertex w that follows it to the id of tail + (w,).
-    # A layer is first built as the tuple of its ids, which also keys the
-    # layers already seen.
-    states: list[State] = [seed]
-    ids: dict[State, dict[int, int]] = {seed[:-1]: {seed[-1]: 0}}
-    successors: list[list[int]] = []
-    layers: list[dict[State, int]] = [{seed: 0}]
-    order: tuple[int, ...] = (0,)
-    seen: dict[tuple[int, ...], int] = {order: 0}
-    for t in range(1, ell + 1):
-        # the states first reached in layers[t - 1] are the ones not expanded yet
-        for state in states[len(successors):]:
+    counts: dict[State, int] = {seed: 1}
+    layers: list[tuple[State, ...]] = [(seed,)]
+    for _ in range(ell):
+        nxt: dict[State, int] = {}
+        get = nxt.get
+        for state, cnt in counts.items():
             tail = state[1:]
-            following = ids.setdefault(tail, {})
-            after = frozenset.intersection(*map(in_pool.__getitem__, state))
-            for w in after.difference(following):
-                following[w] = len(states)
-                states.append(tail + (w,))
-            successors.append(list(map(following.__getitem__, after)))
-        order = tuple(dict.fromkeys(chain.from_iterable(map(successors.__getitem__, order))))
-        first = seen.setdefault(order, t)
-        if first < t:  # layers[t:] repeat layers[first:t]
-            period = t - first
-            layers.extend(layers[first + (s - first) % period] for s in range(t, ell + 1))
-            break
-        layers.append(dict(zip(map(states.__getitem__, order), order)))
+            for w in frozenset.intersection(*map(in_pool.__getitem__, state)):
+                key = tail + (w,)
+                nxt[key] = get(key, 0) + cnt
+        counts = nxt
+        layers.append(tuple(counts))
 
     head = p2.vertices[:window]
-    final = {state: i for state, i in layers[-1].items() if splice_ok(graph, state, head, r)}
-    return WalkDPTable(ell=ell, layers=tuple(layers), final=final, successors=tuple(successors))
-
-
-def count_connecting_walks(
-    graph: MultipartiteGraph,
-    u_sets: Sequence[Iterable[int]],
-    p1: VertexSeq,
-    p2: VertexSeq,
-    ell: int,
-) -> tuple[int, WalkDPTable]:
-    """Exact number of length-ell walks Q inside the union of the given sets such
-    that p1 Q p2 is a power-walk, and the table `build_walk_table` builds."""
-    table = build_walk_table(graph, u_sets, p1, p2, ell)
-    return table.total, table
+    final = tuple(state for state in counts if splice_ok(graph, state, head, r))
+    total = sum(map(counts.__getitem__, final))
+    return total, WalkDPTable(ell=ell, layers=tuple(layers), final=final, total=total)
 
 
 def find_connector(

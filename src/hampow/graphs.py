@@ -514,10 +514,9 @@ def balanced_sizes(n: int, k: int) -> list[int]:
     return [base + 1] * extra + [base] * (k - extra)
 
 
-def reduce_parts(
-    graph: MultipartiteGraph, r: int, tiny: Fraction | None = None
-) -> MultipartiteGraph:
-    """Merge and split parts until r <= k' <= 2r-1 with no part below the tiny threshold.
+def reduce_parts(graph: MultipartiteGraph, r: int) -> MultipartiteGraph:
+    """Merge and split parts until r <= k' <= 2r-1 with no part below tiny*n,
+    where tiny = 1/(4r^2) is gamma/(2r).
 
     Merging takes the two smallest parts while their combined size is at most n/r
     (deleting the cross edges between them).  A part smaller than tiny*n is then
@@ -532,8 +531,7 @@ def reduce_parts(
     for i, part in enumerate(graph.parts):
         if r * len(part) > n:
             raise GraphValidationError(f"part {i} has size {len(part)} > n/r")
-    if tiny is None:
-        tiny = Fraction(1, 2 * r) / (2 * r)  # gamma/(2r) at the default gamma
+    tiny = Fraction(1, 4 * r * r)
 
     groups: list[list[int]] = [list(p) for p in graph.parts]
 

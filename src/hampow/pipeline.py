@@ -260,7 +260,7 @@ def run_pipeline(
         cycle = _whole_graph_oracle(graph, cfg, budget, report)
     else:
         try:
-            reduced = reduce_parts(graph, r, tiny=cfg.gamma / (2 * r))
+            reduced = reduce_parts(graph, r)
         except (GraphValidationError, InfeasibleError) as exc:
             report.add("reduce", False, str(exc))
             return report
@@ -307,8 +307,7 @@ def _balanced_case(
                 return VertexSeq(ka + path.vertices, r)
     if mode == "constructive":
         return None
-    res = ham_power_cycle_exists(original, r, budget)
-    return report.add_oracle("group_path", res, f"oracle ({res.nodes} nodes)")
+    return _whole_graph_oracle(original, cfg, budget, report)
 
 
 def _sequenced_case(

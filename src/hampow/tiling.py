@@ -1,6 +1,6 @@
-"""Transversal clique enumeration, perfect fractional tilings by exact rational
-LP with a dual certificate, exact-cover integral tilings, and a greedy path
-cover that chains cliques.
+"""Transversal clique listing by the oracle's window-path search, perfect
+fractional tilings by exact rational LP with a dual certificate, exact-cover
+integral tilings, and a greedy path cover that chains cliques.
 
 Every feasibility and optimality decision is made in exact arithmetic; there is
 no floating tolerance anywhere.
@@ -19,29 +19,12 @@ from .paths import VertexSeq, is_path, is_properly_terminated
 
 
 def enumerate_cliques(graph: MultipartiteGraph, r: int) -> list[tuple[int, ...]]:
-    """All r-cliques with one vertex in each of r distinct parts, in part order.
-
-    Backtracking over parts in ascending index with common-neighborhood pruning;
-    the last vertex of a clique is picked straight from the common neighborhood.
-    """
-    k = graph.k
-    adj, part_sets = graph.adj, graph.part_sets
-
-    def rec(start: int, chosen: tuple[int, ...], common: frozenset[int] | None):
-        depth = len(chosen)
-        if depth == r:
-            yield chosen
-            return
-        for p in range(start, k - (r - depth) + 1):
-            # parts are sorted, so this is the part's order
-            pool = graph.parts[p] if common is None else sorted(common & part_sets[p])
-            if depth == r - 1:
-                yield from [chosen + (v,) for v in pool]
-                continue
-            for v in pool:
-                yield from rec(p + 1, chosen + (v,), adj[v] if common is None else common & adj[v])
-
-    return list(rec(0, (), None))
+    """All r-cliques of an r-partite host with one vertex in each part, in
+    part order and lexicographic order: the window paths through the parts,
+    within the default search budget."""
+    if graph.k != r:
+        raise GraphValidationError(f"clique listing expects an r-partite graph, got k={graph.k}")
+    return list(window_paths(graph, graph.part_sets, set(), r))
 
 
 def _simplex_max(

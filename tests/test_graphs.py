@@ -284,7 +284,7 @@ class TestReduceParts:
         # merge-only reduction (no tiny parts): measured profile cannot drop
         g = gen_random(4, [4, 4, 2, 2], Fraction(9, 10), 5)
         before = degree_profile(g).delta_p
-        res = reduce_parts(g, 3, tiny=Fraction(0))
+        res = reduce_parts(g, 3)
         assert degree_profile(res).delta_p >= before
 
     def test_precondition_part_too_big(self):

@@ -95,7 +95,7 @@ def test_find_connector_never_counts_walks(monkeypatch):
     def refuse(*args):
         raise AssertionError("the walk table was built")
 
-    monkeypatch.setattr(hampow.connect, "build_walk_table", refuse)
+    monkeypatch.setattr(hampow.connect, "count_connecting_walks", refuse)
     assert [_connector_walk(case) for case in PINS["connector"]] == \
         [case["walk"] for case in PINS["connector"]]
 

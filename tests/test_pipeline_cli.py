@@ -317,13 +317,13 @@ class TestCli:
 
     @pytest.mark.parametrize("mode, rc, tail", [
         ("constructive", EXIT_BUDGET, []),
-        ("auto", EXIT_OK, [("group_path", True, "oracle (18 nodes)"), ("verify", True, "ok")]),
+        ("auto", EXIT_OK, [("whole_graph_oracle", True, "18 nodes"), ("verify", True, "ok")]),
     ])
     def test_spent_anchor_search_is_a_failed_stage(self, tmp_path, capsys, monkeypatch,
                                                    mode, rc, tail):
         """The anchor is found by a budgeted window-path search; spending its
         budget ends a constructive run with exit 5 and a report, and auto
-        mode goes on to the oracle."""
+        mode goes on to the whole-graph oracle."""
         gpath = self._gen(tmp_path, ["--k", "3", "--sizes", "6,6,6", "--delta", "1", "--seed", "1"])
         monkeypatch.setattr(hampow.oracle, "SearchBudget",
                             lambda node_limit=2: SearchBudget(node_limit))
@@ -608,7 +608,7 @@ class TestCli:
         assert doc["budget_exceeded"] is (mode == "constructive")
         assert [(s["name"], s["ok"]) for s in doc["stages"][2:]] == [
             ("group_path:constructive", False)
-        ] + [("group_path", True), ("verify", True)] * (mode == "auto")
+        ] + [("whole_graph_oracle", True), ("verify", True)] * (mode == "auto")
 
     @pytest.mark.parametrize("where, reason", [
         ("a directory", "[Errno 21] Is a directory"),
@@ -734,6 +734,14 @@ class TestCli:
         assert len(doc["integral"]) == 2
         assert doc["cover"]["leftover"] == []
         assert sorted(v for p in doc["cover"]["paths"] for v in p) == list(range(6))
+
+    def test_tile_spent_clique_listing_exits_5(self, tmp_path, capsys, monkeypatch):
+        gpath = self._gen(tmp_path, ["--k", "3", "--sizes", "2,2,2", "--delta", "1"])
+        monkeypatch.setattr(hampow.oracle, "SearchBudget", lambda: SearchBudget(14))
+        assert main(["tile", "--graph", str(gpath), "--r", "3"]) == EXIT_BUDGET
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "search budget exhausted: search budget of 14 nodes exhausted\n"
 
     @pytest.mark.parametrize("host, args, reason", [
         (["--k", "1", "--sizes", "1"], ["--r", "1"], "power parameter r must be at least 2"),

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import hampow.oracle
 from conftest import complete, reference_cliques, reference_cover_with_paths
 from hampow import tiling
 from hampow.errors import (
@@ -40,9 +41,10 @@ class TestEnumerate:
         k = rng.randint(r, r + 2)
         g = gen_random(k, [rng.randint(1, 6) for _ in range(k)],
                        rng.choice([Fraction(1, 2), Fraction(4, 5), 1]), seed)
-        assert enumerate_cliques(g, r) == reference_cliques(g, r)
-        # the pipeline's anchor on the host of the first r parts: its first clique
+        # cliques are listed on r-partite hosts: the host of the first r parts
         head, _ = induced_subgraph(g, g.parts[:r])
+        assert enumerate_cliques(head, r) == reference_cliques(head, r)
+        # the pipeline's anchor on that host: its first clique
         anchor = next(window_paths(head, head.part_sets, set(), r), None)
         assert anchor == next(iter(reference_cliques(head, r)), None)
 
@@ -55,7 +57,7 @@ class TestEnumerate:
 
     def test_matches_naive_enumeration(self):
         for seed in range(10):
-            g = gen_random(4, [3, 3, 2, 2], Fraction(3, 5), seed)
+            g = gen_random(3, [4, 3, 2], Fraction(3, 5), seed)
             got = set(enumerate_cliques(g, 3))
             naive = set()
             for combo in itertools.combinations(range(g.n), 3):
@@ -75,6 +77,19 @@ class TestEnumerate:
     def test_empty_graph(self):
         g = gen_random(3, [2, 2, 2], 0, 0)
         assert enumerate_cliques(g, 3) == []
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_only_r_partite_hosts_are_listed(self, k):
+        with pytest.raises(GraphValidationError, match=f"got k={k}"):
+            enumerate_cliques(complete(k, [2] * k), 3)
+
+    def test_spent_budget_is_not_an_empty_list(self, monkeypatch):
+        # 8 cliques sit below 1 + 2 + 4 inner nodes: 15 nodes in all
+        monkeypatch.setattr(hampow.oracle, "SearchBudget", lambda: SearchBudget(14))
+        with pytest.raises(BudgetExhaustedError, match="budget of 14 nodes exhausted"):
+            enumerate_cliques(complete(3, [2, 2, 2]), 3)
+        monkeypatch.setattr(hampow.oracle, "SearchBudget", lambda: SearchBudget(15))
+        assert len(enumerate_cliques(complete(3, [2, 2, 2]), 3)) == 8
 
 
 class TestFractionalTiling:
