@@ -280,30 +280,18 @@ def find_absorbers(
 
 
 @dataclass(frozen=True)
-class PlacedGadget:
-    """A kept gadget: its embedding plus which r-sets it can absorb, namely
-    those whose vertex in part i lies in cover[i] for every i."""
-
-    instance: AbsorberInstance
-    cover: tuple[frozenset[int], ...]  # per part: vertices whose neighborhood spans the row
-
-
-@dataclass(frozen=True)
 class AbsorbingPath:
     """One gadget in its passive routing: a properly terminated power-path
-    that absorbs one r-set.  `gadgets` holds that gadget alone."""
+    that absorbs one r-set, namely one whose vertex in part i lies in
+    cover[i] for every i.  `gadgets` holds that gadget's embedding alone."""
 
     r: int
-    gadgets: tuple[PlacedGadget]
+    gadgets: tuple[AbsorberInstance]
+    cover: tuple[frozenset[int], ...]  # per part: vertices whose neighborhood spans the row
 
     @property
     def path(self) -> VertexSeq:
-        return VertexSeq(self.gadgets[0].instance.slots, self.r)
-
-    @property
-    def capacity(self) -> int:
-        """Vertices absorbed: one r-set."""
-        return self.r
+        return VertexSeq(self.gadgets[0].slots, self.r)
 
 
 def assemble_absorbing_path(
@@ -311,10 +299,9 @@ def assemble_absorbing_path(
     reservoir_exclusions: Iterable[int],
     cfg: Config,
 ) -> AbsorbingPath:
-    """Embed one gadget off the exclusions, for the first of 64 seeded target
-    r-sets that has an embedding.
+    """Embed one gadget off the exclusions, for one seeded target r-set.
 
-    The gadget records, per part, the vertices off its path it could absorb;
+    The path records, per part, the vertices off it that its gadget could absorb;
     whether the leftover can actually be absorbed is decided by `absorb` once
     that leftover exists.
     """
@@ -324,17 +311,14 @@ def assemble_absorbing_path(
 
     excluded = frozenset(reservoir_exclusions)
     free = [[v for v in part if v not in excluded] for part in graph.parts]
-    rng = cfg.rng("assemble")
     found: list[AbsorberInstance] = []
-    for _ in range(64 if all(free) else 0):
-        target = tuple(rng.choice(f) for f in free)
-        found = find_absorbers(graph, target, cfg, avoid=excluded)
-        if found:
-            break
+    if all(free):
+        rng = cfg.rng("assemble")
+        found = find_absorbers(graph, tuple(rng.choice(f) for f in free), cfg, avoid=excluded)
     if not found:
         raise CoverageError("coverage shortfall: no gadget could be embedded within budget")
 
-    inst = found[0]
+    (inst,) = found
     on_path = set(inst.slots)
     cover = tuple(
         graph.part_sets[i].intersection(*(
@@ -343,7 +327,7 @@ def assemble_absorbing_path(
         )) - on_path
         for i in range(r)
     )
-    result = AbsorbingPath(r=r, gadgets=(PlacedGadget(instance=inst, cover=cover),))
+    result = AbsorbingPath(r=r, gadgets=(inst,), cover=cover)
     p = result.path
     if not (is_path(graph, p) and is_properly_terminated(graph, p)):
         raise VerificationError("assembled absorbing path is not a properly terminated path")
@@ -373,19 +357,16 @@ def absorb(
     sizes = {len(vs) for vs in by_part}
     if len(sizes) != 1:
         raise GraphValidationError("absorbed set must be balanced across the parts")
-    if len(zs) != p_abs.capacity:
-        raise GraphValidationError(
-            f"absorbed set of size {len(zs)} differs from capacity {p_abs.capacity}"
-        )
+    if len(zs) != r:
+        raise GraphValidationError(f"absorbed set of size {len(zs)} differs from capacity {r}")
 
-    (gadget,) = p_abs.gadgets
     rset = tuple(vs[0] for vs in by_part)
-    if any(v not in cov for v, cov in zip(rset, gadget.cover)):
+    if any(v not in cov for v, cov in zip(rset, p_abs.cover)):
         raise CoverageError(
             f"coverage shortfall: the gadget does not absorb the balanced set {rset}"
         )
 
-    inst = gadget.instance
+    (inst,) = p_abs.gadgets
     result = VertexSeq(
         AbsorberInstance(template=inst.template, slots=inst.slots, target=rset).q1_vertices(), r
     )

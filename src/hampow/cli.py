@@ -333,6 +333,8 @@ def cmd_scan(args) -> int:
     as they are returned: both are checked where they are computed."""
     if args.k < 1:
         raise GraphValidationError(f"a host needs at least one part, got k={args.k}")
+    if args.samples < 0:
+        raise GraphValidationError(f"sample count must be nonnegative, got {args.samples}")
     rows = []
     seed = args.seed
     for n in args.n:

@@ -42,13 +42,10 @@ State = tuple[int, ...]
 class WalkDPTable:
     """Layered reachability: layers[t] holds the last r-1 vertices of each legal
     t-step extension of P1, in the order they are first reached; `final` keeps
-    the states of layers[ell] that splice before P2, and `total` counts the
-    connecting walks, repeated vertices allowed."""
+    the states of the last layer that splice before P2."""
 
-    ell: int
     layers: tuple[tuple[State, ...], ...]
     final: tuple[State, ...]
-    total: int
 
 
 def _check_terminated(
@@ -142,7 +139,7 @@ def count_connecting_walks(
     head = p2.vertices[:window]
     final = tuple(state for state in counts if splice_ok(graph, state, head, r))
     total = sum(map(counts.__getitem__, final))
-    return total, WalkDPTable(ell=ell, layers=tuple(layers), final=final, total=total)
+    return total, WalkDPTable(layers=tuple(layers), final=final)
 
 
 def find_connector(

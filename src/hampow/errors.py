@@ -22,11 +22,8 @@ class ImproperOrderError(HampowError):
 
 
 class InfeasibleError(HampowError):
-    """An exact arithmetic precondition cannot be satisfied on this instance."""
-
-
-class ScaleInfeasibleError(HampowError):
-    """The constants of the construction do not fit at this instance size."""
+    """An exact arithmetic precondition cannot be satisfied on this instance,
+    such as the constructive builder's vertex accounting at this size."""
 
 
 class SearchExhaustedError(HampowError):

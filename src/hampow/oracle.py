@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExhaustedError, GraphValidationError, VerificationError
 from .graphs import MultipartiteGraph, require_power, shuffle
@@ -141,18 +141,11 @@ class OracleResult:
         }
 
 
-class IndependenceCheck(NamedTuple):
-    passed: bool
-    part: int | None
-
-
-def independence_necessity(graph: MultipartiteGraph, r: int) -> IndependenceCheck:
-    """A part larger than n/r makes a spanning power-cycle impossible (the
-    power of a cycle has independence number floor(n/r))."""
-    for i, part in enumerate(graph.parts):
-        if r * len(part) > graph.n:
-            return IndependenceCheck(False, i)
-    return IndependenceCheck(True, None)
+def independence_necessity(graph: MultipartiteGraph, r: int) -> int | None:
+    """The first part larger than n/r, or None.  Such a part makes a spanning
+    power-cycle impossible (the power of a cycle has independence number
+    floor(n/r))."""
+    return next((i for i, part in enumerate(graph.parts) if r * len(part) > graph.n), None)
 
 
 def _anchored_search(
@@ -228,7 +221,7 @@ def ham_power_cycle_exists(
     require_power(r)
     if graph.n == 0:
         return OracleResult(YES, VertexSeq((), r), 0)
-    if not independence_necessity(graph, r).passed:
+    if independence_necessity(graph, r) is not None:
         return OracleResult(NO, None, 0)
     res = _anchored_search(graph, r, budget or SearchBudget(), (), None, (0,))
     if res.witness is not None and not verify_ham_power_cycle(graph, res.witness, r):

@@ -127,10 +127,6 @@ class ProperDecomposition:
     breakpoints: tuple[int, ...]
     subsequences: tuple[tuple[tuple[int, ...], TypeVector], ...]
 
-    @property
-    def q(self) -> int:
-        return len(self.subsequences)
-
     def types(self) -> tuple[TypeVector, ...]:
         return tuple(z for _, z in self.subsequences)
 

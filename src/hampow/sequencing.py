@@ -611,8 +611,6 @@ def verify_plan(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> 
 
 @dataclass(frozen=True)
 class SequencingResult:
-    template: TrimTemplate
-    matrix: TemplateMatrix
     plan: SequencingPlan
     report: PlanReport
 
@@ -620,10 +618,7 @@ class SequencingResult:
 def run_sequencing(graph: MultipartiteGraph, cfg: Config) -> SequencingResult:
     """Full pipeline: trim template, trim path, matrix, solver, refinement,
     connectors, and an independent verification report."""
-    sizes = [len(p) for p in graph.parts]
-    if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
-        raise GraphValidationError("run_sequencing expects parts ordered by descending size")
-    tmpl = compute_trim_template(sizes, cfg.r, cfg.sigma)
+    tmpl = compute_trim_template([len(p) for p in graph.parts], cfg.r, cfg.sigma)
     p0_prime = build_trim_path(graph, tmpl, cfg)
     on_path = set(p0_prime.vertices)
     residual = [[v for v in part if v not in on_path] for part in graph.parts]
@@ -647,4 +642,4 @@ def run_sequencing(graph: MultipartiteGraph, cfg: Config) -> SequencingResult:
     else:
         raise proved_none
     report = verify_plan(graph, plan, cfg)
-    return SequencingResult(tmpl, matrix, plan, report)
+    return SequencingResult(plan, report)

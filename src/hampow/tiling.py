@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Sequence
 
 from .errors import GraphValidationError, SearchExhaustedError, VerificationError
 from .graphs import Config, MultipartiteGraph, require_power
@@ -197,16 +197,17 @@ def cover_with_paths(
     search `oracle.window_paths` through the parts in order, until none
     does.  The first attempt tries candidates in ascending order, so it
     picks the lexicographically first such clique; retries on shortfall,
-    up to `COVER_ATTEMPTS` attempts in all, shuffle them with the cover's rng.  The leftover of a balanced host is
-    automatically balanced because every path meets all parts equally.  A
+    up to `COVER_ATTEMPTS` attempts in all, shuffle them with the cover's
+    rng.  The leftover is balanced without a check: the host is, and every
+    path chains transversal cliques, which meet all parts equally.  A
     negative alpha asks for a leftover below zero, which no cover has.
 
     `leave_out` names vertices to treat as absent: the cover is then the one
     of the subgraph the other vertices induce, mapped back to the host's
     ids, without building that subgraph.  It is the same cover because
     relabelling a part keeps its order and every pick draws from one part,
-    in ascending order or shuffled as a list of the same length; n, alpha*n
-    and the balance check count only the other vertices.
+    in ascending order or shuffled as a list of the same length; n and
+    alpha*n count only the other vertices.
     """
     require_power(r)
     if alpha < 0:
@@ -240,7 +241,7 @@ def cover_with_paths(
             paths.append(VertexSeq(tuple(current), r))
 
         leftover = vertices - used
-        if len(leftover) <= target and _balanced(graph, leftover):
+        if len(leftover) <= target:
             if not all(is_path(graph, p) and is_properly_terminated(graph, p) for p in paths):
                 raise VerificationError("cover built a path that is not properly terminated")
             return PathCover(tuple(paths), leftover)
@@ -249,10 +250,3 @@ def cover_with_paths(
     raise SearchExhaustedError(
         f"cover shortfall after {COVER_ATTEMPTS} attempts: best leftover {best} > {target}"
     )
-
-
-def _balanced(graph: MultipartiteGraph, vertices: Iterable[int]) -> bool:
-    counts = [0] * graph.k
-    for v in vertices:
-        counts[graph.part_of(v)] += 1
-    return len(set(counts)) == 1

@@ -18,7 +18,7 @@ from hampow.errors import (
 )
 from hampow.graphs import MultipartiteGraph, gen_random
 from hampow.paths import VertexSeq, splice_ok
-from hampow.tiling import PathCover, _balanced
+from hampow.tiling import PathCover
 
 
 def complete(k: int, sizes) -> MultipartiteGraph:
@@ -480,7 +480,10 @@ def reference_cover_with_paths(graph, r, alpha, cfg):
             paths.append(VertexSeq(tuple(current), r))
 
         leftover = frozenset(v for v in range(n) if v not in used)
-        if len(leftover) <= target and _balanced(graph, leftover):
+        counts = [0] * graph.k
+        for v in leftover:
+            counts[graph.part_of(v)] += 1
+        if len(leftover) <= target and len(set(counts)) == 1:
             return PathCover(tuple(paths), leftover)
         if best is None or len(leftover) < best:
             best = len(leftover)

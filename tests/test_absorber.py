@@ -218,6 +218,19 @@ class TestAssembleAbsorb:
         with pytest.raises(CoverageError, match="no gadget could be embedded"):
             assemble_absorbing_path(g, (), Config(2, seed=0))
 
+    def test_a_target_without_an_embedding_is_not_retried(self, monkeypatch):
+        calls = []
+
+        def none_fits(*args, **kwargs):
+            calls.append(args)
+            return []
+
+        monkeypatch.setattr(absorber, "find_absorbers", none_fits)
+        with pytest.raises(CoverageError, match="^coverage shortfall: no gadget could be "
+                                                "embedded within budget$"):
+            assemble_absorbing_path(complete(3, [11, 11, 11]), (), Config(3, seed=0))
+        assert len(calls) == 1
+
     def test_exclusions_respected(self):
         g = complete(3, [11, 11, 11])
         cfg = Config(3, seed=3)
@@ -251,8 +264,7 @@ class TestAssembleAbsorb:
         a0, a1 = [v for v in outside if g.part_of(v) == 0][:2]
         b0 = next(v for v in outside if g.part_of(v) == 1)
         # the gadget can take a0 only
-        (gadget,) = pa.gadgets
-        pa = replace(pa, gadgets=(replace(gadget, cover=(frozenset({a0}), frozenset({b0}))),))
+        pa = replace(pa, cover=(frozenset({a0}), frozenset({b0})))
         assert is_path(g, absorb(g, pa, [a0, b0]))
         with pytest.raises(CoverageError, match="shortfall"):
             absorb(g, pa, [a1, b0])
@@ -272,16 +284,15 @@ def test_covers_are_exactly_what_the_gadget_absorbs(r, size, density):
         except InfeasibleError:  # the host misses the minimum degree the gadget asks for
             continue
         assembled += 1
-        (gadget,) = pa.gadgets
         path = pa.path.vertices
         rng = random.Random(seed)
         for _ in range(5):
-            z = [rng.choice(sorted(cover)) for cover in gadget.cover]
+            z = [rng.choice(sorted(cover)) for cover in pa.cover]
             merged = absorb(g, pa, z)
             assert is_path(g, merged) and set(merged.vertices) == set(path) | set(z)
             assert merged.vertices[:r] == path[:r] and merged.vertices[-r:] == path[-r:]
             outside = [(i, v) for i in range(r) for v in g.parts[i]
-                       if v not in gadget.cover[i] and v not in path]
+                       if v not in pa.cover[i] and v not in path]
             if outside:
                 i, v = rng.choice(outside)
                 with pytest.raises(CoverageError, match="does not absorb"):

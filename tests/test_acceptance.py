@@ -159,15 +159,16 @@ def test_criterion_05_sequencing_identities():
             g = gen_random(4, list(sizes), delta, seed)
             cfg = Config(3, seed=seed)
             res = run_sequencing(g, cfg)
+            tmpl = compute_trim_template([len(p) for p in g.parts], 3, cfg.sigma)
             p0p = res.plan.p0_prime
             used = set(p0p.vertices)
             residual = [len([v for v in p if v not in used]) for p in g.parts]
             total = g.n - len(p0p)
             assert total % 3 == 0  # T1
-            for i in range(res.template.s):  # T2
+            for i in range(tmpl.s):  # T2
                 assert residual[i] == total // 3
             assert is_properly_terminated(g, p0p)  # T6
-            assert decompose(g, p0p).types() == res.template.type_sequence  # T6
+            assert decompose(g, p0p).types() == tmpl.type_sequence  # T6
             for name in ("A1", "A3", "A4", "partition"):
                 assert res.report.condition(name).ok, (idx, name)
             assert res.report.measured_group_slack is not None  # A2, measured
@@ -245,7 +246,7 @@ def test_criterion_08_extremal_necessity():
         for sizes, r in [((5, 4), 2), ((4, 3, 2), 3), ((5, 2, 2), 3), ((6, 5), 2)]:
             for _ in range(5):
                 g = gen_random(len(sizes), list(sizes), Fraction(9, 10), rng.randrange(10**6))
-                if independence_necessity(g, r).passed:
+                if independence_necessity(g, r) is None:
                     continue
                 assert ham_power_cycle_exists(g, r).answer == NO
                 checked += 1
@@ -263,11 +264,10 @@ def test_criterion_09_absorption_round_trip():
             path = pa.path
             on_path = set(path.vertices)
             rng = random.Random(run)
-            per_part = pa.capacity // 3
             z = []
             for i in range(3):
                 outside = [v for v in g.parts[i] if v not in on_path]
-                z.extend(rng.sample(outside, per_part))
+                z.extend(rng.sample(outside, 1))
             merged = absorb(g, pa, z)
             assert set(merged.vertices) == on_path | set(z)
             assert merged.vertices[:3] == path.vertices[:3]

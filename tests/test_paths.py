@@ -119,7 +119,7 @@ class TestDecompose:
     def test_single_run(self):
         g = complete(4, [2, 2, 2, 2])
         dec = decompose(g, VertexSeq((0, 2, 4), 3))
-        assert dec.q == 1
+        assert len(dec.subsequences) == 1
 
     def test_overlong_run_fails(self):
         g = complete(5, [2, 2, 2, 2, 2])

@@ -15,7 +15,7 @@ from conftest import complete
 from hampow import cli
 from hampow.absorber import assemble_absorbing_path
 from hampow.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_STAGE, EXIT_VALIDATION, build_parser, main
-from hampow.errors import BudgetExhaustedError, ScaleInfeasibleError, SearchExhaustedError
+from hampow.errors import BudgetExhaustedError, InfeasibleError, SearchExhaustedError
 from hampow.graphs import (
     Config,
     balanced_sizes,
@@ -193,11 +193,11 @@ class TestConstructive:
         g = gen_random(2, [16, 16], Fraction(19, 20), 10)
         cfg = Config(2, seed=10)
         anchor = next(window_paths(g, g.part_sets, set(), 2))
-        gadget = assemble_absorbing_path(g, anchor, cfg).gadgets[0]
-        free = [set(p) - set(anchor) - set(gadget.instance.slots) for p in g.parts]
+        p_abs = assemble_absorbing_path(g, anchor, cfg)
+        free = [set(p) - set(anchor) - set(p_abs.path.vertices) for p in g.parts]
         assert [len(f) for f in free] == [10, 10]
-        assert min(len(f & cover) for f, cover in zip(free, gadget.cover)) < 7
-        with pytest.raises(ScaleInfeasibleError,
+        assert min(len(f & cover) for f, cover in zip(free, p_abs.cover)) < 7
+        with pytest.raises(InfeasibleError,
                            match="absorbable reservoir of 7 per part does not fit"):
             constructive_ham_path_between(g, anchor, anchor, cfg)
 
@@ -210,7 +210,7 @@ class TestConstructive:
         assert rep.ok and verify_ham_power_cycle(g, rep.cycle, r)
         small = complete(r, [size - 1] * r)
         anchor = tuple(part[0] for part in small.parts)
-        with pytest.raises(ScaleInfeasibleError, match=f"needs at least {size} per part"):
+        with pytest.raises(InfeasibleError, match=f"needs at least {size} per part"):
             constructive_ham_path_between(small, anchor, anchor, Config(r))
 
     def test_host_below_the_degree_threshold_is_built(self):
@@ -263,17 +263,17 @@ class TestConstructive:
             for p in pieces:
                 assert len(p) % r == 0
                 assert is_path(g, p) and is_properly_terminated(g, p)
-        with pytest.raises(ScaleInfeasibleError, match="no path of two cliques to cut"):
+        with pytest.raises(InfeasibleError, match="no path of two cliques to cut"):
             _cut_paths(cover, cliques + 1)
 
     def test_an_empty_cover_cannot_be_cut(self):
-        with pytest.raises(ScaleInfeasibleError, match="cover of 0 paths"):
+        with pytest.raises(InfeasibleError, match="cover of 0 paths"):
             _cut_paths([], 1)
         assert _cut_paths([], 0) == []
 
     def test_small_host_is_scale_infeasible(self):
         g = complete(2, [5, 5])
-        with pytest.raises(ScaleInfeasibleError):
+        with pytest.raises(InfeasibleError):
             constructive_ham_path_between(g, (0, 5), (1, 6), Config(2, seed=0))
 
 
@@ -785,6 +785,18 @@ class TestCli:
         assert captured.err == f"validation error: seed must be nonnegative, got {seed}\n"
         assert not out.exists()
 
+    def test_negative_sample_count_is_a_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["scan", "--r", "2", "--k", "2", "--n", "4", "--delta", "1"]
+        assert main([*argv, "--samples", "-1", "--out", str(out)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validation error: sample count must be nonnegative, got -1\n"
+        assert not out.exists()
+        # no samples is a valid scan of no rows
+        assert main([*argv, "--samples", "0", "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == "n,k,r,sizes,target_delta,measured_delta,answer,nodes,seed\n"
+
     def test_search_on_the_empty_host_prints_an_empty_witness(self, tmp_path, capsys):
         gpath = self._gen(tmp_path, ["--k", "0", "--sizes", "", "--delta", "1"])
         assert main(["search", "--graph", str(gpath), "--r", "2"]) == EXIT_OK
@@ -883,15 +895,33 @@ class _ReadLog(argparse.Namespace):
         return object.__getattribute__(self, name)
 
 
+def test_the_seed_decides_the_constructive_cycle(tmp_path, capsys):
+    """The `pipeline --seed` that the next test counts as read on a constructive
+    run decides that run's cycle: on the complete 22,22 host seeds 0, 1 and 2
+    give three different verified cycles."""
+    g = complete(2, [22, 22])
+    gpath = tmp_path / "g22.json"
+    gpath.write_text(save_graph(g))
+    cycles = set()
+    for seed in ("0", "1", "2"):
+        argv = ["pipeline", "--graph", str(gpath), "--r", "2", "--mode", "constructive"]
+        assert main([*argv, "--seed", seed]) == EXIT_OK
+        cycle = tuple(json.loads(capsys.readouterr().out)["cycle"])
+        assert verify_ham_power_cycle(g, VertexSeq(cycle, 2), 2)
+        cycles.add(cycle)
+    assert len(cycles) == 3
+
+
 def test_every_option_is_read_by_its_command(tmp_path):
     """Each option a subcommand defines is read by that subcommand's command on
     at least one of these invocations: an option no command reads decides nothing."""
-    g, g4, out = (str(tmp_path / name) for name in ("g.json", "g4.json", "out"))
+    g, g4, g22, out = (str(tmp_path / name) for name in ("g.json", "g4.json", "g22.json", "out"))
     common = ["--graph", g, "--r", "3", "--out", out]
     invocations = [
         ["gen", "--k", "3", "--sizes", "4,4,4", "--delta", "1", "--seed", "1", "--name", "h",
          "--out", g],
         ["gen", "--k", "4", "--sizes", "12,12,12,12", "--delta", "1", "--out", g4],
+        ["gen", "--k", "2", "--sizes", "22,22", "--delta", "1", "--out", g22],
         ["gen", "--k", "3", "--sizes", "4,4,4", "--extremal", "--r", "3", "--out", out],
         ["verify", *common, "--cycle", "[0,4,8,1,5,9,2,6,10,3,7,11]"],
         ["sequence", "--graph", g4, "--r", "3", "--out", out, "--seed", "1"],
@@ -902,7 +932,10 @@ def test_every_option_is_read_by_its_command(tmp_path):
         ["search", *common, "--budget", "1000"],
         ["scan", "--r", "2", "--k", "2", "--n", "4", "--delta", "1", "--samples", "1",
          "--budget", "1000", "--seed", "1", "--out", out],
-        ["pipeline", *common, "--mode", "oracle", "--budget", "1000", "--relaxed", "--seed", "1"],
+        ["pipeline", *common, "--mode", "oracle", "--budget", "1000", "--relaxed"],
+        # the whole-graph oracle takes no seed, so the seed is read where it decides
+        ["pipeline", "--graph", g22, "--r", "2", "--out", out, "--mode", "constructive",
+         "--seed", "1"],
     ]
     parser = build_parser()
     read = set()

@@ -250,7 +250,8 @@ class TestTrimPath:
 class TestRefineAndPlan:
     def test_cells_sum_to_rows(self):
         g, cfg, res = _pipeline_fixture()
-        m, plan = res.matrix, res.plan
+        tmpl = compute_trim_template([len(p) for p in g.parts], cfg.r, cfg.sigma)
+        m, plan = build_template_matrix(tmpl.k, tmpl.r, tmpl.s), res.plan
         on_path = set(plan.p0_prime.vertices)
         b = [sum(v not in on_path for v in part) for part in g.parts]
         x = solve_part_sizes(m, b, cfg.floor_m(g.n))
