@@ -12,13 +12,12 @@ from .graphs import (
     reduce_parts,
     save_graph,
 )
-from .paths import VertexSeq, is_path, is_walk, verify_ham_power_cycle
+from .paths import is_path, is_walk, verify_ham_power_cycle
 
 __all__ = [
     "Config",
     "DegreeProfile",
     "MultipartiteGraph",
-    "VertexSeq",
     "degree_profile",
     "gen_extremal",
     "gen_random",

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from .errors import CoverageError, GraphValidationError, InfeasibleError, VerificationError
 from .graphs import Config, MultipartiteGraph, require_power, shuffle
 from .oracle import DepthFirst, SearchBudget
-from .paths import VertexSeq, is_path, is_properly_terminated
+from .paths import is_path, is_properly_terminated
 
 # A label is ("a"|"b"|"c", part i, block j) for slots, or ("x", i) for the
 # absorbed vertices; i and j are 1-based as in the slot names a_i^j.
@@ -214,9 +214,7 @@ def verify_instance(graph: MultipartiteGraph, inst: AbsorberInstance) -> bool:
     if any(_attached(lab) and v not in graph.adj[inst.target[lab[2] - 1]]
            for lab, v in zip(labels, slots)):
         return False
-    return is_path(graph, VertexSeq(inst.q1_vertices(), r)) and is_path(
-        graph, VertexSeq(slots, r)
-    )
+    return is_path(graph, inst.q1_vertices(), r) and is_path(graph, slots, r)
 
 
 def find_absorbers(
@@ -285,13 +283,12 @@ class AbsorbingPath:
     that absorbs one r-set, namely one whose vertex in part i lies in
     cover[i] for every i.  `gadgets` holds that gadget's embedding alone."""
 
-    r: int
     gadgets: tuple[AbsorberInstance]
     cover: tuple[frozenset[int], ...]  # per part: vertices whose neighborhood spans the row
 
     @property
-    def path(self) -> VertexSeq:
-        return VertexSeq(self.gadgets[0].slots, self.r)
+    def path(self) -> tuple[int, ...]:
+        return self.gadgets[0].slots
 
 
 def assemble_absorbing_path(
@@ -327,16 +324,16 @@ def assemble_absorbing_path(
         )) - on_path
         for i in range(r)
     )
-    result = AbsorbingPath(r=r, gadgets=(inst,), cover=cover)
+    result = AbsorbingPath(gadgets=(inst,), cover=cover)
     p = result.path
-    if not (is_path(graph, p) and is_properly_terminated(graph, p)):
+    if not (is_path(graph, p, r) and is_properly_terminated(graph, p, r)):
         raise VerificationError("assembled absorbing path is not a properly terminated path")
     return result
 
 
 def absorb(
     graph: MultipartiteGraph, p_abs: AbsorbingPath, z: Iterable[int]
-) -> VertexSeq:
+) -> tuple[int, ...]:
     """Splice a balanced r-set into the absorbing path by switching its gadget
     from the passive to the active routing.
 
@@ -345,10 +342,11 @@ def absorb(
     result is a power-path on V(path) + Z with the same initial and final r
     vertices.
     """
-    r = p_abs.r
+    (inst,) = p_abs.gadgets
+    r = inst.template.r
     zs = sorted(set(z))
     base = p_abs.path
-    on_path = set(base.vertices)
+    on_path = set(base)
     if on_path & set(zs):
         raise GraphValidationError("absorbed set must be disjoint from the absorbing path")
     by_part: list[list[int]] = [[] for _ in range(r)]
@@ -366,14 +364,11 @@ def absorb(
             f"coverage shortfall: the gadget does not absorb the balanced set {rset}"
         )
 
-    (inst,) = p_abs.gadgets
-    result = VertexSeq(
-        AbsorberInstance(template=inst.template, slots=inst.slots, target=rset).q1_vertices(), r
-    )
-    if not is_path(graph, result):
+    result = AbsorberInstance(template=inst.template, slots=inst.slots, target=rset).q1_vertices()
+    if not is_path(graph, result, r):
         raise VerificationError("absorbed path is not a power-path")
-    if result.vertices[:r] != base.vertices[:r] or result.vertices[-r:] != base.vertices[-r:]:
+    if result[:r] != base[:r] or result[-r:] != base[-r:]:
         raise VerificationError("absorption moved the ends of the absorbing path")
-    if set(result.vertices) != on_path | set(zs):
+    if set(result) != on_path | set(zs):
         raise VerificationError("absorbed path does not cover its path and the absorbed vertices")
     return result

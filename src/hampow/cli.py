@@ -39,7 +39,7 @@ from .graphs import (
     load_graph,
     save_graph,
 )
-from .paths import VertexSeq, verify_ham_power_cycle_report
+from .paths import verify_ham_power_cycle_report
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -253,17 +253,16 @@ def cmd_connect(args) -> int:
     cfg = _config(args)
     r = args.r
     ell = args.ell if args.ell is not None else connect.default_connector_length(r)
-    p1 = VertexSeq(args.p1, r)
-    p2 = VertexSeq(args.p2, r)
+    p1, p2 = args.p1, args.p2
     if r > g.k:
         raise GraphValidationError(f"connectors need r={r} parts but the host has k={g.k}")
-    terminal = set(p1.vertices) | set(p2.vertices)
+    terminal = set(p1) | set(p2)
     u_sets = [[v for v in g.parts[i] if v not in terminal] for i in range(r)]
-    total, _ = connect.count_connecting_walks(g, u_sets, p1, p2, ell)
+    total, _ = connect.count_connecting_walks(g, u_sets, p1, p2, ell, r)
     doc: dict = {"count": total, "connector": None}
     try:
         if total:
-            doc["connector"] = connect.find_connector(g, u_sets, p1, p2, ell, cfg).to_json()
+            doc["connector"] = connect.find_connector(g, u_sets, p1, p2, ell, cfg)
     except BudgetExhaustedError:
         raise  # inconclusive: not a proved none, so main exits 5
     except SearchExhaustedError:

@@ -5,8 +5,9 @@ The walk count is one layered dynamic program over the last r-1 chosen
 vertices; no lower-bound constants are involved.  Each layer carries the
 number of walks that end in each state, in the order the states are first
 reached, and the last layer keeps the states that splice before the
-right-hand walk under `paths.splice_ok`, the one seam check the package
-uses.  Only `hampow connect` counts walks.
+right-hand walk under `paths.splice_ok`, which the oracle's closing check
+also calls; `oracle._window_fit` applies the same rule to each pick of the
+connector search.  Only `hampow connect` counts walks.
 
 The connector search builds no table.  P1 ends in the sets' order, so step t
 of a connector lies in set t mod r, and `oracle.window_paths`, the exact
@@ -25,7 +26,7 @@ from typing import Iterable, Sequence
 from .errors import GraphValidationError, SearchExhaustedError, VerificationError
 from .graphs import Config, MultipartiteGraph
 from .oracle import window_paths
-from .paths import VertexSeq, is_walk, splice_ok
+from .paths import is_walk, splice_ok
 
 NO_CONNECTOR = "no vertex-distinct connector exists"
 
@@ -50,7 +51,7 @@ class WalkDPTable:
 
 def _check_terminated(
     graph: MultipartiteGraph,
-    seq: VertexSeq,
+    seq: Sequence[int],
     part_order: list[int],
     which: str,
 ) -> None:
@@ -58,14 +59,13 @@ def _check_terminated(
     if len(seq) < r:
         raise GraphValidationError(f"{which} has fewer than r={r} vertices")
     n = graph.n
-    stray = next((v for v in seq.vertices if not 0 <= v < n), None)
+    stray = next((v for v in seq if not 0 <= v < n), None)
     if stray is not None:
         raise GraphValidationError(f"{which} holds vertex {stray} outside 0..{n - 1}")
-    if not is_walk(graph, seq):
+    if not is_walk(graph, seq, r):
         raise GraphValidationError(f"{which} is not a power-walk")
     part_of = graph.part_index.__getitem__
-    if [*map(part_of, seq.vertices[:r])] != part_order or \
-            [*map(part_of, seq.vertices[-r:])] != part_order:
+    if [*map(part_of, seq[:r])] != part_order or [*map(part_of, seq[-r:])] != part_order:
         raise GraphValidationError(
             f"{which} is ill-terminated with respect to the given set sequence"
         )
@@ -74,14 +74,14 @@ def _check_terminated(
 def _connector_sets(
     graph: MultipartiteGraph,
     u_sets: Sequence[Iterable[int]],
-    p1: VertexSeq,
-    p2: VertexSeq,
+    p1: Sequence[int],
+    p2: Sequence[int],
     ell: int,
+    r: int,
 ) -> list[frozenset[int]]:
     """The sets, frozen, once the length, the sets and both ends are checked:
     r sets in r distinct parts, and P1 and P2 each beginning and ending in
     the sets' parts, in the sets' order."""
-    r = p1.r
     if ell < 1:
         raise GraphValidationError("connector length must be at least 1")
     u_frozen = [frozenset(u) for u in u_sets]
@@ -104,22 +104,22 @@ def _connector_sets(
 def count_connecting_walks(
     graph: MultipartiteGraph,
     u_sets: Sequence[Iterable[int]],
-    p1: VertexSeq,
-    p2: VertexSeq,
+    p1: Sequence[int],
+    p2: Sequence[int],
     ell: int,
+    r: int,
 ) -> tuple[int, WalkDPTable]:
     """Exact number of length-ell walks Q inside the union of the given sets
     such that p1 Q p2 is a power-walk, and the table of their layers.
     Repeated vertices are allowed in Q."""
-    r = p1.r
-    u_frozen = _connector_sets(graph, u_sets, p1, p2, ell)
+    u_frozen = _connector_sets(graph, u_sets, p1, p2, ell, r)
 
     # The iteration order of these sets fixes each layer's order.
     pool = sorted(frozenset().union(*u_frozen))
     pool_set = frozenset(pool)
     in_pool = {v: graph.adj[v] & pool_set for v in pool}
     window = r - 1
-    seed: State = p1.vertices[-window:]
+    seed: State = tuple(p1[-window:])
     for v in seed:  # a state holds pool vertices and those of P1's tail only
         if v not in in_pool:
             in_pool[v] = graph.adj[v] & pool_set
@@ -136,7 +136,7 @@ def count_connecting_walks(
         counts = nxt
         layers.append(tuple(counts))
 
-    head = p2.vertices[:window]
+    head = p2[:window]
     final = tuple(state for state in counts if splice_ok(graph, state, head, r))
     total = sum(map(counts.__getitem__, final))
     return total, WalkDPTable(layers=tuple(layers), final=final)
@@ -145,11 +145,11 @@ def count_connecting_walks(
 def find_connector(
     graph: MultipartiteGraph,
     u_sets: Sequence[Iterable[int]],
-    p1: VertexSeq,
-    p2: VertexSeq,
+    p1: Sequence[int],
+    p2: Sequence[int],
     ell: int,
     cfg: Config,
-) -> VertexSeq:
+) -> tuple[int, ...]:
     """A length-ell walk Q of distinct vertices inside the given sets, off P1
     and P2, such that p1 Q p2 is a power-walk: the first that `window_paths`
     finds through the live cells, in an order seeded by `cfg.rng("connector")`,
@@ -163,10 +163,10 @@ def find_connector(
     raises SearchExhaustedError: no connector exists.  A spent budget raises
     BudgetExhaustedError.
     """
-    u_frozen = _connector_sets(graph, u_sets, p1, p2, ell)
-    r = p1.r
-    adj, head = graph.adj, p2.vertices[:r - 1]
-    used = {*p1.vertices, *p2.vertices}
+    r = cfg.r
+    u_frozen = _connector_sets(graph, u_sets, p1, p2, ell, r)
+    adj, head = graph.adj, p2[:r - 1]
+    used = {*p1, *p2}
     pools = [u - used for u in u_frozen]
     if any(len(pool) < len(range(i, ell, r)) for i, pool in enumerate(pools)):
         raise SearchExhaustedError(NO_CONNECTOR)
@@ -178,11 +178,11 @@ def find_connector(
         if alive:
             cell = frozenset(v for v in cell if not adj[v].isdisjoint(alive[-1]))
         alive.append(cell)
-    found = next(window_paths(graph, alive[::-1], used, r, before=p1.vertices,
-                              after=p2.vertices, rng=cfg.rng("connector")), None)
+    found = next(window_paths(graph, alive[::-1], used, r, before=p1, after=p2,
+                              rng=cfg.rng("connector")), None)
     if found is None:
         raise SearchExhaustedError(NO_CONNECTOR)
     # the search checked each pick against both ends: check the seams again
-    if not is_walk(graph, VertexSeq(p1.vertices[-(r - 1):] + found + head, r)):
+    if not is_walk(graph, (*p1[-(r - 1):], *found, *head), r):
         raise VerificationError("connector does not splice between its ends")
-    return VertexSeq(found, r)
+    return found

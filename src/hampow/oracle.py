@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExhaustedError, GraphValidationError, VerificationError
 from .graphs import MultipartiteGraph, require_power, shuffle
-from .paths import VertexSeq, is_path, is_walk, splice_ok, verify_ham_power_cycle
+from .paths import is_path, is_walk, splice_ok, verify_ham_power_cycle
 
 YES = "yes"
 NO = "no"
@@ -130,13 +130,13 @@ def window_paths(
 @dataclass(frozen=True)
 class OracleResult:
     answer: str
-    witness: VertexSeq | None
+    witness: tuple[int, ...] | None
     nodes: int
 
     def to_json_dict(self) -> dict:
         return {
             "answer": self.answer,
-            "witness": self.witness.to_json() if self.witness is not None else None,
+            "witness": self.witness,
             "nodes_expanded": self.nodes,
         }
 
@@ -207,7 +207,7 @@ def _anchored_search(
     search = DepthFirst(children, budget.node_limit, (*lead, *head))
     try:
         for found in search:
-            return OracleResult(YES, VertexSeq(found[base:], r), search.nodes)
+            return OracleResult(YES, found[base:], search.nodes)
     except BudgetExhaustedError:
         return OracleResult(BUDGET_EXCEEDED, None, search.nodes)
     return OracleResult(NO, None, search.nodes)
@@ -220,7 +220,7 @@ def ham_power_cycle_exists(
     that re-verifies, `no` is exhaustive, budget exhaustion is inconclusive."""
     require_power(r)
     if graph.n == 0:
-        return OracleResult(YES, VertexSeq((), r), 0)
+        return OracleResult(YES, (), 0)
     if independence_necessity(graph, r) is not None:
         return OracleResult(NO, None, 0)
     res = _anchored_search(graph, r, budget or SearchBudget(), (), None, (0,))
@@ -248,9 +248,9 @@ def ham_power_path_between(
     res = _anchored_search(graph, r, budget or SearchBudget(), ka, kb, ())
     if res.witness is not None:
         w = res.witness
-        if not is_path(graph, w) or set(w.vertices) != set(range(graph.n)) - set(ka) - set(kb):
+        if not is_path(graph, w, r) or set(w) != set(range(graph.n)) - set(ka) - set(kb):
             raise VerificationError("oracle path witness does not span the host minus the anchors")
-        if not is_walk(graph, VertexSeq(ka + w.vertices + kb, r)):
+        if not is_walk(graph, ka + w + kb, r):
             raise VerificationError("oracle path witness does not splice between its anchors")
     return res
 

@@ -1,22 +1,23 @@
 """Walk/path formalism for powers of paths and cycles in multipartite graphs.
 
-A sequence is a power-walk when every r consecutive vertices induce a clique;
-equivalently, every two entries at distance at most r-1 are adjacent.  Sequences
-shorter than r are vacuously walks and the empty sequence is a path, which keeps
-the concatenation algebra total.
+A sequence is a tuple of vertex ids, judged by the run's power r.  It is a
+power-walk when every r consecutive vertices induce a clique; equivalently,
+every two entries at distance at most r-1 are adjacent.  Sequences shorter
+than r are vacuously walks and the empty sequence is a path.
 
 The window checks run as one C-level pass per distance d: the neighbourhoods
 of the vertices, shifted by d, are matched against the vertices with
-`frozenset.__contains__`.  Only when a pass fails, or raises on an id that is
-not a vertex, does the check scan position by position, and the scan alone
-names the first violation; so a kernel never changes what a check reports.
+`frozenset.__contains__`.  `is_walk` is that pass alone, so an id that is not
+a vertex raises from it.  The cycle verifier scans position by position when
+its pass fails, or raises on such an id, and the scan alone names the first
+violation; so the kernel never changes what the verifier reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import GraphValidationError, ImproperOrderError
 from .graphs import MultipartiteGraph, require_power
@@ -25,61 +26,16 @@ from .graphs import MultipartiteGraph, require_power
 TypeVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class VertexSeq:
-    """An ordered vertex sequence together with the power parameter it is judged by."""
-
-    vertices: tuple[int, ...]
-    r: int
-
-    def __post_init__(self):
-        require_power(self.r)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.vertices)
-
-    def concat(self, other: "VertexSeq | Sequence[int]") -> "VertexSeq":
-        tail = other.vertices if isinstance(other, VertexSeq) else tuple(other)
-        return VertexSeq(self.vertices + tail, self.r)
-
-    def to_json(self) -> list[int]:
-        return list(self.vertices)
-
-
-def _pairs_ok(graph: MultipartiteGraph, vertices: Sequence[int], r: int) -> int | None:
-    """Index of the first window violation, or None.  Checks pairs at distance <= r-1."""
-    n = len(vertices)
-    if n < 2:  # no pair; and `itemgetter` of one id gives its set, not a tuple
-        return None
-    try:
-        nbs = itemgetter(*vertices)(graph.adj)
-        for d in range(1, r):
-            if not all(map(frozenset.__contains__, nbs[d:], vertices)):
-                break
-        else:
-            return None
-    except (IndexError, TypeError):
-        pass  # an id that is not a vertex: the scan meets it in its own order
-    for t in range(1, n):
-        v = vertices[t]
-        for d in range(1, min(r - 1, t) + 1):
-            if vertices[t - d] not in graph.adj[v]:
-                return t
-    return None
-
-
-def is_walk(graph: MultipartiteGraph, seq: VertexSeq) -> bool:
+def is_walk(graph: MultipartiteGraph, vertices: Sequence[int], r: int) -> bool:
     """Every r consecutive vertices form a clique (vacuously true below length r)."""
-    if len(seq) < seq.r:
+    if len(vertices) < r:
         return True
-    return _pairs_ok(graph, seq.vertices, seq.r) is None
+    nbs = itemgetter(*vertices)(graph.adj)  # r >= 2 ids: a tuple of sets
+    return all(all(map(frozenset.__contains__, nbs[d:], vertices)) for d in range(1, r))
 
 
-def is_path(graph: MultipartiteGraph, seq: VertexSeq) -> bool:
-    return len(set(seq.vertices)) == len(seq) and is_walk(graph, seq)
+def is_path(graph: MultipartiteGraph, vertices: Sequence[int], r: int) -> bool:
+    return len(set(vertices)) == len(vertices) and is_walk(graph, vertices, r)
 
 
 def initial_respects(seq: Sequence[int], parts_seq: Sequence[Iterable[int]]) -> bool:
@@ -99,17 +55,16 @@ def final_respects(seq: Sequence[int], parts_seq: Sequence[Iterable[int]]) -> bo
     return all(seq[offset + i] in sets[i] for i in range(len(sets)))
 
 
-def is_properly_terminated(graph: MultipartiteGraph, seq: VertexSeq) -> bool:
+def is_properly_terminated(graph: MultipartiteGraph, vertices: Sequence[int], r: int) -> bool:
     """Initial and final r vertices both traverse the graph's first r parts
     in order.  Raises GraphValidationError for a sequence shorter than r or a
     host with fewer than r parts."""
-    r = seq.r
-    if len(seq) < r:
-        raise GraphValidationError(f"sequence of length {len(seq)} is shorter than r={r}")
+    if len(vertices) < r:
+        raise GraphValidationError(f"sequence of length {len(vertices)} is shorter than r={r}")
     if graph.k < r:
         raise GraphValidationError(f"termination check needs r={r} parts, the host has {graph.k}")
     parts_seq = graph.parts[:r]
-    return initial_respects(seq.vertices, parts_seq) and final_respects(seq.vertices, parts_seq)
+    return initial_respects(vertices, parts_seq) and final_respects(vertices, parts_seq)
 
 
 def seq_type(graph: MultipartiteGraph, vertices: Sequence[int]) -> TypeVector:
@@ -131,7 +86,7 @@ class ProperDecomposition:
         return tuple(z for _, z in self.subsequences)
 
 
-def decompose(graph: MultipartiteGraph, seq: VertexSeq) -> ProperDecomposition:
+def decompose(graph: MultipartiteGraph, vertices: Sequence[int], r: int) -> ProperDecomposition:
     """Greedy decomposition into maximal part-increasing runs of length r or r+1.
 
     The constructions only ever produce runs of exactly r or r+1 vertices, so a
@@ -139,21 +94,20 @@ def decompose(graph: MultipartiteGraph, seq: VertexSeq) -> ProperDecomposition:
     breakpoints.  Raises ImproperOrderError carrying the first offending
     breakpoint.
     """
-    r = seq.r
-    vs = seq.vertices
+    part_of = graph.part_of
     breakpoints = [0]
     subsequences = []
     start = 0
-    while start < len(vs):
+    while start < len(vertices):
         end = start + 1
-        while end < len(vs) and graph.part_of(vs[end]) > graph.part_of(vs[end - 1]):
+        while end < len(vertices) and part_of(vertices[end]) > part_of(vertices[end - 1]):
             end += 1
         run = end - start
         if not r <= run <= r + 1:
             raise ImproperOrderError(
                 f"not properly ordered: run of length {run} at breakpoint {start}", start
             )
-        chunk = vs[start:end]
+        chunk = vertices[start:end]
         subsequences.append((chunk, seq_type(graph, chunk)))
         breakpoints.append(end)
         start = end
@@ -176,17 +130,17 @@ def is_valid_pair(z: TypeVector, z2: TypeVector, r: int) -> bool:
     return True
 
 
-def verify_ham_power_cycle(graph: MultipartiteGraph, seq: VertexSeq, r: int) -> bool:
+def verify_ham_power_cycle(graph: MultipartiteGraph, seq: Sequence[int], r: int) -> bool:
     ok, _, _ = verify_ham_power_cycle_report(graph, seq, r)
     return ok
 
 
 def verify_ham_power_cycle_report(
-    graph: MultipartiteGraph, seq: VertexSeq | Sequence[int], r: int
+    graph: MultipartiteGraph, seq: Sequence[int], r: int
 ) -> tuple[bool, str, int | None]:
     """Spanning check plus cyclic clique windows; returns (ok, reason, index)."""
     require_power(r)
-    vs = tuple(seq.vertices if isinstance(seq, VertexSeq) else seq)
+    vs = tuple(seq)
     n = graph.n
     if len(vs) != n or set(vs) != set(range(n)):
         return False, "sequence does not cover every vertex exactly once", None

@@ -38,7 +38,7 @@ from .oracle import (
     independence_necessity,
     window_paths,
 )
-from .paths import VertexSeq, is_path, is_walk, verify_ham_power_cycle_report
+from .paths import is_path, is_walk, verify_ham_power_cycle_report
 from .sequencing import Stage, run_sequencing
 from .tiling import cover_with_paths
 
@@ -46,7 +46,7 @@ from .tiling import cover_with_paths
 @dataclass
 class PipelineReport:
     stages: list[Stage] = field(default_factory=list)
-    cycle: VertexSeq | None = None
+    cycle: tuple[int, ...] | None = None
     budget_exceeded: bool = False
 
     @property
@@ -56,7 +56,7 @@ class PipelineReport:
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.stages.append(Stage(name, ok, detail))
 
-    def add_oracle(self, name: str, res: OracleResult, found: str) -> VertexSeq | None:
+    def add_oracle(self, name: str, res: OracleResult, found: str) -> tuple[int, ...] | None:
         """Record an oracle result as stage `name`: `found` and the witness on
         yes; otherwise a failure, flagging an exhausted budget."""
         if res.answer == YES:
@@ -72,7 +72,7 @@ class PipelineReport:
             "ok": self.ok,
             "budget_exceeded": self.budget_exceeded,
             "stages": [s.to_json_dict() for s in self.stages],
-            "cycle": self.cycle.to_json() if self.cycle is not None else None,
+            "cycle": self.cycle,
         }
 
 
@@ -81,7 +81,7 @@ def constructive_ham_path_between(
     clique_a: Sequence[int],
     clique_b: Sequence[int],
     cfg: Config,
-) -> VertexSeq:
+) -> tuple[int, ...]:
     """Spanning power-path of graph minus the anchors, built constructively.
 
     The absorbing path is one gadget, which absorbs one r-set, and the
@@ -118,7 +118,7 @@ def constructive_ham_path_between(
         )
 
     p_abs = assemble_absorbing_path(graph, anchors, cfg)
-    on_abs = set(p_abs.path.vertices)
+    on_abs = set(p_abs.path)
     free0 = [
         [v for v in part if v not in anchors and v not in on_abs]
         for part in graph.parts
@@ -146,40 +146,40 @@ def constructive_ham_path_between(
         if len(paths) <= m_paths:
             break
         m_paths = len(paths)
-    paths = _cut_paths(paths, m_paths)
+    paths = _cut_paths(paths, m_paths, r)
 
-    segments: list[VertexSeq] = [p_abs.path] + paths
     used: set[int] = set()
-    connectors: list[VertexSeq] = []
-    left = VertexSeq(ka, r)  # the segment before the next connector
-    for seg in segments + [VertexSeq(kb, r)]:
+    connectors: list[tuple[int, ...]] = []
+    left = ka  # the segment before the next connector
+    for seg in [p_abs.path, *paths, kb]:
         pools = [
             [v for v in u if v not in used] for u in u_sets
         ]
         conn = find_connector(graph, pools, left, seg, conn_len, cfg)
-        used.update(conn.vertices)
+        used.update(conn)
         connectors.append(conn)
         left = seg
 
     spare = {v for u in u_sets for v in u if v not in used}
     absorbed = absorb(graph, p_abs, sorted(spare))
 
-    out: list[int] = list(connectors[0].vertices) + list(absorbed.vertices)
-    for seg, conn in zip(paths + [None], connectors[1:]):
-        out.extend(conn.vertices)
-        if seg is not None:
-            out.extend(seg.vertices)
-    result = VertexSeq(tuple(out), r)
-    if not is_path(graph, result):
+    out: list[int] = [*connectors[0], *absorbed]
+    for seg, conn in zip(paths + [()], connectors[1:]):
+        out.extend(conn)
+        out.extend(seg)
+    result = tuple(out)
+    if not is_path(graph, result, r):
         raise VerificationError("constructed spanning path is not a power-path")
-    if set(result.vertices) != set(range(graph.n)) - anchors:
+    if set(result) != set(range(graph.n)) - anchors:
         raise VerificationError("constructed path does not span the host minus the anchors")
-    if not is_walk(graph, VertexSeq(ka + result.vertices + kb, r)):
+    if not is_walk(graph, ka + result + kb, r):
         raise VerificationError("constructed path does not join its anchors")
     return result
 
 
-def _cut_paths(paths: Sequence[VertexSeq], count: int) -> list[VertexSeq]:
+def _cut_paths(
+    paths: Sequence[tuple[int, ...]], count: int, r: int
+) -> list[tuple[int, ...]]:
     """`paths` cut into `count` pieces: the longest path, in half at a clique
     boundary, until there are `count`.  Each path of a cover runs through
     transversal cliques in part order, so both pieces of a cut are properly
@@ -188,13 +188,13 @@ def _cut_paths(paths: Sequence[VertexSeq], count: int) -> list[VertexSeq]:
     out = list(paths)
     while len(out) < count:
         i = max(range(len(out)), key=lambda j: len(out[j]), default=None)
-        if i is None or len(out[i]) < 2 * out[i].r:
+        if i is None or len(out[i]) < 2 * r:
             raise InfeasibleError(
                 f"cover of {len(out)} paths has no path of two cliques to cut into {count}"
             )
         p = out[i]
-        cut = len(p) // (2 * p.r) * p.r
-        out[i:i + 1] = [VertexSeq(p.vertices[:cut], p.r), VertexSeq(p.vertices[cut:], p.r)]
+        cut = len(p) // (2 * r) * r
+        out[i:i + 1] = [p[:cut], p[cut:]]
     return out
 
 
@@ -206,7 +206,7 @@ def _constructive_group_path(
     cfg: Config,
     report: PipelineReport,
     label: str,
-) -> VertexSeq | None:
+) -> tuple[int, ...] | None:
     """The constructive spanning path of a balanced group between anchors,
     recorded as stage `label`.  A failed build is recorded as stage
     `label:constructive`; in constructive mode it ends the run, flagging a
@@ -254,7 +254,7 @@ def run_pipeline(
     if graph.n == 0:
         # the empty cycle spans the empty host, as the oracle answers; there
         # is nothing to reduce or cut, and the verifier still checks it
-        cycle: VertexSeq | None = VertexSeq((), r)
+        cycle: tuple[int, ...] | None = ()
     elif mode == "oracle":
         cycle = _whole_graph_oracle(graph, cfg, budget, report)
     else:
@@ -288,7 +288,7 @@ def _balanced_case(
     cfg: Config,
     budget: SearchBudget,
     report: PipelineReport,
-) -> VertexSeq | None:
+) -> tuple[int, ...] | None:
     """k' == r: one balanced group; close a cycle through an anchor clique,
     or in auto mode ask the oracle for a cycle of the whole host."""
     r = cfg.r
@@ -303,7 +303,7 @@ def _balanced_case(
         else:
             path = _constructive_group_path(graph, ka, ka, mode, cfg, report, "group_path")
             if path is not None:
-                return VertexSeq(ka + path.vertices, r)
+                return ka + path
     if mode == "constructive":
         return None
     return _whole_graph_oracle(original, cfg, budget, report)
@@ -316,7 +316,7 @@ def _sequenced_case(
     cfg: Config,
     budget: SearchBudget,
     report: PipelineReport,
-) -> VertexSeq | None:
+) -> tuple[int, ...] | None:
     """k' > r: cut into balanced groups and stitch the per-group paths."""
     r = cfg.r
     try:
@@ -347,8 +347,8 @@ def _sequenced_case(
         after = bridges[(j + 1) % len(bridges)]
         sub, old_ids = induced_subgraph(graph, cells)
         back = {old: new for new, old in enumerate(old_ids)}
-        ka = tuple(back[v] for v in before.vertices[-r:])
-        kb = tuple(back[v] for v in after.vertices[:r])
+        ka = tuple(back[v] for v in before[-r:])
+        kb = tuple(back[v] for v in after[:r])
         label = f"group_path[{j}]"
         q = _constructive_group_path(sub, ka, kb, mode, cfg, report, label)
         if q is None and mode == "auto":
@@ -360,9 +360,9 @@ def _sequenced_case(
                 return _whole_graph_oracle(original, cfg, budget, report)
         if q is None:
             return None
-        out.extend(before.vertices)
-        out.extend(old_ids[v] for v in q.vertices)
-    return VertexSeq(tuple(out), r)
+        out.extend(before)
+        out.extend(old_ids[v] for v in q)
+    return tuple(out)
 
 
 def _whole_graph_oracle(
@@ -370,6 +370,6 @@ def _whole_graph_oracle(
     cfg: Config,
     budget: SearchBudget,
     report: PipelineReport,
-) -> VertexSeq | None:
+) -> tuple[int, ...] | None:
     res = ham_power_cycle_exists(graph, cfg.r, budget)
     return report.add_oracle("whole_graph_oracle", res, f"{res.nodes} nodes")

@@ -34,7 +34,6 @@ from .graphs import Config, MultipartiteGraph, shuffle
 from .oracle import DepthFirst, SearchBudget, window_paths
 from .paths import (
     TypeVector,
-    VertexSeq,
     decompose,
     final_respects,
     initial_respects,
@@ -131,7 +130,9 @@ def compute_trim_template(sizes: Sequence[int], r: int, sigma: Fraction) -> Trim
     return tmpl
 
 
-def build_trim_path(graph: MultipartiteGraph, tmpl: TrimTemplate, cfg: Config) -> VertexSeq:
+def build_trim_path(
+    graph: MultipartiteGraph, tmpl: TrimTemplate, cfg: Config
+) -> tuple[int, ...]:
     """Realize the template as a properly ordered, properly terminated path:
     the first path, in an order seeded by `cfg.rng("trim")`, through the run
     cells (each run type's parts in ascending order, one vertex each).
@@ -148,10 +149,9 @@ def build_trim_path(graph: MultipartiteGraph, tmpl: TrimTemplate, cfg: Config) -
     vertices = next(window_paths(graph, cells, set(), r, rng=cfg.rng("trim")), None)
     if vertices is None:
         raise SearchExhaustedError(f"no power-path realizes the template's {tmpl.q} run types")
-    p0 = VertexSeq(vertices, r)
-    if not is_path(graph, p0):
+    if not is_path(graph, vertices, r):
         raise VerificationError("trim path is not a power-path")
-    if decompose(graph, p0).types() != tmpl.type_sequence:
+    if decompose(graph, vertices, r).types() != tmpl.type_sequence:
         raise VerificationError("trim path does not realize the template's type sequence")
     residual = [len(part) - sum(1 for v in vertices if graph.part_of(v) == i)
                 for i, part in enumerate(graph.parts)]
@@ -160,7 +160,7 @@ def build_trim_path(graph: MultipartiteGraph, tmpl: TrimTemplate, cfg: Config) -
         raise VerificationError("residual size is not divisible by r")
     if any(residual[i] != total // r for i in range(tmpl.s)):
         raise VerificationError("leading residual equalities fail")
-    return p0
+    return vertices
 
 
 @dataclass(frozen=True)
@@ -351,12 +351,11 @@ class SequencingPlan:
     group back to the first.
     """
 
-    r: int
-    p0_prime: VertexSeq
-    p0: VertexSeq
+    p0_prime: tuple[int, ...]
+    p0: tuple[int, ...]
     groups: tuple[tuple[frozenset[int], ...], ...]
     patterns: tuple[tuple[int, ...], ...]
-    connectors: tuple[VertexSeq, ...]
+    connectors: tuple[tuple[int, ...], ...]
 
     @property
     def ell(self) -> int:
@@ -364,19 +363,19 @@ class SequencingPlan:
 
     def to_json_dict(self) -> dict:
         return {
-            "p0_prime": self.p0_prime.to_json(),
-            "p0": self.p0.to_json(),
+            "p0_prime": self.p0_prime,
+            "p0": self.p0,
             "groups": [
                 {"cols": list(pattern), "cells": [sorted(c) for c in cells]}
                 for pattern, cells in zip(self.patterns, self.groups)
             ],
-            "connectors": [c.to_json() for c in self.connectors],
+            "connectors": self.connectors,
         }
 
 
 def build_connectors_and_p0(
     graph: MultipartiteGraph,
-    p0_prime: VertexSeq,
+    trim: tuple[int, ...],
     groups: tuple[tuple[frozenset[int], ...], ...],
     patterns: tuple[tuple[int, ...], ...],
     cfg: Config,
@@ -403,7 +402,6 @@ def build_connectors_and_p0(
     and a shorter one raises GraphValidationError.
     """
     r = cfg.r
-    trim = p0_prime.vertices
     if len(trim) < r - 1:
         raise GraphValidationError(
             f"the affixes need a trim path of at least r-1 = {r - 1} vertices, got {len(trim)}"
@@ -435,16 +433,15 @@ def build_connectors_and_p0(
             f"(search nodes: {search.nodes})"
         )
     suffix, *connectors, prefix = laid
-    p0 = VertexSeq(prefix + trim + suffix, r)
-    if not is_path(graph, p0):
+    p0 = prefix + trim + suffix
+    if not is_path(graph, p0, r):
         raise VerificationError("P0 with its affixes is not a power-path")
     return SequencingPlan(
-        r=r,
-        p0_prime=p0_prime,
+        p0_prime=trim,
         p0=p0,
         groups=groups,
         patterns=patterns,
-        connectors=tuple(VertexSeq(c, r) for c in connectors),
+        connectors=tuple(connectors),
     )
 
 
@@ -530,7 +527,7 @@ def verify_plan(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> 
     wants one cell per part of each group's pattern, all of one size; a group
     or a pattern without a partner fails it.
     """
-    r = plan.r
+    r = cfg.r
     n = graph.n
     conditions: list[Stage] = []
 
@@ -557,19 +554,19 @@ def verify_plan(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> 
     # Terminal extension of the trim path.
     a3_ok, a3_detail = True, ""
     p0, p0p = plan.p0, plan.p0_prime
-    if p0.vertices[r:-r] != p0p.vertices:
+    if p0[r:-r] != p0p:
         a3_ok, a3_detail = False, "p0 does not extend p0_prime by r vertices on each side"
-    elif not is_path(graph, p0):
+    elif not is_path(graph, p0, r):
         a3_ok, a3_detail = False, "p0 is not a power-path in the host graph"
-    elif not initial_respects(p0.vertices, plan.groups[-1]):
+    elif not initial_respects(p0, plan.groups[-1]):
         a3_ok, a3_detail = False, "initial r vertices of p0 do not respect the last group"
-    elif not final_respects(p0.vertices, plan.groups[0]):
+    elif not final_respects(p0, plan.groups[0]):
         a3_ok, a3_detail = False, "final r vertices of p0 do not respect the first group"
     conditions.append(Stage("A3", a3_ok, a3_detail))
 
     # Connectors: disjoint 2r-vertex power-paths respecting consecutive groups.
     a4_ok, a4_detail = True, ""
-    taken = set(p0.vertices)
+    taken = set(p0)
     if len(plan.connectors) != plan.ell - 1:
         a4_ok, a4_detail = False, f"expected {plan.ell - 1} connectors"
     for j, conn in enumerate(plan.connectors):
@@ -577,23 +574,23 @@ def verify_plan(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> 
             break
         if len(conn) != 2 * r:
             a4_ok, a4_detail = False, f"connector {j} has {len(conn)} vertices, wanted {2 * r}"
-        elif not is_path(graph, conn):
+        elif not is_path(graph, conn, r):
             a4_ok, a4_detail = False, f"connector {j} is not a power-path"
-        elif not initial_respects(conn.vertices, plan.groups[j]):
+        elif not initial_respects(conn, plan.groups[j]):
             a4_ok, a4_detail = False, f"connector {j} does not start in group {j}"
-        elif not final_respects(conn.vertices, plan.groups[j + 1]):
+        elif not final_respects(conn, plan.groups[j + 1]):
             a4_ok, a4_detail = False, f"connector {j} does not end in group {j + 1}"
-        elif any(v in taken for v in conn.vertices):
-            v = next(v for v in conn.vertices if v in taken)
+        elif any(v in taken for v in conn):
+            v = next(v for v in conn if v in taken)
             a4_ok, a4_detail = False, f"connector {j} reuses vertex {v}"
         if a4_ok:
-            taken.update(conn.vertices)
+            taken.update(conn)
     conditions.append(Stage("A4", a4_ok, a4_detail))
 
     # The trim path and the group cells partition the vertex set.
     part_ok, part_detail = True, ""
-    seen: set[int] = set(p0p.vertices)
-    if len(seen) != len(p0p.vertices):
+    seen: set[int] = set(p0p)
+    if len(seen) != len(p0p):
         part_ok, part_detail = False, "trim path repeats a vertex"
     for j, cell in ((j, cell) for j, cells in enumerate(plan.groups) for cell in cells):
         if not part_ok:
@@ -620,7 +617,7 @@ def run_sequencing(graph: MultipartiteGraph, cfg: Config) -> SequencingResult:
     connectors, and an independent verification report."""
     tmpl = compute_trim_template([len(p) for p in graph.parts], cfg.r, cfg.sigma)
     p0_prime = build_trim_path(graph, tmpl, cfg)
-    on_path = set(p0_prime.vertices)
+    on_path = set(p0_prime)
     residual = [[v for v in part if v not in on_path] for part in graph.parts]
     matrix = build_template_matrix(tmpl.k, tmpl.r, tmpl.s)
     b = [len(p) for p in residual]

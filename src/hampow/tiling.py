@@ -15,7 +15,7 @@ from typing import AbstractSet, Sequence
 from .errors import GraphValidationError, SearchExhaustedError, VerificationError
 from .graphs import Config, MultipartiteGraph, require_power
 from .oracle import DepthFirst, SearchBudget, window_paths
-from .paths import VertexSeq, is_path, is_properly_terminated
+from .paths import is_path, is_properly_terminated
 
 
 def enumerate_cliques(graph: MultipartiteGraph, r: int) -> list[tuple[int, ...]]:
@@ -169,12 +169,12 @@ def perfect_tiling_bruteforce(
 class PathCover:
     """Disjoint properly terminated power-paths plus the balanced leftover."""
 
-    paths: tuple[VertexSeq, ...]
+    paths: tuple[tuple[int, ...], ...]
     leftover: frozenset[int]
 
     def to_json_dict(self) -> dict:
         return {
-            "paths": [p.to_json() for p in self.paths],
+            "paths": self.paths,
             "leftover": sorted(self.leftover),
         }
 
@@ -227,7 +227,7 @@ def cover_with_paths(
     for attempt in range(COVER_ATTEMPTS):
         reshuffle = rng if attempt else None
         used: set[int] = set()
-        paths: list[VertexSeq] = []
+        paths: list[tuple[int, ...]] = []
         while n - len(used) > target:
             current: list[int] = []
             while n - len(used) > target:
@@ -238,11 +238,12 @@ def cover_with_paths(
                 used.update(K)
             if not current:
                 break
-            paths.append(VertexSeq(tuple(current), r))
+            paths.append(tuple(current))
 
         leftover = vertices - used
         if len(leftover) <= target:
-            if not all(is_path(graph, p) and is_properly_terminated(graph, p) for p in paths):
+            if not all(is_path(graph, p, r) and is_properly_terminated(graph, p, r)
+                       for p in paths):
                 raise VerificationError("cover built a path that is not properly terminated")
             return PathCover(tuple(paths), leftover)
         if best is None or len(leftover) < best:

@@ -17,7 +17,7 @@ from hampow.errors import (
     SearchExhaustedError,
 )
 from hampow.graphs import MultipartiteGraph, gen_random
-from hampow.paths import VertexSeq, splice_ok
+from hampow.paths import splice_ok
 from hampow.tiling import PathCover
 
 
@@ -47,18 +47,6 @@ def naive_seam_ok(graph, left, right, r):
         for i in range(cut)
         for j in range(cut, min(len(seq), i + r))
     )
-
-
-def reference_pairs_ok(graph: MultipartiteGraph, vertices, r: int):
-    """Index of the first window violation, or None: the position-by-position
-    scan `paths._pairs_ok` runs only after its one-pass test fails."""
-    n = len(vertices)
-    for t in range(1, n):
-        v = vertices[t]
-        for d in range(1, min(r - 1, t) + 1):
-            if vertices[t - d] not in graph.adj[v]:
-                return t
-    return None
 
 
 def reference_verify_report(graph: MultipartiteGraph, seq, r: int):
@@ -255,18 +243,17 @@ def reference_save_graph(graph: MultipartiteGraph) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
-def reference_count_connecting_walks(graph, u_sets, p1, p2, ell):
+def reference_count_connecting_walks(graph, u_sets, p1, p2, ell, r):
     """The walk count that carries exact counts through every layer, as
     (total, layers, final): layers[t] maps each state of t steps to its number
     of walks, in first-seen order.  The inputs are taken as already validated."""
-    r = p1.r
     pool = sorted(frozenset().union(*(frozenset(u) for u in u_sets)))
     pool_set = frozenset(pool)
     in_pool = {v: graph.adj[v] & pool_set for v in pool}
-    for v in set(p1.vertices) | set(p2.vertices):
+    for v in set(p1) | set(p2):
         in_pool.setdefault(v, graph.adj[v] & pool_set)
     window = r - 1
-    seed = p1.vertices[-window:]
+    seed = tuple(p1[-window:])
     layers = [{seed: 1}]
     states, ids, successors, counts = [seed], {seed: 0}, [None], {0: 1}
     for _ in range(ell):
@@ -288,28 +275,27 @@ def reference_count_connecting_walks(graph, u_sets, p1, p2, ell):
                 nxt[j] = nxt.get(j, 0) + cnt
         layers.append(dict(zip(map(states.__getitem__, nxt), nxt.values())))
         counts = nxt
-    head = p2.vertices[:window]
+    head = p2[:window]
     final = {state: cnt for state, cnt in layers[-1].items()
              if splice_ok(graph, state, head, r)}
     return sum(final.values()), layers, final
 
 
-def connectors_by_brute_force(graph, u_sets, p1, p2, ell):
+def connectors_by_brute_force(graph, u_sets, p1, p2, ell, r):
     """Every length-ell sequence Q of distinct vertices of the sets, off P1 and
     P2, such that p1 Q p2 passes the naive window check: grown one vertex at a
     time from the whole pool, each prefix checked after P1."""
-    r = p1.r
-    taken = set(p1.vertices) | set(p2.vertices)
+    taken = set(p1) | set(p2)
     pool = sorted({v for u in u_sets for v in u} - taken)
     found, stack = [], [()]
     while stack:
         q = stack.pop()
         if len(q) == ell:
-            if naive_is_walk(graph, p1.vertices + q + p2.vertices, r):
+            if naive_is_walk(graph, p1 + q + p2, r):
                 found.append(q)
             continue
         stack.extend(q + (v,) for v in pool
-                     if v not in q and naive_is_walk(graph, p1.vertices[-(r - 1):] + q + (v,), r))
+                     if v not in q and naive_is_walk(graph, p1[-(r - 1):] + q + (v,), r))
     return sorted(found)
 
 
@@ -477,7 +463,7 @@ def reference_cover_with_paths(graph, r, alpha, cfg):
                     break
             if not current:
                 break
-            paths.append(VertexSeq(tuple(current), r))
+            paths.append(tuple(current))
 
         leftover = frozenset(v for v in range(n) if v not in used)
         counts = [0] * graph.k

@@ -30,7 +30,7 @@ from hampow.errors import (
 )
 from hampow.graphs import Config, MultipartiteGraph, gen_random
 from hampow.oracle import SearchBudget
-from hampow.paths import VertexSeq, is_path, is_properly_terminated
+from hampow.paths import is_path, is_properly_terminated
 
 EXAMPLE_Q1 = (
     "a_1^1 a_2^1 a_3^1 x_1 b_2^1 b_3^1 c_1^1 c_2^1 c_3^1 "
@@ -97,8 +97,8 @@ class TestFindAbsorbers:
             assert verify_instance(g, inst)
             assert inst.target == x and not set(inst.slots) & set(x)
             # both routings are properly terminated paths in the host
-            assert is_properly_terminated(g, VertexSeq(inst.q1_vertices(), 3))
-            assert is_properly_terminated(g, VertexSeq(inst.slots, 3))
+            assert is_properly_terminated(g, inst.q1_vertices(), 3)
+            assert is_properly_terminated(g, inst.slots, 3)
 
     def test_isolated_target_has_no_instances(self):
         # x in part 0 with no neighbors in part 1: row conditions unsatisfiable
@@ -177,16 +177,16 @@ class TestAssembleAbsorb:
         cfg = Config(3, seed=7)
         pa = assemble_absorbing_path(g, (), cfg)
         path = pa.path
-        assert is_path(g, path) and is_properly_terminated(g, path)
+        assert is_path(g, path, 3) and is_properly_terminated(g, path, 3)
         assert len(pa.gadgets) == 1 and len(path) == 3 * 9 - 3
-        outside = [v for v in range(g.n) if v not in set(path.vertices)]
+        outside = [v for v in range(g.n) if v not in set(path)]
         rng = random.Random(1)
         z = [rng.choice([v for v in outside if g.part_of(v) == i]) for i in range(3)]
         merged = absorb(g, pa, z)
-        assert set(merged.vertices) == set(path.vertices) | set(z)
-        assert merged.vertices[:3] == path.vertices[:3]
-        assert merged.vertices[-3:] == path.vertices[-3:]
-        assert is_path(g, merged)
+        assert set(merged) == set(path) | set(z)
+        assert merged[:3] == path[:3]
+        assert merged[-3:] == path[-3:]
+        assert is_path(g, merged, 3)
 
     def test_absorbed_set_must_fill_every_gadget(self):
         g = complete(2, [16, 16])
@@ -198,7 +198,7 @@ class TestAssembleAbsorb:
         g = complete(3, [9, 9, 9])
         cfg = Config(3, seed=2)
         pa = assemble_absorbing_path(g, (), cfg)
-        outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
+        outside = [v for v in range(g.n) if v not in set(pa.path)]
         z = [next(v for v in outside if g.part_of(v) == i) for i in range(3)]
         merged = absorb(g, pa, z)
         assert len(merged) == len(pa.path) + 3
@@ -208,7 +208,7 @@ class TestAssembleAbsorb:
         a = assemble_absorbing_path(g, (), Config(3, seed=5))
         b = assemble_absorbing_path(g, (), Config(3, seed=5))
         assert a.path == b.path
-        z = sorted({0, 10, 20} - set(a.path.vertices)) or None
+        z = sorted({0, 10, 20} - set(a.path)) or None
         if z and len(z) == 3:
             assert absorb(g, a, z) == absorb(g, b, z)
 
@@ -236,13 +236,13 @@ class TestAssembleAbsorb:
         cfg = Config(3, seed=3)
         excl = {0, 11, 22}
         pa = assemble_absorbing_path(g, excl, cfg)
-        assert not set(pa.path.vertices) & excl
+        assert not set(pa.path) & excl
 
     def test_oversized_z_rejected(self):
         g = complete(3, [11, 11, 11])
         cfg = Config(3, seed=7)
         pa = assemble_absorbing_path(g, (), cfg)
-        outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
+        outside = [v for v in range(g.n) if v not in set(pa.path)]
         by_part = [[v for v in outside if g.part_of(v) == i] for i in range(3)]
         z = [v for p in by_part for v in p[:2]]
         with pytest.raises(GraphValidationError, match="capacity"):
@@ -252,7 +252,7 @@ class TestAssembleAbsorb:
         g = complete(3, [9, 9, 9])
         cfg = Config(3, seed=2)
         pa = assemble_absorbing_path(g, (), cfg)
-        outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
+        outside = [v for v in range(g.n) if v not in set(pa.path)]
         z = [v for v in outside if g.part_of(v) == 0][:1]
         with pytest.raises(GraphValidationError, match="balanced"):
             absorb(g, pa, z)
@@ -260,12 +260,12 @@ class TestAssembleAbsorb:
     def test_unabsorbable_leftover_is_coverage_error(self):
         g = complete(2, [16, 16])
         pa = assemble_absorbing_path(g, (), Config(2, seed=6))
-        outside = [v for v in range(g.n) if v not in set(pa.path.vertices)]
+        outside = [v for v in range(g.n) if v not in set(pa.path)]
         a0, a1 = [v for v in outside if g.part_of(v) == 0][:2]
         b0 = next(v for v in outside if g.part_of(v) == 1)
         # the gadget can take a0 only
         pa = replace(pa, cover=(frozenset({a0}), frozenset({b0})))
-        assert is_path(g, absorb(g, pa, [a0, b0]))
+        assert is_path(g, absorb(g, pa, [a0, b0]), 2)
         with pytest.raises(CoverageError, match="shortfall"):
             absorb(g, pa, [a1, b0])
 
@@ -284,13 +284,13 @@ def test_covers_are_exactly_what_the_gadget_absorbs(r, size, density):
         except InfeasibleError:  # the host misses the minimum degree the gadget asks for
             continue
         assembled += 1
-        path = pa.path.vertices
+        path = pa.path
         rng = random.Random(seed)
         for _ in range(5):
             z = [rng.choice(sorted(cover)) for cover in pa.cover]
             merged = absorb(g, pa, z)
-            assert is_path(g, merged) and set(merged.vertices) == set(path) | set(z)
-            assert merged.vertices[:r] == path[:r] and merged.vertices[-r:] == path[-r:]
+            assert is_path(g, merged, r) and set(merged) == set(path) | set(z)
+            assert merged[:r] == path[:r] and merged[-r:] == path[-r:]
             outside = [(i, v) for i in range(r) for v in g.parts[i]
                        if v not in pa.cover[i] and v not in path]
             if outside:

@@ -22,7 +22,7 @@ from hampow.graphs import (
     save_graph,
 )
 from hampow.oracle import NO, ham_power_cycle_exists, independence_necessity
-from hampow.paths import VertexSeq, decompose, is_properly_terminated, is_valid_pair, is_walk, verify_ham_power_cycle
+from hampow.paths import decompose, is_properly_terminated, is_valid_pair, is_walk, verify_ham_power_cycle
 from hampow.sequencing import (
     build_template_matrix,
     compute_trim_template,
@@ -161,14 +161,14 @@ def test_criterion_05_sequencing_identities():
             res = run_sequencing(g, cfg)
             tmpl = compute_trim_template([len(p) for p in g.parts], 3, cfg.sigma)
             p0p = res.plan.p0_prime
-            used = set(p0p.vertices)
+            used = set(p0p)
             residual = [len([v for v in p if v not in used]) for p in g.parts]
             total = g.n - len(p0p)
             assert total % 3 == 0  # T1
             for i in range(tmpl.s):  # T2
                 assert residual[i] == total // 3
-            assert is_properly_terminated(g, p0p)  # T6
-            assert decompose(g, p0p).types() == tmpl.type_sequence  # T6
+            assert is_properly_terminated(g, p0p, 3)  # T6
+            assert decompose(g, p0p, 3).types() == tmpl.type_sequence  # T6
             for name in ("A1", "A3", "A4", "partition"):
                 assert res.report.condition(name).ok, (idx, name)
             assert res.report.measured_group_slack is not None  # A2, measured
@@ -187,20 +187,20 @@ def test_criterion_06_connecting_dp_oracle_equivalence():
             for _ in range(2):
                 for _ in range(120):
                     seq = tuple(rng.choice(g.parts[i]) for i in range(r))
-                    if is_walk(g, VertexSeq(seq, r)):
-                        term.append(VertexSeq(seq, r))
+                    if is_walk(g, seq, r):
+                        term.append(seq)
                         break
             if len(term) != 2:
                 continue
             ell = rng.randint(1, 4)
             u_sets = [list(g.parts[i]) for i in range(r)]
-            total, _ = count_connecting_walks(g, u_sets, term[0], term[1], ell)
+            total, _ = count_connecting_walks(g, u_sets, term[0], term[1], ell, r)
             pool = sorted(range(g.n))
             naive = sum(
                 1
                 for q in itertools.product(pool, repeat=ell)
                 if all(v in set().union(*map(set, u_sets)) for v in q)
-                and naive_is_walk(g, term[0].vertices + q + term[1].vertices, r)
+                and naive_is_walk(g, term[0] + q + term[1], r)
             )
             assert total == naive
             checked += 1
@@ -262,17 +262,17 @@ def test_criterion_09_absorption_round_trip():
             cfg = Config(3, seed=run)
             pa = assemble_absorbing_path(g, (), cfg)
             path = pa.path
-            on_path = set(path.vertices)
+            on_path = set(path)
             rng = random.Random(run)
             z = []
             for i in range(3):
                 outside = [v for v in g.parts[i] if v not in on_path]
                 z.extend(rng.sample(outside, 1))
             merged = absorb(g, pa, z)
-            assert set(merged.vertices) == on_path | set(z)
-            assert merged.vertices[:3] == path.vertices[:3]
-            assert merged.vertices[-3:] == path.vertices[-3:]
-            assert is_properly_terminated(g, merged)
+            assert set(merged) == on_path | set(z)
+            assert merged[:3] == path[:3]
+            assert merged[-3:] == path[-3:]
+            assert is_properly_terminated(g, merged, 3)
 
 
 def _a10_instances(count=25):
@@ -300,7 +300,7 @@ def test_criterion_10_end_to_end(tmp_path, capsys):
             assert rc == EXIT_OK
             doc = json.loads(out)
             assert doc["ok"]
-            assert verify_ham_power_cycle(g, VertexSeq(tuple(doc["cycle"]), 3), 3)
+            assert verify_ham_power_cycle(g, doc["cycle"], 3)
         for sizes, r in (((4, 4, 4), 3), ((4, 4), 2)):
             ge = gen_extremal(len(sizes), sizes, r)
             gpath = tmp_path / f"extremal{r}.json"

@@ -25,7 +25,7 @@ from hampow.errors import (
 )
 from hampow.graphs import Config, MultipartiteGraph, gen_random
 from hampow.oracle import SearchBudget
-from hampow.paths import VertexSeq, is_path, is_walk
+from hampow.paths import is_path, is_walk
 
 
 def _terminated_pair(graph, r, seed, order=None):
@@ -37,9 +37,8 @@ def _terminated_pair(graph, r, seed, order=None):
     for _ in range(2):
         for _ in range(300):
             seq = tuple(rng.choice(graph.parts[i]) for i in order)
-            vs = VertexSeq(seq, r)
-            if is_walk(graph, vs):
-                out.append(vs)
+            if is_walk(graph, seq, r):
+                out.append(seq)
                 break
         else:
             return None
@@ -49,15 +48,15 @@ def _terminated_pair(graph, r, seed, order=None):
 class TestCount:
     def test_k22_example(self):
         g = complete(2, [2, 2])
-        p1, p2 = VertexSeq((0, 2), 2), VertexSeq((1, 3), 2)
-        total, _ = count_connecting_walks(g, [g.parts[0], g.parts[1]], p1, p2, 2)
+        p1, p2 = (0, 2), (1, 3)
+        total, _ = count_connecting_walks(g, [g.parts[0], g.parts[1]], p1, p2, 2, 2)
         assert total == 4
 
     def test_head_isolated_from_reservoir_gives_zero(self):
         # P2 is a legal walk but its first vertex has no neighbor inside U
         g = MultipartiteGraph.from_edges([[0, 1], [2, 3]], [[0, 2], [0, 3], [1, 3]])
-        p1, p2 = VertexSeq((0, 2), 2), VertexSeq((1, 3), 2)
-        total, _ = count_connecting_walks(g, [[0], [2]], p1, p2, 2)
+        p1, p2 = (0, 2), (1, 3)
+        total, _ = count_connecting_walks(g, [[0], [2]], p1, p2, 2, 2)
         assert total == 0
 
     def test_matches_naive_enumeration(self):
@@ -74,12 +73,12 @@ class TestCount:
             p1, p2 = pair
             ell = rng.randint(1, 4)
             u_sets = [list(g.parts[i]) for i in range(r)]
-            total, _ = count_connecting_walks(g, u_sets, p1, p2, ell)
+            total, _ = count_connecting_walks(g, u_sets, p1, p2, ell, r)
             pool = sorted({v for u in u_sets for v in u})
             naive = sum(
                 1
                 for q in itertools.product(pool, repeat=ell)
-                if naive_is_walk(g, p1.vertices + q + p2.vertices, r)
+                if naive_is_walk(g, p1 + q + p2, r)
             )
             assert total == naive, (trial, total, naive)
             checked += 1
@@ -94,7 +93,7 @@ class TestCount:
                 continue
             p1, p2 = pair
             u_sets = [list(g.parts[i]) for i in range(3)]
-            before, _ = count_connecting_walks(g, u_sets, p1, p2, 3)
+            before, _ = count_connecting_walks(g, u_sets, p1, p2, 3, 3)
             missing = [
                 (u, v)
                 for u in range(g.n)
@@ -107,7 +106,7 @@ class TestCount:
             g2 = MultipartiteGraph.from_edges(
                 [list(p) for p in g.parts], g.edges() + [list(extra)]
             )
-            after, _ = count_connecting_walks(g2, u_sets, p1, p2, 3)
+            after, _ = count_connecting_walks(g2, u_sets, p1, p2, 3, 3)
             assert after >= before
 
     def test_table_matches_the_counting_dp(self):
@@ -126,14 +125,14 @@ class TestCount:
             if pair is None:
                 continue
             p1, p2 = pair
-            terminal = set(p1.vertices) | set(p2.vertices)
+            terminal = set(p1) | set(p2)
             u_sets = [[v for v in g.parts[i] if v not in terminal and rng.random() < keep]
                       for i in range(r)]
             if not all(u_sets):
                 continue
             for ell in range(1, 2 * default_connector_length(r) + 3):
-                count, table = count_connecting_walks(g, u_sets, p1, p2, ell)
-                total, layers, final = reference_count_connecting_walks(g, u_sets, p1, p2, ell)
+                count, table = count_connecting_walks(g, u_sets, p1, p2, ell, r)
+                total, layers, final = reference_count_connecting_walks(g, u_sets, p1, p2, ell, r)
                 assert [list(layer) for layer in table.layers] == [list(layer) for layer in layers]
                 assert list(table.final) == list(final)
                 assert count == total
@@ -145,9 +144,9 @@ class TestCount:
 
     def test_ill_terminated_rejected(self):
         g = complete(2, [2, 2])
-        p_bad = VertexSeq((2, 0), 2)  # starts in the second part
+        p_bad = (2, 0)  # starts in the second part
         with pytest.raises(GraphValidationError, match="ill-terminated"):
-            count_connecting_walks(g, [g.parts[0], g.parts[1]], p_bad, p_bad, 2)
+            count_connecting_walks(g, [g.parts[0], g.parts[1]], p_bad, p_bad, 2, 2)
 
     @pytest.mark.parametrize("p2, bad", [
         ((1, 3, 99, -1), "99"),  # the first stray is named, not the smallest or largest
@@ -156,31 +155,31 @@ class TestCount:
     ])
     def test_stray_terminal_vertex_is_named_as_the_scan_names_it(self, p2, bad):
         g = complete(2, [2, 2])
-        p1 = VertexSeq((0, 2), 2)
+        p1 = (0, 2)
         with pytest.raises(GraphValidationError, match=f"^P2 holds vertex {bad} outside 0..3$"):
-            count_connecting_walks(g, [g.parts[0], g.parts[1]], p1, VertexSeq(p2, 2), 2)
+            count_connecting_walks(g, [g.parts[0], g.parts[1]], p1, p2, 2, 2)
 
     def test_u_set_spanning_two_parts_rejected(self):
         g = complete(2, [2, 2])
-        p1 = VertexSeq((0, 2), 2)
+        p1 = (0, 2)
         with pytest.raises(GraphValidationError, match="single part"):
-            count_connecting_walks(g, [[0, 2], [3]], p1, p1, 2)
+            count_connecting_walks(g, [[0, 2], [3]], p1, p1, 2, 2)
 
 
 class TestFindConnector:
     def test_complete_host_returns_verified_path(self):
         g = complete(3, [12, 12, 12])
         cfg = Config(3, seed=4)
-        p1 = VertexSeq((0, 12, 24), 3)
-        p2 = VertexSeq((1, 13, 25), 3)
+        p1 = (0, 12, 24)
+        p2 = (1, 13, 25)
         ell = default_connector_length(3)
         terminal = (0, 1, 12, 13, 24, 25)
         u_sets = [[v for v in g.parts[i] if v not in terminal] for i in range(3)]
         q = find_connector(g, u_sets, p1, p2, ell, cfg)
         assert len(q) == ell
-        assert is_path(g, q)
-        assert is_walk(g, p1.concat(q).concat(p2))
-        assert all(any(v in u for u in map(set, u_sets)) for v in q.vertices)
+        assert is_path(g, q, 3)
+        assert is_walk(g, p1 + q + p2, 3)
+        assert all(any(v in u for u in map(set, u_sets)) for v in q)
 
     def test_only_repeating_walks_is_a_proved_none(self, monkeypatch):
         # the one connecting walk in these pools is 2, 6, 2, 6: vertex 3 has
@@ -188,9 +187,9 @@ class TestFindConnector:
         g = MultipartiteGraph.from_edges(
             [[0, 1, 2, 3], [4, 5, 6, 7]], [[0, 4], [1, 5], [4, 2], [2, 6], [6, 1], [3, 7]]
         )
-        p1, p2 = VertexSeq((0, 4), 2), VertexSeq((1, 5), 2)
+        p1, p2 = (0, 4), (1, 5)
         u_sets = [[2, 3], [6, 7]]
-        assert count_connecting_walks(g, u_sets, p1, p2, 4)[0] == 1
+        assert count_connecting_walks(g, u_sets, p1, p2, 4, 2)[0] == 1
         searches = _record_searches(monkeypatch)
         with pytest.raises(SearchExhaustedError) as info:
             find_connector(g, u_sets, p1, p2, 4, Config(2, seed=0))
@@ -203,7 +202,7 @@ class TestFindConnector:
         names no walk count, and none is computed."""
         monkeypatch.setattr(hampow.connect, "count_connecting_walks", _refuse)
         g = complete(2, [6, 6])
-        p1, p2 = VertexSeq((0, 6), 2), VertexSeq((1, 7), 2)
+        p1, p2 = (0, 6), (1, 7)
         u_sets = [[2, 3, 4, 5], [8, 9, 10, 11]]
         with pytest.raises(SearchExhaustedError) as info:
             find_connector(g, u_sets, p1, p2, 7500, Config(2, seed=0))
@@ -213,8 +212,8 @@ class TestFindConnector:
     def test_no_walks_at_all(self):
         # the pools' only vertices, 2 and 5, are not adjacent
         g = MultipartiteGraph.from_edges([[0, 1, 2], [3, 4, 5]], [[0, 3], [1, 4], [3, 2], [5, 1]])
-        p1, p2 = VertexSeq((0, 3), 2), VertexSeq((1, 4), 2)
-        assert count_connecting_walks(g, [[2], [5]], p1, p2, 2)[0] == 0
+        p1, p2 = (0, 3), (1, 4)
+        assert count_connecting_walks(g, [[2], [5]], p1, p2, 2, 2)[0] == 0
         with pytest.raises(SearchExhaustedError) as info:
             find_connector(g, [[2], [5]], p1, p2, 2, Config(2, seed=0))
         assert type(info.value) is SearchExhaustedError
@@ -237,13 +236,13 @@ class TestFindConnector:
                 if pair is None:
                     continue
                 p1, p2 = pair
-                terminal = set(p1.vertices) | set(p2.vertices)
+                terminal = set(p1) | set(p2)
                 u_sets = [[v for v in g.parts[i] if v not in terminal and rng.random() < 0.8]
                           for i in order]
                 if not all(u_sets):
                     continue
                 ell = rng.choice([rng.randint(1, 2 * r), r * rng.randint(1, 2)])
-                want = connectors_by_brute_force(g, u_sets, p1, p2, ell)
+                want = connectors_by_brute_force(g, u_sets, p1, p2, ell, r)
                 try:
                     q = find_connector(g, u_sets, p1, p2, ell, Config(r, seed=trial))
                 except SearchExhaustedError as exc:
@@ -251,7 +250,7 @@ class TestFindConnector:
                     assert not want, (r, k, trial)
                     none += 1
                     continue
-                assert q.vertices in want, (r, k, trial)
+                assert q in want, (r, k, trial)
                 found += 1
 
     def test_no_walk_at_r2_is_proved_none_at_the_root(self, monkeypatch):
@@ -266,10 +265,10 @@ class TestFindConnector:
             if pair is None:
                 continue
             p1, p2 = pair
-            terminal = set(p1.vertices) | set(p2.vertices)
+            terminal = set(p1) | set(p2)
             u_sets = [[v for v in part if v not in terminal] for part in g.parts]
             ell = 2 * rng.randint(1, 2)
-            if count_connecting_walks(g, u_sets, p1, p2, ell)[0] or \
+            if count_connecting_walks(g, u_sets, p1, p2, ell, 2)[0] or \
                     min(map(len, u_sets)) < ell // 2:
                 continue
             del searches[:]
@@ -284,7 +283,7 @@ class TestFindConnector:
         """P2's first vertex has no neighbour in the third pool of a complete
         12 + 12 + 12 host, so no connector ends there."""
         g = complete(3, [12, 12, 12])
-        p1, p2 = VertexSeq((0, 12, 24), 3), VertexSeq((1, 13, 25), 3)
+        p1, p2 = (0, 12, 24), (1, 13, 25)
         terminal = (0, 1, 12, 13, 24, 25)
         u_sets = [[v for v in g.parts[i] if v not in terminal] for i in range(3)]
         cut = MultipartiteGraph.from_edges(
@@ -301,7 +300,7 @@ class TestFindConnector:
         """Six steps take three vertices from each pool of two."""
         monkeypatch.setattr(hampow.connect, "window_paths", _refuse)
         g = complete(2, [4, 4])
-        p1, p2 = VertexSeq((0, 4), 2), VertexSeq((1, 5), 2)
+        p1, p2 = (0, 4), (1, 5)
         with pytest.raises(SearchExhaustedError) as info:
             find_connector(g, [[2, 3], [6, 7]], p1, p2, 6, Config(2, seed=0))
         assert str(info.value) == "no vertex-distinct connector exists"
@@ -311,8 +310,8 @@ class TestFindConnector:
 
     def test_search_is_seed_deterministic(self):
         g = complete(3, [5, 5, 5])
-        p1 = VertexSeq((0, 5, 10), 3)
-        p2 = VertexSeq((1, 6, 11), 3)
+        p1 = (0, 5, 10)
+        p2 = (1, 6, 11)
         terminal = (0, 1, 5, 6, 10, 11)
         u_sets = [[v for v in g.parts[i] if v not in terminal] for i in range(3)]
         a = find_connector(g, u_sets, p1, p2, 6, Config(3, seed=9))
@@ -321,7 +320,7 @@ class TestFindConnector:
 
     def test_spent_budget_is_not_a_none(self, monkeypatch):
         g = complete(3, [5, 5, 5])
-        p1, p2 = VertexSeq((0, 5, 10), 3), VertexSeq((1, 6, 11), 3)
+        p1, p2 = (0, 5, 10), (1, 6, 11)
         terminal = (0, 1, 5, 6, 10, 11)
         u_sets = [[v for v in g.parts[i] if v not in terminal] for i in range(3)]
         # the search needs the root and six picks
@@ -331,8 +330,8 @@ class TestFindConnector:
 
     def test_walk_that_does_not_splice_fails_verification(self, monkeypatch):
         g = complete(3, [5, 5, 5])
-        p1 = VertexSeq((0, 5, 10), 3)
-        p2 = VertexSeq((1, 6, 11), 3)
+        p1 = (0, 5, 10)
+        p2 = (1, 6, 11)
         terminal = (0, 1, 5, 6, 10, 11)
         u_sets = [[v for v in g.parts[i] if v not in terminal] for i in range(3)]
         # a search that forgets P2 lays 5 steps, the last two before P2's

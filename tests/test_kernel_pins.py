@@ -1,49 +1,14 @@
-"""Outputs of the connector and absorber kernels and of the constructive
-pipeline and of the sequenced path (`sequence` and `pipeline --relaxed` on
-hosts with k > r), pinned to the values in `pinned_kernels.json`.  They were recorded
-with the plain kernels (successors searched again on every DP layer, absorber
-candidates scanned vertex by vertex); a faster kernel must reproduce them
-exactly.  The connector walks, the constructive pipeline reports, the `connect`
-command's output and the `pipeline --relaxed` pin at k=3, r=2, n=120 were
-re-recorded when the seeded depth-first connector search replaced rejection
-sampling of uniform walks: every pipeline pin still ends in a verified cycle.
-The constructive pipeline pin r=3 m=44 density 97/100 was re-recorded earlier,
-when absorption began to check coverage on the real leftover only: it now ends
-in a verified cycle, where the check over every balanced r-set stopped it with
-a coverage shortfall.  The sequenced pins were recorded while the plan still
-kept a (part, column) cell table, before it became its groups; ten of them
-were re-recorded when one exact, seeded window-path search replaced the
-randomized growers of the trim path, the connectors and the affixes, and
-again when one exact search began to lay all of a plan's bridges as a chain
-(suffix, connectors, prefix) instead of seeded attempts; each kept its exit
-code.  The four r=3 constructive pipeline pins and four `pipeline --relaxed`
-pins were re-recorded, each keeping its exit code, when the absorbing path
-became one gadget with its reservoir drawn from the vertices that gadget
-absorbs, and the cover began to pick its cliques by window search.  The
-connector walks, the constructive pipeline reports, the `connect` command's
-output (the same count) and the `pipeline --relaxed` pin at k=3, r=2, n=120
-were re-recorded when the connector search became a window-path search
-through cells cut back from P2, with no walk table: each pipeline pin kept
-its stages and exit code, and only its cycle changed.  The two
-`sequence --relaxed` pins whose only failing plan condition is the group
-slack A2 went from exit 4 to exit 0, their output unchanged, when
-`--relaxed` began to judge a plan as the pipeline does.  The three
-`sequence` pins that stopped at the degree hypotheses (the proportional
-minimum degree test of the trim path) were re-recorded when those tests were
-deleted along with `--relaxed`: each `sequence` pin now gives what
-`sequence --relaxed` gave.  The `sequence --relaxed` pins keep their names
-and their recorded outputs; they are run as `sequence` (their `run` field),
-which must reproduce exactly what the deleted flag gave.  The
-constructive pipeline pin r=3 m=44 density 97/100 and the `pipeline
---relaxed` pin at k=3, r=2, n=120 were re-recorded when the reservoir's
-degree-sample gate was deleted and the number of cover paths it is sized
-for began only to grow, a cover of fewer paths being cut at clique
-boundaries: both keep exit 0 with a verified cycle, and the second's first
-group path is constructive again where the cover-size loop had given up
-and the oracle built it.  The
-`gen` pins hash the graph text that `json.dumps` of
-the whole document wrote, with each draw of `gen_random` compared with the
-Fraction density."""
+"""Outputs pinned to the values in `pinned_kernels.json`: the walks of
+`find_connector`, the first gadget embedding of `find_absorbers`, the
+reports of `pipeline --mode constructive`, the exit code, stdout and stderr
+of `sequence` and `pipeline --relaxed` on hosts with k > r, the output of
+`hampow connect`, and the SHA-256 of the graph text `gen` writes.  A pin
+recorded as `sequence --relaxed` keeps its name and output and is run as its
+`run` field gives, since `sequence` no longer takes the flag.
+
+A faster kernel or a refactor reproduces every pin exactly.  A change that
+alters a pin re-records it and says why in CHANGES.md, which keeps the
+history of every re-recording."""
 
 import hashlib
 import json
@@ -59,7 +24,6 @@ from hampow.cli import main
 from hampow.connect import find_connector
 from hampow.errors import BudgetExhaustedError, SearchExhaustedError
 from hampow.graphs import Config, gen_random, save_graph
-from hampow.paths import VertexSeq
 
 PINS = json.loads((Path(__file__).with_name("pinned_kernels.json")).read_text())
 
@@ -79,11 +43,11 @@ def _free_parts(graph, r, taken):
 
 def _connector_walk(case):
     g, r = _host(case), case["r"]
-    p1, p2 = VertexSeq(tuple(case["p1"]), r), VertexSeq(tuple(case["p2"]), r)
-    terminal = set(case["p1"]) | set(case["p2"])
+    p1, p2 = tuple(case["p1"]), tuple(case["p2"])
+    terminal = set(p1) | set(p2)
     q = find_connector(g, _free_parts(g, r, terminal), p1, p2, case["ell"],
                        Config(r, seed=case["seed"]))
-    return list(q.vertices)
+    return list(q)
 
 
 @pytest.mark.parametrize("case", PINS["connector"], ids=_case_id)

@@ -13,14 +13,11 @@ from conftest import (
     complete,
     naive_is_walk,
     naive_seam_ok,
-    reference_pairs_ok,
     reference_verify_report,
 )
 from hampow.errors import GraphValidationError, ImproperOrderError
 from hampow.graphs import MultipartiteGraph, gen_random
 from hampow.paths import (
-    VertexSeq,
-    _pairs_ok,
     decompose,
     final_respects,
     initial_respects,
@@ -39,60 +36,57 @@ from hampow.sequencing import z_vector
 class TestWalkPath:
     def test_short_sequences_are_walks(self):
         g = gen_random(3, [2, 2, 2], 0, 0)  # empty graph
-        assert is_walk(g, VertexSeq((0, 2), 3))
-        assert is_walk(g, VertexSeq((), 3))
+        assert is_walk(g, (0, 2), 3)
+        assert is_walk(g, (), 3)
 
     def test_alternating_parts_in_complete_host(self):
         g = complete(3, [2, 2, 2])
-        s = VertexSeq((0, 2, 4, 1, 3, 5), 3)
-        assert is_walk(g, s) and naive_is_walk(g, s, 3)
+        s = (0, 2, 4, 1, 3, 5)
+        assert is_walk(g, s, 3) and naive_is_walk(g, s, 3)
 
     def test_same_part_within_window_fails(self):
         g = complete(3, [2, 2, 2])
-        assert not is_walk(g, VertexSeq((0, 2, 1), 3))
+        assert not is_walk(g, (0, 2, 1), 3)
 
     def test_walk_agrees_with_naive_on_random_sequences(self):
         rng = random.Random(0)
         for trial in range(200):
             g = gen_random(3, [3, 3, 3], Fraction(3, 5), trial)
-            seq = VertexSeq(tuple(rng.randrange(9) for _ in range(rng.randint(0, 7))), 3)
-            assert is_walk(g, seq) == naive_is_walk(g, seq, 3)
+            seq = tuple(rng.randrange(9) for _ in range(rng.randint(0, 7)))
+            assert is_walk(g, seq, 3) == naive_is_walk(g, seq, 3)
 
     def test_path_rejects_repeats(self):
         g = complete(2, [2, 2])
-        assert is_walk(g, VertexSeq((0, 2, 0), 2))
-        assert not is_path(g, VertexSeq((0, 2, 0), 2))
+        assert is_walk(g, (0, 2, 0), 2)
+        assert not is_path(g, (0, 2, 0), 2)
 
     def test_hamiltonian_path_of_k22(self):
         g = complete(2, [2, 2])
-        assert is_path(g, VertexSeq((0, 2, 1, 3), 2))
+        assert is_path(g, (0, 2, 1, 3), 2)
 
     def test_empty_sequence_is_path(self):
         g = complete(2, [2, 2])
-        assert is_path(g, VertexSeq((), 2))
+        assert is_path(g, (), 2)
 
 
 class TestProperlyTerminated:
     def test_length_r_window(self):
         g = complete(3, [2, 2, 2])
-        s = VertexSeq((0, 2, 4), 3)
-        assert is_properly_terminated(g, s)
+        assert is_properly_terminated(g, (0, 2, 4), 3)
 
     def test_wrong_first_part(self):
         g = complete(3, [2, 2, 2])
-        s = VertexSeq((2, 0, 4), 3)
-        assert not is_properly_terminated(g, s)
+        assert not is_properly_terminated(g, (2, 0, 4), 3)
 
     def test_too_short_raises(self):
         g = complete(3, [2, 2, 2])
         with pytest.raises(GraphValidationError):
-            is_properly_terminated(g, VertexSeq((0, 2), 3))
+            is_properly_terminated(g, (0, 2), 3)
 
     def test_long_sequence_checks_both_ends(self):
         g = complete(3, [2, 2, 2])
-        s = VertexSeq((0, 2, 4, 1, 3, 5), 3)
-        assert is_properly_terminated(g, s)
-        assert not is_properly_terminated(g, VertexSeq((0, 2, 4, 3, 1, 5), 3))
+        assert is_properly_terminated(g, (0, 2, 4, 1, 3, 5), 3)
+        assert not is_properly_terminated(g, (0, 2, 4, 3, 1, 5), 3)
 
     def test_respects_helpers(self):
         seq = (0, 2, 4, 1)
@@ -104,28 +98,28 @@ class TestProperlyTerminated:
 class TestDecompose:
     def test_two_runs(self):
         g = complete(4, [2, 2, 2, 2])
-        s = VertexSeq((0, 2, 4, 6, 1, 3, 5), 3)  # parts 1,2,3,4 | 1,2,3
-        dec = decompose(g, s)
+        s = (0, 2, 4, 6, 1, 3, 5)  # parts 1,2,3,4 | 1,2,3
+        dec = decompose(g, s, 3)
         assert dec.breakpoints == (0, 4, 7)
         assert dec.types() == ((1, 1, 1, 1), (1, 1, 1, 0))
 
     def test_short_run_fails_with_index(self):
         g = complete(4, [2, 2, 2, 2])
-        s = VertexSeq((0, 2, 1, 3), 3)  # parts 1,2 | 1,2
+        s = (0, 2, 1, 3)  # parts 1,2 | 1,2
         with pytest.raises(ImproperOrderError) as info:
-            decompose(g, s)
+            decompose(g, s, 3)
         assert info.value.index == 0
 
     def test_single_run(self):
         g = complete(4, [2, 2, 2, 2])
-        dec = decompose(g, VertexSeq((0, 2, 4), 3))
+        dec = decompose(g, (0, 2, 4), 3)
         assert len(dec.subsequences) == 1
 
     def test_overlong_run_fails(self):
         g = complete(5, [2, 2, 2, 2, 2])
-        s = VertexSeq((0, 2, 4, 6, 8), 3)  # increasing run of 5 > r+1
+        s = (0, 2, 4, 6, 8)  # increasing run of 5 > r+1
         with pytest.raises(ImproperOrderError):
-            decompose(g, s)
+            decompose(g, s, 3)
 
 
 class TestValidPair:
@@ -167,7 +161,7 @@ class TestValidPair:
 class TestVerifyCycle:
     def test_alternating_complete(self):
         g = complete(3, [2, 2, 2])
-        assert verify_ham_power_cycle(g, VertexSeq((0, 2, 4, 1, 3, 5), 3), 3)
+        assert verify_ham_power_cycle(g, (0, 2, 4, 1, 3, 5), 3)
 
     def test_missing_vertex(self):
         g = complete(3, [2, 2, 2])
@@ -177,15 +171,15 @@ class TestVerifyCycle:
     def test_rotation_and_reversal_invariance(self):
         g = complete(3, [3, 3, 3])
         base = (0, 3, 6, 1, 4, 7, 2, 5, 8)
-        assert verify_ham_power_cycle(g, VertexSeq(base, 3), 3)
+        assert verify_ham_power_cycle(g, base, 3)
         for shift in range(9):
             rotated = base[shift:] + base[:shift]
-            assert verify_ham_power_cycle(g, VertexSeq(rotated, 3), 3)
-            assert verify_ham_power_cycle(g, VertexSeq(rotated[::-1], 3), 3)
+            assert verify_ham_power_cycle(g, rotated, 3)
+            assert verify_ham_power_cycle(g, rotated[::-1], 3)
 
     def test_non_cycle_rejected(self):
         g = gen_random(3, [2, 2, 2], 0, 0)
-        assert not verify_ham_power_cycle(g, VertexSeq((0, 2, 4, 1, 3, 5), 3), 3)
+        assert not verify_ham_power_cycle(g, (0, 2, 4, 1, 3, 5), 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -210,7 +204,7 @@ def test_concatenation_soundness_on_complete_hosts(seed, r):
                 used.add(v)
                 chunk.append(v)
         chunks.append(chunk)
-    combined = VertexSeq(tuple(chunks[0] + chunks[1]), r)
+    combined = chunks[0] + chunks[1]
     assert naive_is_walk(g, combined, r)
     assert splice_ok(g, chunks[0], chunks[1], r)
     for i, u in enumerate(chunks[0]):
@@ -278,12 +272,9 @@ def _without_edge(g, u, v):
     return MultipartiteGraph.from_edges(g.parts, [e for e in g.edges() if {u, v} != set(e)])
 
 
-def _assert_windows_match_the_scan(g, r, seqs, cycles):
+def _assert_windows_match_the_references(g, r, seqs, cycles):
     for seq in seqs:
-        ref = _outcome(lambda: reference_pairs_ok(g, seq, r))
-        assert _outcome(lambda: _pairs_ok(g, seq, r)) == ref, seq
-        if len(seq) >= r and not isinstance(ref, tuple):
-            assert is_walk(g, VertexSeq(tuple(seq), r)) == (ref is None), seq
+        assert is_walk(g, seq, r) == naive_is_walk(g, seq, r), seq
     for cycle in cycles:
         assert _outcome(lambda: verify_ham_power_cycle_report(g, cycle, r)) == \
             _outcome(lambda: reference_verify_report(g, cycle, r)), cycle
@@ -292,8 +283,9 @@ def _assert_windows_match_the_scan(g, r, seqs, cycles):
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_window_kernels_name_each_planted_violation_as_the_scan_does(r):
     """One missing edge at every position and distance of a spanning cyclic
-    order of a complete host, wrap-around included: the walk check and the
-    cycle verifier report the index and reason the scan reports."""
+    order of a complete host, wrap-around included: the walk check agrees
+    with the window-by-window definition, and the cycle verifier reports the
+    index and reason the scan reports."""
     rng = random.Random(r)
     m = 3
     g = complete(r, [m] * r)
@@ -304,7 +296,7 @@ def test_window_kernels_name_each_planted_violation_as_the_scan_does(r):
         for d in range(1, r):
             h = _without_edge(g, order[t], order[(t + d) % n])
             prefix = order[:rng.randint(r, n)]
-            _assert_windows_match_the_scan(h, r, [order, prefix, order[::-1]], [order])
+            _assert_windows_match_the_references(h, r, [order, prefix, order[::-1]], [order])
             ok, reason, index = verify_ham_power_cycle_report(h, order, r)
             assert not ok and index is not None
             seen[t + d >= n] += 1
@@ -313,9 +305,10 @@ def test_window_kernels_name_each_planted_violation_as_the_scan_does(r):
 
 @pytest.mark.parametrize("seed", range(24))
 def test_window_kernels_match_the_scan_on_random_hosts_and_odd_ids(seed):
-    """Random orders with any number of violations, repeated vertices, ids
-    that are not vertices (out of range, negative, a float, a string) and
-    hosts smaller than a window: the same index or the same exception."""
+    """Random orders with any number of violations, repeated vertices and
+    hosts smaller than a window: the walk check agrees with the definition,
+    and the cycle verifier, also on orders holding a float id, gives the
+    scan's index or the scan's exception."""
     rng = random.Random(seed)
     r = (2, 3, 4)[seed % 3]
     k = rng.randint(1, 2 * r - 1)
@@ -327,10 +320,7 @@ def test_window_kernels_match_the_scan_on_random_hosts_and_odd_ids(seed):
         order = rng.sample(range(n), n)
         seqs += [order, order[:rng.randint(0, n)], [rng.randrange(n) for _ in range(rng.randint(0, 8))]]
         cycles.append(order)
-        odd = order[:]
-        odd.insert(rng.randint(0, n), rng.choice([n, n + 7, -1, -n - 1, 1.5, "v"]))
-        seqs.append(odd)
         if n > 1:
             at = rng.randrange(n)
             cycles.append([float(v) if i == at else v for i, v in enumerate(order)])
-    _assert_windows_match_the_scan(g, r, seqs, cycles)
+    _assert_windows_match_the_references(g, r, seqs, cycles)

@@ -24,7 +24,7 @@ from hampow.graphs import (
     gen_random,
     save_graph,
 )
-from hampow.paths import VertexSeq, is_path, is_properly_terminated, verify_ham_power_cycle
+from hampow.paths import is_path, is_properly_terminated, verify_ham_power_cycle
 from hampow.pipeline import _cut_paths, constructive_ham_path_between, run_pipeline
 from hampow.oracle import SearchBudget, window_paths
 from hampow.sequencing import PlanReport, Stage
@@ -194,7 +194,7 @@ class TestConstructive:
         cfg = Config(2, seed=10)
         anchor = next(window_paths(g, g.part_sets, set(), 2))
         p_abs = assemble_absorbing_path(g, anchor, cfg)
-        free = [set(p) - set(anchor) - set(p_abs.path.vertices) for p in g.parts]
+        free = [set(p) - set(anchor) - set(p_abs.path) for p in g.parts]
         assert [len(f) for f in free] == [10, 10]
         assert min(len(f & cover) for f, cover in zip(free, p_abs.cover)) < 7
         with pytest.raises(InfeasibleError,
@@ -238,9 +238,9 @@ class TestConstructive:
         # path is cut in two
         cuts = []
 
-        def spy(paths, count):
+        def spy(paths, count, r):
             cuts.append((len(paths), count))
-            return _cut_paths(paths, count)
+            return _cut_paths(paths, count, r)
 
         monkeypatch.setattr(hampow.pipeline, "_cut_paths", spy)
         g = gen_random(2, [18, 18], Fraction(97, 100), 18216)
@@ -257,19 +257,19 @@ class TestConstructive:
         cover = list(cover_with_paths(g, r, Fraction(0), Config(r, seed=seed)).paths)
         cliques = sum(len(p) for p in cover) // r
         for count in range(len(cover), cliques + 1):
-            pieces = _cut_paths(cover, count)
+            pieces = _cut_paths(cover, count, r)
             assert len(pieces) == count
-            assert sorted(v for p in pieces for v in p.vertices) == list(range(g.n))
+            assert sorted(v for p in pieces for v in p) == list(range(g.n))
             for p in pieces:
                 assert len(p) % r == 0
-                assert is_path(g, p) and is_properly_terminated(g, p)
+                assert is_path(g, p, r) and is_properly_terminated(g, p, r)
         with pytest.raises(InfeasibleError, match="no path of two cliques to cut"):
-            _cut_paths(cover, cliques + 1)
+            _cut_paths(cover, cliques + 1, r)
 
     def test_an_empty_cover_cannot_be_cut(self):
         with pytest.raises(InfeasibleError, match="cover of 0 paths"):
-            _cut_paths([], 1)
-        assert _cut_paths([], 0) == []
+            _cut_paths([], 1, 2)
+        assert _cut_paths([], 0, 2) == []
 
     def test_small_host_is_scale_infeasible(self):
         g = complete(2, [5, 5])
@@ -838,8 +838,8 @@ class TestCli:
         assert "Traceback" not in captured.err
 
     def test_empty_cycle_prints_as_an_empty_list(self):
-        rep = hampow.pipeline.PipelineReport(cycle=VertexSeq((), 2))
-        assert rep.to_json_dict()["cycle"] == []
+        rep = hampow.pipeline.PipelineReport(cycle=())
+        assert json.dumps(rep.to_json_dict()["cycle"]) == "[]"
 
     def test_sequence_command(self, tmp_path, capsys):
         gpath = self._gen(tmp_path, ["--k", "4", "--sizes", "12,12,12,12", "--delta", "1"])
@@ -907,7 +907,7 @@ def test_the_seed_decides_the_constructive_cycle(tmp_path, capsys):
         argv = ["pipeline", "--graph", str(gpath), "--r", "2", "--mode", "constructive"]
         assert main([*argv, "--seed", seed]) == EXIT_OK
         cycle = tuple(json.loads(capsys.readouterr().out)["cycle"])
-        assert verify_ham_power_cycle(g, VertexSeq(cycle, 2), 2)
+        assert verify_ham_power_cycle(g, cycle, 2)
         cycles.add(cycle)
     assert len(cycles) == 3
 

@@ -26,7 +26,7 @@ from hampow.errors import (
 )
 from hampow.graphs import Config, MultipartiteGraph, gen_random, induced_subgraph, save_graph
 from hampow.oracle import SearchBudget, window_paths
-from hampow.paths import VertexSeq, decompose, is_path, is_properly_terminated, is_valid_pair
+from hampow.paths import decompose, is_path, is_properly_terminated, is_valid_pair
 from hampow.sequencing import (
     _group_degree_slack,
     build_connectors_and_p0,
@@ -197,9 +197,9 @@ class TestTrimPath:
         cfg = Config(3, seed=2)
         tmpl = compute_trim_template([9, 9, 9, 8], 3, cfg.sigma)
         p0 = build_trim_path(g, tmpl, cfg)
-        assert is_path(g, p0)
-        assert is_properly_terminated(g, p0)
-        dec = decompose(g, p0)
+        assert is_path(g, p0, 3)
+        assert is_properly_terminated(g, p0, 3)
+        dec = decompose(g, p0, 3)
         assert dec.types() == tmpl.type_sequence
         for za, zb in zip(dec.types(), dec.types()[1:]):
             assert is_valid_pair(za, zb, 3)
@@ -209,7 +209,7 @@ class TestTrimPath:
         cfg = Config(3, seed=2)
         tmpl = compute_trim_template([9, 9, 9, 8], 3, cfg.sigma)
         p0 = build_trim_path(g, tmpl, cfg)
-        used = set(p0.vertices)
+        used = set(p0)
         residual = [len([v for v in p if v not in used]) for p in g.parts]
         total = g.n - len(p0)
         assert total % 3 == 0
@@ -252,7 +252,7 @@ class TestRefineAndPlan:
         g, cfg, res = _pipeline_fixture()
         tmpl = compute_trim_template([len(p) for p in g.parts], cfg.r, cfg.sigma)
         m, plan = build_template_matrix(tmpl.k, tmpl.r, tmpl.s), res.plan
-        on_path = set(plan.p0_prime.vertices)
+        on_path = set(plan.p0_prime)
         b = [sum(v not in on_path for v in part) for part in g.parts]
         x = solve_part_sizes(m, b, cfg.floor_m(g.n))
         assert plan.patterns == group_patterns(m)
@@ -289,10 +289,10 @@ class TestVerifyPlanFaults:
         g, cfg, res = _pipeline_fixture(seed=3)
         plan = res.plan
         conn = plan.connectors[0]
-        stolen = plan.p0.vertices[0]  # lives in p0: reuse breaks disjointness
+        stolen = plan.p0[0]  # lives in p0: reuse breaks disjointness
         broken = replace(
             plan,
-            connectors=(VertexSeq((stolen,) + conn.vertices[1:], 3),) + plan.connectors[1:],
+            connectors=((stolen,) + conn[1:],) + plan.connectors[1:],
         )
         rep = verify_plan(g, broken, cfg)
         assert not rep.condition("A4").ok
@@ -348,9 +348,7 @@ class TestVerifyPlanFaults:
     def test_truncated_p0_breaks_a3(self):
         g, cfg, res = _pipeline_fixture(seed=3)
         plan = res.plan
-        rep = verify_plan(
-            g, replace(plan, p0=VertexSeq(plan.p0.vertices[1:], 3)), cfg
-        )
+        rep = verify_plan(g, replace(plan, p0=plan.p0[1:]), cfg)
         assert not rep.condition("A3").ok
 
 
@@ -455,7 +453,7 @@ def test_window_path_needs_only_the_after_vertices_within_reach():
     )
     cells = [frozenset({0}), frozenset({3}), frozenset({1})]
     assert list(window_paths(g, cells, set(), 2, after=(4, 2))) == [(0, 3, 1)]
-    assert is_path(g, VertexSeq((0, 3, 1, 4, 2), 2))
+    assert is_path(g, (0, 3, 1, 4, 2), 2)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -532,7 +530,7 @@ def _refinement_case(seed):
     sub, old_ids = induced_subgraph(g, [[v for v in part if v in keep] for part in g.parts])
     new = {old: v for v, old in enumerate(old_ids)}
     groups = tuple(tuple(frozenset(map(new.get, cell)) for cell in cells) for cells in groups)
-    return sub, VertexSeq(tuple(map(new.get, trim)), r), groups, tuple(patterns), cfg
+    return sub, tuple(map(new.get, trim)), groups, tuple(patterns), cfg
 
 
 def _plan_or_none(*case):
@@ -573,7 +571,7 @@ def _doomed_prefix_chain(ell):
              if not (v == t and u in cut)]
     groups = tuple((frozenset(parts[0][3 * j:3 * j + 3]), frozenset(parts[1][3 * j:3 * j + 3]))
                    for j in range(ell))
-    return MultipartiteGraph.from_edges(parts, edges), VertexSeq((t,), 2), groups, ((0, 1),) * ell
+    return MultipartiteGraph.from_edges(parts, edges), (t,), groups, ((0, 1),) * ell
 
 
 class TestDoomedRefinements:
@@ -598,11 +596,11 @@ class TestDoomedRefinements:
                 outcomes["none"] += 1
                 continue
             assert build_connectors_and_p0(*case) == plan, seed
-            laid = [plan.p0.vertices[cfg.r + len(trim):],
-                    *(c.vertices for c in plan.connectors),
-                    plan.p0.vertices[:cfg.r]]
-            assert plan.p0.vertices[cfg.r:cfg.r + len(trim)] == trim.vertices, seed
-            choices = bridge_choices_by_brute_force(g, trim.vertices, groups, cfg.r)
+            laid = [plan.p0[cfg.r + len(trim):],
+                    *plan.connectors,
+                    plan.p0[:cfg.r]]
+            assert plan.p0[cfg.r:cfg.r + len(trim)] == trim, seed
+            choices = bridge_choices_by_brute_force(g, trim, groups, cfg.r)
             assert all(path in paths for path, paths in zip(laid, choices, strict=True)), seed
             flat = [v for path in laid for v in path]
             assert len(set(flat)) == len(flat), seed
@@ -627,7 +625,7 @@ class TestDoomedRefinements:
                 outcomes["short"] += 1
                 continue
             plan = _plan_or_none(g, trim, groups, patterns, cfg)
-            choices = bridge_choices_by_brute_force(g, trim.vertices, groups, cfg.r)
+            choices = bridge_choices_by_brute_force(g, trim, groups, cfg.r)
             if prod(map(len, choices)) > 10**5:
                 outcomes["beyond brute force"] += 1
                 continue
@@ -650,7 +648,7 @@ class TestDoomedRefinements:
         assert [s.nodes for s in searches] == [1 + 9 + 9 * 36 * (ell - 1) for ell in (2, 3, 4)]
         g, trim, groups, _ = _doomed_prefix_chain(2)
         assert disjoint_choice_by_brute_force(
-            bridge_choices_by_brute_force(g, trim.vertices, groups, 2)) is None
+            bridge_choices_by_brute_force(g, trim, groups, 2)) is None
 
     def test_a_doomed_refinement_is_proved_none_and_a_spent_budget_is_not(self, monkeypatch):
         """K_{3,3,1} with three edges gone, r=2: the trim path is t, which sees
@@ -665,7 +663,7 @@ class TestDoomedRefinements:
         edges = [(u, v) for p, q in combinations(parts, 2) for u in p for v in q
                  if (u, v) not in missing]
         groups = (frozenset({a, a2}), frozenset({b, b2})), (frozenset({a3}), frozenset({b3}))
-        case = VertexSeq((t,), 2), groups, ((0, 1), (0, 1)), Config(2)
+        case = (t,), groups, ((0, 1), (0, 1)), Config(2)
         searches = _record_bridge_searches(monkeypatch)
         for g, nodes in ((MultipartiteGraph.from_edges(parts, edges), 3),
                          (MultipartiteGraph.from_edges(parts, edges + [(a2, b)]), 4)):

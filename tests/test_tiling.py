@@ -24,7 +24,7 @@ from hampow.graphs import (
     induced_subgraph,
 )
 from hampow.oracle import SearchBudget, window_paths
-from hampow.paths import VertexSeq, is_path, is_properly_terminated
+from hampow.paths import is_path, is_properly_terminated
 from hampow.tiling import (
     cover_with_paths,
     enumerate_cliques,
@@ -196,12 +196,13 @@ class TestBruteForceTiling:
 
 def _cover_is_valid(cover, g, alpha):
     """Disjoint properly terminated paths and a balanced leftover of at most
-    alpha*n vertices that together cover every vertex."""
+    alpha*n vertices that together cover every vertex.  The host is
+    r-partite, so r is its number of parts."""
     seen = set(cover.leftover)
     for p in cover.paths:
-        assert is_path(g, p) and is_properly_terminated(g, p)
-        assert not seen & set(p.vertices)
-        seen.update(p.vertices)
+        assert is_path(g, p, g.k) and is_properly_terminated(g, p, g.k)
+        assert not seen & set(p)
+        seen.update(p)
     assert seen == set(range(g.n)) and len(cover.leftover) <= alpha * g.n
     assert len({len(cover.leftover & set(part)) for part in g.parts}) == 1
 
@@ -214,7 +215,7 @@ class TestCover:
         assert len(cov.paths) == 1
         assert len(cov.paths[0]) == 9
         assert cov.leftover == frozenset()
-        assert is_properly_terminated(g, cov.paths[0])
+        assert is_properly_terminated(g, cov.paths[0], 3)
 
     def test_alpha_one_trivial(self):
         g = complete(3, [3, 3, 3])
@@ -322,7 +323,7 @@ def test_leave_out_cover_is_the_induced_copy_cover_mapped_back(monkeypatch):
         want = _cover_outcome(cover_with_paths, sub, r, alpha, cfg)
         if not isinstance(want, str):
             want = tiling.PathCover(
-                tuple(VertexSeq(tuple(old_ids[v] for v in p.vertices), r) for p in want.paths),
+                tuple(tuple(old_ids[v] for v in p) for p in want.paths),
                 frozenset(old_ids[v] for v in want.leftover),
             )
         got = _cover_outcome(lambda *a: cover_with_paths(*a, leave_out=leave_out), g, r, alpha, cfg)
