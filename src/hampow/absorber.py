@@ -107,8 +107,9 @@ def build_gadget(r: int) -> GadgetTemplate:
     q2 += [("c", h, r) for h in range(1, r + 1)]
 
     template = GadgetTemplate(r=r, q1=tuple(q1), q2=tuple(q2))
-    if not verify_gadget(template):
-        raise InfeasibleError(f"generated gadget for r={r} fails verification")
+    violation = gadget_violation(template)
+    if violation is not None:
+        raise InfeasibleError(f"generated gadget for r={r} fails verification: {violation}")
     return template
 
 
@@ -130,14 +131,9 @@ def _blowup_adjacent(r: int, u: Label, v: Label) -> bool:
     return abs(pos_u - pos_v) <= r - 1
 
 
-def verify_gadget(template: GadgetTemplate) -> bool:
-    """Materialize the blow-up and check both routings are power-paths with
-    matching terminal r-tuples."""
-    return gadget_violation(template) is None
-
-
 def gadget_violation(template: GadgetTemplate) -> str | None:
-    """First failing condition of the gadget, or None when it verifies."""
+    """First failing condition of the gadget, or None when both routings are
+    power-paths of the blow-up with matching terminal r-tuples."""
     r = template.r
     expected = {lab for i in range(1, r + 1) for j in range(1, r + 1)
                 for lab in _slot_labels(r, i, j)}

@@ -19,6 +19,7 @@ import functools
 import io
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import absorber, connect, oracle, pipeline, sequencing, tiling
@@ -149,7 +150,7 @@ def _tile_options(p: argparse.ArgumentParser) -> None:
 
 def _search_options(p: argparse.ArgumentParser) -> None:
     _add_common(p, seed=False)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=int, default=oracle.SearchBudget().node_limit)
 
 
 def _scan_options(p: argparse.ArgumentParser) -> None:
@@ -158,7 +159,7 @@ def _scan_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=_int_list, required=True, help="comma-separated n values")
     p.add_argument("--delta", type=_fraction_list, required=True, help="comma-separated p/q")
     p.add_argument("--samples", type=int, default=1)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=int, default=oracle.SearchBudget().node_limit)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
@@ -166,7 +167,7 @@ def _scan_options(p: argparse.ArgumentParser) -> None:
 def _pipeline_options(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--mode", choices=["constructive", "oracle", "auto"], default="auto")
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=int, default=oracle.SearchBudget().node_limit)
     p.add_argument("--relaxed", action="store_true",
                    help="accepted and ignored: the paper's degree hypotheses are never enforced")
 
@@ -219,7 +220,7 @@ def cmd_gen(args) -> int:
             raise GraphValidationError("need --delta or --extremal")
         g = gen_random(args.k, args.sizes, args.delta, args.seed)
     if args.name:
-        g = MultipartiteGraph._from_symmetric(g.parts, g.adj, args.name)
+        g = replace(g, name=args.name)
     _emit(args, save_graph(g))
     return EXIT_OK
 

@@ -5,9 +5,10 @@ The walk count is one layered dynamic program over the last r-1 chosen
 vertices; no lower-bound constants are involved.  Each layer carries the
 number of walks that end in each state, in the order the states are first
 reached, and the last layer keeps the states that splice before the
-right-hand walk under `paths.splice_ok`, which the oracle's closing check
-also calls; `oracle._window_fit` applies the same rule to each pick of the
-connector search.  Only `hampow connect` counts walks.
+right-hand walk: `paths.is_walk` holds on the state followed by P2's first
+r-1 vertices, the seam test the oracle's closing check also makes.
+`oracle._window_fit` applies the same rule to each pick of the connector
+search.  Only `hampow connect` counts walks.
 
 The connector search builds no table.  P1 ends in the sets' order, so step t
 of a connector lies in set t mod r, and `oracle.window_paths`, the exact
@@ -26,7 +27,7 @@ from typing import Iterable, Sequence
 from .errors import GraphValidationError, SearchExhaustedError, VerificationError
 from .graphs import Config, MultipartiteGraph
 from .oracle import window_paths
-from .paths import is_walk, splice_ok
+from .paths import final_respects, initial_respects, is_walk
 
 NO_CONNECTOR = "no vertex-distinct connector exists"
 
@@ -64,8 +65,8 @@ def _check_terminated(
         raise GraphValidationError(f"{which} holds vertex {stray} outside 0..{n - 1}")
     if not is_walk(graph, seq, r):
         raise GraphValidationError(f"{which} is not a power-walk")
-    part_of = graph.part_index.__getitem__
-    if [*map(part_of, seq[:r])] != part_order or [*map(part_of, seq[-r:])] != part_order:
+    sets = [graph.part_sets[i] for i in part_order]
+    if not (initial_respects(seq, sets) and final_respects(seq, sets)):
         raise GraphValidationError(
             f"{which} is ill-terminated with respect to the given set sequence"
         )
@@ -136,8 +137,8 @@ def count_connecting_walks(
         counts = nxt
         layers.append(tuple(counts))
 
-    head = p2[:window]
-    final = tuple(state for state in counts if splice_ok(graph, state, head, r))
+    head = tuple(p2[:window])
+    final = tuple(state for state in counts if is_walk(graph, state + head, r))
     total = sum(map(counts.__getitem__, final))
     return total, WalkDPTable(layers=tuple(layers), final=final)
 

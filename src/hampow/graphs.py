@@ -94,9 +94,9 @@ class MultipartiteGraph:
         by construction, which skip the symmetry test: `from_edges` and
         `load_graph` add each edge both ways, `gen_random` fills both ends of
         each drawn pair, `gen_extremal` gives each part's vertices every
-        vertex outside it but the planted pairs, `reduce_parts` and
-        `induced_subgraph` filter a graph's adjacency by a symmetric test, and
-        `hampow gen --name` renames a generated graph.
+        vertex outside it but the planted pairs, and `reduce_parts` and
+        `induced_subgraph` filter a graph's adjacency by a symmetric test.
+        `hampow gen --name` output is checked in full.
         """
         self._check(symmetric=False)
 

@@ -10,8 +10,10 @@ Both oracles extend a witness over vertex orderings, with bitmask adjacency,
 between a lead anchor and a closing clique; a cycle is the path anchored on
 its own first r-1 vertices.  Pruning order is the independence pre-filter,
 then per-part arc capacity, then window and closing cliques with the
-most-constrained next vertex.  A `no` is exhaustive; budget exhaustion is a
-distinct inconclusive value, never conflated with `no`.
+most-constrained next vertex.  The closing test at full depth and the check
+that an anchor is a clique call `paths.is_walk`, on the seam and on the
+anchor.  A `no` is exhaustive; budget exhaustion is a distinct inconclusive
+value, never conflated with `no`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExhaustedError, GraphValidationError, VerificationError
 from .graphs import MultipartiteGraph, require_power, shuffle
-from .paths import is_path, is_walk, splice_ok, verify_ham_power_cycle
+from .paths import is_path, is_walk, verify_ham_power_cycle
 
 YES = "yes"
 NO = "no"
@@ -180,7 +182,7 @@ def _anchored_search(
         used = used_at[depth]
         close = seq if closing is None else closing
         if depth == m:
-            return None if splice_ok(graph, seq, close, r) else []
+            return None if is_walk(graph, (*seq[-(r - 1):], *close[:r - 1]), r) else []
         unused = full & ~used  # every mask below lies inside `full`
         # same-part vertices sit >= r apart, so the `slots` positions left
         # take at most ceil(slots/r) more from any one part; below the root,
@@ -264,8 +266,6 @@ def _ordered_clique(
     parts = [graph.part_of(v) for v in vs]
     if len(set(parts)) != r:
         raise GraphValidationError("anchor must be transversal: one vertex per part")
-    for i in range(r):
-        for j in range(i + 1, r):
-            if vs[j] not in graph.adj[vs[i]]:
-                raise GraphValidationError("anchor is not a clique")
+    if not is_walk(graph, vs, r):
+        raise GraphValidationError("anchor is not a clique")
     return tuple(vs)

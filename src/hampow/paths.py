@@ -1,9 +1,15 @@
-"""Walk/path formalism for powers of paths and cycles in multipartite graphs.
+"""Walk/path formalism for powers of paths and cycles in multipartite graphs,
+and the one statement of a power-path's rules.
 
 A sequence is a tuple of vertex ids, judged by the run's power r.  It is a
 power-walk when every r consecutive vertices induce a clique; equivalently,
 every two entries at distance at most r-1 are adjacent.  Sequences shorter
-than r are vacuously walks and the empty sequence is a path.
+than r are vacuously walks and the empty sequence is a path.  A seam between
+two walks of at least r-1 vertices each holds when `is_walk` holds on the
+last r-1 vertices of the left walk followed by the first r-1 of the right
+one; a vertex met on both sides fails, since no vertex is its own neighbour.
+The oracle's closing test, the walk count's last layer, the oracle's anchor
+check and the connector's end checks all call the predicates here.
 
 The window checks run as one C-level pass per distance d: the neighbourhoods
 of the vertices, shifted by d, are matched against the vertices with
@@ -16,8 +22,8 @@ violation; so the kernel never changes what the verifier reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterable, Sequence
+from operator import contains, itemgetter
+from typing import Container, Sequence
 
 from .errors import GraphValidationError, ImproperOrderError
 from .graphs import MultipartiteGraph, require_power
@@ -38,21 +44,15 @@ def is_path(graph: MultipartiteGraph, vertices: Sequence[int], r: int) -> bool:
     return len(set(vertices)) == len(vertices) and is_walk(graph, vertices, r)
 
 
-def initial_respects(seq: Sequence[int], parts_seq: Sequence[Iterable[int]]) -> bool:
-    """First r vertices traverse the given r disjoint sets in order."""
-    sets = [set(p) for p in parts_seq]
-    if len(seq) < len(sets):
-        return False
-    return all(seq[i] in sets[i] for i in range(len(sets)))
+def initial_respects(seq: Sequence[int], parts_seq: Sequence[Container[int]]) -> bool:
+    """The first vertices traverse the given disjoint sets in order, one each."""
+    return len(seq) >= len(parts_seq) and all(map(contains, parts_seq, seq))
 
 
-def final_respects(seq: Sequence[int], parts_seq: Sequence[Iterable[int]]) -> bool:
-    """Last r vertices traverse the given r disjoint sets in order."""
-    sets = [set(p) for p in parts_seq]
-    if len(seq) < len(sets):
-        return False
-    offset = len(seq) - len(sets)
-    return all(seq[offset + i] in sets[i] for i in range(len(sets)))
+def final_respects(seq: Sequence[int], parts_seq: Sequence[Container[int]]) -> bool:
+    """The last vertices traverse the given disjoint sets in order, one each."""
+    return len(seq) >= len(parts_seq) and all(
+        map(contains, parts_seq, seq[len(seq) - len(parts_seq):]))
 
 
 def is_properly_terminated(graph: MultipartiteGraph, vertices: Sequence[int], r: int) -> bool:
@@ -63,7 +63,7 @@ def is_properly_terminated(graph: MultipartiteGraph, vertices: Sequence[int], r:
         raise GraphValidationError(f"sequence of length {len(vertices)} is shorter than r={r}")
     if graph.k < r:
         raise GraphValidationError(f"termination check needs r={r} parts, the host has {graph.k}")
-    parts_seq = graph.parts[:r]
+    parts_seq = graph.part_sets[:r]
     return initial_respects(vertices, parts_seq) and final_respects(vertices, parts_seq)
 
 
@@ -163,17 +163,3 @@ def verify_ham_power_cycle_report(
                 return False, f"cyclic window violation between positions {t} and {(t + d) % n}", t
     return True, "ok", None
 
-
-def splice_ok(
-    graph: MultipartiteGraph, left: Sequence[int], right: Sequence[int], r: int
-) -> bool:
-    """All cross-seam pairs at distance <= r-1 between a tail and a head are adjacent."""
-    la = len(left)
-    for b, v in enumerate(right[: r - 1], start=1):
-        for a in range(1, r - b + 1):
-            if a > la:
-                break
-            u = left[la - a]
-            if u == v or v not in graph.adj[u]:
-                return False
-    return True

@@ -76,13 +76,8 @@ class TrimTemplate:
         return self.c[0] + self.q * self.r
 
     def __post_init__(self):
-        r, n, c = self.r, self.n, self.c
-        if not (0 <= c[0] < r and (n - c[0]) % r == 0):
-            raise InfeasibleError("c_0 must be n mod r")
-        if list(c[1:]) != sorted(c[1:]) or any(ci < 0 for ci in c[1:]):
-            raise InfeasibleError("correction counts must be nonnegative and nondecreasing")
         for za, zb in zip(self.type_sequence, self.type_sequence[1:]):
-            if not is_valid_pair(za, zb, r):
+            if not is_valid_pair(za, zb, self.r):
                 raise InfeasibleError(f"adjacent template types {za} -> {zb} are not valid")
 
 

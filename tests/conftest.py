@@ -10,14 +10,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from hampow import tiling
-from hampow.connect import State
 from hampow.errors import (
     GraphFormatError,
     GraphValidationError,
     SearchExhaustedError,
 )
 from hampow.graphs import MultipartiteGraph, gen_random
-from hampow.paths import splice_ok
 from hampow.tiling import PathCover
 
 
@@ -277,7 +275,7 @@ def reference_count_connecting_walks(graph, u_sets, p1, p2, ell, r):
         counts = nxt
     head = p2[:window]
     final = {state: cnt for state, cnt in layers[-1].items()
-             if splice_ok(graph, state, head, r)}
+             if naive_seam_ok(graph, state, head, r)}
     return sum(final.values()), layers, final
 
 
@@ -397,10 +395,9 @@ def reference_cliques(graph, r):
     return list(rec(0, [], None))
 
 
-# The seam checks of the clique cover and of the connector DP's last layer, as
-# they were before both called `paths.splice_ok`.  `_splices` reads `tail` from
-# the front, so it holds only for the tails the cover gives it: empty or one
-# clique long.  `_accepts` holds for states of exactly r-1 vertices.
+# The reference cover's own seam check, which shares no code with `paths`.
+# `_splices` reads `tail` from the front, so it holds only for the tails the
+# cover gives it: empty or one clique long.
 
 
 def _splices(graph: MultipartiteGraph, tail: Sequence[int], clique: Sequence[int], r: int) -> bool:
@@ -409,19 +406,6 @@ def _splices(graph: MultipartiteGraph, tail: Sequence[int], clique: Sequence[int
         nb = graph.adj[w]
         for a in range(b + 1, r + 1):
             if a <= len(tail) and tail[a - 1] not in nb:
-                return False
-    return True
-
-
-def _accepts(graph: MultipartiteGraph, state: State, head: Sequence[int]) -> bool:
-    """Cross-seam windows between the last r-1 chosen vertices and the right head."""
-    w = len(state)
-    for b, v in enumerate(head, start=1):
-        nb = graph.adj[v]
-        for j in range(1, w + 1):
-            # state[j-1] sits b + (w - j) + ... positions before v; adjacency is
-            # required when that distance is at most r-1 = w.
-            if (w - j) + b <= w and state[j - 1] not in nb:
                 return False
     return True
 

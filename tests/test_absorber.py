@@ -19,7 +19,6 @@ from hampow.absorber import (
     gadget_violation,
     label_part,
     label_str,
-    verify_gadget,
     verify_instance,
 )
 from hampow.errors import (
@@ -54,7 +53,7 @@ class TestGadget:
     def test_verifies_for_small_r(self):
         for r in range(2, 7):
             t = build_gadget(r)
-            assert verify_gadget(t)
+            assert gadget_violation(t) is None
             assert len(t.q1) - len(t.q2) == r
             assert t.q1[:r] == t.q2[:r] == tuple(("a", h, 1) for h in range(1, r + 1))
             assert t.q1[-r:] == t.q2[-r:] == tuple(("c", h, r) for h in range(1, r + 1))
@@ -64,8 +63,13 @@ class TestGadget:
         q2 = list(t.q2)
         q2[4], q2[10] = q2[10], q2[4]
         broken = GadgetTemplate(r=3, q1=t.q1, q2=tuple(q2))
-        assert not verify_gadget(broken)
         assert "window" in (gadget_violation(broken) or "")
+
+    def test_a_gadget_that_fails_its_check_names_the_violation(self, monkeypatch):
+        monkeypatch.setattr(absorber, "gadget_violation", lambda t: "active routing repeats a label")
+        build_gadget.cache_clear()  # an error is not cached, so nothing stale is left behind
+        with pytest.raises(InfeasibleError, match="r=3 fails verification: active routing repeats"):
+            build_gadget(3)
 
     def test_missing_absorbed_vertex_fails(self):
         t = build_gadget(3)

@@ -148,6 +148,20 @@ class TestCount:
         with pytest.raises(GraphValidationError, match="ill-terminated"):
             count_connecting_walks(g, [g.parts[0], g.parts[1]], p_bad, p_bad, 2, 2)
 
+    @pytest.mark.parametrize("p1, p2, which", [
+        ((8, 4, 0, 5), (1, 6), "P1"),  # only the first vertex is off its set
+        ((0, 4, 1, 8), (2, 6), "P1"),  # only the last vertex is off its set
+        ((0, 4), (9, 5, 1, 6), "P2"),
+        ((0, 4), (1, 5, 2, 10), "P2"),
+    ])
+    def test_each_end_of_each_walk_is_checked(self, p1, p2, which):
+        g = complete(3, [4, 4, 4])  # parts 0-3, 4-7, 8-11; the sets lie in parts 0 and 1
+        sets = [[3], [7]]
+        with pytest.raises(GraphValidationError, match=f"^{which} is ill-terminated"):
+            count_connecting_walks(g, sets, p1, p2, 2, 2)
+        with pytest.raises(GraphValidationError, match=f"^{which} is ill-terminated"):
+            find_connector(g, sets, p1, p2, 2, Config(r=2))
+
     @pytest.mark.parametrize("p2, bad", [
         ((1, 3, 99, -1), "99"),  # the first stray is named, not the smallest or largest
         ((1, -1, 99, 3), "-1"),

@@ -208,6 +208,11 @@ class TestPathOracle:
         g = gen_random(3, [2, 2, 2], 0, 0)
         with pytest.raises(GraphValidationError, match="clique"):
             ham_power_path_between(g, 3, (0, 2, 4), (0, 2, 4))
+        # only the pair at distance r-1, the anchor's ends, is not an edge
+        edges = [e for e in complete(3, [2, 2, 2]).edges() if e != (0, 4)]
+        g = MultipartiteGraph.from_edges([[0, 1], [2, 3], [4, 5]], edges)
+        with pytest.raises(GraphValidationError, match="^anchor is not a clique$"):
+            ham_power_path_between(g, 3, (4, 2, 0), (1, 3, 5))
 
     def test_yes_with_equal_anchors_implies_cycle(self):
         for seed in range(8):

@@ -648,10 +648,12 @@ class TestCli:
 
     def test_connect_splice_failure_is_not_hidden(self, tmp_path, capsys, monkeypatch):
         gpath = self._gen(tmp_path, ["--k", "2", "--sizes", "6,6", "--delta", "1"])
-        # with the seam filter off the count keeps a one-vertex connector from
-        # part 0, and a search that forgets P2 lays one, though it sits next to
-        # P2's first vertex, also in part 0
-        monkeypatch.setattr(hampow.connect, "splice_ok", lambda *a: True)
+        # no one-vertex connector splices, so the count is 0; patched to 1, it
+        # sends the command to a search that forgets P2 and lays one from
+        # part 0, though it sits next to P2's first vertex, also in part 0
+        real_count = hampow.connect.count_connecting_walks
+        monkeypatch.setattr(hampow.connect, "count_connecting_walks",
+                            lambda *args: (1, real_count(*args)[1]))
         real = hampow.connect.window_paths
         monkeypatch.setattr(hampow.connect, "window_paths",
                             lambda graph, _, used, r, before, after, rng:
