@@ -239,8 +239,7 @@ def cmd_sequence(args) -> int:
     res = sequencing.run_sequencing(g.with_parts(order), cfg)
     doc = {"plan": res.plan.to_json_dict(), "report": res.report.to_json_dict()}
     _emit(args, json.dumps(doc))
-    # the plan is judged as the pipeline judges it: A2 is reported, not enforced
-    return EXIT_OK if res.report.structural_failure() is None else EXIT_STAGE
+    return EXIT_OK
 
 
 def cmd_absorber(args) -> int:

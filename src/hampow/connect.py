@@ -81,8 +81,8 @@ def _connector_sets(
     r: int,
 ) -> list[frozenset[int]]:
     """The sets, frozen, once the length, the sets and both ends are checked:
-    r sets in r distinct parts, and P1 and P2 each beginning and ending in
-    the sets' parts, in the sets' order."""
+    r nonempty sets in r distinct parts, and P1 and P2 each beginning and
+    ending in the sets' parts, in the sets' order."""
     if ell < 1:
         raise GraphValidationError("connector length must be at least 1")
     u_frozen = [frozenset(u) for u in u_sets]
@@ -91,6 +91,8 @@ def _connector_sets(
     part_order = []
     part_index = graph.part_index
     for i, u in enumerate(u_frozen):
+        if not u:
+            raise GraphValidationError(f"set {i} is empty")
         owners = {part_index[v] for v in u}
         if len(owners) != 1:
             raise GraphValidationError(f"set {i} must lie inside a single part")

@@ -322,15 +322,10 @@ def _sequenced_case(
     try:
         seq = run_sequencing(graph, cfg)
     except (SearchExhaustedError, GraphValidationError, InfeasibleError) as exc:
-        # a VerificationError is a fault of the construction: it propagates
-        # instead of being hidden behind a fallback
-        failure = str(exc)
+        # a VerificationError, such as a plan failing a structural condition,
+        # is a fault of the construction: it propagates, never hidden by a fallback
+        report.add("sequencing", False, str(exc))
         report.budget_exceeded = mode == "constructive" and isinstance(exc, BudgetExhaustedError)
-    else:
-        bad = seq.report.structural_failure()
-        failure = None if bad is None else f"{bad.name}: {bad.detail}"
-    if failure is not None:
-        report.add("sequencing", False, failure)
         # constructive mode never hands the whole graph to the oracle
         if mode == "constructive":
             return None

@@ -12,6 +12,12 @@ bridges between groups (each connector, and the two affixes that turn the
 trim path into p0) are laid as one chain by one more exact search, whose
 children are window paths.  What stays random is the refinement into cells,
 which is re-drawn when the bridge search proves that none exist.
+
+`run_sequencing` judges the finished plan once, with `verify_plan`.  Its
+structural conditions (A1 equal cells, A3 p0 extending the trim path into the
+end groups, A4 disjoint connectors, the partition of V) hold by construction,
+so a plan failing one raises VerificationError.  The group degree slack A2 is
+measured and reported, never enforced: the group-path searches decide.
 """
 
 from __future__ import annotations
@@ -428,12 +434,9 @@ def build_connectors_and_p0(
             f"(search nodes: {search.nodes})"
         )
     suffix, *connectors, prefix = laid
-    p0 = prefix + trim + suffix
-    if not is_path(graph, p0, r):
-        raise VerificationError("P0 with its affixes is not a power-path")
     return SequencingPlan(
         p0_prime=trim,
-        p0=p0,
+        p0=prefix + trim + suffix,
         groups=groups,
         patterns=patterns,
         connectors=tuple(connectors),
@@ -461,12 +464,6 @@ class PlanReport:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.conditions)
-
-    def structural_failure(self) -> Stage | None:
-        """The first failing condition other than A2, or None.  A2, the group
-        degree slack, is measured and reported, but neither the pipeline nor
-        `hampow sequence` enforces it: the group-path searches decide."""
-        return next((c for c in self.conditions if c.name != "A2" and not c.ok), None)
 
     def condition(self, name: str) -> Stage:
         for c in self.conditions:
@@ -513,92 +510,93 @@ def _group_degree_slack(
     return slack, detail
 
 
-def verify_plan(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> PlanReport:
-    """Check every plan invariant independently of how the plan was built.
-
-    The equal-cell, terminal-extension, connector, and partition conditions are
-    structural; the group degree condition is reported with the measured slack so
-    callers can compare it against gamma/2 themselves.  The equal-cell condition
-    wants one cell per part of each group's pattern, all of one size; a group
-    or a pattern without a partner fails it.
-    """
-    r = cfg.r
-    n = graph.n
-    conditions: list[Stage] = []
-
-    # One cell per part of the group's pattern, all of one size.
-    a1_ok, a1_detail = True, ""
-    floor = cfg.floor_m(n)
+def _cell_size_violation(plan: SequencingPlan, floor: int) -> str:
+    """A1: the first group whose cells are not one per part of its pattern,
+    all of one size of at least `floor`, or a group or pattern unpaired."""
     for j, (pattern, cells) in enumerate(zip_longest(plan.patterns, plan.groups, fillvalue=())):
         live = [len(c) for c in cells]
         if len(live) != len(pattern):
-            a1_ok, a1_detail = False, f"group {j}: {len(live)} cells for pattern {list(pattern)}"
-            break
+            return f"group {j}: {len(live)} cells for pattern {list(pattern)}"
         if len(set(live)) != 1 or live[0] < floor:
-            a1_ok, a1_detail = False, f"group {j}: cell sizes {live} not equal or below {floor}"
-            break
-    conditions.append(Stage("A1", a1_ok, a1_detail))
+            return f"group {j}: cell sizes {live} not equal or below {floor}"
+    return ""
 
-    # Group degree condition, measured exactly.
-    slack, a2_detail = _group_degree_slack(graph, plan)
-    threshold = 1 - Fraction(1, r) + cfg.gamma / 2
-    conditions.append(
-        Stage("A2", slack is not None and slack >= threshold, a2_detail)
-    )
 
-    # Terminal extension of the trim path.
-    a3_ok, a3_detail = True, ""
-    p0, p0p = plan.p0, plan.p0_prime
-    if p0[r:-r] != p0p:
-        a3_ok, a3_detail = False, "p0 does not extend p0_prime by r vertices on each side"
-    elif not is_path(graph, p0, r):
-        a3_ok, a3_detail = False, "p0 is not a power-path in the host graph"
-    elif not initial_respects(p0, plan.groups[-1]):
-        a3_ok, a3_detail = False, "initial r vertices of p0 do not respect the last group"
-    elif not final_respects(p0, plan.groups[0]):
-        a3_ok, a3_detail = False, "final r vertices of p0 do not respect the first group"
-    conditions.append(Stage("A3", a3_ok, a3_detail))
+def _extension_violation(graph: MultipartiteGraph, plan: SequencingPlan, r: int) -> str:
+    """A3: how p0 fails to extend the trim path from the last group into the
+    first as a power-path."""
+    p0 = plan.p0
+    if p0[r:-r] != plan.p0_prime:
+        return "p0 does not extend p0_prime by r vertices on each side"
+    if not is_path(graph, p0, r):
+        return "p0 is not a power-path in the host graph"
+    if not initial_respects(p0, plan.groups[-1]):
+        return "initial r vertices of p0 do not respect the last group"
+    if not final_respects(p0, plan.groups[0]):
+        return "final r vertices of p0 do not respect the first group"
+    return ""
 
-    # Connectors: disjoint 2r-vertex power-paths respecting consecutive groups.
-    a4_ok, a4_detail = True, ""
-    taken = set(p0)
+
+def _connector_violation(graph: MultipartiteGraph, plan: SequencingPlan, r: int) -> str:
+    """A4: the first connector that is not a 2r-vertex power-path from its
+    group into the next, disjoint from p0 and the connectors before it."""
     if len(plan.connectors) != plan.ell - 1:
-        a4_ok, a4_detail = False, f"expected {plan.ell - 1} connectors"
+        return f"expected {plan.ell - 1} connectors"
+    taken = set(plan.p0)
     for j, conn in enumerate(plan.connectors):
-        if not a4_ok:
-            break
         if len(conn) != 2 * r:
-            a4_ok, a4_detail = False, f"connector {j} has {len(conn)} vertices, wanted {2 * r}"
-        elif not is_path(graph, conn, r):
-            a4_ok, a4_detail = False, f"connector {j} is not a power-path"
-        elif not initial_respects(conn, plan.groups[j]):
-            a4_ok, a4_detail = False, f"connector {j} does not start in group {j}"
-        elif not final_respects(conn, plan.groups[j + 1]):
-            a4_ok, a4_detail = False, f"connector {j} does not end in group {j + 1}"
-        elif any(v in taken for v in conn):
-            v = next(v for v in conn if v in taken)
-            a4_ok, a4_detail = False, f"connector {j} reuses vertex {v}"
-        if a4_ok:
-            taken.update(conn)
-    conditions.append(Stage("A4", a4_ok, a4_detail))
+            return f"connector {j} has {len(conn)} vertices, wanted {2 * r}"
+        if not is_path(graph, conn, r):
+            return f"connector {j} is not a power-path"
+        if not initial_respects(conn, plan.groups[j]):
+            return f"connector {j} does not start in group {j}"
+        if not final_respects(conn, plan.groups[j + 1]):
+            return f"connector {j} does not end in group {j + 1}"
+        reused = next((v for v in conn if v in taken), None)
+        if reused is not None:
+            return f"connector {j} reuses vertex {reused}"
+        taken.update(conn)
+    return ""
 
-    # The trim path and the group cells partition the vertex set.
-    part_ok, part_detail = True, ""
-    seen: set[int] = set(p0p)
-    if len(seen) != len(p0p):
-        part_ok, part_detail = False, "trim path repeats a vertex"
-    for j, cell in ((j, cell) for j, cells in enumerate(plan.groups) for cell in cells):
-        if not part_ok:
-            break
-        if cell & seen:
-            v = next(iter(cell & seen))
-            part_ok, part_detail = False, f"vertex {v} appears twice (cell {(graph.part_of(v), j)})"
-        seen.update(cell)
-    if part_ok and seen != set(range(n)):
-        part_ok, part_detail = False, "trim path and cells do not cover the graph"
-    conditions.append(Stage("partition", part_ok, part_detail))
 
-    return PlanReport(tuple(conditions), slack)
+def _partition_violation(graph: MultipartiteGraph, plan: SequencingPlan) -> str:
+    """How the trim path and the cells fail to partition the vertex set."""
+    seen: set[int] = set(plan.p0_prime)
+    if len(seen) != len(plan.p0_prime):
+        return "trim path repeats a vertex"
+    for j, cells in enumerate(plan.groups):
+        for cell in cells:
+            twice = cell & seen
+            if twice:
+                v = next(iter(twice))
+                return f"vertex {v} appears twice (cell {(graph.part_of(v), j)})"
+            seen.update(cell)
+    if seen != set(range(graph.n)):
+        return "trim path and cells do not cover the graph"
+    return ""
+
+
+def verify_plan(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> PlanReport:
+    """Check every plan invariant independently of how the plan was built.
+
+    A1, A3, A4 and the partition are structural: each helper returns its
+    first violation's detail, or "" for none.  A2, the group degree
+    condition, is reported with the measured slack and never enforced.
+    """
+    r = cfg.r
+    a1 = _cell_size_violation(plan, cfg.floor_m(graph.n))
+    slack, a2_detail = _group_degree_slack(graph, plan)
+    a2 = slack is not None and slack >= 1 - Fraction(1, r) + cfg.gamma / 2
+    a3 = _extension_violation(graph, plan, r)
+    a4 = _connector_violation(graph, plan, r)
+    partition = _partition_violation(graph, plan)
+    return PlanReport((
+        Stage("A1", not a1, a1),
+        Stage("A2", a2, a2_detail),
+        Stage("A3", not a3, a3),
+        Stage("A4", not a4, a4),
+        Stage("partition", not partition, partition),
+    ), slack)
 
 
 @dataclass(frozen=True)
@@ -634,4 +632,8 @@ def run_sequencing(graph: MultipartiteGraph, cfg: Config) -> SequencingResult:
     else:
         raise proved_none
     report = verify_plan(graph, plan, cfg)
+    # a structural failure is a fault of the code; A2 is measured, not enforced
+    bad = next((c for c in report.conditions if c.name != "A2" and not c.ok), None)
+    if bad is not None:
+        raise VerificationError(f"{bad.name}: {bad.detail}")
     return SequencingResult(plan, report)

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -405,7 +406,7 @@ class TestCli:
                                                                    monkeypatch):
         """A plan whose only failing condition is the group slack A2 exits 0,
         and the report still shows A2 failing; a plan with another failing
-        condition exits 4."""
+        condition is a construction fault: exit 4, named on stderr, no plan."""
         gpath = self._gen(tmp_path, _A2_ONLY_HOST)
         argv = ["sequence", "--graph", str(gpath), "--r", "3"]
         assert main(argv) == EXIT_OK
@@ -423,8 +424,31 @@ class TestCli:
 
         monkeypatch.setattr(hampow.sequencing, "verify_plan", a3_fails)
         assert main(argv) == EXIT_STAGE
-        assert json.loads(capsys.readouterr().out)["report"]["conditions"][2] == \
-            {"name": "A3", "ok": False, "detail": "planted"}
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "stage failure: A3: planted\n"
+
+    def test_structurally_failed_plan_is_a_fault_not_an_oracle_fallback(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A plan whose connector 0 starts on p0 fails A4.  That is a fault of
+        the construction, so no mode hands the host to the whole-graph
+        oracle: `pipeline` and `sequence` exit 4 and print nothing."""
+        gpath = self._gen(tmp_path, _A2_ONLY_HOST)
+        real_verify = hampow.sequencing.verify_plan
+
+        def a4_fails(graph, plan, cfg):
+            first = (plan.p0[0], *plan.connectors[0][1:])
+            return real_verify(graph, replace(plan, connectors=(first, *plan.connectors[1:])), cfg)
+
+        monkeypatch.setattr(hampow.sequencing, "verify_plan", a4_fails)
+        monkeypatch.setattr(hampow.pipeline, "ham_power_cycle_exists",
+                            lambda *a, **kw: pytest.fail("the whole-graph oracle ran"))
+        for argv in (["pipeline"], ["pipeline", "--mode", "constructive"], ["sequence"]):
+            assert main([*argv, "--graph", str(gpath), "--r", "3"]) == EXIT_STAGE, argv
+            out = capsys.readouterr()
+            assert out.out == "", argv
+            assert out.err == "stage failure: A4: connector 0 is not a power-path\n", argv
 
     def test_pipeline_relaxed_is_accepted_and_ignored(self, tmp_path, capsys):
         """`pipeline --relaxed` still parses and changes nothing, on a host
@@ -559,6 +583,17 @@ class TestCli:
         out = capsys.readouterr()
         assert out.out == ""
         assert f"P1 holds vertex {bad} outside 0..11" in out.err
+
+    def test_connect_with_an_emptied_set_names_it(self, tmp_path, capsys):
+        """P1 takes every vertex of part 0 but one and P2 that one, so the
+        first connector set is empty: a validation error that says so."""
+        gpath = self._gen(tmp_path, ["--k", "3", "--sizes", "3,3,3", "--delta", "1"])
+        rc = main(["connect", "--graph", str(gpath), "--r", "3",
+                   "--p1", "[0,3,6,1,4,7]", "--p2", "[2,5,8]"])
+        assert rc == EXIT_VALIDATION
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "validation error: set 0 is empty\n"
 
     def test_budget_exit_code(self, tmp_path):
         gpath = self._gen(tmp_path, ["--k", "3", "--sizes", "4,4,4", "--delta", "1"])
