@@ -38,6 +38,7 @@ from .graphs import (
     gen_extremal,
     gen_random,
     load_graph,
+    reduce_parts,
     save_graph,
 )
 from .paths import verify_ham_power_cycle_report
@@ -235,8 +236,7 @@ def cmd_verify(args) -> int:
 def cmd_sequence(args) -> int:
     g = _read_graph(args)
     cfg = _config(args)
-    order = sorted(range(g.k), key=lambda i: (-len(g.parts[i]), i))
-    res = sequencing.run_sequencing(g.with_parts(order), cfg)
+    res = sequencing.run_sequencing(reduce_parts(g, cfg.r), cfg)
     doc = {"plan": res.plan.to_json_dict(), "report": res.report.to_json_dict()}
     _emit(args, json.dumps(doc))
     return EXIT_OK
@@ -373,7 +373,8 @@ def cmd_pipeline(args) -> int:
 _COMMANDS = {
     "gen": ("generate an instance", _gen_options, cmd_gen),
     "verify": ("check a spanning power-cycle", _verify_options, cmd_verify),
-    "sequence": ("run the partition-and-sequence pipeline", _add_common, cmd_sequence),
+    "sequence": ("run the pipeline's reduction, then partition and sequence;"
+                 " k is counted after the reduction", _add_common, cmd_sequence),
     "absorber": ("print the gadget routings", _absorber_options, cmd_absorber),
     "connect": ("count connecting walks and find one that is a path", _connect_options, cmd_connect),
     "tile": ("fractional (and optionally integral) tiling", _tile_options, cmd_tile),

@@ -14,11 +14,8 @@ class GraphValidationError(HampowError):
 
 
 class ImproperOrderError(HampowError):
-    """A sequence is not properly ordered; carries the first offending breakpoint."""
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
+    """A sequence is not properly ordered; the message names the first
+    offending breakpoint."""
 
 
 class InfeasibleError(HampowError):

@@ -11,7 +11,7 @@ import gc
 import json
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, combinations, compress, filterfalse, repeat
@@ -212,12 +212,6 @@ class MultipartiteGraph:
                     raise GraphValidationError(f"edge ({u},{v}) references a dangling vertex id")
             raise TypeError("edge ends must be int vertex ids")
         return cls._from_symmetric(norm_parts, tuple(map(frozenset, adj)), name)
-
-    def with_parts(self, order: Sequence[int]) -> "MultipartiteGraph":
-        """Same graph with its parts permuted into the given order."""
-        if sorted(order) != list(range(self.k)):
-            raise GraphValidationError("part order must be a permutation of 0..k-1")
-        return replace(self, parts=tuple(self.parts[i] for i in order))
 
 
 def _adjacency(n: int, edges: Iterable[Sequence[int]]) -> list[set[int]] | None:
@@ -516,22 +510,24 @@ def balanced_sizes(n: int, k: int) -> list[int]:
 
 def reduce_parts(graph: MultipartiteGraph, r: int) -> MultipartiteGraph:
     """Merge and split parts until r <= k' <= 2r-1 with no part below tiny*n,
-    where tiny = 1/(4r^2) is gamma/(2r).
+    where tiny = gamma/(2r) = 1/(4r^2).  Raises GraphValidationError for an r
+    below 2 or a part above n/r, and InfeasibleError when the parts cannot be
+    brought within those bounds.
 
     Merging takes the two smallest parts while their combined size is at most n/r
     (deleting the cross edges between them).  A part smaller than tiny*n is then
     dissolved greedily into the largest-remaining-capacity parts, subject to
     |V_i| <= n/r throughout.  Only deletions occur, so any spanning power-cycle of
     the output is one of the input.  Returns the graph, parts reordered by
-    descending size; its `part_index` maps each vertex to its new part.  When
-    nothing is merged or split and the parts already stand in that order, the
-    input graph itself is returned.
+    descending size and equal sizes by smallest vertex id; its `part_index` maps
+    each vertex to its new part.  When nothing is merged or split and the parts
+    already stand in that order, the input graph itself is returned.
     """
+    tiny = Config(r).gamma / (2 * r)
     n = graph.n
     for i, part in enumerate(graph.parts):
         if r * len(part) > n:
             raise GraphValidationError(f"part {i} has size {len(part)} > n/r")
-    tiny = Fraction(1, 4 * r * r)
 
     groups: list[list[int]] = [list(p) for p in graph.parts]
 

@@ -21,7 +21,6 @@ violation; so the kernel never changes what the verifier reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import contains, itemgetter
 from typing import Container, Sequence
 
@@ -75,28 +74,17 @@ def seq_type(graph: MultipartiteGraph, vertices: Sequence[int]) -> TypeVector:
     return tuple(z)
 
 
-@dataclass(frozen=True)
-class ProperDecomposition:
-    """Breakpoints and typed subsequences of a properly ordered sequence."""
-
-    breakpoints: tuple[int, ...]
-    subsequences: tuple[tuple[tuple[int, ...], TypeVector], ...]
-
-    def types(self) -> tuple[TypeVector, ...]:
-        return tuple(z for _, z in self.subsequences)
-
-
-def decompose(graph: MultipartiteGraph, vertices: Sequence[int], r: int) -> ProperDecomposition:
-    """Greedy decomposition into maximal part-increasing runs of length r or r+1.
+def decompose(graph: MultipartiteGraph, vertices: Sequence[int], r: int) -> tuple[TypeVector, ...]:
+    """The types of the greedy decomposition into maximal part-increasing runs
+    of length r or r+1.
 
     The constructions only ever produce runs of exactly r or r+1 vertices, so a
     maximal run outside that range fails rather than searching for alternative
-    breakpoints.  Raises ImproperOrderError carrying the first offending
+    breakpoints.  Raises ImproperOrderError naming the first offending
     breakpoint.
     """
     part_of = graph.part_of
-    breakpoints = [0]
-    subsequences = []
+    types = []
     start = 0
     while start < len(vertices):
         end = start + 1
@@ -105,13 +93,10 @@ def decompose(graph: MultipartiteGraph, vertices: Sequence[int], r: int) -> Prop
         run = end - start
         if not r <= run <= r + 1:
             raise ImproperOrderError(
-                f"not properly ordered: run of length {run} at breakpoint {start}", start
-            )
-        chunk = vertices[start:end]
-        subsequences.append((chunk, seq_type(graph, chunk)))
-        breakpoints.append(end)
+                f"not properly ordered: run of length {run} at breakpoint {start}")
+        types.append(seq_type(graph, vertices[start:end]))
         start = end
-    return ProperDecomposition(tuple(breakpoints), tuple(subsequences))
+    return tuple(types)
 
 
 def is_valid_pair(z: TypeVector, z2: TypeVector, r: int) -> bool:

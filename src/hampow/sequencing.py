@@ -152,7 +152,7 @@ def build_trim_path(
         raise SearchExhaustedError(f"no power-path realizes the template's {tmpl.q} run types")
     if not is_path(graph, vertices, r):
         raise VerificationError("trim path is not a power-path")
-    if decompose(graph, vertices, r).types() != tmpl.type_sequence:
+    if decompose(graph, vertices, r) != tmpl.type_sequence:
         raise VerificationError("trim path does not realize the template's type sequence")
     residual = [len(part) - sum(1 for v in vertices if graph.part_of(v) == i)
                 for i, part in enumerate(graph.parts)]
@@ -607,7 +607,11 @@ class SequencingResult:
 
 def run_sequencing(graph: MultipartiteGraph, cfg: Config) -> SequencingResult:
     """Full pipeline: trim template, trim path, matrix, solver, refinement,
-    connectors, and an independent verification report."""
+    connectors, and an independent verification report.
+
+    `graph` is a host as `reduce_parts` returns it, parts in descending size;
+    both `run_pipeline` and `hampow sequence` reduce first, so the k that the
+    "sequencing needs r < k" check reports is the k after reduction."""
     tmpl = compute_trim_template([len(p) for p in graph.parts], cfg.r, cfg.sigma)
     p0_prime = build_trim_path(graph, tmpl, cfg)
     on_path = set(p0_prime)

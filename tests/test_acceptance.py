@@ -174,7 +174,7 @@ def test_criterion_05_sequencing_identities():
             for i in range(tmpl.s):  # T2
                 assert residual[i] == total // 3
             assert is_properly_terminated(g, p0p, 3)  # T6
-            assert decompose(g, p0p, 3).types() == tmpl.type_sequence  # T6
+            assert decompose(g, p0p, 3) == tmpl.type_sequence  # T6
             for name in ("A1", "A3", "A4", "partition"):
                 assert res.report.condition(name).ok, (idx, name)
             assert res.report.measured_group_slack is not None  # A2, measured

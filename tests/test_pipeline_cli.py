@@ -23,6 +23,8 @@ from hampow.graphs import (
     degree_profile,
     gen_extremal,
     gen_random,
+    load_graph,
+    reduce_parts,
     save_graph,
 )
 from hampow.paths import is_path, is_properly_terminated, verify_ham_power_cycle
@@ -885,6 +887,37 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["report"]["ok"]
         assert doc["plan"]["groups"]
+
+    def test_sequence_plans_the_pipelines_reduced_host(self, tmp_path, capsys):
+        """`sequence` reduces as the pipeline does, so listing equal parts in
+        another order in the file changes nothing it prints."""
+        gpath = self._gen(tmp_path, ["--k", "4", "--sizes", "30,30,30,30",
+                                     "--delta", "49/50", "--seed", "1"])
+        doc = json.loads(gpath.read_text())
+        doc["parts"].reverse()
+        rpath = tmp_path / "reversed.json"
+        rpath.write_text(json.dumps(doc))
+        printed = []
+        for path in (gpath, rpath):
+            assert main(["sequence", "--graph", str(path), "--r", "3"]) == EXIT_OK
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        res = hampow.sequencing.run_sequencing(reduce_parts(load_graph(rpath.read_text()), 3),
+                                               Config(3))
+        doc = {"plan": res.plan.to_json_dict(), "report": res.report.to_json_dict()}
+        assert printed[1] == json.dumps(doc) + "\n"
+
+    def test_sequence_judges_the_host_after_reduction(self, tmp_path, capsys):
+        """Reduction folds the part of 2 into the two of 40, leaving k' = r:
+        `pipeline` closes the balanced group and `sequence` has nothing to
+        sequence."""
+        gpath = self._gen(tmp_path, ["--k", "3", "--sizes", "40,40,2", "--delta", "1"])
+        assert main(["pipeline", "--graph", str(gpath), "--r", "2"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["sequence", "--graph", str(gpath), "--r", "2"]) == EXIT_VALIDATION
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "validation error: sequencing needs r < k, got k=2, r=2\n"
 
     def test_scan_rows_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

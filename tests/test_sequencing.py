@@ -199,9 +199,9 @@ class TestTrimPath:
         p0 = build_trim_path(g, tmpl, cfg)
         assert is_path(g, p0, 3)
         assert is_properly_terminated(g, p0, 3)
-        dec = decompose(g, p0, 3)
-        assert dec.types() == tmpl.type_sequence
-        for za, zb in zip(dec.types(), dec.types()[1:]):
+        types = decompose(g, p0, 3)
+        assert types == tmpl.type_sequence
+        for za, zb in zip(types, types[1:]):
             assert is_valid_pair(za, zb, 3)
 
     def test_residual_identities(self):
