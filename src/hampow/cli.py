@@ -236,8 +236,8 @@ def cmd_verify(args) -> int:
 def cmd_sequence(args) -> int:
     g = _read_graph(args)
     cfg = _config(args)
-    res = sequencing.run_sequencing(reduce_parts(g, cfg.r), cfg)
-    doc = {"plan": res.plan.to_json_dict(), "report": res.report.to_json_dict()}
+    plan, report = sequencing.run_sequencing(reduce_parts(g, cfg.r), cfg)
+    doc = {"plan": plan.to_json_dict(), "report": report.to_json_dict()}
     _emit(args, json.dumps(doc))
     return EXIT_OK
 

@@ -39,8 +39,20 @@ from .oracle import (
     window_paths,
 )
 from .paths import is_path, is_walk, verify_ham_power_cycle_report
-from .sequencing import Stage, run_sequencing
+from .sequencing import run_sequencing
 from .tiling import cover_with_paths
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One named pass/fail record of a pipeline run."""
+
+    name: str
+    ok: bool
+    detail: str = ""
+
+    def to_json_dict(self) -> dict:
+        return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
 @dataclass
@@ -320,10 +332,12 @@ def _sequenced_case(
     """k' > r: cut into balanced groups and stitch the per-group paths."""
     r = cfg.r
     try:
-        seq = run_sequencing(graph, cfg)
-    except (SearchExhaustedError, GraphValidationError, InfeasibleError) as exc:
-        # a VerificationError, such as a plan failing a structural condition,
-        # is a fault of the construction: it propagates, never hidden by a fallback
+        plan, plan_report = run_sequencing(graph, cfg)
+    except (SearchExhaustedError, InfeasibleError) as exc:
+        # the reduced host passed every size check sequencing makes, so a
+        # GraphValidationError here, like a VerificationError such as a plan
+        # failing a structural condition, is a fault of the construction: it
+        # propagates, never hidden by a fallback
         report.add("sequencing", False, str(exc))
         report.budget_exceeded = mode == "constructive" and isinstance(exc, BudgetExhaustedError)
         # constructive mode never hands the whole graph to the oracle
@@ -332,13 +346,13 @@ def _sequenced_case(
         return _whole_graph_oracle(original, cfg, budget, report)
     report.add(
         "sequencing", True,
-        f"ell={seq.plan.ell}, measured group slack {seq.report.measured_group_slack}",
+        f"ell={plan.ell}, measured group slack {plan_report.measured_group_slack}",
     )
 
     # group j runs from bridge j to bridge j+1, the last group back to p0
-    bridges = (seq.plan.p0, *seq.plan.connectors)
+    bridges = (plan.p0, *plan.connectors)
     out: list[int] = []
-    for j, (before, cells) in enumerate(zip(bridges, seq.plan.groups)):
+    for j, (before, cells) in enumerate(zip(bridges, plan.groups)):
         after = bridges[(j + 1) % len(bridges)]
         sub, old_ids = induced_subgraph(graph, cells)
         back = {old: new for new, old in enumerate(old_ids)}

@@ -13,11 +13,12 @@ trim path into p0) are laid as one chain by one more exact search, whose
 children are window paths.  What stays random is the refinement into cells,
 which is re-drawn when the bridge search proves that none exist.
 
-`run_sequencing` judges the finished plan once, with `verify_plan`.  Its
-structural conditions (A1 equal cells, A3 p0 extending the trim path into the
-end groups, A4 disjoint connectors, the partition of V) hold by construction,
-so a plan failing one raises VerificationError.  The group degree slack A2 is
-measured and reported, never enforced: the group-path searches decide.
+`run_sequencing` judges the finished plan once, with `verify_plan`, and
+returns the plan and its one measurement.  The structural conditions (A1
+equal cells, A3 p0 extending the trim path into the end groups, A4 disjoint
+connectors, the partition of V) hold by construction, so a plan failing one
+raises VerificationError.  The group degree slack A2 is measured and
+reported, never enforced: the group-path searches decide.
 """
 
 from __future__ import annotations
@@ -298,10 +299,10 @@ def refine_partition(
     matrix: TemplateMatrix,
     x: Sequence[int],
     cfg: Config,
-) -> tuple[tuple[tuple[frozenset[int], ...], ...], tuple[tuple[int, ...], ...]]:
+) -> tuple[tuple[frozenset[int], ...], ...]:
     """Randomly split each residual part i into one cell of x_j vertices per
-    column j whose pattern holds i, and return the groups and their patterns:
-    group j is column j's cells in the ascending part order of its pattern.
+    column j whose pattern holds i, and return the groups: group j is column
+    j's cells in the ascending part order of `group_patterns(matrix)[j]`.
     No cell is built for a part outside a pattern.
 
     Each part gets one split, seeded by `cfg.rng(f"refine:{i}")`.  No degree
@@ -330,7 +331,7 @@ def refine_partition(
             if matrix.entry(i, j):
                 groups[j].append(frozenset(pool[at : at + x[j]]))
                 at += x[j]
-    return tuple(map(tuple, groups)), group_patterns(matrix)
+    return tuple(map(tuple, groups))
 
 
 def _least_degree_into(
@@ -378,14 +379,13 @@ def build_connectors_and_p0(
     graph: MultipartiteGraph,
     trim: tuple[int, ...],
     groups: tuple[tuple[frozenset[int], ...], ...],
-    patterns: tuple[tuple[int, ...], ...],
     cfg: Config,
-) -> SequencingPlan:
-    """The plan's bridges: 2r-vertex connector paths between consecutive
-    groups, and the trim path wrapped with r prepended vertices (the prefix,
-    from the last group) and r appended vertices (the suffix, from the first
-    group).  The groups are the cells as `refine_partition` returns them, and
-    the plan keeps them with `patterns`.
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The plan's bridges, as (p0, connectors): the trim path wrapped with r
+    prepended vertices (the prefix, from the last group) and r appended
+    vertices (the suffix, from the first group), and the 2r-vertex connector
+    paths between consecutive groups.  The groups are the cells as
+    `refine_partition` returns them.
 
     A group's cells feed only the two bridges beside it, so the bridges form
     a chain: the suffix, connector 0, ..., connector ell-2, the prefix.  One
@@ -434,52 +434,28 @@ def build_connectors_and_p0(
             f"(search nodes: {search.nodes})"
         )
     suffix, *connectors, prefix = laid
-    return SequencingPlan(
-        p0_prime=trim,
-        p0=prefix + trim + suffix,
-        groups=groups,
-        patterns=patterns,
-        connectors=tuple(connectors),
-    )
-
-
-@dataclass(frozen=True)
-class Stage:
-    """One named pass/fail record: a plan condition here, a pipeline stage in
-    `pipeline`; both serialize the same way."""
-
-    name: str
-    ok: bool
-    detail: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "detail": self.detail}
+    return prefix + trim + suffix, tuple(connectors)
 
 
 @dataclass(frozen=True)
 class PlanReport:
-    conditions: tuple[Stage, ...]
+    """The group degree condition A2 as `verify_plan` measures it: whether
+    the least proportional degree reaches 1 - 1/r + gamma/2, that degree
+    (None when no group has two cells), and the vertex reaching it."""
+
+    ok: bool
     measured_group_slack: Fraction | None
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.conditions)
-
-    def condition(self, name: str) -> Stage:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+    detail: str
 
     def to_json_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "conditions": [c.to_json_dict() for c in self.conditions],
             "measured_group_slack": (
                 str(self.measured_group_slack)
                 if self.measured_group_slack is not None
                 else None
             ),
+            "detail": self.detail,
         }
 
 
@@ -510,9 +486,10 @@ def _group_degree_slack(
     return slack, detail
 
 
-def _cell_size_violation(plan: SequencingPlan, floor: int) -> str:
+def _cell_size_violation(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> str:
     """A1: the first group whose cells are not one per part of its pattern,
-    all of one size of at least `floor`, or a group or pattern unpaired."""
+    all of one size of at least the floor, or a group or pattern unpaired."""
+    floor = cfg.floor_m(graph.n)
     for j, (pattern, cells) in enumerate(zip_longest(plan.patterns, plan.groups, fillvalue=())):
         live = [len(c) for c in cells]
         if len(live) != len(pattern):
@@ -522,10 +499,10 @@ def _cell_size_violation(plan: SequencingPlan, floor: int) -> str:
     return ""
 
 
-def _extension_violation(graph: MultipartiteGraph, plan: SequencingPlan, r: int) -> str:
+def _extension_violation(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> str:
     """A3: how p0 fails to extend the trim path from the last group into the
     first as a power-path."""
-    p0 = plan.p0
+    p0, r = plan.p0, cfg.r
     if p0[r:-r] != plan.p0_prime:
         return "p0 does not extend p0_prime by r vertices on each side"
     if not is_path(graph, p0, r):
@@ -537,9 +514,10 @@ def _extension_violation(graph: MultipartiteGraph, plan: SequencingPlan, r: int)
     return ""
 
 
-def _connector_violation(graph: MultipartiteGraph, plan: SequencingPlan, r: int) -> str:
+def _connector_violation(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> str:
     """A4: the first connector that is not a 2r-vertex power-path from its
     group into the next, disjoint from p0 and the connectors before it."""
+    r = cfg.r
     if len(plan.connectors) != plan.ell - 1:
         return f"expected {plan.ell - 1} connectors"
     taken = set(plan.p0)
@@ -559,7 +537,7 @@ def _connector_violation(graph: MultipartiteGraph, plan: SequencingPlan, r: int)
     return ""
 
 
-def _partition_violation(graph: MultipartiteGraph, plan: SequencingPlan) -> str:
+def _partition_violation(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> str:
     """How the trim path and the cells fail to partition the vertex set."""
     seen: set[int] = set(plan.p0_prime)
     if len(seen) != len(plan.p0_prime):
@@ -579,35 +557,29 @@ def _partition_violation(graph: MultipartiteGraph, plan: SequencingPlan) -> str:
 def verify_plan(graph: MultipartiteGraph, plan: SequencingPlan, cfg: Config) -> PlanReport:
     """Check every plan invariant independently of how the plan was built.
 
-    A1, A3, A4 and the partition are structural: each helper returns its
-    first violation's detail, or "" for none.  A2, the group degree
-    condition, is reported with the measured slack and never enforced.
+    A1, A3, A4 and the partition are structural and hold by construction:
+    each helper returns its first violation's detail, or "" for none, and
+    the first failing condition, in that order, raises VerificationError
+    naming it.  A2, the group degree condition, is measured and returned,
+    never enforced.
     """
-    r = cfg.r
-    a1 = _cell_size_violation(plan, cfg.floor_m(graph.n))
-    slack, a2_detail = _group_degree_slack(graph, plan)
-    a2 = slack is not None and slack >= 1 - Fraction(1, r) + cfg.gamma / 2
-    a3 = _extension_violation(graph, plan, r)
-    a4 = _connector_violation(graph, plan, r)
-    partition = _partition_violation(graph, plan)
-    return PlanReport((
-        Stage("A1", not a1, a1),
-        Stage("A2", a2, a2_detail),
-        Stage("A3", not a3, a3),
-        Stage("A4", not a4, a4),
-        Stage("partition", not partition, partition),
-    ), slack)
+    for name, violation in (("A1", _cell_size_violation), ("A3", _extension_violation),
+                            ("A4", _connector_violation), ("partition", _partition_violation)):
+        detail = violation(graph, plan, cfg)
+        if detail:
+            raise VerificationError(f"{name}: {detail}")
+    slack, detail = _group_degree_slack(graph, plan)
+    ok = slack is not None and slack >= 1 - Fraction(1, cfg.r) + cfg.gamma / 2
+    return PlanReport(ok, slack, detail)
 
 
-@dataclass(frozen=True)
-class SequencingResult:
-    plan: SequencingPlan
-    report: PlanReport
-
-
-def run_sequencing(graph: MultipartiteGraph, cfg: Config) -> SequencingResult:
-    """Full pipeline: trim template, trim path, matrix, solver, refinement,
-    connectors, and an independent verification report.
+def run_sequencing(
+    graph: MultipartiteGraph, cfg: Config
+) -> tuple[SequencingPlan, PlanReport]:
+    """Full pipeline: trim template, trim path, matrix, solver, refinement
+    and connectors, then the plan and its group slack A2 as `verify_plan`
+    judges it; a plan failing a structural condition raises
+    VerificationError.
 
     `graph` is a host as `reduce_parts` returns it, parts in descending size;
     both `run_pipeline` and `hampow sequence` reduce first, so the k that the
@@ -625,9 +597,9 @@ def run_sequencing(graph: MultipartiteGraph, cfg: Config) -> SequencingResult:
     # cells is the retry lever, so re-refine when no bridges exist.
     for attempt in range(8):
         attempt_cfg = cfg if attempt == 0 else replace(cfg, seed=cfg.seed + 7919 * attempt)
-        groups, patterns = refine_partition(graph, residual, matrix, x, attempt_cfg)
+        groups = refine_partition(graph, residual, matrix, x, attempt_cfg)
         try:
-            plan = build_connectors_and_p0(graph, p0_prime, groups, patterns, attempt_cfg)
+            p0, connectors = build_connectors_and_p0(graph, p0_prime, groups, attempt_cfg)
             break
         except BudgetExhaustedError:
             raise  # inconclusive: not a proved none, so no refinement follows
@@ -635,9 +607,5 @@ def run_sequencing(graph: MultipartiteGraph, cfg: Config) -> SequencingResult:
             proved_none = exc
     else:
         raise proved_none
-    report = verify_plan(graph, plan, cfg)
-    # a structural failure is a fault of the code; A2 is measured, not enforced
-    bad = next((c for c in report.conditions if c.name != "A2" and not c.ok), None)
-    if bad is not None:
-        raise VerificationError(f"{bad.name}: {bad.detail}")
-    return SequencingResult(plan, report)
+    plan = SequencingPlan(p0_prime, p0, groups, group_patterns(matrix), connectors)
+    return plan, verify_plan(graph, plan, cfg)

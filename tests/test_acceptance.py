@@ -161,12 +161,12 @@ def _a5_instances(count=100):
 
 def test_criterion_05_sequencing_identities():
     with _Timer(5, "sequencing identities", 60.0):
-        for idx, (sizes, delta, seed) in enumerate(_a5_instances()):
+        for sizes, delta, seed in _a5_instances():
             g = gen_random(4, list(sizes), delta, seed)
             cfg = Config(3, seed=seed)
-            res = run_sequencing(g, cfg)
+            plan, report = run_sequencing(g, cfg)  # raises on a failed A1, A3, A4 or partition
             tmpl = compute_trim_template([len(p) for p in g.parts], 3, cfg.sigma)
-            p0p = res.plan.p0_prime
+            p0p = plan.p0_prime
             used = set(p0p)
             residual = [len([v for v in p if v not in used]) for p in g.parts]
             total = g.n - len(p0p)
@@ -175,9 +175,7 @@ def test_criterion_05_sequencing_identities():
                 assert residual[i] == total // 3
             assert is_properly_terminated(g, p0p, 3)  # T6
             assert decompose(g, p0p, 3) == tmpl.type_sequence  # T6
-            for name in ("A1", "A3", "A4", "partition"):
-                assert res.report.condition(name).ok, (idx, name)
-            assert res.report.measured_group_slack is not None  # A2, measured
+            assert report.measured_group_slack is not None  # A2, measured
 
 
 def test_criterion_06_connecting_dp_oracle_equivalence():

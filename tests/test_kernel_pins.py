@@ -2,9 +2,7 @@
 `find_connector`, the first gadget embedding of `find_absorbers`, the
 reports of `pipeline --mode constructive`, the exit code, stdout and stderr
 of `sequence` and `pipeline --relaxed` on hosts with k > r, the output of
-`hampow connect`, and the SHA-256 of the graph text `gen` writes.  A pin
-recorded as `sequence --relaxed` keeps its name and output and is run as its
-`run` field gives, since `sequence` no longer takes the flag.
+`hampow connect`, and the SHA-256 of the graph text `gen` writes.
 
 A faster kernel or a refactor reproduces every pin exactly.  A change that
 alters a pin re-records it and says why in CHANGES.md, which keeps the
@@ -89,7 +87,7 @@ def _run_sequenced(case, tmp_path, capsys):
     gpath = tmp_path / "g.json"
     host = gen_random(case["k"], case["sizes"], Fraction(case["density"]), case["graph_seed"])
     gpath.write_text(save_graph(host))
-    rc = main(case.get("run", case["args"]) + ["--graph", str(gpath), "--r", str(case["r"])])
+    rc = main(case["args"] + ["--graph", str(gpath), "--r", str(case["r"])])
     out, err = capsys.readouterr()
     return rc, out, err
 

@@ -30,7 +30,6 @@ from hampow.graphs import (
 from hampow.paths import is_path, is_properly_terminated, verify_ham_power_cycle
 from hampow.pipeline import _cut_paths, constructive_ham_path_between, run_pipeline
 from hampow.oracle import SearchBudget, window_paths
-from hampow.sequencing import PlanReport, Stage
 from hampow.tiling import cover_with_paths
 
 
@@ -401,34 +400,32 @@ class TestCli:
         assert main(["sequence", "--graph", str(gpath), "--r", "3"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert list(doc) == ["plan", "report"]
-        assert list(doc["report"]) == ["ok", "conditions", "measured_group_slack"]
-        assert all(list(c) == ["name", "ok", "detail"] for c in doc["report"]["conditions"])
+        assert list(doc["report"]) == ["ok", "measured_group_slack", "detail"]
 
     def test_relaxed_sequence_is_judged_as_the_pipeline_judges_it(self, tmp_path, capsys,
                                                                    monkeypatch):
-        """A plan whose only failing condition is the group slack A2 exits 0,
-        and the report still shows A2 failing; a plan with another failing
-        condition is a construction fault: exit 4, named on stderr, no plan."""
+        """A plan failing the group slack A2 exits 0, and the report shows A2
+        failing; a plan failing a structural condition is a construction
+        fault: exit 4, named on stderr, no plan."""
         gpath = self._gen(tmp_path, _A2_ONLY_HOST)
         argv = ["sequence", "--graph", str(gpath), "--r", "3"]
         assert main(argv) == EXIT_OK
         report = json.loads(capsys.readouterr().out)["report"]
         assert not report["ok"]
-        assert [c["name"] for c in report["conditions"] if not c["ok"]] == ["A2"]
+        assert (report["measured_group_slack"], report["detail"]) == \
+            ("1/2", "worst proportional degree 1/2 at vertex 87 in group 6")
 
         real_verify = hampow.sequencing.verify_plan
 
-        def a3_fails(*args):
-            rep = real_verify(*args)
-            conditions = [Stage("A3", False, "planted") if c.name == "A3" else c
-                          for c in rep.conditions]
-            return PlanReport(tuple(conditions), rep.measured_group_slack)
+        def a3_fails(graph, plan, cfg):
+            return real_verify(graph, replace(plan, p0=plan.p0[1:]), cfg)
 
         monkeypatch.setattr(hampow.sequencing, "verify_plan", a3_fails)
         assert main(argv) == EXIT_STAGE
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == "stage failure: A3: planted\n"
+        assert out.err == \
+            "stage failure: A3: p0 does not extend p0_prime by r vertices on each side\n"
 
     def test_structurally_failed_plan_is_a_fault_not_an_oracle_fallback(
         self, tmp_path, capsys, monkeypatch
@@ -451,6 +448,28 @@ class TestCli:
             out = capsys.readouterr()
             assert out.out == "", argv
             assert out.err == "stage failure: A4: connector 0 is not a power-path\n", argv
+
+    def test_wrong_part_sizes_are_a_fault_not_an_oracle_fallback(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The reduced host passed every size check sequencing makes, so cell
+        sizes that do not sum to the residual parts can only come from a
+        wrong solver result: `pipeline` exits 3, prints no report and never
+        runs the whole-graph oracle."""
+        gpath = self._gen(tmp_path, ["--k", "4", "--sizes", "12,12,12,12", "--delta", "1"])
+        real_solve = hampow.sequencing.solve_part_sizes
+
+        def one_too_many(*args):
+            x = real_solve(*args)
+            return (x[0] + 1, *x[1:])
+
+        monkeypatch.setattr(hampow.sequencing, "solve_part_sizes", one_too_many)
+        monkeypatch.setattr(hampow.pipeline, "ham_power_cycle_exists",
+                            lambda *a, **kw: pytest.fail("the whole-graph oracle ran"))
+        assert main(["pipeline", "--graph", str(gpath), "--r", "3"]) == EXIT_VALIDATION
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "validation error: row 0: cells sum to 9 but residual part has 8\n"
 
     def test_pipeline_relaxed_is_accepted_and_ignored(self, tmp_path, capsys):
         """`pipeline --relaxed` still parses and changes nothing, on a host
@@ -902,9 +921,9 @@ class TestCli:
             assert main(["sequence", "--graph", str(path), "--r", "3"]) == EXIT_OK
             printed.append(capsys.readouterr().out)
         assert printed[0] == printed[1]
-        res = hampow.sequencing.run_sequencing(reduce_parts(load_graph(rpath.read_text()), 3),
-                                               Config(3))
-        doc = {"plan": res.plan.to_json_dict(), "report": res.report.to_json_dict()}
+        plan, report = hampow.sequencing.run_sequencing(
+            reduce_parts(load_graph(rpath.read_text()), 3), Config(3))
+        doc = {"plan": plan.to_json_dict(), "report": report.to_json_dict()}
         assert printed[1] == json.dumps(doc) + "\n"
 
     def test_sequence_judges_the_host_after_reduction(self, tmp_path, capsys):

@@ -23,12 +23,17 @@ from hampow.errors import (
     GraphValidationError,
     InfeasibleError,
     SearchExhaustedError,
+    VerificationError,
 )
 from hampow.graphs import Config, MultipartiteGraph, gen_random, induced_subgraph, save_graph
 from hampow.oracle import SearchBudget, window_paths
 from hampow.paths import decompose, is_path, is_properly_terminated, is_valid_pair
 from hampow.sequencing import (
+    SequencingPlan,
+    _connector_violation,
+    _extension_violation,
     _group_degree_slack,
+    _partition_violation,
     build_connectors_and_p0,
     build_template_matrix,
     build_trim_path,
@@ -188,7 +193,7 @@ class TestSolver:
 def _pipeline_fixture(seed=0, delta=1, sizes=(12, 12, 12, 12)):
     g = gen_random(4, list(sizes), delta, seed)
     cfg = Config(3, seed=seed)
-    return g, cfg, run_sequencing(g, cfg)
+    return g, cfg, *run_sequencing(g, cfg)
 
 
 class TestTrimPath:
@@ -249,9 +254,9 @@ class TestTrimPath:
 
 class TestRefineAndPlan:
     def test_cells_sum_to_rows(self):
-        g, cfg, res = _pipeline_fixture()
+        g, cfg, plan, _ = _pipeline_fixture()
         tmpl = compute_trim_template([len(p) for p in g.parts], cfg.r, cfg.sigma)
-        m, plan = build_template_matrix(tmpl.k, tmpl.r, tmpl.s), res.plan
+        m = build_template_matrix(tmpl.k, tmpl.r, tmpl.s)
         on_path = set(plan.p0_prime)
         b = [sum(v not in on_path for v in part) for part in g.parts]
         x = solve_part_sizes(m, b, cfg.floor_m(g.n))
@@ -264,14 +269,14 @@ class TestRefineAndPlan:
     def test_single_column_refinement_is_identity(self):
         g = complete(4, [16, 16, 15, 4])
         cfg = Config(3, seed=1)
-        res = run_sequencing(g, cfg)
-        assert res.plan.ell == 1
-        assert res.report.ok
+        plan, report = run_sequencing(g, cfg)
+        assert plan.ell == 1
+        assert report.ok
 
     def test_complete_host_passes_first_attempt(self):
-        g, cfg, res = _pipeline_fixture()
-        assert res.report.ok
-        assert res.report.measured_group_slack == 1
+        g, cfg, plan, report = _pipeline_fixture()
+        assert report.ok
+        assert report.measured_group_slack == 1
 
     def test_group_patterns_ascend(self):
         m = build_template_matrix(5, 3, 1)
@@ -280,80 +285,105 @@ class TestRefineAndPlan:
             assert len(pattern) == 3
 
 
+def _raises_structural(name, detail):
+    """pytest.raises for `verify_plan` naming condition `name` with exactly
+    `detail`."""
+    return pytest.raises(VerificationError, match=f"^{re.escape(f'{name}: {detail}')}$")
+
+
 class TestVerifyPlanFaults:
     def test_pipeline_plan_verifies(self):
-        g, cfg, res = _pipeline_fixture(seed=3)
-        assert res.report.ok
+        g, cfg, plan, report = _pipeline_fixture(seed=3)
+        assert verify_plan(g, plan, cfg) == report
 
     def test_connector_vertex_moved_into_group_breaks_a4(self):
-        g, cfg, res = _pipeline_fixture(seed=3)
-        plan = res.plan
+        g, cfg, plan, _ = _pipeline_fixture(seed=3)
         conn = plan.connectors[0]
         stolen = plan.p0[0]  # lives in p0: reuse breaks disjointness
         broken = replace(
             plan,
             connectors=((stolen,) + conn[1:],) + plan.connectors[1:],
         )
-        rep = verify_plan(g, broken, cfg)
-        assert not rep.condition("A4").ok
+        with _raises_structural("A4", "connector 0 is not a power-path"):
+            verify_plan(g, broken, cfg)
 
     def test_emptied_cell_breaks_a1(self):
-        g, cfg, res = _pipeline_fixture(seed=3)
-        plan = res.plan
+        """An emptied cell fails A1, A3, A4 and the partition; A1 is named."""
+        g, cfg, plan, _ = _pipeline_fixture(seed=3)
         first = (frozenset(),) + plan.groups[0][1:]
-        rep = verify_plan(g, replace(plan, groups=(first,) + plan.groups[1:]), cfg)
-        assert not rep.condition("A1").ok
+        with _raises_structural("A1", "group 0: cell sizes [0, 2, 2] not equal or below 2"):
+            verify_plan(g, replace(plan, groups=(first,) + plan.groups[1:]), cfg)
+
+    def test_a1_is_named_before_the_partition(self):
+        """A cell that drops a vertex no bridge uses fails A1 and the
+        partition, and only those: `verify_plan` raises A1."""
+        g, cfg, plan, _ = _pipeline_fixture(seed=3, sizes=(30, 30, 30, 30))
+        bridged = set(plan.p0).union(*plan.connectors)
+        j, h, v = next((j, h, v) for j, cells in enumerate(plan.groups)
+                       for h, cell in enumerate(cells) for v in sorted(cell) if v not in bridged)
+        cells = plan.groups[j]
+        dropped = cells[:h] + (cells[h] - {v},) + cells[h + 1:]
+        broken = replace(plan, groups=plan.groups[:j] + (dropped,) + plan.groups[j + 1:])
+        assert _extension_violation(g, broken, cfg) == _connector_violation(g, broken, cfg) == ""
+        assert _partition_violation(g, broken, cfg) == "trim path and cells do not cover the graph"
+        sizes = [len(c) for c in dropped]
+        with _raises_structural("A1", f"group {j}: cell sizes {sizes} not equal or below 2"):
+            verify_plan(g, broken, cfg)
 
     def test_one_vertex_cells_break_a1(self):
         """A one-vertex cell cannot feed both seams of its group, however
         small beta*n is."""
-        g, cfg, res = _pipeline_fixture(seed=3)
-        plan = res.plan
+        g, cfg, plan, _ = _pipeline_fixture(seed=3)
         assert cfg.beta * g.n < 1
         first = tuple(frozenset([min(cell)]) for cell in plan.groups[0])
-        rep = verify_plan(g, replace(plan, groups=(first,) + plan.groups[1:]), cfg)
         live = [1] * len(plan.patterns[0])
-        assert not rep.condition("A1").ok
-        assert rep.condition("A1").detail == f"group 0: cell sizes {live} not equal or below 2"
+        with _raises_structural("A1", f"group 0: cell sizes {live} not equal or below 2"):
+            verify_plan(g, replace(plan, groups=(first,) + plan.groups[1:]), cfg)
 
     @pytest.mark.parametrize("change", ["drop", "add"])
     def test_cell_count_off_its_pattern_breaks_a1(self, change):
-        """A group with one cell too few or too many for its pattern fails A1
-        and raises nothing, and so do groups and patterns without partners."""
-        g, cfg, res = _pipeline_fixture(seed=3)
-        plan = res.plan
+        """A group with one cell too few or too many for its pattern fails A1,
+        and so do groups and patterns without partners."""
+        g, cfg, plan, _ = _pipeline_fixture(seed=3)
         cells = plan.groups[1]
         cells = cells[:-1] if change == "drop" else cells + (frozenset(),)
-        rep = verify_plan(g, replace(plan, groups=(plan.groups[0], cells) + plan.groups[2:]), cfg)
-        assert not rep.condition("A1").ok
-        assert rep.condition("A1").detail == \
-            f"group 1: {len(cells)} cells for pattern {list(plan.patterns[1])}"
-        rep = verify_plan(g, replace(plan, patterns=plan.patterns[:-1]), cfg)
-        assert rep.condition("A1").detail == \
-            f"group {plan.ell - 1}: {len(plan.groups[-1])} cells for pattern []"
-        rep = verify_plan(g, replace(plan, groups=plan.groups[:-1]), cfg)
-        assert rep.condition("A1").detail == \
-            f"group {plan.ell - 1}: 0 cells for pattern {list(plan.patterns[-1])}"
+        with _raises_structural(
+            "A1", f"group 1: {len(cells)} cells for pattern {list(plan.patterns[1])}"
+        ):
+            verify_plan(g, replace(plan, groups=(plan.groups[0], cells) + plan.groups[2:]), cfg)
+        with _raises_structural(
+            "A1", f"group {plan.ell - 1}: {len(plan.groups[-1])} cells for pattern []"
+        ):
+            verify_plan(g, replace(plan, patterns=plan.patterns[:-1]), cfg)
+        with _raises_structural(
+            "A1", f"group {plan.ell - 1}: 0 cells for pattern {list(plan.patterns[-1])}"
+        ):
+            verify_plan(g, replace(plan, groups=plan.groups[:-1]), cfg)
 
     def test_vertex_in_two_groups_breaks_the_partition(self):
-        g, cfg, res = _pipeline_fixture(seed=3)
-        plan = res.plan
+        """A vertex of group 0 swapped into group 1 for one no bridge uses
+        keeps every cell's size and every bridge in place: only the partition
+        fails."""
+        g, cfg, plan, _ = _pipeline_fixture(seed=3, sizes=(30, 30, 30, 30))
+        bridged = set(plan.p0).union(*plan.connectors)
         i = next(i for i in plan.patterns[0] if i in plan.patterns[1])
         v = min(plan.groups[0][plan.patterns[0].index(i)])
         h = plan.patterns[1].index(i)
-        cells = plan.groups[1][:h] + (plan.groups[1][h] | {v},) + plan.groups[1][h + 1:]
-        rep = verify_plan(g, replace(plan, groups=(plan.groups[0], cells) + plan.groups[2:]), cfg)
-        assert rep.condition("partition").detail == f"vertex {v} appears twice (cell {(i, 1)})"
+        w = min(plan.groups[1][h] - bridged)
+        cells = plan.groups[1][:h] + (plan.groups[1][h] - {w} | {v},) + plan.groups[1][h + 1:]
+        with _raises_structural("partition", f"vertex {v} appears twice (cell {(i, 1)})"):
+            verify_plan(g, replace(plan, groups=(plan.groups[0], cells) + plan.groups[2:]), cfg)
 
     def test_truncated_p0_breaks_a3(self):
-        g, cfg, res = _pipeline_fixture(seed=3)
-        plan = res.plan
-        rep = verify_plan(g, replace(plan, p0=plan.p0[1:]), cfg)
-        assert not rep.condition("A3").ok
+        g, cfg, plan, _ = _pipeline_fixture(seed=3)
+        with _raises_structural("A3", "p0 does not extend p0_prime by r vertices on each side"):
+            verify_plan(g, replace(plan, p0=plan.p0[1:]), cfg)
 
 
 class TestRunSequencingRandom:
-    def test_dense_random_instances_relaxed(self):
+    def test_dense_random_instances_pass_the_structural_conditions(self):
+        """`run_sequencing` raises VerificationError for a plan failing a
+        structural condition, so ten plans returned are ten that pass."""
         done = 0
         seed = 0
         while done < 10:
@@ -361,28 +391,26 @@ class TestRunSequencingRandom:
             g = gen_random(4, [13, 13, 12, 10], Fraction(9, 10), seed)
             cfg = Config(3, seed=seed)
             try:
-                res = run_sequencing(g, cfg)
+                run_sequencing(g, cfg)
             except InfeasibleError:
                 continue
-            structural = [c for c in res.report.conditions if c.name != "A2"]
-            assert all(c.ok for c in structural)
             done += 1
 
     @pytest.mark.parametrize("seed", range(6))
     def test_connectors_do_not_dead_end(self, seed):
         g = gen_random(6, [40] * 6, Fraction(9, 10), seed)
-        res = run_sequencing(g, Config(4))
-        assert all(c.ok for c in res.report.conditions if c.name != "A2")
+        plan, _ = run_sequencing(g, Config(4))
+        assert len(plan.connectors) == plan.ell - 1
 
     def test_other_powers(self):
         # r=2 with k=3, and r=4 at both ends of its k range
-        res = run_sequencing(complete(3, [12, 12, 12]), Config(2, seed=0))
-        assert res.report.ok and res.plan.ell == 3
-        res = run_sequencing(complete(5, [20] * 5), Config(4, seed=2))
-        assert res.report.ok and res.plan.ell == 5
-        res = run_sequencing(complete(7, [48] * 7), Config(4, seed=3))
-        assert res.report.ok and res.plan.ell == 35
-        assert len(res.plan.connectors) == 34
+        plan, report = run_sequencing(complete(3, [12, 12, 12]), Config(2, seed=0))
+        assert report.ok and plan.ell == 3
+        plan, report = run_sequencing(complete(5, [20] * 5), Config(4, seed=2))
+        assert report.ok and plan.ell == 5
+        plan, report = run_sequencing(complete(7, [48] * 7), Config(4, seed=3))
+        assert report.ok and plan.ell == 35
+        assert len(plan.connectors) == 34
 
 
 def _kernel_case(seed):
@@ -467,10 +495,10 @@ def test_a2_minimum_matches_the_per_vertex_fraction_loop(seed):
     assert _group_degree_slack(g, plan) == reference_group_degree_slack(g, plan)
     host = gen_random(4, [13, 13, 12, 10], Fraction(9, 10), seed)
     try:
-        res = run_sequencing(host, Config(3, seed=seed))
+        plan, _ = run_sequencing(host, Config(3, seed=seed))
     except InfeasibleError:
         return
-    assert _group_degree_slack(host, res.plan) == reference_group_degree_slack(host, res.plan)
+    assert _group_degree_slack(host, plan) == reference_group_degree_slack(host, plan)
 
 
 def test_refinement_makes_one_seeded_split_per_part_whatever_the_degrees():
@@ -489,8 +517,8 @@ def test_refinement_makes_one_seeded_split_per_part_whatever_the_degrees():
         for j in (j for j in range(matrix.ell) if matrix.entry(i, j)):
             want[j].append(frozenset(pool[:4]))
             pool = pool[4:]
-    groups, patterns = refine_partition(g, g.parts, matrix, (4, 4), cfg)
-    assert groups == tuple(map(tuple, want)) and patterns == group_patterns(matrix)
+    groups = refine_partition(g, g.parts, matrix, (4, 4), cfg)
+    assert groups == tuple(map(tuple, want))
     assert sorted(v for cells in groups for cell in cells for v in cell) == list(range(g.n))
 
 
@@ -533,9 +561,9 @@ def _refinement_case(seed):
     return sub, tuple(map(new.get, trim)), groups, tuple(patterns), cfg
 
 
-def _plan_or_none(*case):
-    """The plan `build_connectors_and_p0` lays, or None when its search proves
-    that none exists; a spent budget propagates."""
+def _bridges_or_none(*case):
+    """The p0 and connectors `build_connectors_and_p0` lays, or None when its
+    search proves that none exists; a spent budget propagates."""
     try:
         return build_connectors_and_p0(*case)
     except BudgetExhaustedError:
@@ -571,7 +599,7 @@ def _doomed_prefix_chain(ell):
              if not (v == t and u in cut)]
     groups = tuple((frozenset(parts[0][3 * j:3 * j + 3]), frozenset(parts[1][3 * j:3 * j + 3]))
                    for j in range(ell))
-    return MultipartiteGraph.from_edges(parts, edges), (t,), groups, ((0, 1),) * ell
+    return MultipartiteGraph.from_edges(parts, edges), (t,), groups
 
 
 class TestDoomedRefinements:
@@ -580,32 +608,32 @@ class TestDoomedRefinements:
         connectors and prefix: each bridge of a laid plan is one of brute
         force's window paths for that bridge, no vertex is laid twice, and the
         plan passes the terminal-extension, connector and partition
-        conditions; a second run with the same seed lays the same plan, or
-        raises the same SearchExhaustedError."""
+        conditions (A1 asks more of the cells than these random ones hold);
+        a second run with the same seed lays the same plan, or raises the
+        same SearchExhaustedError."""
         outcomes = Counter()
         for seed in range(240):
             g, trim, groups, patterns, cfg = _refinement_case(seed)
             if len(trim) < cfg.r - 1:
                 continue
-            case = g, trim, groups, patterns, cfg
+            case = g, trim, groups, cfg
             try:
-                plan = build_connectors_and_p0(*case)
+                p0, connectors = build_connectors_and_p0(*case)
             except SearchExhaustedError as exc:
                 with pytest.raises(SearchExhaustedError, match=f"^{re.escape(str(exc))}$"):
                     build_connectors_and_p0(*case)
                 outcomes["none"] += 1
                 continue
-            assert build_connectors_and_p0(*case) == plan, seed
-            laid = [plan.p0[cfg.r + len(trim):],
-                    *plan.connectors,
-                    plan.p0[:cfg.r]]
-            assert plan.p0[cfg.r:cfg.r + len(trim)] == trim, seed
+            assert build_connectors_and_p0(*case) == (p0, connectors), seed
+            laid = [p0[cfg.r + len(trim):], *connectors, p0[:cfg.r]]
+            assert p0[cfg.r:cfg.r + len(trim)] == trim, seed
             choices = bridge_choices_by_brute_force(g, trim, groups, cfg.r)
             assert all(path in paths for path, paths in zip(laid, choices, strict=True)), seed
             flat = [v for path in laid for v in path]
             assert len(set(flat)) == len(flat), seed
-            report = verify_plan(g, plan, cfg)
-            assert all(report.condition(c).ok for c in ("A3", "A4", "partition")), seed
+            plan = SequencingPlan(trim, p0, groups, patterns, connectors)
+            for violation in (_extension_violation, _connector_violation, _partition_violation):
+                assert violation(g, plan, cfg) == "", (seed, violation.__name__)
             outcomes["found"] += 1
         assert outcomes["found"] >= 40 and outcomes["none"] >= 40, outcomes
 
@@ -618,19 +646,19 @@ class TestDoomedRefinements:
         prefix vertex and a suffix vertex could share a window."""
         outcomes = Counter()
         for seed in range(240):
-            g, trim, groups, patterns, cfg = _refinement_case(seed)
+            g, trim, groups, _, cfg = _refinement_case(seed)
             if len(trim) < cfg.r - 1:
                 with pytest.raises(GraphValidationError, match="at least r-1"):
-                    build_connectors_and_p0(g, trim, groups, patterns, cfg)
+                    build_connectors_and_p0(g, trim, groups, cfg)
                 outcomes["short"] += 1
                 continue
-            plan = _plan_or_none(g, trim, groups, patterns, cfg)
+            bridges = _bridges_or_none(g, trim, groups, cfg)
             choices = bridge_choices_by_brute_force(g, trim, groups, cfg.r)
             if prod(map(len, choices)) > 10**5:
                 outcomes["beyond brute force"] += 1
                 continue
-            assert (plan is None) == (disjoint_choice_by_brute_force(choices) is None), seed
-            outcomes["none" if plan is None else "found"] += 1
+            assert (bridges is None) == (disjoint_choice_by_brute_force(choices) is None), seed
+            outcomes["none" if bridges is None else "found"] += 1
         assert outcomes["found"] >= 40 and outcomes["none"] >= 40, outcomes
         assert outcomes["beyond brute force"] <= 20, outcomes
 
@@ -643,10 +671,10 @@ class TestDoomedRefinements:
         36 instead."""
         searches = _record_bridge_searches(monkeypatch)
         for ell in (2, 3, 4):
-            g, trim, groups, patterns = _doomed_prefix_chain(ell)
-            assert _plan_or_none(g, trim, groups, patterns, Config(2, seed=ell)) is None
+            g, trim, groups = _doomed_prefix_chain(ell)
+            assert _bridges_or_none(g, trim, groups, Config(2, seed=ell)) is None
         assert [s.nodes for s in searches] == [1 + 9 + 9 * 36 * (ell - 1) for ell in (2, 3, 4)]
-        g, trim, groups, _ = _doomed_prefix_chain(2)
+        g, trim, groups = _doomed_prefix_chain(2)
         assert disjoint_choice_by_brute_force(
             bridge_choices_by_brute_force(g, trim, groups, 2)) is None
 
@@ -663,7 +691,7 @@ class TestDoomedRefinements:
         edges = [(u, v) for p, q in combinations(parts, 2) for u in p for v in q
                  if (u, v) not in missing]
         groups = (frozenset({a, a2}), frozenset({b, b2})), (frozenset({a3}), frozenset({b3}))
-        case = (t,), groups, ((0, 1), (0, 1)), Config(2)
+        case = (t,), groups, Config(2)
         searches = _record_bridge_searches(monkeypatch)
         for g, nodes in ((MultipartiteGraph.from_edges(parts, edges), 3),
                          (MultipartiteGraph.from_edges(parts, edges + [(a2, b)]), 4)):
